@@ -19,6 +19,7 @@ from .connectors import LlmGateway
 from .dialogue import (
     Corpus,
     DialogueAct,
+    ITEM_SLOT,
     IntentSchema,
     OTHER,
     RECOMMEND,
@@ -34,8 +35,6 @@ from .errors import (
     GatewayError,
     SchemaViolationError,
 )
-
-ITEM_SLOT = "TITLE"
 
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
 
@@ -132,20 +131,6 @@ def load_prompt_template(template_id: str) -> str:
     )
 
 
-def _find_titles(text: str, catalog: ItemCatalog | None) -> list[tuple[int, str]]:
-    """Catalog titles contained in ``text``, as (position, title) pairs."""
-    if catalog is None:
-        return []
-    lowered = text.lower()
-    found = []
-    for title in catalog.titles():
-        position = lowered.find(title.lower())
-        if position >= 0:
-            found.append((position, title))
-    found.sort()
-    return found
-
-
 class RuleAnnotator:
     """Deterministic cue-phrase annotator with a catalog title-matching pass.
 
@@ -183,9 +168,10 @@ class RuleAnnotator:
             if positions:
                 matched[intent] = min(positions)
 
-        titles = [title for _, title in _find_titles(text, self.catalog)]
+        found = self.catalog.find_titles(text) if self.catalog is not None else []
+        titles = [title for _, title in found]
         if titles and utterance.speaker is Speaker.SYSTEM and RECOMMEND in allowed:
-            matched.setdefault(RECOMMEND, lowered.find(titles[0].lower()))
+            matched.setdefault(RECOMMEND, found[0][0])
 
         if not matched:
             if OTHER in allowed:

@@ -40,6 +40,7 @@ from .corpus_io import read_corpus, serialize_corpus
 from .dialogue import (
     Corpus,
     DialogueAct,
+    ITEM_SLOT,
     IntentSchema,
     default_schema,
     simulation_schema,
@@ -77,12 +78,17 @@ EXIT_VALIDATION = 1
 EXIT_CONFIGURATION = 2
 EXIT_CONNECTOR = 3
 
+JOBS_HELP = (
+    "worker threads (default 1); they help only against live, I/O-bound "
+    "endpoints, since offline runs are CPU-bound under the GIL"
+)
+
 # Built-in few-shot examples so llm-mode annotation works without an
 # examples file; callers with a tuned prompt should pass their own.
 DEFAULT_FEW_SHOT = (
     (
         "Have you seen Heat? It is a classic crime film.",
-        (DialogueAct("Recommend", (("TITLE", "Heat"),)),),
+        (DialogueAct("Recommend", ((ITEM_SLOT, "Heat"),)),),
     ),
     (
         "Great, I'll watch that one tonight, thanks!",
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--llm-endpoint")
     annotate.add_argument("--llm-model")
     annotate.add_argument("--config")
-    annotate.add_argument("--jobs", type=int, default=1)
+    annotate.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     annotate.add_argument("--seed", type=int, default=0)
     annotate.set_defaults(func=cmd_annotate)
 
@@ -513,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("-n", type=int, default=None, help="dialogues to generate (default 200)")
     simulate.add_argument("--output", required=True)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--jobs", type=int, default=None)
+    simulate.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     simulate.add_argument("--max-utterances", type=int, default=None)
     simulate.add_argument("--timeout", type=float, default=None, help="per-call timeout seconds")
     simulate.add_argument("--interaction-model")

@@ -39,6 +39,9 @@ INQUIRE = "Inquire"
 OTHER = "Other"
 BYE = "Bye"
 
+# The slot that names a catalog item in Recommend, Accept and Reject acts.
+ITEM_SLOT = "TITLE"
+
 
 def _as_slot_pairs(slots: Iterable) -> tuple[tuple[str, str], ...]:
     pairs = []

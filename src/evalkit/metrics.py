@@ -26,13 +26,12 @@ from .dialogue import (
     ACCEPT,
     Corpus,
     Dialogue,
+    ITEM_SLOT,
     RECOMMEND,
     REJECT,
     Speaker,
 )
 from .errors import UnannotatedDialogueError
-
-ITEM_SLOT = "TITLE"
 
 OUTCOME_ACCEPTED = "accepted"
 OUTCOME_REJECTED = "rejected"

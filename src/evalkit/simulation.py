@@ -31,6 +31,7 @@ from .dialogue import (
     DialogueAct,
     DISCLOSE,
     INQUIRE,
+    ITEM_SLOT,
     IntentSchema,
     OTHER,
     PROVENANCE_SIMULATED,
@@ -49,7 +50,6 @@ from .errors import (
     SchemaViolationError,
     SimulationError,
 )
-from .metrics import ITEM_SLOT
 
 REFINE = "Refine"
 
@@ -217,8 +217,8 @@ def sample_goal(
     Deterministic for a fixed integer seed. Constraint values are taken
     from a single randomly chosen item, so at least that item matches all
     of them. Raises ValueError when a configured slot is absent from the
-    catalog, SimulationError when no satisfiable combination is found
-    within the attempt budget.
+    catalog, SimulationError when no drawn item populates enough constraint
+    slots within the attempt budget.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     catalog_slots = set(catalog.slots())
@@ -236,8 +236,6 @@ def sample_goal(
         constraints = tuple(
             (slot, rng.choice(anchor.values(slot))) for slot in chosen
         )
-        if not catalog.matching(constraints):
-            continue
         request_cap = min(config.max_requests, len(config.request_slots))
         request_floor = min(config.min_requests, request_cap)
         request_count = rng.randint(request_floor, request_cap) if request_cap else 0
@@ -407,7 +405,8 @@ def _instantiate(
         return DialogueAct(INQUIRE)
     if intent == ACCEPT:
         item = _matching_item(goal, agenda.open_items, agenda.accepted_items, catalog)
-        assert item is not None
+        if item is None:
+            raise SimulationError("cannot accept: no open item satisfies the goal")
         return DialogueAct(ACCEPT, ((ITEM_SLOT, item),))
     if intent == REJECT:
         return DialogueAct(REJECT, ((ITEM_SLOT, agenda.open_items[0]),))

@@ -1,13 +1,16 @@
-"""Independent brute-force metric evaluator.
+"""Independent brute-force metric evaluator and catalog lookups.
 
 Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
-accept counting. Kept deliberately naive so it can serve as an oracle.
+accept counting. The catalog references scan every item or try every
+title at every position. Kept deliberately naive so it can serve as an
+oracle.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 
 def _records(stream: bytes) -> list[dict]:
@@ -127,3 +130,40 @@ def oracle_recall(
         crs_id: hits[crs_id] / truth[crs_id] if truth[crs_id] else 0.0
         for crs_id in hits
     }
+
+
+def oracle_get(items, item_id: str):
+    """The catalog item with ``item_id`` by linear scan, or None."""
+    for item in items:
+        if item.item_id == item_id:
+            return item
+    return None
+
+
+def oracle_slots(items) -> tuple[str, ...]:
+    names: set[str] = set()
+    for item in items:
+        names.update(item.attributes)
+    return tuple(sorted(names))
+
+
+def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:
+    """Whole-title matches in ``text.lower()``, trying every title longest
+    first at every position; a match moves the scan past its end."""
+    lowered = text.lower()
+    patterns = sorted(
+        ((re.compile(r"(?<!\w)" + re.escape(t.lower()) + r"(?!\w)"), t) for t in titles),
+        key=lambda pair: -len(pair[1].lower()),
+    )
+    found: dict[str, int] = {}
+    position = 0
+    while position < len(lowered):
+        width = None
+        for pattern, title in patterns:
+            if width is not None and len(title.lower()) < width:
+                break
+            if pattern.match(lowered, position):
+                width = len(title.lower())
+                found.setdefault(title, position)
+        position += width or 1
+    return sorted((p, t) for t, p in found.items())

@@ -36,7 +36,46 @@ def title_catalog():
     )
 
 
+@pytest.fixture(scope="module")
+def lookalike_catalog():
+    return load_catalog(
+        [
+            {"title": title}
+            for title in (
+                "Heat",
+                "The Heat",
+                "Movie 1",
+                "Movie 10",
+                "Step Brothers",
+                "Walk Hard: The Dewey Cox Story",
+            )
+        ]
+    )
+
+
 class TestRuleAnnotator:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("I love the theater", ()),
+            ("Have you seen Movie 10?", ("Movie 10",)),
+            ("Try The Heat", ("The Heat",)),
+            ("Heat? Have you seen Heat? Heat!", ("Heat",)),
+            ("Movie 1 or Movie 10", ("Movie 1", "Movie 10")),
+            (
+                "walk hard: the dewey cox story or STEP BROTHERS",
+                ("Walk Hard: The Dewey Cox Story", "Step Brothers"),
+            ),
+        ],
+    )
+    def test_titles_match_whole_words_only(self, lookalike_catalog, text, expected):
+        annotator = RuleAnnotator(SCHEMA, catalog=lookalike_catalog)
+        acts = annotator.annotate(utt(1, "SYSTEM", text=text))
+        recommended = tuple(
+            title for a in acts if a.intent == "Recommend" for title in a.slot_values("TITLE")
+        )
+        assert recommended == expected
+
     def test_recommendation_with_two_titles(self, title_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=title_catalog)
         u = utt(

@@ -1,0 +1,73 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evalkit.catalog import CatalogItem, ItemCatalog, load_catalog
+
+from oracle import oracle_find_titles, oracle_get, oracle_slots
+
+# Few letters, so titles often nest in and overlap one another; case,
+# digits and punctuation probe the word-boundary rule.
+TITLE_ALPHABET = "abAB1 -!'"
+SLOT_NAMES = ("genre", "year", "actor", "plot")
+
+titles = st.text(TITLE_ALPHABET, min_size=1, max_size=6)
+title_sets = st.lists(titles, min_size=1, max_size=8, unique=True)
+attributes = st.dictionaries(
+    st.sampled_from(SLOT_NAMES), st.text("xy", min_size=1, max_size=2), max_size=3
+)
+
+
+@st.composite
+def catalogs_and_texts(draw):
+    chosen = draw(title_sets)
+    fragment = st.one_of(st.sampled_from(chosen), st.text(TITLE_ALPHABET, max_size=4))
+    pieces = draw(st.lists(fragment, max_size=8))
+    gap = st.sampled_from(("", " ", ", ", "x"))
+    separators = draw(st.lists(gap, min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(piece + sep for piece, sep in zip(pieces, separators))
+    return chosen, text
+
+
+class TestIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(titles, attributes), min_size=1, max_size=8, unique_by=lambda p: p[0]),
+        titles,
+    )
+    def test_get_and_slots_match_a_linear_scan(self, records, probe):
+        items = [CatalogItem(item_id, attrs) for item_id, attrs in records]
+        catalog = ItemCatalog(tuple(items))
+        assert catalog.slots() == oracle_slots(items)
+        for item_id in [item.item_id for item in items] + [probe]:
+            assert catalog.get(item_id) is oracle_get(items, item_id)
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            load_catalog([{"title": "Heat"}, {"title": "Heat", "year": "1995"}])
+
+
+class TestFindTitles:
+    @settings(max_examples=400, deadline=None)
+    @given(catalogs_and_texts())
+    def test_matches_the_brute_force_search(self, case):
+        chosen, text = case
+        catalog = load_catalog([{"title": title} for title in chosen])
+        assert catalog.find_titles(text) == oracle_find_titles(text, chosen)
+
+    def test_positions_index_the_lowered_text(self):
+        catalog = load_catalog([{"title": "Heat"}, {"title": "Heat Wave"}, {"title": "Jaws"}])
+        assert catalog.find_titles("JAWS, then heat wave, then Heat.") == [
+            (0, "Jaws"),
+            (11, "Heat Wave"),
+            (27, "Heat"),
+        ]
+
+    def test_titles_differing_in_case_match_together(self):
+        catalog = load_catalog([{"title": "Heat"}, {"title": "HEAT"}])
+        assert catalog.find_titles("see heat") == [(4, "HEAT"), (4, "Heat")]
+
+    def test_punctuation_at_a_title_edge(self):
+        catalog = load_catalog([{"title": "Airplane!"}, {"title": "Up"}])
+        assert catalog.find_titles("Airplane! or Up.") == [(0, "Airplane!"), (13, "Up")]
+        assert catalog.find_titles("Airplane!x or Upside") == []

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from evalkit.simulation import (
     RunLimits,
     Stop,
     TRUNCATION_MARKER,
+    _instantiate,
     abus_next,
     default_interaction_model,
     generate_corpus,
@@ -223,6 +225,11 @@ class TestAbusNext:
             catalog=movie_catalog,
         )
         assert outcome == Stop("goal-fulfilled")
+
+    def test_accept_without_a_matching_open_item_raises(self, movie_catalog):
+        agenda = replace(new_agenda(simple_goal([("year", "1988")])), open_items=("Paper Moon",))
+        with pytest.raises(SimulationError, match="no open item"):
+            _instantiate("Accept", agenda, movie_catalog, random.Random(0))
 
     def test_request_for_goal_slot_triggers_disclosure(self, movie_catalog):
         goal = simple_goal([("genre", "comedy"), ("year", "1988")])

@@ -60,6 +60,7 @@ from .dialogue import (
 )
 from .metrics import (
     CostFactor,
+    DialogueFacts,
     MetricReport,
     RecommendationRound,
     RewardFactor,

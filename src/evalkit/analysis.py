@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Mapping
+from itertools import groupby
+from typing import Any, Mapping, Sequence
 
 from .errors import UndefinedCorrelationError
 
@@ -43,25 +44,28 @@ class Ranking:
         return tuple(e.crs_id for e in self.entries)
 
 
+def average_ranks(ordered: Sequence[float]) -> list[float]:
+    """1-based ranks of already sorted values; each run of equal values
+    shares the average rank of its positions."""
+    ranks: list[float] = []
+    for _, run in groupby(ordered):
+        size = len(list(run))
+        ranks.extend([len(ranks) + (size + 1) / 2] * size)
+    return ranks
+
+
 def rank_systems(scores: Mapping[str, float]) -> Ranking:
     """Rank systems by score, averaging ranks across ties."""
     if len(scores) < 2:
         raise ValueError("ranking needs at least 2 systems")
     ordered = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    entries: list[RankedSystem] = []
-    position = 0
-    while position < len(ordered):
-        tied_end = position
-        while (
-            tied_end + 1 < len(ordered)
-            and ordered[tied_end + 1][1] == ordered[position][1]
-        ):
-            tied_end += 1
-        average_rank = (position + tied_end) / 2 + 1  # ranks are 1-based
-        for crs_id, score in ordered[position : tied_end + 1]:
-            entries.append(RankedSystem(crs_id=crs_id, score=score, rank=average_rank))
-        position = tied_end + 1
-    return Ranking(entries=tuple(entries))
+    ranks = average_ranks([score for _, score in ordered])
+    return Ranking(
+        entries=tuple(
+            RankedSystem(crs_id=crs_id, score=score, rank=rank)
+            for (crs_id, score), rank in zip(ordered, ranks)
+        )
+    )
 
 
 def _tied_pairs(values: list[float]) -> int:

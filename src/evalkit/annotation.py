@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Mapping, Sequence
 
+from .analysis import average_ranks
 from .catalog import ItemCatalog
 from .connectors import LlmGateway
 from .dialogue import (
@@ -37,6 +38,7 @@ from .errors import (
 )
 
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
+_WORD = re.compile(r"\w")
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,17 @@ def load_prompt_template(template_id: str) -> str:
     )
 
 
+def _find_cue(text: str, cue: str) -> int:
+    """Position of the first occurrence of ``cue`` in ``text`` that no word
+    character (``\\w``) touches on either side, as for titles; -1 if none."""
+    start = text.find(cue)
+    while start >= 0:
+        if not (start and _WORD.match(text, start - 1) or _WORD.match(text, start + len(cue))):
+            return start
+        start = text.find(cue, start + 1)
+    return -1
+
+
 class RuleAnnotator:
     """Deterministic cue-phrase annotator with a catalog title-matching pass.
 
@@ -164,7 +177,7 @@ class RuleAnnotator:
         for intent, cues in self.lexicon.items():
             if intent not in allowed:
                 continue
-            positions = [p for p in (lowered.find(c) for c in cues) if p >= 0]
+            positions = [p for p in (_find_cue(lowered, c) for c in cues) if p >= 0]
             if positions:
                 matched[intent] = min(positions)
 
@@ -378,19 +391,8 @@ def _roc_auc(instances: list[tuple[bool, float]]) -> float | None:
     if positives == 0 or negatives == 0:
         return None
     ordered = sorted(instances, key=lambda pair: pair[1])
-    ranks: dict[int, float] = {}
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1][1] == ordered[i][1]:
-            j += 1
-        average_rank = (i + j) / 2 + 1  # ranks are 1-based
-        for k in range(i, j + 1):
-            ranks[k] = average_rank
-        i = j + 1
-    positive_rank_sum = sum(
-        ranks[k] for k, (label, _) in enumerate(ordered) if label
-    )
+    ranks = average_ranks([score for _, score in ordered])
+    positive_rank_sum = sum(rank for (label, _), rank in zip(ordered, ranks) if label)
     return (positive_rank_sum - positives * (positives + 1) / 2) / (
         positives * negatives
     )

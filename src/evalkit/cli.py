@@ -57,7 +57,7 @@ from .errors import (
     UnannotatedDialogueError,
     UndefinedCorrelationError,
 )
-from .metrics import MetricReport, VALID_METRICS, evaluate_system
+from .metrics import MetricReport, check_metric_names, evaluate_system
 from .simulation import (
     AgendaSimulator,
     GoalConfig,
@@ -306,13 +306,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    metrics = [m.strip().lower() for m in args.metrics.split(",") if m.strip()]
-    unknown = [m for m in metrics if m not in VALID_METRICS]
-    if unknown:
-        raise ConfigError(
-            f"unknown metric(s): {', '.join(unknown)}; valid names: "
-            f"{', '.join(VALID_METRICS)}"
-        )
+    try:
+        metrics = check_metric_names([m.strip() for m in args.metrics.split(",") if m.strip()])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     schema = _load_schema(args.schema)
     dialogues = []
     schema_version = "1"

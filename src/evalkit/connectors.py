@@ -8,7 +8,6 @@ request-building logic testable against a recording fake.
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
@@ -353,11 +352,3 @@ def make_stub(name: str, **kwargs) -> CrsConnector:
             f"unknown stub {name!r}; available: {', '.join(sorted(_STUBS))}"
         ) from None
     return factory(**kwargs)
-
-
-_session_counter = itertools.count(1)
-
-
-def new_session_id(prefix: str = "session") -> str:
-    """Process-local monotonically increasing session id."""
-    return f"{prefix}-{next(_session_counter)}"

@@ -4,8 +4,8 @@ One conversation's utility is the ratio of its weighted reward sum to its
 weighted cost sum. The concrete metrics are instantiations with a single
 factor on each side:
 
-* success rate (SR): reward = dialogue contains an accepted
-  recommendation, cost = 1;
+* success rate (SR): reward = dialogue has at least one accepted item,
+  cost = 1;
 * successful recommendation round ratio (SRRR): reward = accepted rounds,
   cost = number of rounds;
 * reward per dialogue length (RDL): reward = accepted items, cost = total
@@ -14,7 +14,7 @@ factor on each side:
   N per recommendation turn (micro-averaged over turns).
 
 SR, SRRR, and RDL are macro-averaged: each dialogue is scored first, then
-dialogue scores are averaged per system.
+dialogue scores are averaged per system, all in one pass over the corpus.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ VALID_METRICS = ("sr", "srrr", "rdl", "recall")
 
 @dataclass(frozen=True)
 class RewardFactor:
-    """A named, weighted, per-dialogue reward term."""
+    """A named, weighted, per-dialogue reward term read off ``DialogueFacts``."""
 
     name: str
     weight: float
-    evaluator: Callable[[Dialogue], float]
+    evaluator: Callable[[DialogueFacts], float]
 
     def __post_init__(self):
         if self.weight < 0:
@@ -68,11 +68,11 @@ class RewardFactor:
 
 @dataclass(frozen=True)
 class CostFactor:
-    """A named, weighted, per-dialogue cost term."""
+    """A named, weighted, per-dialogue cost term read off ``DialogueFacts``."""
 
     name: str
     weight: float
-    evaluator: Callable[[Dialogue], float]
+    evaluator: Callable[[DialogueFacts], float]
 
     def __post_init__(self):
         if self.weight < 0:
@@ -209,27 +209,6 @@ def segment_rounds(dialogue: Dialogue) -> list[RecommendationRound]:
     return rounds
 
 
-def dialogue_success(dialogue: Dialogue) -> bool:
-    """True when any user utterance carries an Accept act."""
-    _require_annotated(dialogue)
-    return any(
-        u.speaker is Speaker.USER and u.has_intent(ACCEPT) for u in dialogue.utterances
-    )
-
-
-def dialogue_srrr(dialogue: Dialogue) -> float:
-    """Fraction of this dialogue's rounds that end in acceptance.
-
-    Dialogues with no rounds score 0; unresolved rounds stay in the
-    denominator as unsuccessful.
-    """
-    rounds = segment_rounds(dialogue)
-    if not rounds:
-        return 0.0
-    accepted = sum(1 for r in rounds if r.outcome == OUTCOME_ACCEPTED)
-    return accepted / len(rounds)
-
-
 def accepted_item_count(dialogue: Dialogue) -> int:
     """Number of accepted item identifiers in a dialogue.
 
@@ -258,55 +237,127 @@ def accepted_item_count(dialogue: Dialogue) -> int:
     return len(named) + bare
 
 
+@dataclass(frozen=True)
+class DialogueFacts:
+    """The facts reward and cost factors read off one dialogue. Built once
+    per dialogue, so all metrics share one round segmentation; custom
+    factors reach anything else through ``dialogue``."""
+
+    dialogue: Dialogue
+    rounds: tuple[RecommendationRound, ...]
+    accepted_items: int
+
+    @classmethod
+    def of(cls, dialogue: Dialogue) -> DialogueFacts:
+        return cls(dialogue, tuple(segment_rounds(dialogue)), accepted_item_count(dialogue))
+
+
+def _utility(
+    facts: DialogueFacts, rewards: Sequence[RewardFactor], costs: Sequence[CostFactor]
+) -> float:
+    total_reward = sum(f.weight * f.evaluator(facts) for f in rewards)
+    total_cost = sum(f.weight * f.evaluator(facts) for f in costs)
+    if total_cost == 0 and total_reward == 0:
+        return 0.0
+    if total_cost <= 0:
+        raise ValueError(
+            f"dialogue {facts.dialogue.dialogue_id}: total cost is zero; utility undefined"
+        )
+    return total_reward / total_cost
+
+
+def utility(
+    dialogue: Dialogue,
+    rewards: Sequence[RewardFactor],
+    costs: Sequence[CostFactor],
+) -> float:
+    """Weighted reward sum over weighted cost sum for one conversation.
+
+    Factors are evaluated on the dialogue's ``DialogueFacts``, so the
+    dialogue must carry act annotations. Zero reward over zero cost is 0.0
+    (how SRRR scores a dialogue with no rounds); any other reward over a
+    cost that is not positive raises ValueError.
+    """
+    return _utility(DialogueFacts.of(dialogue), rewards, costs)
+
+
+def accepted_items_reward(weight: float = 1.0) -> RewardFactor:
+    return RewardFactor("accepted_items", weight, lambda f: float(f.accepted_items))
+
+
+def success_reward(weight: float = 1.0) -> RewardFactor:
+    # A user Accept act always credits at least one item.
+    return RewardFactor("success", weight, lambda f: 1.0 if f.accepted_items > 0 else 0.0)
+
+
+def accepted_rounds_reward(weight: float = 1.0) -> RewardFactor:
+    return RewardFactor(
+        "accepted_rounds",
+        weight,
+        lambda f: float(sum(1 for r in f.rounds if r.outcome == OUTCOME_ACCEPTED)),
+    )
+
+
+def dialogue_length_cost(weight: float = 1.0) -> CostFactor:
+    return CostFactor("dialogue_length", weight, lambda f: float(len(f.dialogue)))
+
+
+def round_count_cost(weight: float = 1.0) -> CostFactor:
+    return CostFactor("round_count", weight, lambda f: float(len(f.rounds)))
+
+
+def constant_cost(weight: float = 1.0) -> CostFactor:
+    return CostFactor("constant", weight, lambda f: 1.0)
+
+
+# The bundled macro metrics: request name -> (report name, rewards, costs).
+_MACRO_METRICS = {
+    "sr": (METRIC_SR, (success_reward(),), (constant_cost(),)),
+    "srrr": (METRIC_SRRR, (accepted_rounds_reward(),), (round_count_cost(),)),
+    "rdl": (METRIC_RDL, (accepted_items_reward(),), (dialogue_length_cost(),)),
+}
+
+
+def _macro_reports(corpus: Corpus, names: Sequence[str]) -> list[MetricReport]:
+    """One report per name, all scored from the same facts in one pass."""
+    _require_nonempty(corpus)
+    specs = [_MACRO_METRICS[name] for name in names]
+    per_system: list[dict[str, float]] = [{} for _ in specs]
+    per_dialogue: list[dict[str, float]] = [{} for _ in specs]
+    for crs_id, dialogues in corpus.by_system().items():
+        scores: list[list[float]] = [[] for _ in specs]
+        for dialogue in dialogues:
+            facts = DialogueFacts.of(dialogue)
+            for (_, rewards, costs), values, by_dialogue in zip(specs, scores, per_dialogue):
+                values.append(_utility(facts, rewards, costs))
+                by_dialogue[dialogue.dialogue_id] = values[-1]
+        for values, by_system in zip(scores, per_system):
+            by_system[crs_id] = sum(values) / len(values)
+    return [
+        MetricReport(metric, MACRO, by_system, by_dialogue)
+        for (metric, _, _), by_system, by_dialogue in zip(specs, per_system, per_dialogue)
+    ]
+
+
 def dialogue_rdl(dialogue: Dialogue) -> float:
     """Accepted items divided by the dialogue's total utterance count."""
-    if len(dialogue) == 0:
-        raise ValueError(f"dialogue {dialogue.dialogue_id} is empty")
-    return accepted_item_count(dialogue) / len(dialogue)
-
-
-def _macro_report(
-    corpus: Corpus, metric: str, per_dialogue_fn: Callable[[Dialogue], float]
-) -> MetricReport:
-    _require_nonempty(corpus)
-    per_dialogue: dict[str, float] = {}
-    per_system: dict[str, float] = {}
-    for crs_id, dialogues in corpus.by_system().items():
-        values = []
-        for dialogue in dialogues:
-            value = per_dialogue_fn(dialogue)
-            per_dialogue[dialogue.dialogue_id] = value
-            values.append(value)
-        per_system[crs_id] = sum(values) / len(values)
-    return MetricReport(
-        metric=metric,
-        aggregation=MACRO,
-        per_system=per_system,
-        per_dialogue=per_dialogue,
-    )
+    return utility(dialogue, [accepted_items_reward()], [dialogue_length_cost()])
 
 
 def success_rate(corpus: Corpus) -> MetricReport:
     """Per system: fraction of dialogues containing an accepted recommendation."""
-    report = _macro_report(
-        corpus, METRIC_SR, lambda d: 1.0 if dialogue_success(d) else 0.0
-    )
-    assert all(0.0 <= v <= 1.0 for v in report.per_system.values())
-    return report
+    return evaluate_system(corpus, ["sr"])[0]
 
 
 def srrr(corpus: Corpus) -> MetricReport:
-    """Per system: mean per-dialogue fraction of rounds ending in acceptance."""
-    report = _macro_report(corpus, METRIC_SRRR, dialogue_srrr)
-    assert all(0.0 <= v <= 1.0 for v in report.per_system.values())
-    return report
+    """Per system: mean per-dialogue fraction of rounds ending in acceptance
+    (0 with no rounds; an unresolved round counts as unsuccessful)."""
+    return evaluate_system(corpus, ["srrr"])[0]
 
 
 def rdl(corpus: Corpus) -> MetricReport:
     """Per system: mean accepted items per utterance across dialogues."""
-    report = _macro_report(corpus, METRIC_RDL, dialogue_rdl)
-    assert all(v >= 0.0 for v in report.per_system.values())
-    return report
+    return evaluate_system(corpus, ["rdl"])[0]
 
 
 def _recommendation_turns(dialogue: Dialogue):
@@ -326,33 +377,16 @@ def _recommendation_turns(dialogue: Dialogue):
     return turns
 
 
-def recall_at_n(
-    corpus: Corpus,
-    ground_truth: Mapping[tuple[str, int], Any],
-    n: int,
-    variant: str = RECALL_VARIANT_STANDARD,
-) -> MetricReport:
-    """Recall@N over recommendation turns, micro-averaged per system.
-
-    ``ground_truth`` maps (dialogue_id, utterance index) to the set of
-    target items for that turn. Each recommended list is truncated to its
-    first ``n`` items. The ``standard`` variant is hits over total
-    ground-truth items; the ``length_normalized`` variant follows the
-    published reward/cost formulation verbatim, dividing hits by N per
-    recommendation turn and additionally by the system's total utterance
-    count.
-    """
+def _recall_reports(
+    corpus: Corpus, ground_truth: Mapping[tuple[str, int], Any], n: int
+) -> dict[str, MetricReport]:
+    """Both recall variants, keyed by variant, from one set of counts."""
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    if variant not in (RECALL_VARIANT_STANDARD, RECALL_VARIANT_LENGTH_NORMALIZED):
-        raise ValueError(
-            f"variant must be {RECALL_VARIANT_STANDARD!r} or "
-            f"{RECALL_VARIANT_LENGTH_NORMALIZED!r}"
-        )
     _require_nonempty(corpus)
-
     warnings: list[str] = []
-    per_system: dict[str, float] = {}
+    standard: dict[str, float] = {}
+    length_normalized: dict[str, float] = {}
     for crs_id, dialogues in corpus.by_system().items():
         hits = 0
         truth_total = 0
@@ -372,69 +406,58 @@ def recall_at_n(
                 hits += len(targets & set(shortlist))
                 truth_total += len(targets)
                 rec_turns += 1
-        if variant == RECALL_VARIANT_STANDARD:
-            per_system[crs_id] = hits / truth_total if truth_total else 0.0
-        else:
-            denominator = n * rec_turns
-            inner = hits / denominator if denominator else 0.0
-            per_system[crs_id] = inner / utterance_total if utterance_total else 0.0
+        standard[crs_id] = hits / truth_total if truth_total else 0.0
+        denominator = n * rec_turns
+        inner = hits / denominator if denominator else 0.0
+        length_normalized[crs_id] = inner / utterance_total if utterance_total else 0.0
 
-    if variant == RECALL_VARIANT_LENGTH_NORMALIZED:
-        warnings.append(
-            "length_normalized divides by the total utterance count on top of "
-            "per-turn recall; values are not comparable to standard recall"
+    normalized_warnings = warnings + [
+        "length_normalized divides by the total utterance count on top of "
+        "per-turn recall; values are not comparable to standard recall"
+    ]
+    return {
+        variant: MetricReport(f"Recall@{n}[{variant}]", MICRO, per_system, warnings=notes)
+        for variant, per_system, notes in (
+            (RECALL_VARIANT_STANDARD, standard, warnings),
+            (RECALL_VARIANT_LENGTH_NORMALIZED, length_normalized, normalized_warnings),
         )
-    return MetricReport(
-        metric=f"Recall@{n}[{variant}]",
-        aggregation=MICRO,
-        per_system=per_system,
-        warnings=tuple(warnings),
-    )
+    }
 
 
-def utility(
-    dialogue: Dialogue,
-    rewards: Sequence[RewardFactor],
-    costs: Sequence[CostFactor],
-) -> float:
-    """Weighted reward sum over weighted cost sum for one conversation."""
-    total_reward = sum(f.weight * f.evaluator(dialogue) for f in rewards)
-    total_cost = sum(f.weight * f.evaluator(dialogue) for f in costs)
-    if total_cost <= 0:
+def recall_at_n(
+    corpus: Corpus,
+    ground_truth: Mapping[tuple[str, int], Any],
+    n: int,
+    variant: str = RECALL_VARIANT_STANDARD,
+) -> MetricReport:
+    """Recall@N over recommendation turns, micro-averaged per system.
+
+    ``ground_truth`` maps (dialogue_id, utterance index) to the set of
+    target items for that turn. Each recommended list is truncated to its
+    first ``n`` items. The ``standard`` variant is hits over total
+    ground-truth items; the ``length_normalized`` variant follows the
+    published reward/cost formulation verbatim, dividing hits by N per
+    recommendation turn and additionally by the system's total utterance
+    count.
+    """
+    if variant not in (RECALL_VARIANT_STANDARD, RECALL_VARIANT_LENGTH_NORMALIZED):
         raise ValueError(
-            f"dialogue {dialogue.dialogue_id}: total cost is zero; utility undefined"
+            f"variant must be {RECALL_VARIANT_STANDARD!r} or "
+            f"{RECALL_VARIANT_LENGTH_NORMALIZED!r}"
         )
-    return total_reward / total_cost
+    return _recall_reports(corpus, ground_truth, n)[variant]
 
 
-def accepted_items_reward(weight: float = 1.0) -> RewardFactor:
-    return RewardFactor("accepted_items", weight, lambda d: float(accepted_item_count(d)))
-
-
-def success_reward(weight: float = 1.0) -> RewardFactor:
-    return RewardFactor("success", weight, lambda d: 1.0 if dialogue_success(d) else 0.0)
-
-
-def accepted_rounds_reward(weight: float = 1.0) -> RewardFactor:
-    return RewardFactor(
-        "accepted_rounds",
-        weight,
-        lambda d: float(
-            sum(1 for r in segment_rounds(d) if r.outcome == OUTCOME_ACCEPTED)
-        ),
-    )
-
-
-def dialogue_length_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("dialogue_length", weight, lambda d: float(len(d)))
-
-
-def round_count_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("round_count", weight, lambda d: float(len(segment_rounds(d))))
-
-
-def constant_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("constant", weight, lambda d: 1.0)
+def check_metric_names(metrics: Sequence[str]) -> list[str]:
+    """The metric names lowercased; ValueError if any is unknown."""
+    requested = [m.lower() for m in metrics]
+    unknown = [m for m in requested if m not in VALID_METRICS]
+    if unknown:
+        raise ValueError(
+            f"unknown metric(s) {', '.join(sorted(unknown))}; "
+            f"valid names: {', '.join(VALID_METRICS)}"
+        )
+    return requested
 
 
 def evaluate_system(
@@ -447,30 +470,17 @@ def evaluate_system(
 
     Metric names: ``sr``, ``srrr``, ``rdl``, ``recall`` (case-insensitive).
     Requesting ``recall`` requires ``ground_truth`` and yields both recall
-    variants as separate reports.
+    variants as separate reports. SR, SRRR and RDL share one corpus pass;
+    both recall variants share another.
     """
-    requested = [m.lower() for m in metrics]
-    unknown = [m for m in requested if m not in VALID_METRICS]
-    if unknown:
-        raise ValueError(
-            f"unknown metric(s) {', '.join(sorted(unknown))}; "
-            f"valid names: {', '.join(VALID_METRICS)}"
-        )
+    requested = check_metric_names(metrics)
     if "recall" in requested and ground_truth is None:
         raise ValueError("recall requires ground-truth target items")
-
-    reports: list[MetricReport] = []
-    for name in requested:
-        if name == "sr":
-            reports.append(success_rate(corpus))
-        elif name == "srrr":
-            reports.append(srrr(corpus))
-        elif name == "rdl":
-            reports.append(rdl(corpus))
-        elif name == "recall":
-            assert ground_truth is not None
-            reports.append(recall_at_n(corpus, ground_truth, n, RECALL_VARIANT_STANDARD))
-            reports.append(
-                recall_at_n(corpus, ground_truth, n, RECALL_VARIANT_LENGTH_NORMALIZED)
-            )
-    return reports
+    reports: dict[str, list[MetricReport]] = {}
+    macro = [name for name in _MACRO_METRICS if name in requested]
+    if macro:
+        for name, report in zip(macro, _macro_reports(corpus, macro)):
+            reports[name] = [report]
+    if "recall" in requested:
+        reports["recall"] = list(_recall_reports(corpus, ground_truth, n).values())
+    return [report for name in requested for report in reports[name]]

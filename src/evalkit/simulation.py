@@ -749,7 +749,6 @@ def run_conversation(
     goal: UserGoal,
     limits: RunLimits,
     dialogue_id: str | None = None,
-    schema_version: str = "1",
 ) -> Dialogue:
     """Run one simulator-vs-CRS conversation.
 
@@ -879,7 +878,6 @@ def generate_corpus(
             goal,
             run_limits,
             dialogue_id=f"{simulator.simulator_id}-{connector.crs_id}-{seed:08d}",
-            schema_version=schema_version,
         )
 
     outcomes: list[Dialogue | Exception] = []

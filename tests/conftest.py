@@ -1,8 +1,14 @@
 import socket
 
 import pytest
+from hypothesis import settings
 
 from evalkit.catalog import load_catalog
+
+# Property tests draw the same examples on every run and have no deadline:
+# timings on a shared, loaded host must not fail a correct example.
+settings.register_profile("evalkit", derandomize=True, deadline=None)
+settings.load_profile("evalkit")
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -1,10 +1,15 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evalkit.annotation import (
     AnnotationQuality,
     AnnotatorConfig,
     LlmAnnotator,
     RuleAnnotator,
+    _find_cue,
     annotate_corpus,
     annotate_utterance,
     evaluate_annotator,
@@ -13,7 +18,7 @@ from evalkit.annotation import (
 )
 from evalkit.catalog import load_catalog
 from evalkit.connectors import MockLlmGateway
-from evalkit.dialogue import Speaker, default_schema
+from evalkit.dialogue import Speaker, default_schema, simulation_schema
 from evalkit.errors import AlignmentError, AnnotationBatchError, AnnotationError
 
 from helpers import act, corpus, dlg, utt
@@ -75,6 +80,25 @@ class TestRuleAnnotator:
             title for a in acts if a.intent == "Recommend" for title in a.slot_values("TITLE")
         )
         assert recommended == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("Can I see your top picks?", ["Other"]),
+            ("See you!", ["Bye"]),
+            ("Thanks, see you.", ["Bye"]),
+            ("Not something without a plot.", ["Other"]),
+        ],
+    )
+    def test_cues_match_whole_words_only(self, text, expected):
+        annotator = RuleAnnotator(simulation_schema())
+        acts = annotator.annotate(utt(0, "USER", text=text))
+        assert [a.intent for a in acts] == expected
+
+    @given(st.text("ab _-1", max_size=12), st.text("ab _-1", min_size=1, max_size=3))
+    def test_cue_search_matches_a_word_boundary_regex(self, text, cue):
+        first = re.search(r"(?<!\w)" + re.escape(cue) + r"(?!\w)", text)
+        assert _find_cue(text, cue) == (first.start() if first else -1)
 
     def test_recommendation_with_two_titles(self, title_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=title_catalog)

@@ -30,7 +30,7 @@ def catalogs_and_texts(draw):
 
 
 class TestIndex:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         st.lists(st.tuples(titles, attributes), min_size=1, max_size=8, unique_by=lambda p: p[0]),
         titles,
@@ -48,7 +48,7 @@ class TestIndex:
 
 
 class TestFindTitles:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(catalogs_and_texts())
     def test_matches_the_brute_force_search(self, case):
         chosen, text = case

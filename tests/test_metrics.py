@@ -2,12 +2,16 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from evalkit import metrics
 from evalkit.analysis import rank_systems
 from evalkit.corpus_io import serialize_corpus
-from evalkit.dialogue import Corpus
+from evalkit.dialogue import Corpus, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
+    RECALL_VARIANT_LENGTH_NORMALIZED,
     CostFactor,
     MetricReport,
     RewardFactor,
@@ -28,7 +32,17 @@ from evalkit.metrics import (
     utility,
 )
 
-from helpers import act, corpus, dlg, random_corpus, turns, utt
+from helpers import (
+    ITEMS,
+    SYSTEM_INTENTS,
+    USER_INTENTS,
+    act,
+    corpus,
+    dlg,
+    random_corpus,
+    turns,
+    utt,
+)
 from oracle import oracle_recall, oracle_reports
 
 
@@ -350,6 +364,24 @@ class TestUtilityEngine:
         d = two_rounds()
         assert utility(d, [success_reward()], [constant_cost()]) == 1.0
 
+    def test_no_rounds_scores_zero_srrr(self):
+        d = dlg("chat", "sysA", turns(("USER", ["Disclose"]), ("SYSTEM", ["Request"])))
+        assert utility(d, [accepted_rounds_reward()], [round_count_cost()]) == 0.0
+
+    def test_positive_reward_over_zero_cost_still_raises(self):
+        d = dlg("chat", "sysA", turns(("USER", ["Disclose"]), ("SYSTEM", ["Request"])))
+        with pytest.raises(ValueError, match="cost is zero"):
+            utility(d, [RewardFactor("r", 1.0, lambda _: 1.0)], [round_count_cost()])
+
+    def test_custom_factor_reads_the_dialogue(self):
+        d = two_rounds()
+        user_turns = RewardFactor(
+            "user_turns",
+            1.0,
+            lambda f: float(sum(u.speaker is Speaker.USER for u in f.dialogue.utterances)),
+        )
+        assert utility(d, [user_turns], [dialogue_length_cost()]) == 0.5
+
 
 class TestEvaluateSystem:
     def test_single_metric_all_accept(self):
@@ -542,3 +574,85 @@ class TestInvariants:
             assert success_rate(c).per_system == expected["SR"]
             assert srrr(c).per_system == expected["SRRR"]
             assert rdl(c).per_system == expected["RDL"]
+
+
+item = st.sampled_from(ITEMS)
+title_slots = st.lists(item, max_size=2, unique=True).map(
+    lambda values: tuple(("TITLE", value) for value in values)
+)
+system_act = st.one_of(
+    st.sampled_from(SYSTEM_INTENTS).map(DialogueAct),
+    st.builds(DialogueAct, st.just("Recommend"), title_slots),
+)
+user_act = st.one_of(
+    st.sampled_from(USER_INTENTS).map(DialogueAct),
+    st.builds(DialogueAct, st.sampled_from(("Accept", "Reject")), title_slots),
+)
+turn_spec = st.one_of(
+    st.tuples(
+        st.just("SYSTEM"),
+        st.lists(system_act, max_size=2),
+        st.lists(item, max_size=2, unique=True),
+    ),
+    st.tuples(st.just("USER"), st.lists(user_act, max_size=2), st.just([])),
+)
+
+
+@st.composite
+def corpora_with_truth(draw):
+    """A small annotated corpus, recall ground truth for some of its system
+    turns, and N."""
+    dialogues = []
+    for number in range(draw(st.integers(1, 6))):
+        specs = draw(st.lists(turn_spec, min_size=1, max_size=8))
+        utterances = [utt(i, *spec) for i, spec in enumerate(specs)]
+        if not any(u.acts for u in utterances):
+            utterances[0] = replace(utterances[0], acts=(DialogueAct("Other"),))
+        crs_id = draw(st.sampled_from(("sysA", "sysB", "sysC")))
+        dialogues.append(dlg(f"d{number}", crs_id, utterances))
+    keys = [
+        (d.dialogue_id, u.index)
+        for d in dialogues
+        for u in d.utterances
+        if u.speaker is Speaker.SYSTEM
+    ]
+    truth = {}
+    if keys:
+        truth = draw(st.dictionaries(st.sampled_from(keys), st.sets(item, max_size=2)))
+    return corpus(*dialogues), truth, draw(st.integers(1, 3))
+
+
+class TestOnePassEngine:
+    @given(corpora_with_truth())
+    def test_one_call_equals_the_oracle(self, case):
+        c, truth, n = case
+        reports = evaluate_system(c, ["sr", "srrr", "rdl", "recall"], truth, n)
+        by_metric = {r.metric: r.per_system for r in reports}
+        stream = serialize_corpus(c)
+        expected = oracle_reports(stream)
+        for metric in ("SR", "SRRR", "RDL"):
+            assert by_metric[metric] == expected[metric]
+        assert by_metric[f"Recall@{n}[standard]"] == oracle_recall(stream, truth, n)
+
+    @given(corpora_with_truth())
+    def test_recall_reports_equal_separate_calls(self, case):
+        c, truth, n = case
+        reports = evaluate_system(c, ["recall"], truth, n)
+        assert reports == [
+            recall_at_n(c, truth, n),
+            recall_at_n(c, truth, n, RECALL_VARIANT_LENGTH_NORMALIZED),
+        ]
+        standard, normalized = reports
+        assert normalized.warnings[:-1] == standard.warnings
+
+    def test_rounds_are_segmented_once_per_dialogue(self, monkeypatch):
+        calls = []
+
+        def counting(dialogue):
+            calls.append(dialogue.dialogue_id)
+            return segment_rounds(dialogue)
+
+        monkeypatch.setattr(metrics, "segment_rounds", counting)
+        c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
+        evaluate_system(c, ["sr", "srrr", "rdl"])
+        assert sorted(calls) == sorted(d.dialogue_id for d in c.dialogues)

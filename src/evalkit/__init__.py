@@ -22,7 +22,6 @@ from .annotation import (
     LlmAnnotator,
     RuleAnnotator,
     annotate_corpus,
-    annotate_utterance,
     evaluate_annotator,
 )
 from .catalog import CatalogItem, ItemCatalog, load_catalog
@@ -36,8 +35,6 @@ from .connectors import (
     HttpCrsConnector,
     HttpLlmGateway,
     MockLlmGateway,
-    crs_send,
-    llm_complete,
     make_stub,
 )
 from .corpus_io import (

@@ -298,16 +298,6 @@ def build_annotator(config: AnnotatorConfig, gateway: LlmGateway | None = None):
     return LlmAnnotator(config, gateway)
 
 
-def annotate_utterance(
-    utterance: Utterance,
-    context: Sequence[Utterance],
-    config: AnnotatorConfig,
-    gateway: LlmGateway | None = None,
-) -> tuple[DialogueAct, ...]:
-    """Annotate one utterance given its preceding context."""
-    return build_annotator(config, gateway).annotate(utterance, context)
-
-
 def annotate_corpus(
     corpus: Corpus,
     config: AnnotatorConfig,
@@ -332,35 +322,28 @@ def annotate_corpus(
 
     by_id = {d.dialogue_id: d for d in corpus.dialogues}
 
-    def run_one(task: tuple[str, int]):
+    def run_one(task: tuple[str, int]) -> tuple[DialogueAct, ...] | AnnotationError:
         dialogue_id, index = task
-        dialogue = by_id[dialogue_id]
-        utterance = dialogue.utterances[index]
-        return task, annotator.annotate(utterance, dialogue.utterances[:index])
+        utterances = by_id[dialogue_id].utterances
+        try:
+            return annotator.annotate(utterances[index], utterances[:index])
+        except AnnotationError as exc:
+            return exc
 
-    results: dict[tuple[str, int], tuple[DialogueAct, ...]] = {}
-    failures: list[str] = []
     if jobs > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = []
-            for task in tasks:
-                outcomes.append(pool.submit(run_one, task))
-            for task, future in zip(tasks, outcomes):
-                try:
-                    key, acts = future.result()
-                    results[key] = acts
-                except AnnotationError as exc:
-                    failures.append(f"{task[0]}[{task[1]}]: {exc}")
+            outcomes = list(pool.map(run_one, tasks))
     else:
-        for task in tasks:
-            try:
-                key, acts = run_one(task)
-                results[key] = acts
-            except AnnotationError as exc:
-                failures.append(f"{task[0]}[{task[1]}]: {exc}")
+        outcomes = list(map(run_one, tasks))
 
+    failures = [
+        f"{dialogue_id}[{index}]: {outcome}"
+        for (dialogue_id, index), outcome in zip(tasks, outcomes)
+        if isinstance(outcome, AnnotationError)
+    ]
     if failures:
         raise AnnotationBatchError(sorted(failures))
+    results = dict(zip(tasks, outcomes))
 
     new_dialogues = []
     for dialogue in corpus.dialogues:

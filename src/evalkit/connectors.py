@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import requests
@@ -55,8 +55,15 @@ class GatewayOptions:
             raise ValueError("max_retries must be >= 0")
 
 
-def http_post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """Default transport: POST a JSON payload, return the parsed JSON reply."""
+def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    """The one HTTP transport: POST a JSON payload, return the parsed JSON reply.
+
+    Failures are sorted here for every client: a timeout raises
+    ``GatewayTimeout``; a connection error or a status >= 500 raises a
+    transient ``GatewayError``; any other status >= 400 or a non-JSON body
+    raises a permanent one. Status and body errors keep the response text
+    in ``raw_body``.
+    """
     try:
         response = requests.post(url, json=payload, headers=headers, timeout=timeout)
     except requests.Timeout as exc:
@@ -67,11 +74,14 @@ def http_post_json(url: str, payload: dict, headers: dict, timeout: float) -> di
         raise GatewayError(
             f"{url} answered status {response.status_code}: {response.text[:200]}",
             transient=response.status_code >= 500,
+            raw_body=response.text,
         )
     try:
         return response.json()
     except ValueError as exc:
-        raise GatewayError(f"{url} returned non-JSON body") from exc
+        raise GatewayError(
+            f"{url} returned non-JSON body", raw_body=response.text
+        ) from exc
 
 
 def _extract_text(body: Mapping[str, Any]) -> str:
@@ -96,16 +106,12 @@ class HttpLlmGateway:
 
     The request body carries the model id, the role-tagged message list,
     the temperature, and the stream flag. Transient failures are retried
-    up to ``options.max_retries`` times.
+    immediately, up to ``options.max_retries`` times.
     """
 
     def __init__(self, options: GatewayOptions, transport: Transport | None = None):
         self.options = options
-        self._transport = transport or (
-            lambda url, payload, headers: http_post_json(
-                url, payload, headers, options.timeout
-            )
-        )
+        self._transport = transport or partial(post_json, timeout=options.timeout)
 
     def complete(self, messages: Sequence[Message]) -> str:
         payload = {
@@ -115,19 +121,13 @@ class HttpLlmGateway:
             "stream": self.options.streaming,
         }
         headers = bearer_headers(self.options.auth_token)
-        last_error: GatewayError | None = None
         for attempt in range(self.options.max_retries + 1):
             try:
                 body = self._transport(self.options.endpoint, payload, headers)
                 return _extract_text(body)
             except GatewayError as exc:
-                if not exc.transient:
+                if not exc.transient or attempt == self.options.max_retries:
                     raise
-                last_error = exc
-            if attempt < self.options.max_retries:
-                time.sleep(0)  # retries are immediate; endpoints are local
-        assert last_error is not None
-        raise last_error
 
 
 class MockLlmGateway:
@@ -155,8 +155,7 @@ class MockLlmGateway:
     def complete(self, messages: Sequence[Message]) -> str:
         with self._lock:
             self.calls.append([dict(m) for m in messages])
-            if self._responder is None:
-                assert self._replies is not None
+            if self._replies is not None:
                 if self._cursor >= len(self._replies):
                     raise ScriptExhaustedError(
                         f"mock gateway script exhausted after "
@@ -166,15 +165,6 @@ class MockLlmGateway:
                 self._cursor += 1
                 return reply
         return self._responder(messages)
-
-
-def llm_complete(
-    messages: Sequence[Message],
-    options: GatewayOptions,
-    transport: Transport | None = None,
-) -> str:
-    """One-shot completion against ``options.endpoint``."""
-    return HttpLlmGateway(options, transport=transport).complete(messages)
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,12 @@ class CrsConnector(Protocol):
 
 
 class HttpCrsConnector:
-    """Client for a live CRS endpoint using the configured field mapping."""
+    """Client for a live CRS endpoint using the configured field mapping.
+
+    Calls are never retried: CRS sessions are stateful, so a replayed POST
+    could advance the dialogue twice. Every transport failure surfaces as
+    ``ConnectorError``, or ``ConnectorTimeout`` for a timeout.
+    """
 
     def __init__(self, endpoint: CrsEndpoint, transport: Transport | None = None):
         self.endpoint = endpoint
@@ -235,40 +230,19 @@ class HttpCrsConnector:
             payload[fields["session"]] = session
         else:
             headers["X-Session-Id"] = session
-        effective_timeout = timeout or self.endpoint.timeout
+        transport = self._transport or partial(
+            post_json, timeout=timeout or self.endpoint.timeout
+        )
         try:
-            if self._transport is not None:
-                body = self._transport(self.endpoint.endpoint, payload, headers)
-            else:
-                body = self._post(payload, headers, effective_timeout)
-        except (ConnectorError, GatewayError):
+            body = transport(self.endpoint.endpoint, payload, headers)
+        except ConnectorError:
             raise
-        except Exception as exc:  # connection refused, DNS, ...
-            raise ConnectorError(f"CRS {self.crs_id}: {exc}") from exc
+        except Exception as exc:  # timeout, connection refused, status, DNS, ...
+            error = ConnectorTimeout if isinstance(exc, GatewayTimeout) else ConnectorError
+            raise error(
+                f"CRS {self.crs_id}: {exc}", raw_body=getattr(exc, "raw_body", None)
+            ) from exc
         return self._parse_reply(body)
-
-    def _post(self, payload: dict, headers: dict, timeout: float) -> dict:
-        try:
-            response = requests.post(
-                self.endpoint.endpoint, json=payload, headers=headers, timeout=timeout
-            )
-        except requests.Timeout as exc:
-            raise ConnectorTimeout(
-                f"CRS {self.crs_id} timed out after {timeout}s"
-            ) from exc
-        except requests.RequestException as exc:
-            raise ConnectorError(f"CRS {self.crs_id}: {exc}") from exc
-        if response.status_code >= 400:
-            raise ConnectorError(
-                f"CRS {self.crs_id} answered status {response.status_code}",
-                raw_body=response.text,
-            )
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise ConnectorError(
-                f"CRS {self.crs_id} returned a non-JSON body", raw_body=response.text
-            ) from exc
 
     def _parse_reply(self, body: Mapping[str, Any]) -> CrsReply:
         fields = self.endpoint.response_fields
@@ -288,17 +262,6 @@ class HttpCrsConnector:
             items=tuple(str(i) for i in items),
             end=bool(body.get(fields["end"], False)),
         )
-
-
-def crs_send(
-    endpoint: CrsEndpoint,
-    session: str,
-    utterance: str,
-    transport: Transport | None = None,
-) -> tuple[str, tuple[str, ...], bool]:
-    """Send one user utterance to a CRS endpoint; returns (reply, items, end)."""
-    reply = HttpCrsConnector(endpoint, transport=transport).send(session, utterance)
-    return reply.text, reply.items, reply.end
 
 
 class AlwaysRecommendStub:

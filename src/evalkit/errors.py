@@ -53,11 +53,15 @@ class GatewayError(EvalkitError):
 
     ``transient`` marks failures worth retrying (timeouts, connection
     resets, 5xx); client errors and exhausted scripts are permanent.
+    ``raw_body`` preserves the response text of a status or body error.
     """
 
-    def __init__(self, message: str, transient: bool = False):
+    def __init__(
+        self, message: str, transient: bool = False, raw_body: str | None = None
+    ):
         super().__init__(message)
         self.transient = transient
+        self.raw_body = raw_body
 
 
 class GatewayTimeout(GatewayError):

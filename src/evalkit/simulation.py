@@ -869,32 +869,25 @@ def generate_corpus(
         slots = catalog.slots()
         goal_config = GoalConfig(constraint_slots=slots, request_slots=slots)
 
-    def run_one(seed: int) -> Dialogue:
-        goal = sample_goal(catalog, goal_config, seed)
-        run_limits = replace(limits, seed=seed)
-        return run_conversation(
-            simulator,
-            connector,
-            goal,
-            run_limits,
-            dialogue_id=f"{simulator.simulator_id}-{connector.crs_id}-{seed:08d}",
-        )
+    def run_one(seed: int) -> Dialogue | Exception:
+        try:
+            goal = sample_goal(catalog, goal_config, seed)
+            run_limits = replace(limits, seed=seed)
+            return run_conversation(
+                simulator,
+                connector,
+                goal,
+                run_limits,
+                dialogue_id=f"{simulator.simulator_id}-{connector.crs_id}-{seed:08d}",
+            )
+        except (SimulationError, ConnectorError, GatewayError) as exc:
+            return exc
 
-    outcomes: list[Dialogue | Exception] = []
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, seed) for seed in seeds]
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except (SimulationError, ConnectorError, GatewayError) as exc:
-                    outcomes.append(exc)
+            outcomes = list(pool.map(run_one, seeds))
     else:
-        for seed in seeds:
-            try:
-                outcomes.append(run_one(seed))
-            except (SimulationError, ConnectorError, GatewayError) as exc:
-                outcomes.append(exc)
+        outcomes = list(map(run_one, seeds))
 
     dialogues = [o for o in outcomes if isinstance(o, Dialogue)]
     failures = [

@@ -11,7 +11,6 @@ from evalkit.annotation import (
     RuleAnnotator,
     _find_cue,
     annotate_corpus,
-    annotate_utterance,
     evaluate_annotator,
     load_rule_lexicon,
     parse_act_lines,
@@ -19,7 +18,12 @@ from evalkit.annotation import (
 from evalkit.catalog import load_catalog
 from evalkit.connectors import MockLlmGateway
 from evalkit.dialogue import Speaker, default_schema, simulation_schema
-from evalkit.errors import AlignmentError, AnnotationBatchError, AnnotationError
+from evalkit.errors import (
+    AlignmentError,
+    AnnotationBatchError,
+    AnnotationError,
+    GatewayError,
+)
 
 from helpers import act, corpus, dlg, utt
 
@@ -320,12 +324,41 @@ class TestAnnotateCorpus:
             self._bare_corpus(), config
         )
 
-    def test_annotate_utterance_dispatch(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        acts = annotate_utterance(
-            utt(0, "USER", text="I'll watch that one, thanks!"), (), config
+    def test_partial_failures_same_at_any_jobs(self):
+        def responder(messages):
+            utterance = messages[-1]["content"].rsplit("Utterance: ", 1)[1]
+            if utterance.startswith("FAIL"):
+                raise GatewayError("gateway down")
+            return "Other()"
+
+        # Seven of twenty utterances fail, spread over five dialogues.
+        bare = corpus(
+            *(
+                dlg(
+                    f"d{d}",
+                    "sysA",
+                    [
+                        utt(
+                            i,
+                            "USER" if i % 2 == 0 else "SYSTEM",
+                            text="FAIL here" if (d + i) % 3 == 0 else "fine",
+                        )
+                        for i in range(4)
+                    ],
+                )
+                for d in range(5)
+            )
         )
-        assert [a.intent for a in acts] == ["Accept"]
+        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
+        failures = []
+        for jobs in (1, 4):
+            gateway = MockLlmGateway(responder=responder)
+            with pytest.raises(AnnotationBatchError) as excinfo:
+                annotate_corpus(bare, config, gateway, jobs=jobs)
+            failures.append(excinfo.value.failures)
+        assert failures[0] == failures[1]
+        assert len(failures[0]) == 7
+        assert failures[0][0].startswith("d0[0]: utterance 0: gateway failure")
 
 
 class TestEvaluateAnnotator:

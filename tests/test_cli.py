@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -577,3 +579,41 @@ class TestCompare:
             ]
         )
         assert code == 0
+
+
+def readme_walkthrough():
+    """The commands of the README's offline walkthrough, in order: each is
+    ``("write", name, text)`` for a ``cat > name <<'EOF'`` heredoc, or
+    ``("evalkit", argv)``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Offline walkthrough", 1)[1]
+    script = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = iter(script.replace("\\\n", " ").splitlines())
+    steps = []
+    for line in lines:
+        if line.startswith("cat > "):
+            body = []
+            for text in lines:
+                if text == "EOF":
+                    break
+                body.append(text + "\n")
+            steps.append(("write", line.split()[2], "".join(body)))
+        elif line.startswith("evalkit "):
+            steps.append(("evalkit", shlex.split(line)[1:]))
+    return steps
+
+
+class TestReadmeWalkthrough:
+    def test_every_step_exits_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        steps = readme_walkthrough()
+        assert [s[1][0] for s in steps if s[0] == "evalkit"] == [
+            "simulate", "simulate", "annotate", "annotate", "ingest", "evaluate", "compare"
+        ]
+        for step in steps:
+            if step[0] == "write":
+                (tmp_path / step[1]).write_text(step[2])
+            else:
+                assert main(step[1]) == 0, step[1]
+        assert "sim: tau_b=1.000" in capsys.readouterr().out
+        assert (tmp_path / "reliability.ndjson").is_file()

@@ -1,5 +1,9 @@
-import pytest
+import json
 
+import pytest
+import requests
+
+from evalkit import connectors
 from evalkit.connectors import (
     AlwaysRecommendStub,
     CrsEndpoint,
@@ -9,12 +13,11 @@ from evalkit.connectors import (
     HttpCrsConnector,
     HttpLlmGateway,
     MockLlmGateway,
-    crs_send,
-    llm_complete,
     make_stub,
 )
 from evalkit.errors import (
     ConnectorError,
+    ConnectorTimeout,
     GatewayError,
     GatewayTimeout,
     ScriptExhaustedError,
@@ -36,6 +39,76 @@ class RecordingTransport:
         if isinstance(response, Exception):
             raise response
         return response
+
+
+class FakeResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class FakePost:
+    """Stands in for ``requests.post``: records keyword arguments, replays
+    canned responses or raises canned exceptions."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.calls = []
+
+    def __call__(self, url, **kwargs):
+        self.calls.append((url, kwargs))
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+@pytest.fixture()
+def fake_post(monkeypatch):
+    def install(*responses):
+        fake = FakePost(responses)
+        monkeypatch.setattr(connectors.requests, "post", fake)
+        return fake
+
+    return install
+
+
+class TestPostJson:
+    """The one HTTP transport, shared by the LLM gateway and CRS clients."""
+
+    def test_sends_json_with_headers_and_timeout(self, fake_post):
+        post = fake_post(FakeResponse(200, '{"ok": true}'))
+        body = connectors.post_json("http://x/api", {"a": 1}, {"H": "v"}, 4.0)
+        assert body == {"ok": True}
+        assert post.calls == [
+            ("http://x/api", {"json": {"a": 1}, "headers": {"H": "v"}, "timeout": 4.0})
+        ]
+
+    @pytest.mark.parametrize(
+        "outcome, error, transient",
+        [
+            (requests.Timeout("slow"), GatewayTimeout, True),
+            (requests.ConnectionError("refused"), GatewayError, True),
+            (FakeResponse(503, "busy"), GatewayError, True),
+            (FakeResponse(404, "no such route"), GatewayError, False),
+            (FakeResponse(200, "<html>"), GatewayError, False),
+        ],
+    )
+    def test_failure_classification(self, fake_post, outcome, error, transient):
+        fake_post(outcome)
+        with pytest.raises(error) as excinfo:
+            connectors.post_json("http://x/api", {}, {}, 1.0)
+        assert excinfo.value.transient is transient
+
+    def test_status_and_body_errors_keep_the_response_text(self, fake_post):
+        fake_post(FakeResponse(400, "bad field"), FakeResponse(200, "not json"))
+        for expected in ("bad field", "not json"):
+            with pytest.raises(GatewayError) as excinfo:
+                connectors.post_json("http://x/api", {}, {}, 1.0)
+            assert excinfo.value.raw_body == expected
 
 
 class TestMockLlmGateway:
@@ -114,10 +187,6 @@ class TestHttpLlmGateway:
         with pytest.raises(GatewayError, match="no text field"):
             gateway.complete([{"role": "user", "content": "x"}])
 
-    def test_llm_complete_one_shot(self):
-        transport = RecordingTransport([{"text": "done"}])
-        assert llm_complete([{"role": "user", "content": "x"}], OPTIONS, transport) == "done"
-
     def test_bearer_token_header(self):
         options = GatewayOptions(
             endpoint="http://llm.local/api/chat", model="m", auth_token="sekrit"
@@ -135,6 +204,20 @@ class TestHttpLlmGateway:
             [{"role": "user", "content": "x"}]
         )
         assert transport.requests[0][2] == {}
+
+
+    def test_default_transport_retries_503(self, fake_post):
+        post = fake_post(FakeResponse(503, "busy"), FakeResponse(200, '{"text": "ok"}'))
+        options = GatewayOptions(endpoint="http://llm.local/api/chat", model="m", timeout=3.0)
+        assert HttpLlmGateway(options).complete([{"role": "user", "content": "x"}]) == "ok"
+        assert [kwargs["timeout"] for _, kwargs in post.calls] == [3.0, 3.0]
+
+    def test_default_transport_does_not_retry_404(self, fake_post):
+        post = fake_post(FakeResponse(404, "gone"), FakeResponse(200, '{"text": "ok"}'))
+        with pytest.raises(GatewayError, match="404") as excinfo:
+            HttpLlmGateway(OPTIONS).complete([{"role": "user", "content": "x"}])
+        assert excinfo.value.raw_body == "gone"
+        assert len(post.calls) == 1
 
 
 class TestGatewayOptions:
@@ -224,10 +307,45 @@ class TestHttpCrsConnector:
         with pytest.raises(ConnectorError, match="not a list"):
             connector.send("s1", "hi")
 
-    def test_crs_send_helper(self):
-        transport = RecordingTransport([{"reply": "done", "items": [], "end": True}])
-        text, items, end = crs_send(self._endpoint(), "s1", "bye", transport=transport)
-        assert (text, items, end) == ("done", (), True)
+    def test_per_call_timeout_reaches_requests_post(self, fake_post):
+        reply = '{"reply": "ok", "items": []}'
+        post = fake_post(FakeResponse(200, reply), FakeResponse(200, reply))
+        connector = HttpCrsConnector(self._endpoint(timeout=7.0))
+        connector.send("s1", "hi", 2.5)
+        connector.send("s1", "hi")
+        assert [kwargs["timeout"] for _, kwargs in post.calls] == [2.5, 7.0]
+        assert post.calls[0][0] == "http://crs.local/chat"
+
+    def test_status_error_carries_raw_body(self, fake_post):
+        fake_post(FakeResponse(500, "upstream exploded"))
+        with pytest.raises(ConnectorError) as excinfo:
+            HttpCrsConnector(self._endpoint()).send("s1", "hi")
+        assert not isinstance(excinfo.value, ConnectorTimeout)
+        assert excinfo.value.raw_body == "upstream exploded"
+        assert "crs-a" in str(excinfo.value)
+
+    def test_default_transport_timeout_is_connector_timeout(self, fake_post):
+        fake_post(requests.Timeout("slow"))
+        with pytest.raises(ConnectorTimeout):
+            HttpCrsConnector(self._endpoint()).send("s1", "hi")
+
+    @pytest.mark.parametrize(
+        "failure, error",
+        [
+            (GatewayTimeout("slow"), ConnectorTimeout),
+            (GatewayError("busy", transient=True, raw_body="busy"), ConnectorError),
+            (OSError("connection refused"), ConnectorError),
+            (ConnectorTimeout("slow"), ConnectorTimeout),
+        ],
+    )
+    def test_injected_transport_failures_become_connector_errors(self, failure, error):
+        connector = HttpCrsConnector(
+            self._endpoint(), transport=RecordingTransport([failure])
+        )
+        with pytest.raises(error) as excinfo:
+            connector.send("s1", "hi")
+        assert type(excinfo.value) is error
+        assert excinfo.value.raw_body == getattr(failure, "raw_body", None)
 
     def test_live_connector_wraps_socket_errors(self):
         # The suite runs with sockets disabled, so a real POST must surface

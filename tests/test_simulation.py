@@ -7,13 +7,20 @@ from evalkit.annotation import RuleAnnotator
 from evalkit.catalog import load_catalog
 from evalkit.connectors import (
     AlwaysRecommendStub,
+    CrsEndpoint,
     EchoStub,
     GoodbyeStub,
+    HttpCrsConnector,
     MockLlmGateway,
 )
 from evalkit.corpus_io import serialize_corpus
 from evalkit.dialogue import Speaker, UserGoal, simulation_schema
-from evalkit.errors import ConnectorError, SchemaViolationError, SimulationError
+from evalkit.errors import (
+    ConnectorError,
+    GatewayTimeout,
+    SchemaViolationError,
+    SimulationError,
+)
 from evalkit.simulation import (
     Abort,
     AgendaSimulator,
@@ -525,6 +532,48 @@ class TestGenerateCorpus:
         assert len(failures) == 1
         assert failures[0]["seed"] == 102
         assert "injected failure" in failures[0]["error"]
+
+    def test_partial_failures_same_at_any_jobs(self, movie_catalog):
+        class FailOnOddSeeds:
+            crs_id = "stub-flaky"
+
+            def send(self, session, utterance, timeout=None):
+                if int(session.rsplit("-", 1)[1]) % 2:
+                    raise ConnectorError(f"injected failure in {session}")
+                return AlwaysRecommendStub().send(session, utterance, timeout)
+
+        def build(jobs):
+            return generate_corpus(
+                AgendaSimulator(catalog=movie_catalog),
+                FailOnOddSeeds(),
+                8,
+                catalog=movie_catalog,
+                limits=RunLimits(seed=40),
+                jobs=jobs,
+            )
+
+        sequential, parallel = build(1), build(4)
+        assert [f["seed"] for f in sequential.extra["failures"]] == [41, 43, 45, 47]
+        assert sequential.extra == parallel.extra
+        assert serialize_corpus(sequential) == serialize_corpus(parallel)
+
+    def test_http_connector_timeout_ends_conversations(self, movie_catalog):
+        def timing_out(url, payload, headers):
+            raise GatewayTimeout(f"request to {url} timed out after 1.0s")
+
+        endpoint = CrsEndpoint(crs_id="crs-slow", endpoint="http://crs.local/chat")
+        corpus = generate_corpus(
+            AgendaSimulator(catalog=movie_catalog),
+            HttpCrsConnector(endpoint, transport=timing_out),
+            2,
+            catalog=movie_catalog,
+            limits=RunLimits(seed=60),
+        )
+        assert [d.extra["termination_reason"] for d in corpus.dialogues] == [
+            "connector-timeout",
+            "connector-timeout",
+        ]
+        assert "failures" not in corpus.extra
 
     def test_all_failures_raise(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)

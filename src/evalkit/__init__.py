@@ -38,6 +38,7 @@ from .connectors import (
     make_stub,
 )
 from .corpus_io import (
+    iter_corpus,
     parse_corpus,
     read_corpus,
     satisfaction_score,

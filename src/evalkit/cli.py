@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from typing import Any, Mapping, Sequence
 
@@ -36,9 +37,8 @@ from .connectors import (
     MockLlmGateway,
     make_stub,
 )
-from .corpus_io import read_corpus, serialize_corpus
+from .corpus_io import iter_corpus, read_corpus, serialize_corpus
 from .dialogue import (
-    Corpus,
     DialogueAct,
     ITEM_SLOT,
     IntentSchema,
@@ -208,7 +208,7 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
 
     # Otherwise treat it as a newline-delimited metric report file.
     reports = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip():
             continue
         try:
@@ -248,15 +248,28 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
     return mapping
 
 
+def _stream_inputs(paths: Sequence[str], schema: IntentSchema, header: dict[str, Any]):
+    """Each file's dialogues in turn, ids unique across files; ``header``
+    ends as the last file's header, and format errors name the file."""
+    seen_ids: set[str] = set()
+    for path in paths:
+        header.clear()
+        with open(path, "rb") as handle:
+            try:
+                yield from iter_corpus(handle, schema, header, seen_ids)
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(exc.line_number, f"{exc.reason} in {path}") from exc
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    corpus = read_corpus(args.input, schema)
-    counts = {crs_id: len(ds) for crs_id, ds in corpus.by_system().items()}
-    width = max([len(c) for c in counts] + [len("total")]) if counts else len("total")
+    with open(args.input, "rb") as handle:
+        counts = Counter(dialogue.crs_id for dialogue in iter_corpus(handle, schema))
+    width = max([len(c) for c in counts] + [len("total")])
     print(f"{'system'.ljust(width)}  dialogues")
     for crs_id in sorted(counts):
         print(f"{crs_id.ljust(width)}  {counts[crs_id]}")
-    print(f"{'total'.ljust(width)}  {len(corpus)}")
+    print(f"{'total'.ljust(width)}  {counts.total()}")
     return EXIT_OK
 
 
@@ -310,20 +323,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         metrics = check_metric_names([m.strip() for m in args.metrics.split(",") if m.strip()])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    schema = _load_schema(args.schema)
-    dialogues = []
-    schema_version = "1"
-    for path in args.input:
-        corpus = read_corpus(path, schema)
-        schema_version = corpus.schema_version
-        dialogues.extend(corpus.dialogues)
-    merged = Corpus(dialogues=tuple(dialogues), schema_version=schema_version)
-
     ground_truth = _load_ground_truth(args.ground_truth) if args.ground_truth else None
     if "recall" in metrics and ground_truth is None:
         raise ConfigError("metric recall needs --ground-truth")
+    schema = _load_schema(args.schema)
 
-    reports = evaluate_system(merged, metrics, ground_truth=ground_truth, n=args.n)
+    input_header: dict[str, Any] = {}
+    dialogues = _stream_inputs(args.input, schema, input_header)
+    reports = evaluate_system(dialogues, metrics, ground_truth=ground_truth, n=args.n)
     settings = {
         "command": "evaluate",
         "metrics": metrics,
@@ -331,7 +338,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     header = {
-        "schema_version": schema_version,
+        "schema_version": str(input_header.get("schema_version", "1")),
         "seed": args.seed,
         "config_hash": _config_hash(settings),
     }

@@ -9,8 +9,9 @@ every level are preserved as opaque metadata, so
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Any, BinaryIO, Mapping
+from typing import Any, BinaryIO, Iterator, Mapping
 
 from .dialogue import (
     Corpus,
@@ -96,31 +97,34 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
     )
 
 
-def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:
-    """Parse a newline-delimited corpus stream.
+def iter_corpus(
+    raw: bytes | str | BinaryIO,
+    schema: IntentSchema | None = None,
+    header: dict[str, Any] | None = None,
+    seen_ids: set[str] | None = None,
+) -> Iterator[Dialogue]:
+    """Yield a newline-delimited corpus stream's dialogues one at a time.
 
-    ``raw`` may be bytes, text, or a binary file object. Every record is
-    validated against ``schema`` (the default schema when omitted); errors
-    carry the 1-based line number of the offending record. An empty stream
-    yields an empty corpus with the default schema version.
+    ``raw`` may be bytes, text, or a binary file, read a line at a
+    time. Records end at ``"\n"`` only, so U+2028, U+2029 and U+0085 stay
+    inside their record. Records are validated against ``schema`` (default
+    ``default_schema()``); errors carry the record's 1-based line number.
+    ``header``, if given, receives the header record's fields; ``seen_ids``
+    holds ids read from earlier streams, and gains this stream's.
     """
     if schema is None:
         schema = default_schema()
-    if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    elif isinstance(raw, str):
-        text = raw
-    else:
-        data = raw.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-
-    schema_version = "1"
-    header_extra: dict[str, Any] = {}
-    dialogues: list[Dialogue] = []
-    seen_ids: set[str] = set()
+    seen_ids = set() if seen_ids is None else seen_ids
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8", "surrogatepass")
+    lines = io.BytesIO(raw) if isinstance(raw, bytes) else raw
     header_seen = False
 
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(line_number, f"invalid UTF-8 at byte {exc.start}") from exc
         if not line.strip():
             continue
         try:
@@ -130,37 +134,32 @@ def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None
         if not isinstance(record, dict):
             raise CorpusFormatError(line_number, "record must be a JSON object")
 
+        if not header_seen and "schema_version" not in record:
+            raise CorpusFormatError(line_number, "first record must be a schema_version header")
         if not header_seen:
-            if "schema_version" not in record:
-                raise CorpusFormatError(
-                    line_number, "first record must be a header with schema_version"
-                )
-            schema_version = str(record["schema_version"])
-            header_extra = _extras(record, {"schema_version"})
+            if header is not None:
+                header.update(record)
             header_seen = True
             continue
 
         try:
             dialogue = _parse_dialogue(record, schema)
-        except SchemaViolationError as exc:
-            raise CorpusFormatError(line_number, str(exc)) from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (SchemaViolationError, KeyError, TypeError, ValueError) as exc:
             detail = str(exc) or exc.__class__.__name__
             if isinstance(exc, KeyError):
                 detail = f"missing required field {detail}"
             raise CorpusFormatError(line_number, detail) from exc
         if dialogue.dialogue_id in seen_ids:
-            raise CorpusFormatError(
-                line_number, f"duplicate dialogue_id {dialogue.dialogue_id!r}"
-            )
+            raise CorpusFormatError(line_number, f"duplicate dialogue_id {dialogue.dialogue_id!r}")
         seen_ids.add(dialogue.dialogue_id)
-        dialogues.append(dialogue)
+        yield dialogue
 
-    return Corpus(
-        dialogues=tuple(dialogues),
-        schema_version=schema_version,
-        extra=header_extra,
-    )
+
+def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:
+    """Collect ``iter_corpus(raw, schema)``; an empty stream gives an empty corpus."""
+    header: dict[str, Any] = {}
+    dialogues = tuple(iter_corpus(raw, schema, header))
+    return Corpus(dialogues, str(header.pop("schema_version", "1")), header)
 
 
 def _act_record(act: DialogueAct) -> dict[str, Any]:

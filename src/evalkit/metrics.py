@@ -19,12 +19,12 @@ dialogue scores are averaged per system, all in one pass over the corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .dialogue import (
     ACCEPT,
-    Corpus,
     Dialogue,
     ITEM_SLOT,
     RECOMMEND,
@@ -45,6 +45,8 @@ RECALL_VARIANT_STANDARD = "standard"
 # top of conventional micro-averaged recall; it is implemented verbatim
 # under this name and never silently merged with the standard variant.
 RECALL_VARIANT_LENGTH_NORMALIZED = "length_normalized"
+# The order evaluate_system reports the two variants in.
+_RECALL_VARIANTS = (RECALL_VARIANT_STANDARD, RECALL_VARIANT_LENGTH_NORMALIZED)
 
 METRIC_SR = "SR"
 METRIC_SRRR = "SRRR"
@@ -140,11 +142,6 @@ def _require_annotated(dialogue: Dialogue) -> None:
         raise UnannotatedDialogueError(
             f"dialogue {dialogue.dialogue_id} carries no act annotations"
         )
-
-
-def _require_nonempty(corpus: Corpus) -> None:
-    if not corpus.dialogues:
-        raise ValueError("corpus has no dialogues")
 
 
 def _round_items(utterance) -> list[str]:
@@ -318,44 +315,23 @@ _MACRO_METRICS = {
 }
 
 
-def _macro_reports(corpus: Corpus, names: Sequence[str]) -> list[MetricReport]:
-    """One report per name, all scored from the same facts in one pass."""
-    _require_nonempty(corpus)
-    specs = [_MACRO_METRICS[name] for name in names]
-    per_system: list[dict[str, float]] = [{} for _ in specs]
-    per_dialogue: list[dict[str, float]] = [{} for _ in specs]
-    for crs_id, dialogues in corpus.by_system().items():
-        scores: list[list[float]] = [[] for _ in specs]
-        for dialogue in dialogues:
-            facts = DialogueFacts.of(dialogue)
-            for (_, rewards, costs), values, by_dialogue in zip(specs, scores, per_dialogue):
-                values.append(_utility(facts, rewards, costs))
-                by_dialogue[dialogue.dialogue_id] = values[-1]
-        for values, by_system in zip(scores, per_system):
-            by_system[crs_id] = sum(values) / len(values)
-    return [
-        MetricReport(metric, MACRO, by_system, by_dialogue)
-        for (metric, _, _), by_system, by_dialogue in zip(specs, per_system, per_dialogue)
-    ]
-
-
 def dialogue_rdl(dialogue: Dialogue) -> float:
     """Accepted items divided by the dialogue's total utterance count."""
     return utility(dialogue, [accepted_items_reward()], [dialogue_length_cost()])
 
 
-def success_rate(corpus: Corpus) -> MetricReport:
+def success_rate(corpus: Iterable[Dialogue]) -> MetricReport:
     """Per system: fraction of dialogues containing an accepted recommendation."""
     return evaluate_system(corpus, ["sr"])[0]
 
 
-def srrr(corpus: Corpus) -> MetricReport:
+def srrr(corpus: Iterable[Dialogue]) -> MetricReport:
     """Per system: mean per-dialogue fraction of rounds ending in acceptance
     (0 with no rounds; an unresolved round counts as unsuccessful)."""
     return evaluate_system(corpus, ["srrr"])[0]
 
 
-def rdl(corpus: Corpus) -> MetricReport:
+def rdl(corpus: Iterable[Dialogue]) -> MetricReport:
     """Per system: mean accepted items per utterance across dialogues."""
     return evaluate_system(corpus, ["rdl"])[0]
 
@@ -377,55 +353,8 @@ def _recommendation_turns(dialogue: Dialogue):
     return turns
 
 
-def _recall_reports(
-    corpus: Corpus, ground_truth: Mapping[tuple[str, int], Any], n: int
-) -> dict[str, MetricReport]:
-    """Both recall variants, keyed by variant, from one set of counts."""
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
-    _require_nonempty(corpus)
-    warnings: list[str] = []
-    standard: dict[str, float] = {}
-    length_normalized: dict[str, float] = {}
-    for crs_id, dialogues in corpus.by_system().items():
-        hits = 0
-        truth_total = 0
-        rec_turns = 0
-        utterance_total = 0
-        for dialogue in dialogues:
-            utterance_total += len(dialogue)
-            for index, recommended in _recommendation_turns(dialogue):
-                key = (dialogue.dialogue_id, index)
-                if key not in ground_truth:
-                    warnings.append(
-                        f"no ground truth for ({dialogue.dialogue_id}, {index}); turn skipped"
-                    )
-                    continue
-                targets = set(ground_truth[key])
-                shortlist = recommended[:n]
-                hits += len(targets & set(shortlist))
-                truth_total += len(targets)
-                rec_turns += 1
-        standard[crs_id] = hits / truth_total if truth_total else 0.0
-        denominator = n * rec_turns
-        inner = hits / denominator if denominator else 0.0
-        length_normalized[crs_id] = inner / utterance_total if utterance_total else 0.0
-
-    normalized_warnings = warnings + [
-        "length_normalized divides by the total utterance count on top of "
-        "per-turn recall; values are not comparable to standard recall"
-    ]
-    return {
-        variant: MetricReport(f"Recall@{n}[{variant}]", MICRO, per_system, warnings=notes)
-        for variant, per_system, notes in (
-            (RECALL_VARIANT_STANDARD, standard, warnings),
-            (RECALL_VARIANT_LENGTH_NORMALIZED, length_normalized, normalized_warnings),
-        )
-    }
-
-
 def recall_at_n(
-    corpus: Corpus,
+    corpus: Iterable[Dialogue],
     ground_truth: Mapping[tuple[str, int], Any],
     n: int,
     variant: str = RECALL_VARIANT_STANDARD,
@@ -440,12 +369,9 @@ def recall_at_n(
     recommendation turn and additionally by the system's total utterance
     count.
     """
-    if variant not in (RECALL_VARIANT_STANDARD, RECALL_VARIANT_LENGTH_NORMALIZED):
-        raise ValueError(
-            f"variant must be {RECALL_VARIANT_STANDARD!r} or "
-            f"{RECALL_VARIANT_LENGTH_NORMALIZED!r}"
-        )
-    return _recall_reports(corpus, ground_truth, n)[variant]
+    if variant not in _RECALL_VARIANTS:
+        raise ValueError(f"variant must be one of {_RECALL_VARIANTS}")
+    return evaluate_system(corpus, ["recall"], ground_truth, n)[_RECALL_VARIANTS.index(variant)]
 
 
 def check_metric_names(metrics: Sequence[str]) -> list[str]:
@@ -460,27 +386,95 @@ def check_metric_names(metrics: Sequence[str]) -> list[str]:
     return requested
 
 
+@dataclass
+class _SystemTally:
+    """One system's running scores and counts."""
+
+    # (dialogue_id, [score per macro metric]) per dialogue, in corpus order.
+    rows: list[tuple[str, list[float]]] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    hits: int = 0
+    truth_total: int = 0
+    rec_turns: int = 0
+    utterance_total: int = 0
+
+
 def evaluate_system(
-    corpus: Corpus,
+    dialogues: Iterable[Dialogue],
     metrics: Sequence[str],
     ground_truth: Mapping[tuple[str, int], Any] | None = None,
     n: int = 1,
 ) -> list[MetricReport]:
-    """Compute the requested metrics over a corpus, one report per metric.
+    """Compute the requested metrics over dialogues, one report per metric.
 
     Metric names: ``sr``, ``srrr``, ``rdl``, ``recall`` (case-insensitive).
     Requesting ``recall`` requires ``ground_truth`` and yields both recall
-    variants as separate reports. SR, SRRR and RDL share one corpus pass;
-    both recall variants share another.
+    variants as separate reports. ``dialogues`` (a ``Corpus``, the output
+    of ``iter_corpus``, or any iterable; ids must be unique) is read once:
+    every metric is scored in that one pass into per-system tallies.
+    Systems are reported in first-appearance order, and per-dialogue
+    scores grouped by system.
     """
     requested = check_metric_names(metrics)
-    if "recall" in requested and ground_truth is None:
+    recall = "recall" in requested
+    if recall and ground_truth is None:
         raise ValueError("recall requires ground-truth target items")
+    if recall and n <= 0:
+        raise ValueError("n must be a positive integer")
+    specs = [(name, *_MACRO_METRICS[name]) for name in _MACRO_METRICS if name in requested]
+
+    tallies: defaultdict[str, _SystemTally] = defaultdict(_SystemTally)
+    seen_ids: set[str] = set()
+    for dialogue in dialogues:
+        if dialogue.dialogue_id in seen_ids:
+            raise ValueError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
+        seen_ids.add(dialogue.dialogue_id)
+        tally = tallies[dialogue.crs_id]
+        if specs:
+            facts = DialogueFacts.of(dialogue)
+            scores = [_utility(facts, rewards, costs) for _, _, rewards, costs in specs]
+            tally.rows.append((dialogue.dialogue_id, scores))
+        if recall:
+            tally.utterance_total += len(dialogue)
+            for index, recommended in _recommendation_turns(dialogue):
+                key = (dialogue.dialogue_id, index)
+                if key not in ground_truth:
+                    tally.warnings.append(
+                        f"no ground truth for ({dialogue.dialogue_id}, {index}); turn skipped"
+                    )
+                    continue
+                targets = set(ground_truth[key])
+                tally.hits += len(targets & set(recommended[:n]))
+                tally.truth_total += len(targets)
+                tally.rec_turns += 1
+    if requested and not tallies:
+        raise ValueError("corpus has no dialogues")
+
     reports: dict[str, list[MetricReport]] = {}
-    macro = [name for name in _MACRO_METRICS if name in requested]
-    if macro:
-        for name, report in zip(macro, _macro_reports(corpus, macro)):
-            reports[name] = [report]
-    if "recall" in requested:
-        reports["recall"] = list(_recall_reports(corpus, ground_truth, n).values())
+    for position, (name, metric, _, _) in enumerate(specs):
+        per_system = {
+            crs_id: sum(scores[position] for _, scores in t.rows) / len(t.rows)
+            for crs_id, t in tallies.items()
+        }
+        per_dialogue = {d: scores[position] for t in tallies.values() for d, scores in t.rows}
+        reports[name] = [MetricReport(metric, MACRO, per_system, per_dialogue)]
+    if recall:
+        standard = {
+            c: t.hits / t.truth_total if t.truth_total else 0.0 for c, t in tallies.items()
+        }
+        length_normalized = {
+            c: (t.hits / (n * t.rec_turns) if t.rec_turns else 0.0) / t.utterance_total
+            for c, t in tallies.items()
+        }
+        warnings = [note for t in tallies.values() for note in t.warnings]
+        normalized_warnings = warnings + [
+            "length_normalized divides by the total utterance count on top of "
+            "per-turn recall; values are not comparable to standard recall"
+        ]
+        reports["recall"] = [
+            MetricReport(f"Recall@{n}[{variant}]", MICRO, per_system, warnings=notes)
+            for variant, per_system, notes in zip(
+                _RECALL_VARIANTS, (standard, length_normalized), (warnings, normalized_warnings)
+            )
+        ]
     return [report for name in requested for report in reports[name]]

@@ -1,5 +1,6 @@
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,40 @@ class TestEvaluate:
         assert code == 0
         records = [json.loads(l) for l in out.read_text().splitlines()][1:]
         assert set(records[0]["per_system"]) == {"sysA", "sysB"}
+
+    def test_recall_without_ground_truth_fails_before_reading_input(self, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--input",
+                str(tmp_path / "missing.ndjson"),
+                "--output",
+                str(tmp_path / "r"),
+                "--metrics",
+                "recall",
+            ]
+        )
+        assert code == 2
+        assert "--ground-truth" in capsys.readouterr().err
+
+    def test_duplicate_id_across_inputs_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "a.ndjson"
+        write_corpus(small_corpus(), path)
+        argv = ["evaluate", "--input", str(path), "--input", str(path)]
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 1
+        assert f"line 2: duplicate dialogue_id 'd1' in {path}" in capsys.readouterr().err
+
+
+class TestStreaming:
+    def test_ingest_and_evaluate_never_parse_a_whole_corpus(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_corpus called")
+
+        monkeypatch.setattr("evalkit.corpus_io.parse_corpus", refuse)
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        assert main(["ingest", "--input", str(path)]) == 0
+        assert main(["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]) == 0
 
 
 class TestSimulate:
@@ -579,6 +614,18 @@ class TestCompare:
             ]
         )
         assert code == 0
+
+    def test_report_with_a_line_separator_in_a_dialogue_id(self, tmp_path):
+        first, second = small_corpus().dialogues
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(corpus(replace(first, dialogue_id="d\u20281"), second), path)
+        report = tmp_path / "report.ndjson"
+        assert main(["evaluate", "--input", str(path), "--output", str(report)]) == 0
+        ref = write_scores(tmp_path / "ref.json", {"sysA": 0.4, "sysB": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"sysA": 0.8, "sysB": 0.3})
+        argv = ["compare", "--candidate", f"mine={report}", "--metric", "RDL"]
+        argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
+        assert main(argv) == 0
 
 
 def readme_walkthrough():

@@ -1,16 +1,31 @@
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evalkit.analysis import load_reference_scores
 from evalkit.corpus_io import (
     dialogue_record,
+    iter_corpus,
     parse_corpus,
     satisfaction_score,
     serialize_corpus,
 )
-from evalkit.dialogue import Corpus
+from evalkit.dialogue import (
+    PROVENANCE_SIMULATED,
+    PROVENANCES,
+    SATISFACTION_LABELS,
+    Corpus,
+    Dialogue,
+    DialogueAct,
+    Speaker,
+    UserGoal,
+    Utterance,
+    default_schema,
+)
 from evalkit.errors import CorpusFormatError
 
 from helpers import act, corpus, dlg, random_corpus, utt
@@ -105,6 +120,137 @@ class TestParseCorpus:
         assert parsed.dialogues[0].extra == {"mood": "sunny"}
         again = parse_corpus(serialize_corpus(parsed))
         assert again == parsed
+
+
+    def test_invalid_utf8_reports_line(self):
+        raw = stream(FIXTURE_RECORD) + b'{"dialogue_id":"d\xff"}\n'
+        with pytest.raises(CorpusFormatError, match="invalid UTF-8") as excinfo:
+            parse_corpus(raw)
+        assert excinfo.value.line_number == 3
+
+    def test_crlf_line_endings_parse(self):
+        raw = stream(FIXTURE_RECORD).replace(b"\n", b"\r\n")
+        assert parse_corpus(raw) == parse_corpus(stream(FIXTURE_RECORD))
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_stay_inside_records(self, separator):
+        d = dlg("d1", "sysA", [utt(0, "USER", [act("Other")], text=f"a{separator}b")])
+        c = corpus(d)
+        data = serialize_corpus(c)
+        assert separator.encode() in data
+        assert parse_corpus(data) == c
+        assert parse_corpus(data.decode()) == c
+
+
+class TestIterCorpus:
+    def test_yields_each_dialogue_before_reading_further_lines(self):
+        handle = io.BytesIO(stream(FIXTURE_RECORD) + b"{not json}\n")
+        dialogues = iter_corpus(handle)
+        assert next(dialogues).dialogue_id == "d1"
+        with pytest.raises(CorpusFormatError) as excinfo:
+            next(dialogues)
+        assert excinfo.value.line_number == 3
+
+    def test_header_fields_reach_the_caller(self):
+        header = {}
+        raw = b'{"schema_version":"2","seed":7}\n'
+        assert list(iter_corpus(raw, header=header)) == []
+        assert header == {"schema_version": "2", "seed": 7}
+
+    def test_ids_seen_in_an_earlier_stream_are_duplicates(self):
+        seen = set()
+        assert len(list(iter_corpus(stream(FIXTURE_RECORD), seen_ids=seen))) == 1
+        assert seen == {"d1"}
+        with pytest.raises(CorpusFormatError, match="duplicate") as excinfo:
+            list(iter_corpus(stream(FIXTURE_RECORD), seen_ids=seen))
+        assert excinfo.value.line_number == 2
+
+
+# Every character UTF-8 can encode (all but lone surrogates), with the
+# characters str.splitlines() splits on made common.
+line_breaks = st.sampled_from("\u2028\u2029\u0085\r\n\x1c")
+texts = st.lists(st.text(st.characters(codec="utf-8"), max_size=4) | line_breaks, max_size=3).map(
+    "".join
+)
+names = texts.filter(bool)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | texts,
+    lambda children: st.lists(children, max_size=2) | st.dictionaries(texts, children, max_size=2),
+    max_leaves=3,
+)
+
+
+def extras(known):
+    """Unknown keys for a record whose known keys are ``known``."""
+    return st.dictionaries(texts.filter(lambda k: k not in known), json_values, max_size=1)
+
+
+slot_pairs = st.lists(st.tuples(names, texts), max_size=2, unique=True).map(tuple)
+goals = st.builds(
+    UserGoal,
+    constraints=st.lists(st.tuples(names, texts), min_size=1, max_size=2, unique=True).map(tuple),
+    requests=st.lists(names, max_size=2).map(tuple),
+    extra=extras({"constraints", "requests"}),
+)
+
+
+@st.composite
+def utterances(draw, index):
+    speaker = draw(st.sampled_from(Speaker))
+    intents = sorted(default_schema().intents_for(speaker))
+    acts = st.builds(
+        DialogueAct, st.sampled_from(intents), slot_pairs, extras({"intent", "slots"})
+    )
+    return Utterance(
+        index=index,
+        speaker=speaker,
+        text=draw(texts),
+        acts=tuple(draw(st.lists(acts, max_size=2))),
+        items=tuple(draw(st.lists(names, max_size=2))),
+        extra=draw(extras({"index", "speaker", "text", "acts", "items"})),
+    )
+
+
+DIALOGUE_KEYS = {
+    "dialogue_id", "crs_id", "provenance", "satisfaction", "simulator_id", "goal", "utterances"
+}
+
+
+@st.composite
+def dialogues(draw):
+    provenance = draw(st.sampled_from(PROVENANCES))
+    simulated = provenance == PROVENANCE_SIMULATED
+    return Dialogue(
+        dialogue_id=draw(names),
+        crs_id=draw(names),
+        utterances=tuple(draw(utterances(i)) for i in range(draw(st.integers(1, 3)))),
+        satisfaction=draw(st.sampled_from((None, *SATISFACTION_LABELS))),
+        goal=draw(goals if simulated else st.none() | goals),
+        provenance=provenance,
+        simulator_id=draw(names if simulated else st.none() | names),
+        extra=draw(extras(DIALOGUE_KEYS)),
+    )
+
+
+corpora = st.builds(
+    Corpus,
+    dialogues=st.lists(dialogues(), max_size=3, unique_by=lambda d: d.dialogue_id).map(tuple),
+    schema_version=texts,
+    extra=extras({"schema_version"}),
+)
+
+
+class TestRoundTripProperty:
+    @given(corpora)
+    def test_parse_inverts_serialize(self, c):
+        data = serialize_corpus(c)
+        assert parse_corpus(data) == c
+        assert parse_corpus(data.decode("utf-8")) == c
+        assert parse_corpus(io.BytesIO(data)) == c
 
 
 class TestSerializeCorpus:

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from evalkit import metrics
 from evalkit.analysis import rank_systems
-from evalkit.corpus_io import serialize_corpus
+from evalkit.corpus_io import iter_corpus, serialize_corpus
 from evalkit.dialogue import Corpus, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
@@ -644,6 +645,33 @@ class TestOnePassEngine:
         ]
         standard, normalized = reports
         assert normalized.warnings[:-1] == standard.warnings
+
+    @given(corpora_with_truth())
+    def test_one_shot_generator_equals_the_corpus(self, case):
+        c, truth, n = case
+        requested = ["sr", "srrr", "rdl", "recall"]
+        streamed = evaluate_system(iter_corpus(serialize_corpus(c)), requested, truth, n)
+        whole = evaluate_system(c, requested, truth, n)
+        # Records as JSON, so key order and warnings are compared too.
+        assert json.dumps([r.to_record() for r in streamed]) == json.dumps(
+            [r.to_record() for r in whole]
+        )
+
+    def test_systems_in_first_appearance_order_and_dialogues_grouped(self):
+        b1 = replace(one_round_accepted(), dialogue_id="b1", crs_id="sysB")
+        a1 = replace(two_rounds(), dialogue_id="a1", crs_id="sysA")
+        b2 = replace(unresolved_round(), dialogue_id="b2", crs_id="sysB")
+        sr, standard, _ = evaluate_system(iter([b1, a1, b2]), ["sr", "recall"], {}, 1)
+        assert list(sr.per_system) == ["sysB", "sysA"]
+        assert list(sr.per_dialogue) == ["b1", "b2", "a1"]
+        assert standard.warnings == tuple(
+            f"no ground truth for ({key}); turn skipped"
+            for key in ("b1, 0", "b2, 0", "a1, 0", "a1, 4")
+        )
+
+    def test_duplicate_dialogue_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate dialogue_id 'accepted'"):
+            evaluate_system([one_round_accepted(), one_round_accepted()], ["recall"], {})
 
     def test_rounds_are_segmented_once_per_dialogue(self, monkeypatch):
         calls = []

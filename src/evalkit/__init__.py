@@ -23,6 +23,7 @@ from .annotation import (
     RuleAnnotator,
     annotate_corpus,
     evaluate_annotator,
+    iter_annotated,
 )
 from .catalog import CatalogItem, ItemCatalog, load_catalog
 from .connectors import (

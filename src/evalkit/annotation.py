@@ -8,17 +8,20 @@ Both produce schema-valid acts only.
 
 from __future__ import annotations
 
+import functools
 import re
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import average_ranks
 from .catalog import ItemCatalog
 from .connectors import LlmGateway
 from .dialogue import (
     Corpus,
+    Dialogue,
     DialogueAct,
     ITEM_SLOT,
     IntentSchema,
@@ -53,7 +56,6 @@ class AnnotatorConfig:
     schema: IntentSchema
     mode: str = "rule"
     few_shot_examples: tuple[tuple[str, tuple[DialogueAct, ...]], ...] = ()
-    prompt_template_id: str = "annotate_acts"
     lexicon: Mapping[str, tuple[str, ...]] | None = None
     catalog: ItemCatalog | None = None
 
@@ -125,7 +127,9 @@ def load_rule_lexicon(source=None) -> dict[str, tuple[str, ...]]:
     return {intent: tuple(cues) for intent, cues in lexicon.items()}
 
 
+@functools.cache
 def load_prompt_template(template_id: str) -> str:
+    """The bundled prompt ``data/prompts/<template_id>.txt``, read once."""
     return (
         resources.files("evalkit")
         .joinpath(f"data/prompts/{template_id}.txt")
@@ -256,7 +260,7 @@ class LlmAnnotator:
             raise ValueError("LlmAnnotator requires an llm-mode config")
         self.config = config
         self.gateway = gateway
-        self.template = load_prompt_template(config.prompt_template_id)
+        self.template = load_prompt_template("annotate_acts")
 
     def _prompt(self, utterance: Utterance, context: Sequence[Utterance]) -> str:
         allowed = sorted(self.config.schema.intents_for(utterance.speaker))
@@ -298,6 +302,70 @@ def build_annotator(config: AnnotatorConfig, gateway: LlmGateway | None = None):
     return LlmAnnotator(config, gateway)
 
 
+def _in_order(fn, items: Iterable, jobs: int) -> Iterator:
+    """Ordered ``map(fn, items)`` on ``jobs`` threads, at most 4 x ``jobs`` calls ahead."""
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 4 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def iter_annotated(
+    dialogues: Iterable[Dialogue],
+    config: AnnotatorConfig,
+    gateway: LlmGateway | None = None,
+    overwrite: bool = False,
+    jobs: int = 1,
+) -> Iterator[Dialogue]:
+    """Annotate every utterance of a dialogue stream, yielding dialogues in order.
+
+    Existing acts are kept unless ``overwrite`` is set. Utterances run on
+    ``jobs`` threads and are regrouped by dialogue, so the output never
+    depends on scheduling. Per-utterance failures are aggregated into one
+    AnnotationBatchError, raised after the last dialogue; a dialogue with a
+    failure is not yielded.
+    """
+    annotator = build_annotator(config, gateway)
+
+    def tasks():
+        # One task per utterance to annotate, then (dialogue, None) to close the dialogue.
+        for dialogue in dialogues:
+            yield from ((dialogue, u) for u in dialogue.utterances if overwrite or not u.acts)
+            yield dialogue, None
+
+    def run_one(task):
+        dialogue, utterance = task
+        if utterance is None:
+            return task, None
+        try:
+            return task, annotator.annotate(utterance, dialogue.utterances[: utterance.index])
+        except AnnotationError as exc:
+            return task, f"{dialogue.dialogue_id}[{utterance.index}]: {exc}"
+
+    failures: list[str] = []
+    done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
+    for (dialogue, utterance), outcome in _in_order(run_one, tasks(), jobs):
+        if isinstance(outcome, str):
+            failures.append(outcome)
+            done[utterance.index] = None
+        elif utterance is not None:
+            done[utterance.index] = replace(utterance, acts=outcome)
+        else:
+            if None not in done.values():
+                utterances = tuple(done.get(u.index, u) for u in dialogue.utterances)
+                yield replace(dialogue, utterances=utterances) if done else dialogue
+            done = {}
+    if failures:
+        raise AnnotationBatchError(sorted(failures))
+
+
 def annotate_corpus(
     corpus: Corpus,
     config: AnnotatorConfig,
@@ -305,66 +373,9 @@ def annotate_corpus(
     overwrite: bool = False,
     jobs: int = 1,
 ) -> Corpus:
-    """Annotate every utterance of a corpus.
-
-    Existing acts are kept unless ``overwrite`` is set. Utterances may be
-    annotated concurrently (``jobs``); results merge by (dialogue_id, index)
-    so the output never depends on scheduling. Per-utterance failures are
-    aggregated into one AnnotationBatchError.
-    """
-    annotator = build_annotator(config, gateway)
-    tasks: list[tuple[str, int]] = []
-    for dialogue in corpus.dialogues:
-        for utterance in dialogue.utterances:
-            if utterance.acts and not overwrite:
-                continue
-            tasks.append((dialogue.dialogue_id, utterance.index))
-
-    by_id = {d.dialogue_id: d for d in corpus.dialogues}
-
-    def run_one(task: tuple[str, int]) -> tuple[DialogueAct, ...] | AnnotationError:
-        dialogue_id, index = task
-        utterances = by_id[dialogue_id].utterances
-        try:
-            return annotator.annotate(utterances[index], utterances[:index])
-        except AnnotationError as exc:
-            return exc
-
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, tasks))
-    else:
-        outcomes = list(map(run_one, tasks))
-
-    failures = [
-        f"{dialogue_id}[{index}]: {outcome}"
-        for (dialogue_id, index), outcome in zip(tasks, outcomes)
-        if isinstance(outcome, AnnotationError)
-    ]
-    if failures:
-        raise AnnotationBatchError(sorted(failures))
-    results = dict(zip(tasks, outcomes))
-
-    new_dialogues = []
-    for dialogue in corpus.dialogues:
-        new_utterances = []
-        changed = False
-        for utterance in dialogue.utterances:
-            key = (dialogue.dialogue_id, utterance.index)
-            if key in results:
-                new_utterances.append(replace(utterance, acts=results[key]))
-                changed = True
-            else:
-                new_utterances.append(utterance)
-        if changed:
-            new_dialogues.append(replace(dialogue, utterances=tuple(new_utterances)))
-        else:
-            new_dialogues.append(dialogue)
-    return Corpus(
-        dialogues=tuple(new_dialogues),
-        schema_version=corpus.schema_version,
-        extra=corpus.extra,
-    )
+    """Collect ``iter_annotated`` over a corpus into one with its header."""
+    dialogues = tuple(iter_annotated(corpus.dialogues, config, gateway, overwrite, jobs))
+    return Corpus(dialogues, corpus.schema_version, corpus.extra)
 
 
 def _roc_auc(instances: list[tuple[bool, float]]) -> float | None:

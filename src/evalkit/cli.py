@@ -19,13 +19,14 @@ import os
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import chain, islice
 from typing import Any, Mapping, Sequence
 
 from .analysis import reliability_report
 from .annotation import (
     AnnotatorConfig,
     RuleAnnotator,
-    annotate_corpus,
+    iter_annotated,
     load_rule_lexicon,
 )
 from .catalog import ItemCatalog, load_catalog
@@ -37,7 +38,14 @@ from .connectors import (
     MockLlmGateway,
     make_stub,
 )
-from .corpus_io import iter_corpus, read_corpus, serialize_corpus
+from .corpus_io import (
+    dialogue_record,
+    iter_corpus,
+    iter_records,
+    serialize_corpus,  # noqa: F401  (unused; a patch point of bench/spans.py)
+    write_corpus,
+    write_records,
+)
 from .dialogue import (
     DialogueAct,
     ITEM_SLOT,
@@ -46,16 +54,11 @@ from .dialogue import (
     simulation_schema,
 )
 from .errors import (
-    AlignmentError,
-    AnnotationError,
     ConnectorError,
     CorpusFormatError,
     EvalkitError,
     GatewayError,
-    SchemaViolationError,
     SimulationError,
-    UnannotatedDialogueError,
-    UndefinedCorrelationError,
 )
 from .metrics import MetricReport, check_metric_names, evaluate_system
 from .simulation import (
@@ -79,8 +82,8 @@ EXIT_CONFIGURATION = 2
 EXIT_CONNECTOR = 3
 
 JOBS_HELP = (
-    "worker threads (default 1); they help only against live, I/O-bound "
-    "endpoints, since offline runs are CPU-bound under the GIL"
+    "worker threads (default 1), each on one conversation or utterance at a time; "
+    "they help only live, I/O-bound runs, as offline runs are CPU-bound under the GIL"
 )
 
 # Built-in few-shot examples so llm-mode annotation works without an
@@ -105,9 +108,11 @@ class ConfigError(EvalkitError):
     """Bad command-line or file configuration."""
 
 
-def _config_hash(settings: Mapping[str, Any]) -> str:
+def _stamp(settings: Mapping[str, Any]) -> dict[str, Any]:
+    """The ``seed`` and ``config_hash`` header fields of every output."""
     canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return {"seed": settings["seed"], "config_hash": config_hash}
 
 
 def _load_config_file(path: str | None) -> dict[str, Any]:
@@ -184,20 +189,12 @@ def _build_connector(spec: str, catalog: ItemCatalog | None, stub_item: str | No
     )
 
 
-def _write_report_file(path: str, header: dict, records: Sequence[dict]) -> None:
-    lines = [json.dumps(header, ensure_ascii=False, separators=(",", ":"))]
-    for record in records:
-        lines.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
     """Read per-system scores from a plain map or a metric report file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
-        whole = json.loads(text)
+        whole = json.loads(raw)
     except ValueError:
         whole = None
     if isinstance(whole, dict) and "metric" not in whole and "schema_version" not in whole:
@@ -207,16 +204,11 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
             raise ConfigError(f"{path} is not a numeric score map: {exc}") from exc
 
     # Otherwise treat it as a newline-delimited metric report file.
-    reports = []
-    for line in text.split("\n"):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse scores from {path}: {exc}") from exc
-        if "metric" in record:
-            reports.append(MetricReport.from_record(record))
+    try:
+        reports = [MetricReport.from_record(r) for _, r in iter_records(raw) if "metric" in r]
+    except (CorpusFormatError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"cannot parse scores from {path}: {detail}") from exc
     if not reports:
         raise ConfigError(f"no metric records in report file {path}")
     if metric is not None:
@@ -276,7 +268,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     config_file = _load_config_file(args.config)
     schema = _load_schema(args.schema)
-    corpus = read_corpus(args.input, schema)
     catalog = load_catalog(args.catalog) if args.catalog else None
     lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
 
@@ -298,23 +289,25 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         lexicon=lexicon,
         catalog=catalog,
     )
-    annotated = annotate_corpus(
-        corpus, annotator_config, gateway, overwrite=args.overwrite, jobs=args.jobs
-    )
-
     settings = {
         "command": "annotate",
         "mode": args.mode,
         "overwrite": args.overwrite,
         "seed": args.seed,
     }
-    annotated = replace(
-        annotated,
-        extra={**annotated.extra, "seed": args.seed, "config_hash": _config_hash(settings)},
-    )
-    with open(args.output, "wb") as handle:
-        handle.write(serialize_corpus(annotated))
-    print(f"annotated {len(annotated)} dialogue(s) -> {args.output}")
+    input_header: dict[str, Any] = {}
+    with open(args.input, "rb") as handle:
+        dialogues = iter_corpus(handle, schema, input_header)
+        annotated = iter_annotated(
+            dialogues, annotator_config, gateway, overwrite=args.overwrite, jobs=args.jobs
+        )
+        records = map(dialogue_record, annotated)
+        # Drawing the first record reads the input header.
+        first = list(islice(records, 1))
+        version = str(input_header.pop("schema_version", "1"))
+        header = {"schema_version": version, **input_header, **_stamp(settings)}
+        count = write_records(args.output, header, chain(first, records))
+    print(f"annotated {count} dialogue(s) -> {args.output}")
     return EXIT_OK
 
 
@@ -337,12 +330,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n": args.n,
         "seed": args.seed,
     }
-    header = {
-        "schema_version": str(input_header.get("schema_version", "1")),
-        "seed": args.seed,
-        "config_hash": _config_hash(settings),
-    }
-    _write_report_file(args.output, header, [r.to_record() for r in reports])
+    version = str(input_header.get("schema_version", "1"))
+    header = {"schema_version": version, **_stamp(settings)}
+    write_records(args.output, header, [r.to_record() for r in reports])
     for report in reports:
         for crs_id in sorted(report.per_system):
             print(f"{report.metric}\t{crs_id}\t{report.per_system[crs_id]:.6f}")
@@ -425,12 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": seed,
         "max_utterances": max_utterances,
     }
-    corpus = replace(
-        corpus,
-        extra={**corpus.extra, "seed": seed, "config_hash": _config_hash(settings)},
-    )
-    with open(args.output, "wb") as handle:
-        handle.write(serialize_corpus(corpus))
+    write_corpus(replace(corpus, extra={**corpus.extra, **_stamp(settings)}), args.output)
     failures = corpus.extra.get("failures", [])
     print(
         f"generated {len(corpus)} dialogue(s), {len(failures)} failure(s) "
@@ -465,13 +450,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"avg_abs_diff={report.average_abs_diff:.4f} "
             f"systems={len(report.systems_compared)}"
         )
-    settings = {"command": "compare", "seed": args.seed}
-    header = {
-        "schema_version": "1",
-        "seed": args.seed,
-        "config_hash": _config_hash(settings),
-    }
-    _write_report_file(args.output, header, records)
+    header = {"schema_version": "1", **_stamp({"command": "compare", "seed": args.seed})}
+    write_records(args.output, header, records)
     print(f"wrote {len(records)} reliability report(s) -> {args.output}")
     return EXIT_OK
 
@@ -567,17 +547,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConnectorError, GatewayError, SimulationError) as exc:
         print(f"connector error: {exc}", file=sys.stderr)
         return EXIT_CONNECTOR
-    except (
-        CorpusFormatError,
-        SchemaViolationError,
-        AlignmentError,
-        AnnotationError,
-        UnannotatedDialogueError,
-        UndefinedCorrelationError,
-        EvalkitError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (EvalkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -4,14 +4,17 @@ The on-disk format is newline-delimited JSON (UTF-8): a leading header
 record carrying ``schema_version`` (plus any corpus-level metadata),
 followed by one self-contained dialogue record per line. Unknown keys at
 every level are preserved as opaque metadata, so
-``parse_corpus(serialize_corpus(c)) == c`` for any valid corpus.
+``parse_corpus(serialize_corpus(c)) == c`` for any valid corpus. Metric
+and reliability reports use the same framing. ``iter_records`` is the one
+reader of that framing and ``write_records`` the one writer.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, BinaryIO, Iterator, Mapping
+import os
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 from .dialogue import (
     Corpus,
@@ -97,29 +100,17 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
     )
 
 
-def iter_corpus(
-    raw: bytes | str | BinaryIO,
-    schema: IntentSchema | None = None,
-    header: dict[str, Any] | None = None,
-    seen_ids: set[str] | None = None,
-) -> Iterator[Dialogue]:
-    """Yield a newline-delimited corpus stream's dialogues one at a time.
+def iter_records(raw: bytes | str | BinaryIO) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield ``(line_number, record)`` per non-blank line of an NDJSON stream.
 
-    ``raw`` may be bytes, text, or a binary file, read a line at a
-    time. Records end at ``"\n"`` only, so U+2028, U+2029 and U+0085 stay
-    inside their record. Records are validated against ``schema`` (default
-    ``default_schema()``); errors carry the record's 1-based line number.
-    ``header``, if given, receives the header record's fields; ``seen_ids``
-    holds ids read from earlier streams, and gains this stream's.
+    ``raw`` may be bytes, text, or a binary file, read a line at a time.
+    Records end at ``"\n"`` only, so U+2028, U+2029 and U+0085 stay inside
+    their record. A line that is not UTF-8, not JSON or not a JSON object
+    raises CorpusFormatError with its 1-based line number.
     """
-    if schema is None:
-        schema = default_schema()
-    seen_ids = set() if seen_ids is None else seen_ids
     if isinstance(raw, str):
         raw = raw.encode("utf-8", "surrogatepass")
     lines = io.BytesIO(raw) if isinstance(raw, bytes) else raw
-    header_seen = False
-
     for line_number, line in enumerate(lines, start=1):
         try:
             line = line.decode("utf-8")
@@ -133,15 +124,35 @@ def iter_corpus(
             raise CorpusFormatError(line_number, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
             raise CorpusFormatError(line_number, "record must be a JSON object")
+        yield line_number, record
 
-        if not header_seen and "schema_version" not in record:
+
+def iter_corpus(
+    raw: bytes | str | BinaryIO,
+    schema: IntentSchema | None = None,
+    header: dict[str, Any] | None = None,
+    seen_ids: set[str] | None = None,
+) -> Iterator[Dialogue]:
+    """Yield a corpus stream's dialogues one at a time.
+
+    ``raw`` is read through ``iter_records``. Records are validated against
+    ``schema`` (default ``default_schema()``); errors carry the record's
+    1-based line number. ``header``, if given, receives the header record's
+    fields once the first record is read; ``seen_ids`` holds ids read from
+    earlier streams, and gains this stream's.
+    """
+    if schema is None:
+        schema = default_schema()
+    seen_ids = set() if seen_ids is None else seen_ids
+    records = iter_records(raw)
+    for line_number, record in records:
+        if "schema_version" not in record:
             raise CorpusFormatError(line_number, "first record must be a schema_version header")
-        if not header_seen:
-            if header is not None:
-                header.update(record)
-            header_seen = True
-            continue
+        if header is not None:
+            header.update(record)
+        break
 
+    for line_number, record in records:
         try:
             dialogue = _parse_dialogue(record, schema)
         except (SchemaViolationError, KeyError, TypeError, ValueError) as exc:
@@ -209,28 +220,54 @@ def dialogue_record(dialogue: Dialogue) -> dict[str, Any]:
     return record
 
 
+def _header(corpus: Corpus) -> dict[str, Any]:
+    return {"schema_version": corpus.schema_version, **corpus.extra}
+
+
+def _line(record: Mapping[str, Any]) -> bytes:
+    return (json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 def serialize_corpus(corpus: Corpus) -> bytes:
     """Serialize ``corpus`` to UTF-8 newline-delimited JSON.
 
     Output is deterministic for a given corpus, so equal corpora always
-    produce byte-identical streams.
+    produce byte-identical streams, the same bytes ``write_corpus`` writes.
     """
-    lines = []
-    header: dict[str, Any] = {"schema_version": corpus.schema_version}
-    header.update(corpus.extra)
-    lines.append(json.dumps(header, ensure_ascii=False, separators=(",", ":")))
-    for dialogue in corpus.dialogues:
-        lines.append(
-            json.dumps(
-                dialogue_record(dialogue), ensure_ascii=False, separators=(",", ":")
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    lines = [_line(_header(corpus))]
+    lines.extend(_line(dialogue_record(d)) for d in corpus.dialogues)
+    return b"".join(lines)
+
+
+def write_records(path, header: Mapping[str, Any], records: Iterable[Mapping[str, Any]]) -> int:
+    """Write ``header`` and then each of ``records`` to ``path`` as
+    newline-delimited JSON; return the number of records.
+
+    Records are written one at a time to ``<path>.<pid>.tmp``, which is
+    renamed over ``path`` only once every record is written; a symlinked
+    ``path`` is resolved first, so the link's target is replaced. If
+    anything fails, including the ``records`` iterable itself, the temp
+    file is removed and ``path`` is left as it was.
+    """
+    path = os.path.realpath(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    count = 0
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(_line(header))
+            for record in records:
+                handle.write(_line(record))
+                count += 1
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
+    return count
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(serialize_corpus(corpus))
+    write_records(path, _header(corpus), map(dialogue_record, corpus.dialogues))
 
 
 def read_corpus(path, schema: IntentSchema | None = None) -> Corpus:

@@ -95,11 +95,8 @@ class InteractionModel:
 
     transitions: Mapping[str, Mapping[str, float]]
     initial: Mapping[str, float]
-    source: str = "handcrafted"
 
     def __post_init__(self):
-        if self.source not in ("handcrafted", "data-derived", "mixed"):
-            raise ValueError(f"unknown interaction-model source {self.source!r}")
         for name, row in list(self.transitions.items()) + [(_START_ROW, self.initial)]:
             if any(p < 0 for p in row.values()):
                 raise ValueError(f"row {name!r} has negative probabilities")
@@ -131,9 +128,7 @@ class InteractionModel:
                 )
 
 
-def load_interaction_model(
-    source, schema: IntentSchema | None = None, model_source: str = "handcrafted"
-) -> InteractionModel:
+def load_interaction_model(source, schema: IntentSchema | None = None) -> InteractionModel:
     """Load a tab-separated probability table.
 
     The header names the user-intent columns; each following row is a
@@ -169,9 +164,7 @@ def load_interaction_model(
             transitions[name] = row
     if initial is None:
         raise ValueError(f"interaction model needs a {_START_ROW} row")
-    model = InteractionModel(
-        transitions=transitions, initial=initial, source=model_source
-    )
+    model = InteractionModel(transitions=transitions, initial=initial)
     if schema is not None:
         model.validate_against(schema)
     return model
@@ -420,7 +413,6 @@ def abus_next(
     annotator: RuleAnnotator,
     rng: random.Random,
     catalog: ItemCatalog | None = None,
-    nlg: Callable[[DialogueAct], str] | None = None,
 ) -> tuple[SimulatorAgenda, Utterance | Stop]:
     """Advance the agenda simulator by one turn.
 
@@ -532,11 +524,10 @@ def abus_next(
         if act.slots[0][0] in set(agenda.goal.requests):
             pending = act.slots[0][0]
 
-    text = nlg(act) if nlg is not None else render_act_text(act)
     index = incoming.index + 1 if incoming is not None else 0
     items = act.slot_values(ITEM_SLOT) if act.intent in (ACCEPT, REJECT) else ()
     outgoing = Utterance(
-        index=index, speaker=Speaker.USER, text=text, acts=(act,), items=items
+        index=index, speaker=Speaker.USER, text=render_act_text(act), acts=(act,), items=items
     )
     updated = SimulatorAgenda(
         stack=tuple(stack),
@@ -575,7 +566,6 @@ class _AbusSession:
             self._simulator.annotator,
             self._rng,
             catalog=self._simulator.catalog,
-            nlg=self._simulator.nlg,
         )
         return outcome
 
@@ -589,7 +579,6 @@ class AgendaSimulator:
         schema: IntentSchema | None = None,
         model: InteractionModel | None = None,
         annotator: RuleAnnotator | None = None,
-        nlg: Callable[[DialogueAct], str] | None = None,
         simulator_id: str = "abus",
     ):
         self.schema = schema or simulation_schema()
@@ -597,7 +586,6 @@ class AgendaSimulator:
         self.model.validate_against(self.schema)
         self.catalog = catalog
         self.annotator = annotator or RuleAnnotator(self.schema, catalog=catalog)
-        self.nlg = nlg
         self.simulator_id = simulator_id
 
     def start_session(self, goal: UserGoal, seed: int) -> _AbusSession:
@@ -847,7 +835,6 @@ def generate_corpus(
     goal_config: GoalConfig | None = None,
     limits: RunLimits | None = None,
     seeds: Sequence[int] | None = None,
-    schema_version: str = "1",
     jobs: int = 1,
 ) -> Corpus:
     """Generate ``n`` simulated dialogues with distinct seeds and goals.
@@ -910,6 +897,4 @@ def generate_corpus(
     }
     if failures:
         extra["failures"] = failures
-    return Corpus(
-        dialogues=tuple(dialogues), schema_version=schema_version, extra=extra
-    )
+    return Corpus(dialogues=tuple(dialogues), extra=extra)

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from evalkit.annotation import (
     _find_cue,
     annotate_corpus,
     evaluate_annotator,
+    iter_annotated,
     load_rule_lexicon,
     parse_act_lines,
 )
@@ -323,6 +325,36 @@ class TestAnnotateCorpus:
         assert annotate_corpus(self._bare_corpus(), config, jobs=4) == annotate_corpus(
             self._bare_corpus(), config
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_stream_reads_a_bounded_window_ahead(self, jobs):
+        drawn = []
+
+        def source():
+            for number in range(50):
+                drawn.append(number)
+                yield dlg(f"d{number}", "sysA", [utt(0, "USER", text="thanks!")])
+
+        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
+        stream = iter_annotated(source(), config, jobs=jobs)
+        assert next(stream).dialogue_id == "d0"
+        assert len(drawn) <= (1 if jobs == 1 else 4 * jobs)
+        assert [d.dialogue_id for d in stream] == [f"d{n}" for n in range(1, 50)]
+
+    def test_utterances_of_one_dialogue_run_concurrently(self):
+        # Each call waits until all four are in flight, which only happens
+        # if the four utterances of the one dialogue run on four threads.
+        barrier = threading.Barrier(4, timeout=10)
+
+        def responder(messages):
+            barrier.wait()
+            return "Other()"
+
+        bare = corpus(dlg("d1", "sysA", [utt(i, "USER", text=f"u{i}") for i in range(4)]))
+        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
+        gateway = MockLlmGateway(responder=responder)
+        annotated = annotate_corpus(bare, config, gateway, jobs=4)
+        assert [u.acts[0].intent for u in annotated.dialogues[0].utterances] == ["Other"] * 4
 
     def test_partial_failures_same_at_any_jobs(self):
         def responder(messages):

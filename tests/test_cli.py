@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
-from evalkit.cli import main
-from evalkit.corpus_io import read_corpus, write_corpus
-from evalkit.dialogue import Corpus, simulation_schema
+from evalkit.annotation import AnnotatorConfig, annotate_corpus
+from evalkit.cli import _stamp, main
+from evalkit.corpus_io import read_corpus, serialize_corpus, write_corpus
+from evalkit.dialogue import Corpus, default_schema, simulation_schema
 
 from conftest import MOVIES
 from helpers import act, corpus, dlg, turns, utt
@@ -46,6 +47,24 @@ def small_corpus():
             turns(("USER", ["Inquire"]), ("SYSTEM", ["Respond"])),
             satisfaction="frustrated",
         ),
+    )
+
+
+def bare_corpus():
+    """Six unannotated dialogues."""
+    return corpus(
+        *(
+            dlg(
+                f"d{n}",
+                "sysA",
+                [
+                    utt(0, "USER", text="I'm looking for something with laughs"),
+                    utt(1, "SYSTEM", text="Have you seen Paper Moon?", items=["Paper Moon"]),
+                    utt(2, "USER", text="I'll watch that one, thanks!"),
+                ],
+            )
+            for n in range(6)
+        )
     )
 
 
@@ -213,6 +232,59 @@ class TestAnnotate:
         assert annotate_with(["--config", str(config_file)]) == "Reject"
         assert annotate_with([]) == "Inquire"
 
+    def test_failed_llm_run_leaves_the_old_output(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        first = dlg("d1", "sysA", [utt(0, "USER", text="sure!")])
+        second = dlg("d2", "sysA", [utt(0, "USER", text="maybe"), utt(1, "SYSTEM", text="ok")])
+        write_corpus(corpus(first, second), src)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["Accept()"]))  # exhausted after d1
+        out = tmp_path / "annotated.ndjson"
+        out.write_bytes(b"an earlier run\n")
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        assert main(argv + ["--llm-endpoint", f"mock:{script}"]) == 1
+        assert "2 utterance(s) failed to annotate: d2[0]" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "annotated.ndjson", "raw.ndjson", "script.json"
+        ]
+
+    def test_format_error_midway_names_the_line_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        with open(src, "ab") as handle:
+            handle.write(b"{oops}\n")
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--jobs", "2"]
+        assert main(argv) == 1
+        assert "line 8: invalid JSON" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.ndjson"]
+
+    def test_output_may_be_the_input(self, tmp_path):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        in_place = tmp_path / "in_place.ndjson"
+        in_place.write_bytes(src.read_bytes())
+        separate = tmp_path / "separate.ndjson"
+        assert main(["annotate", "--input", str(src), "--output", str(separate)]) == 0
+        assert main(["annotate", "--input", str(in_place), "--output", str(in_place)]) == 0
+        assert in_place.read_bytes() == separate.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_header_written_as_the_corpus_path_writes_it(self, tmp_path, jobs):
+        body = serialize_corpus(bare_corpus()).split(b"\n", 1)[1]
+        src = tmp_path / "raw.ndjson"
+        src.write_bytes(b'{"source":"lab","schema_version":2,"seed":5}\n' + body)
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--seed", "3"]
+        assert main(argv + ["--jobs", jobs]) == 0
+
+        annotated = annotate_corpus(read_corpus(src), AnnotatorConfig(default_schema()))
+        settings = {"command": "annotate", "mode": "rule", "overwrite": False, "seed": 3}
+        extra = {**annotated.extra, **_stamp(settings)}
+        assert out.read_bytes() == serialize_corpus(replace(annotated, extra=extra))
+        assert out.read_bytes().startswith(b'{"schema_version":"2","source":"lab","seed":3,')
+
 
 class TestEvaluate:
     def test_metrics_match_module_values(self, tmp_path, capsys):
@@ -316,6 +388,18 @@ class TestStreaming:
         write_corpus(small_corpus(), path)
         assert main(["ingest", "--input", str(path)]) == 0
         assert main(["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]) == 0
+
+    def test_annotate_never_builds_a_corpus(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Corpus built")
+
+        monkeypatch.setattr(Corpus, "__post_init__", refuse)
+        out = tmp_path / "annotated.ndjson"
+        assert main(["annotate", "--input", str(path), "--output", str(out)]) == 0
+        assert main(["annotate", "--input", str(out), "--output", str(out), "--jobs", "2"]) == 0
 
 
 class TestSimulate:
@@ -525,6 +609,24 @@ class TestCompare:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [(b"{not json}", "line 5: invalid JSON"), (b'{"metric":"X"}', "missing field 'aggregation'")],
+    )
+    def test_malformed_report_line_is_a_config_error(self, tmp_path, capsys, line, detail):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        report = tmp_path / "report.ndjson"
+        assert main(["evaluate", "--input", str(path), "--output", str(report)]) == 0
+        with open(report, "ab") as handle:
+            handle.write(line + b"\n")
+        ref = write_scores(tmp_path / "ref.json", {"sysA": 0.4, "sysB": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"sysA": 0.8, "sysB": 0.3})
+        argv = ["compare", "--candidate", f"mine={report}", "--metric", "RDL"]
+        argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
+        assert main(argv) == 2
+        assert f"cannot parse scores from {report}: {detail}" in capsys.readouterr().err
 
     def test_reference_fixture_comparison(self, tmp_path):
         ref = write_scores(tmp_path / "rdl.json", REF["human_metrics"]["rdl"])

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 
 import pytest
@@ -10,9 +11,12 @@ from evalkit.analysis import load_reference_scores
 from evalkit.corpus_io import (
     dialogue_record,
     iter_corpus,
+    iter_records,
     parse_corpus,
     satisfaction_score,
     serialize_corpus,
+    write_corpus,
+    write_records,
 )
 from evalkit.dialogue import (
     PROVENANCE_SIMULATED,
@@ -164,6 +168,68 @@ class TestIterCorpus:
         with pytest.raises(CorpusFormatError, match="duplicate") as excinfo:
             list(iter_corpus(stream(FIXTURE_RECORD), seen_ids=seen))
         assert excinfo.value.line_number == 2
+
+
+class TestIterRecords:
+    def test_yields_line_numbers_and_skips_blank_lines(self):
+        raw = b'{"a":1}\n\n  \n{"b":2}\n'
+        assert list(iter_records(raw)) == [(1, {"a": 1}), (4, {"b": 2})]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [(b"\xff\n", "invalid UTF-8"), (b"{oops}\n", "invalid JSON"), (b"[1]\n", "JSON object")],
+    )
+    def test_errors_name_the_line(self, line, reason):
+        with pytest.raises(CorpusFormatError, match=reason) as excinfo:
+            list(iter_records(b'{"a":1}\n' + line))
+        assert excinfo.value.line_number == 2
+
+
+class TestWriteRecords:
+    def test_writes_header_then_records_and_counts_them(self, tmp_path):
+        path = tmp_path / "out.ndjson"
+        assert write_records(path, {"schema_version": "1"}, iter([{"x": "é"}, {"y": 2}])) == 2
+        assert path.read_bytes() == '{"schema_version":"1"}\n{"x":"é"}\n{"y":2}\n'.encode()
+        assert list(tmp_path.iterdir()) == [path]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failing_records_leave_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.ndjson"
+        path.write_bytes(b"old\n")
+
+        def records():
+            yield {"x": 1}
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_records(path, {"schema_version": "1"}, records())
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_leaves_a_file_named_like_a_temp_file_alone(self, tmp_path):
+        path = tmp_path / "out.ndjson"
+        mine = tmp_path / "out.ndjson.tmp"
+        mine.write_bytes(b"mine\n")
+        write_records(path, {"schema_version": "1"}, [])
+        assert mine.read_bytes() == b"mine\n"
+        assert sorted(tmp_path.iterdir()) == [path, mine]
+
+    def test_writes_through_a_symlinked_path(self, tmp_path):
+        target = tmp_path / "target.ndjson"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.ndjson"
+        link.symlink_to(target)
+        write_records(link, {"schema_version": "1"}, [])
+        assert link.is_symlink()
+        assert target.read_bytes() == b'{"schema_version":"1"}\n'
+
+    def test_write_corpus_writes_serialize_corpus_bytes(self, tmp_path):
+        c = random_corpus(random.Random(11))
+        path = tmp_path / "c.ndjson"
+        write_corpus(c, path)
+        assert path.read_bytes() == serialize_corpus(c)
 
 
 # Every character UTF-8 can encode (all but lone surrogates), with the

@@ -302,7 +302,7 @@ def build_annotator(config: AnnotatorConfig, gateway: LlmGateway | None = None):
     return LlmAnnotator(config, gateway)
 
 
-def _in_order(fn, items: Iterable, jobs: int) -> Iterator:
+def in_order(fn, items: Iterable, jobs: int) -> Iterator:
     """Ordered ``map(fn, items)`` on ``jobs`` threads, at most 4 x ``jobs`` calls ahead."""
     if jobs <= 1:
         yield from map(fn, items)
@@ -326,8 +326,9 @@ def iter_annotated(
 ) -> Iterator[Dialogue]:
     """Annotate every utterance of a dialogue stream, yielding dialogues in order.
 
-    Existing acts are kept unless ``overwrite`` is set. Utterances run on
-    ``jobs`` threads and are regrouped by dialogue, so the output never
+    Existing acts are kept unless ``overwrite`` is set. In llm mode,
+    utterances run on ``jobs`` threads (rule mode runs inline, whatever
+    ``jobs`` says) and are regrouped by dialogue, so the output never
     depends on scheduling. Per-utterance failures are aggregated into one
     AnnotationBatchError, raised after the last dialogue; a dialogue with a
     failure is not yielded.
@@ -351,7 +352,9 @@ def iter_annotated(
 
     failures: list[str] = []
     done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
-    for (dialogue, utterance), outcome in _in_order(run_one, tasks(), jobs):
+    # Rule annotation is CPU-bound under the GIL: threads would only add overhead.
+    jobs = 1 if config.mode == "rule" else jobs
+    for (dialogue, utterance), outcome in in_order(run_one, tasks(), jobs):
         if isinstance(outcome, str):
             failures.append(outcome)
             done[utterance.index] = None

@@ -82,8 +82,10 @@ EXIT_CONFIGURATION = 2
 EXIT_CONNECTOR = 3
 
 JOBS_HELP = (
-    "worker threads (default 1), each on one conversation or utterance at a time; "
-    "they help only live, I/O-bound runs, as offline runs are CPU-bound under the GIL"
+    "worker threads (default 1), each on one conversation or utterance at a time, "
+    "at most 4 x jobs in flight, results in seed or input order; they help only live, "
+    "I/O-bound runs, as offline runs are CPU-bound under the GIL; rule-mode annotate "
+    "ignores it"
 )
 
 # Built-in few-shot examples so llm-mode annotation works without an
@@ -358,11 +360,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     connector = _build_connector(args.crs, catalog, args.stub_item)
 
     if args.simulator == "abus":
-        model = (
-            load_interaction_model(args.interaction_model, schema)
-            if args.interaction_model
-            else None
-        )
+        model = load_interaction_model(args.interaction_model) if args.interaction_model else None
         simulator = AgendaSimulator(catalog=catalog, schema=schema, model=model)
     elif args.simulator == "llm-us":
         endpoint = _resolve(args.llm_endpoint, config_file, "llm_endpoint", ENV_LLM_ENDPOINT)

@@ -265,11 +265,6 @@ class Dialogue:
     def has_acts(self) -> bool:
         return any(u.acts for u in self.utterances)
 
-    def validate_against(self, schema: IntentSchema) -> None:
-        for utterance in self.utterances:
-            for act in utterance.acts:
-                schema.validate_act(act, utterance.speaker)
-
 
 @dataclass(frozen=True)
 class Corpus:

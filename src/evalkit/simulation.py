@@ -15,12 +15,11 @@ gateway, stub CRS) combination reproduces a conversation byte for byte.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .annotation import RuleAnnotator, load_prompt_template
+from .annotation import RuleAnnotator, in_order, load_prompt_template
 from .catalog import ItemCatalog
 from .connectors import CrsConnector, LlmGateway
 from .dialogue import (
@@ -128,7 +127,7 @@ class InteractionModel:
                 )
 
 
-def load_interaction_model(source, schema: IntentSchema | None = None) -> InteractionModel:
+def load_interaction_model(source) -> InteractionModel:
     """Load a tab-separated probability table.
 
     The header names the user-intent columns; each following row is a
@@ -164,19 +163,16 @@ def load_interaction_model(source, schema: IntentSchema | None = None) -> Intera
             transitions[name] = row
     if initial is None:
         raise ValueError(f"interaction model needs a {_START_ROW} row")
-    model = InteractionModel(transitions=transitions, initial=initial)
-    if schema is not None:
-        model.validate_against(schema)
-    return model
+    return InteractionModel(transitions=transitions, initial=initial)
 
 
-def default_interaction_model(schema: IntentSchema | None = None) -> InteractionModel:
+def default_interaction_model() -> InteractionModel:
     text = (
         resources.files("evalkit")
         .joinpath("data/interaction_model.tsv")
         .read_text("utf-8")
     )
-    return load_interaction_model(text, schema=schema)
+    return load_interaction_model(text)
 
 
 @dataclass(frozen=True)
@@ -312,41 +308,24 @@ def _is_stale(act: DialogueAct, agenda: SimulatorAgenda) -> bool:
     return False
 
 
-def _matching_item(
-    goal: UserGoal,
-    open_items,
-    accepted_items,
-    catalog: ItemCatalog | None,
-) -> str | None:
-    """First open item that satisfies the goal and was not accepted before."""
-    if catalog is None:
-        return None
-    accepted = set(accepted_items)
-    for item_id in open_items:
-        if item_id in accepted:
-            continue
-        item = catalog.get(item_id)
-        if item is not None and item.satisfies_all(goal.constraints):
-            return item_id
-    return None
+def _acceptable(items, agenda: SimulatorAgenda, catalog: ItemCatalog) -> list[str]:
+    """The items that satisfy the goal and were not accepted before.
+
+    Accepted items are skipped before any catalog lookup.
+    """
+    accepted = set(agenda.accepted_items)
+    return [
+        item_id
+        for item_id in items
+        if item_id not in accepted
+        and (item := catalog.get(item_id)) is not None
+        and item.satisfies_all(agenda.goal.constraints)
+    ]
 
 
-def _any_satisfying(items, goal: UserGoal, catalog: ItemCatalog | None) -> bool:
-    if catalog is None:
-        return False
-    for item_id in items:
-        item = catalog.get(item_id)
-        if item is not None and item.satisfies_all(goal.constraints):
-            return True
-    return False
-
-
-def _instantiable(intent: str, agenda: SimulatorAgenda, catalog: ItemCatalog | None) -> bool:
+def _instantiable(intent: str, agenda: SimulatorAgenda, catalog: ItemCatalog) -> bool:
     if intent == ACCEPT:
-        return (
-            _matching_item(agenda.goal, agenda.open_items, agenda.accepted_items, catalog)
-            is not None
-        )
+        return bool(_acceptable(agenda.open_items, agenda, catalog))
     if intent == REJECT:
         return bool(agenda.open_items)
     return True
@@ -355,7 +334,7 @@ def _instantiable(intent: str, agenda: SimulatorAgenda, catalog: ItemCatalog | N
 def _sample_intent(
     row: Mapping[str, float],
     agenda: SimulatorAgenda,
-    catalog: ItemCatalog | None,
+    catalog: ItemCatalog,
     rng: random.Random,
 ) -> str | None:
     candidates = [
@@ -378,7 +357,7 @@ def _sample_intent(
 def _instantiate(
     intent: str,
     agenda: SimulatorAgenda,
-    catalog: ItemCatalog | None,
+    catalog: ItemCatalog,
     rng: random.Random,
 ) -> DialogueAct:
     goal = agenda.goal
@@ -397,10 +376,10 @@ def _instantiate(
             return DialogueAct(INQUIRE, ((unanswered[0], ""),))
         return DialogueAct(INQUIRE)
     if intent == ACCEPT:
-        item = _matching_item(goal, agenda.open_items, agenda.accepted_items, catalog)
-        if item is None:
+        acceptable = _acceptable(agenda.open_items, agenda, catalog)
+        if not acceptable:
             raise SimulationError("cannot accept: no open item satisfies the goal")
-        return DialogueAct(ACCEPT, ((ITEM_SLOT, item),))
+        return DialogueAct(ACCEPT, ((ITEM_SLOT, acceptable[0]),))
     if intent == REJECT:
         return DialogueAct(REJECT, ((ITEM_SLOT, agenda.open_items[0]),))
     return DialogueAct(intent)
@@ -412,7 +391,7 @@ def abus_next(
     incoming: Utterance | None,
     annotator: RuleAnnotator,
     rng: random.Random,
-    catalog: ItemCatalog | None = None,
+    catalog: ItemCatalog,
 ) -> tuple[SimulatorAgenda, Utterance | Stop]:
     """Advance the agenda simulator by one turn.
 
@@ -455,29 +434,26 @@ def abus_next(
 
         if recommended:
             open_items = recommended
-            match = _matching_item(
-                agenda.goal, recommended, agenda.accepted_items, catalog
-            )
-            if match is not None:
-                stack.insert(0, DialogueAct(ACCEPT, ((ITEM_SLOT, match),)))
-            elif not _any_satisfying(recommended, agenda.goal, catalog):
+            acceptable = _acceptable(recommended, agenda, catalog)
+            if acceptable:
+                stack.insert(0, DialogueAct(ACCEPT, ((ITEM_SLOT, acceptable[0]),)))
+            elif not set(recommended) & set(agenda.accepted_items):
                 stack.insert(0, DialogueAct(REJECT, ((ITEM_SLOT, recommended[0]),)))
-            # A repeat of an already-accepted item draws no new decision;
-            # the planned agenda (inquiries, further disclosures) continues.
+            # A repeat of an already-accepted item (which satisfied the goal
+            # when it was accepted) draws no new decision; the planned agenda
+            # (inquiries, further disclosures) continues.
         constraint_map = dict(agenda.goal.constraints)
         for slot in requested_slots:
             if slot in constraint_map:
                 stack.insert(0, DialogueAct(DISCLOSE, ((slot, constraint_map[slot]),)))
 
-    interim = SimulatorAgenda(
+    interim = replace(
+        agenda,
         stack=tuple(stack),
-        goal=agenda.goal,
         fulfilled_constraints=frozenset(fulfilled_constraints),
         fulfilled_requests=frozenset(fulfilled_requests),
-        accepted_items=agenda.accepted_items,
         open_items=tuple(open_items),
         pending_request=pending,
-        warnings=tuple(warnings),
     )
 
     act: DialogueAct | None = None
@@ -500,15 +476,6 @@ def abus_next(
             intent = DISCLOSE
         act = _instantiate(intent, interim, catalog, rng)
 
-    if act.intent == BYE:
-        updated = replace(
-            interim,
-            stack=tuple(stack),
-            pending_request=pending,
-            warnings=tuple(warnings),
-        )
-        return updated, Stop("bye")
-
     accepted_items = list(agenda.accepted_items)
     if act.intent == ACCEPT:
         for title in act.slot_values(ITEM_SLOT):
@@ -524,20 +491,21 @@ def abus_next(
         if act.slots[0][0] in set(agenda.goal.requests):
             pending = act.slots[0][0]
 
-    index = incoming.index + 1 if incoming is not None else 0
-    items = act.slot_values(ITEM_SLOT) if act.intent in (ACCEPT, REJECT) else ()
-    outgoing = Utterance(
-        index=index, speaker=Speaker.USER, text=render_act_text(act), acts=(act,), items=items
-    )
-    updated = SimulatorAgenda(
+    updated = replace(
+        interim,
         stack=tuple(stack),
-        goal=agenda.goal,
         fulfilled_constraints=frozenset(fulfilled_constraints),
-        fulfilled_requests=frozenset(fulfilled_requests),
         accepted_items=tuple(accepted_items),
         open_items=tuple(open_items),
         pending_request=pending,
         warnings=tuple(warnings),
+    )
+    if act.intent == BYE:
+        return updated, Stop("bye")
+    index = incoming.index + 1 if incoming is not None else 0
+    items = act.slot_values(ITEM_SLOT) if act.intent in (ACCEPT, REJECT) else ()
+    outgoing = Utterance(
+        index=index, speaker=Speaker.USER, text=render_act_text(act), acts=(act,), items=items
     )
     return updated, outgoing
 
@@ -552,26 +520,23 @@ class UserSimulator(Protocol):
     def start_session(self, goal: UserGoal, seed: int) -> SimulatorSession: ...
 
 
-class _AbusSession:
-    def __init__(self, simulator: "AgendaSimulator", goal: UserGoal, seed: int):
-        self._simulator = simulator
-        self.agenda = new_agenda(goal)
-        self._rng = random.Random(seed)
+class _Session:
+    """One conversation of either simulator: its state and the function
+    ``step(state, incoming) -> (state, outcome)`` that plays one turn."""
 
-    def next(self, incoming: Utterance | None) -> Utterance | Stop:
-        self.agenda, outcome = abus_next(
-            self.agenda,
-            self._simulator.model,
-            incoming,
-            self._simulator.annotator,
-            self._rng,
-            catalog=self._simulator.catalog,
-        )
+    def __init__(self, step: Callable, state):
+        self._step = step
+        self.state = state
+
+    def next(self, incoming: Utterance | None) -> Utterance | Stop | Abort:
+        self.state, outcome = self._step(self.state, incoming)
         return outcome
 
 
 class AgendaSimulator:
     """Agenda-based user simulator (interaction model + goal reactions)."""
+
+    simulator_id = "abus"
 
     def __init__(
         self,
@@ -579,17 +544,20 @@ class AgendaSimulator:
         schema: IntentSchema | None = None,
         model: InteractionModel | None = None,
         annotator: RuleAnnotator | None = None,
-        simulator_id: str = "abus",
     ):
         self.schema = schema or simulation_schema()
-        self.model = model or default_interaction_model(self.schema)
+        self.model = model or default_interaction_model()
         self.model.validate_against(self.schema)
         self.catalog = catalog
         self.annotator = annotator or RuleAnnotator(self.schema, catalog=catalog)
-        self.simulator_id = simulator_id
 
-    def start_session(self, goal: UserGoal, seed: int) -> _AbusSession:
-        return _AbusSession(self, goal, seed)
+    def start_session(self, goal: UserGoal, seed: int) -> _Session:
+        rng = random.Random(seed)
+
+        def step(agenda: SimulatorAgenda, incoming: Utterance | None):
+            return abus_next(agenda, self.model, incoming, self.annotator, rng, self.catalog)
+
+        return _Session(step, new_agenda(goal))
 
 
 @dataclass(frozen=True)
@@ -632,17 +600,20 @@ def llmus_next(
     gateway: LlmGateway,
     annotator: RuleAnnotator | None = None,
     max_prompt_chars: int = 4000,
-) -> Utterance | Abort:
+) -> tuple[ConversationState, Utterance | Abort]:
     """Advance the LLM simulator by one turn (at most two gateway calls).
 
     On a non-opening turn the simulator first decides continue-or-abort;
     if it continues (or is opening), it generates the next user utterance
     zero-shot from the goal and the (budget-truncated) history. An empty
-    generation is retried once, then the turn aborts.
+    generation is retried once, then the turn aborts. The returned state's
+    history gains the incoming turn and, unless the turn aborts, the
+    generated one.
     """
     history = state.history
     if incoming is not None:
         history = history + ((incoming.speaker.value, incoming.text),)
+    heard = replace(state, history=history)
 
     goal_text = _render_goal(state.goal)
     history_text = _render_history(history, max_prompt_chars)
@@ -655,7 +626,7 @@ def llmus_next(
         normalized = decision.strip().lower()
         if normalized.startswith("abort"):
             reason = decision.strip()[len("abort"):].lstrip(":. ").strip()
-            return Abort(reason=reason or "no-progress")
+            return heard, Abort(reason=reason or "no-progress")
 
     generate_prompt = load_prompt_template("simulator_generate").format(
         goal=goal_text, history=history_text
@@ -668,7 +639,7 @@ def llmus_next(
         if text:
             break
     if not text:
-        return Abort(reason="generation-failure")
+        return heard, Abort(reason="generation-failure")
 
     acts = annotator.annotate(
         Utterance(index=0, speaker=Speaker.USER, text=text)
@@ -678,54 +649,34 @@ def llmus_next(
         if act.intent in (ACCEPT, REJECT):
             items = items + act.slot_values(ITEM_SLOT)
     index = incoming.index + 1 if incoming is not None else 0
-    return Utterance(
+    outgoing = Utterance(
         index=index, speaker=Speaker.USER, text=text, acts=tuple(acts), items=items
     )
-
-
-class _LlmUsSession:
-    def __init__(self, simulator: "LlmSimulator", goal: UserGoal, gateway: LlmGateway):
-        self._simulator = simulator
-        self._gateway = gateway
-        self.state = ConversationState(goal=goal)
-
-    def next(self, incoming: Utterance | None) -> Utterance | Abort:
-        outcome = llmus_next(
-            self.state,
-            incoming,
-            self._gateway,
-            annotator=self._simulator.annotator,
-            max_prompt_chars=self._simulator.max_prompt_chars,
-        )
-        new_history = self.state.history
-        if incoming is not None:
-            new_history = new_history + ((incoming.speaker.value, incoming.text),)
-        if isinstance(outcome, Utterance):
-            new_history = new_history + ((outcome.speaker.value, outcome.text),)
-        self.state = replace(self.state, history=new_history)
-        return outcome
+    return replace(state, history=history + ((outgoing.speaker.value, text),)), outgoing
 
 
 class LlmSimulator:
     """LLM-backed user simulator with an explicit continue-or-abort step."""
 
+    simulator_id = "llm-us"
+
     def __init__(
         self,
         gateway: LlmGateway | Callable[[], LlmGateway],
         annotator: RuleAnnotator | None = None,
-        max_prompt_chars: int = 4000,
-        simulator_id: str = "llm-us",
     ):
         self._gateway = gateway
         # Generated turns should carry acts; without a catalog the rule
         # annotator still tags decisions and disclosures from cue phrases.
         self.annotator = annotator or RuleAnnotator(simulation_schema())
-        self.max_prompt_chars = max_prompt_chars
-        self.simulator_id = simulator_id
 
-    def start_session(self, goal: UserGoal, seed: int) -> _LlmUsSession:
+    def start_session(self, goal: UserGoal, seed: int) -> _Session:
         gateway = self._gateway() if callable(self._gateway) else self._gateway
-        return _LlmUsSession(self, goal, gateway)
+
+        def step(state: ConversationState, incoming: Utterance | None):
+            return llmus_next(state, incoming, gateway, self.annotator)
+
+        return _Session(step, ConversationState(goal=goal))
 
 
 TERMINATION_REASON = "termination_reason"
@@ -834,24 +785,20 @@ def generate_corpus(
     catalog: ItemCatalog,
     goal_config: GoalConfig | None = None,
     limits: RunLimits | None = None,
-    seeds: Sequence[int] | None = None,
     jobs: int = 1,
 ) -> Corpus:
-    """Generate ``n`` simulated dialogues with distinct seeds and goals.
+    """Generate ``n`` simulated dialogues, seeded ``limits.seed`` onwards.
 
-    Per-dialogue failures are recorded in the corpus header metadata
-    rather than aborting the batch; only a fully failed batch raises.
-    Results are ordered by seed index, so the output is independent of
-    the worker schedule.
+    Each seed draws its own goal and runs one conversation; seeds run on
+    ``jobs`` threads through ``in_order``. Per-dialogue failures are
+    recorded in the corpus header metadata rather than aborting the batch;
+    only a fully failed batch raises. Results are ordered by seed, so the
+    output is independent of the worker schedule.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     limits = limits or RunLimits()
-    if seeds is None:
-        seeds = [limits.seed + offset for offset in range(n)]
-    seeds = list(seeds)
-    if len(seeds) != n or len(set(seeds)) != n:
-        raise ValueError(f"need {n} distinct seeds, got {seeds!r}")
+    seeds = range(limits.seed, limits.seed + n)
     if goal_config is None:
         slots = catalog.slots()
         goal_config = GoalConfig(constraint_slots=slots, request_slots=slots)
@@ -870,12 +817,7 @@ def generate_corpus(
         except (SimulationError, ConnectorError, GatewayError) as exc:
             return exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, seeds))
-    else:
-        outcomes = list(map(run_one, seeds))
-
+    outcomes = list(in_order(run_one, seeds, jobs))
     dialogues = [o for o in outcomes if isinstance(o, Dialogue)]
     failures = [
         {"seed": seed, "error": str(outcome)}

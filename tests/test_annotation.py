@@ -326,6 +326,20 @@ class TestAnnotateCorpus:
             self._bare_corpus(), config
         )
 
+    def test_rule_mode_runs_on_the_calling_thread_at_any_jobs(self, monkeypatch):
+        # Rule annotation is CPU-bound: worker threads would only add overhead.
+        threads = []
+        annotate = RuleAnnotator.annotate
+
+        def recording(self, utterance, context=()):
+            threads.append(threading.get_ident())
+            return annotate(self, utterance, context)
+
+        monkeypatch.setattr(RuleAnnotator, "annotate", recording)
+        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
+        annotate_corpus(self._bare_corpus(), config, jobs=4)
+        assert threads and set(threads) == {threading.get_ident()}
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_stream_reads_a_bounded_window_ahead(self, jobs):
         drawn = []

@@ -132,7 +132,7 @@ class TestSampleGoal:
 
 class TestInteractionModel:
     def test_default_model_is_schema_valid(self):
-        model = default_interaction_model(SCHEMA)
+        model = default_interaction_model()
         model.validate_against(SCHEMA)
         assert "Recommend" in model.transitions
 
@@ -171,7 +171,7 @@ class TestInteractionModel:
     def test_unknown_intent_rejected_against_schema(self):
         text = "s\tDisclose\tZigZag\n__start__\t0.5\t0.5\n"
         with pytest.raises(SchemaViolationError, match="ZigZag"):
-            load_interaction_model(text, schema=SCHEMA)
+            load_interaction_model(text).validate_against(SCHEMA)
 
 
 TWO_ROW_MODEL = InteractionModel(
@@ -212,6 +212,24 @@ class TestAbusNext:
             catalog=movie_catalog,
         )
         assert outgoing.acts[0].intent == "Reject"
+
+    def test_repeat_of_an_accepted_item_draws_no_decision(self, movie_catalog):
+        goal = simple_goal([("year", "1988")], requests=("director",))
+        agenda = replace(new_agenda(goal), stack=(), accepted_items=("Midnight Run",))
+        incoming = utt(
+            1, "SYSTEM", text="Midnight Run, or Paper Moon?", items=["Midnight Run", "Paper Moon"]
+        )
+        updated, outgoing = abus_next(
+            agenda,
+            InteractionModel(transitions={}, initial={"Inquire": 1.0}),
+            incoming,
+            self._annotator(movie_catalog),
+            random.Random(0),
+            catalog=movie_catalog,
+        )
+        assert outgoing.acts[0].intent == "Inquire"
+        assert updated.accepted_items == ("Midnight Run",)
+        assert updated.open_items == ("Midnight Run", "Paper Moon")
 
     def test_fulfilled_goal_stops(self, movie_catalog):
         goal = simple_goal([("year", "1988")])
@@ -320,38 +338,64 @@ class TestAbusNext:
 
 
 class TestLlmUsNext:
+    def test_returned_history_gains_the_incoming_and_the_generated_turn(self):
+        gateway = MockLlmGateway(replies=["continue", "  Who directed it?  "])
+        state = ConversationState(goal=simple_goal(), history=(("USER", "Hi"),))
+        incoming = utt(1, "SYSTEM", text="Have you seen Midnight Run?")
+        updated, outcome = llmus_next(state, incoming, gateway)
+        assert outcome.text == "Who directed it?"
+        assert updated == ConversationState(
+            goal=state.goal,
+            history=(
+                ("USER", "Hi"),
+                ("SYSTEM", "Have you seen Midnight Run?"),
+                ("USER", "Who directed it?"),
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "replies, reason",
+        [(["abort: going nowhere"], "going nowhere"), (["continue", "", ""], "generation-failure")],
+    )
+    def test_aborted_turn_keeps_only_the_incoming_turn(self, replies, reason):
+        state = ConversationState(goal=simple_goal(), history=(("USER", "Hi"),))
+        incoming = utt(1, "SYSTEM", text="hello")
+        updated, outcome = llmus_next(state, incoming, MockLlmGateway(replies=replies))
+        assert outcome == Abort(reason=reason)
+        assert updated.history == (("USER", "Hi"), ("SYSTEM", "hello"))
+
     def test_scripted_abort(self):
         gateway = MockLlmGateway(replies=["abort: going nowhere"])
         state = ConversationState(goal=simple_goal())
         incoming = utt(1, "SYSTEM", text="hello")
-        outcome = llmus_next(state, incoming, gateway)
+        _, outcome = llmus_next(state, incoming, gateway)
         assert outcome == Abort(reason="going nowhere")
 
     def test_scripted_continue_and_generation(self):
         gateway = MockLlmGateway(replies=["continue", "Can you tell me the director?"])
         state = ConversationState(goal=simple_goal())
         incoming = utt(1, "SYSTEM", text="Have you seen Midnight Run?")
-        outcome = llmus_next(state, incoming, gateway)
+        _, outcome = llmus_next(state, incoming, gateway)
         assert outcome.speaker is Speaker.USER
         assert outcome.text == "Can you tell me the director?"
         assert outcome.index == 2
 
     def test_opening_turn_skips_the_decision_call(self):
         gateway = MockLlmGateway(replies=["Hi, looking for a comedy."])
-        outcome = llmus_next(ConversationState(goal=simple_goal()), None, gateway)
+        _, outcome = llmus_next(ConversationState(goal=simple_goal()), None, gateway)
         assert outcome.text == "Hi, looking for a comedy."
         assert len(gateway.calls) == 1
 
     def test_empty_generation_retried_once_then_aborts(self):
         gateway = MockLlmGateway(replies=["continue", "", "   "])
         state = ConversationState(goal=simple_goal())
-        outcome = llmus_next(state, utt(1, "SYSTEM", text="hi"), gateway)
+        _, outcome = llmus_next(state, utt(1, "SYSTEM", text="hi"), gateway)
         assert outcome == Abort(reason="generation-failure")
         assert len(gateway.calls) == 3
 
     def test_empty_generation_retry_can_succeed(self):
         gateway = MockLlmGateway(replies=["continue", "", "second try works"])
-        outcome = llmus_next(
+        _, outcome = llmus_next(
             ConversationState(goal=simple_goal()), utt(1, "SYSTEM", text="hi"), gateway
         )
         assert outcome.text == "second try works"
@@ -363,7 +407,7 @@ class TestLlmUsNext:
         )
         state = ConversationState(goal=simple_goal(), history=history)
         gateway = MockLlmGateway(replies=["continue", "next message"])
-        outcome = llmus_next(
+        _, outcome = llmus_next(
             state,
             utt(30, "SYSTEM", text="latest system words"),
             gateway,
@@ -378,7 +422,7 @@ class TestLlmUsNext:
     def test_own_turns_are_annotated_when_annotator_given(self, movie_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=movie_catalog)
         gateway = MockLlmGateway(replies=["continue", "Great, I'll watch Midnight Run. Thanks!"])
-        outcome = llmus_next(
+        _, outcome = llmus_next(
             ConversationState(goal=simple_goal()),
             utt(1, "SYSTEM", text="Have you seen Midnight Run?"),
             gateway,
@@ -587,17 +631,6 @@ class TestGenerateCorpus:
         with pytest.raises(SimulationError, match="all 3"):
             generate_corpus(
                 simulator, AlwaysFails(), 3, catalog=movie_catalog, limits=RunLimits(seed=0)
-            )
-
-    def test_distinct_seeds_required(self, movie_catalog):
-        simulator = AgendaSimulator(catalog=movie_catalog)
-        with pytest.raises(ValueError, match="distinct"):
-            generate_corpus(
-                simulator,
-                GoodbyeStub(),
-                2,
-                catalog=movie_catalog,
-                seeds=[1, 1],
             )
 
     def test_goals_attached_and_vary(self, movie_catalog):

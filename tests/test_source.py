@@ -2,6 +2,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import evalkit
 from evalkit import (
     analysis,
@@ -46,32 +48,73 @@ def _opens_for_writing(call: ast.Call) -> bool:
     )
 
 
+def _callers(matches) -> list[str]:
+    """``module.top_level_name`` of every call that ``matches``, in source order."""
+    return [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and matches(node)
+    ]
+
+
 def test_only_corpus_io_write_records_opens_files_for_writing():
     # Every output goes through the one atomic writer.
-    writers = []
-    for path in SOURCES:
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _opens_for_writing(node):
-                    writers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert writers == ["corpus_io.write_records"]
+    assert _callers(_opens_for_writing) == ["corpus_io.write_records"]
+
+
+def _starts_thread_pool(call: ast.Call) -> bool:
+    func = call.func
+    return getattr(func, "id", getattr(func, "attr", None)) == "ThreadPoolExecutor"
+
+
+def test_only_annotation_in_order_starts_a_thread_pool():
+    # simulate and annotate share one bounded, ordered worker map.
+    assert _callers(_starts_thread_pool) == ["annotation.in_order"]
+
+
+MODULES = {
+    "analysis": analysis, "annotation": annotation, "catalog": catalog, "cli": cli,
+    "connectors": connectors, "corpus_io": corpus_io, "dialogue": dialogue,
+    "metrics": metrics, "simulation": simulation,
+}
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_bench_tracer_patch_points_exist():
     # bench/spans.py wraps evalkit attributes by name for ``--trace 1``;
     # renaming one of them must fail here, not in a traced bench run.
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    modules = {
-        "analysis": analysis, "annotation": annotation, "catalog": catalog, "cli": cli,
-        "connectors": connectors, "corpus_io": corpus_io, "dialogue": dialogue,
-        "metrics": metrics, "simulation": simulation,
-    }
+    spans = _bench_spans()
     originals = (cli.serialize_corpus, corpus_io.parse_corpus, cli.evaluate_system)
     tracer = spans.Tracer()
     try:
-        spans.install(tracer, modules)
+        spans.install(tracer, MODULES)
     finally:
         tracer.restore()
     assert (cli.serialize_corpus, corpus_io.parse_corpus, cli.evaluate_system) == originals
+
+
+@pytest.mark.parametrize("family", ["abus", "llm-us"])
+def test_bench_tracer_counts_every_simulated_turn(family, movie_catalog):
+    # A patch point the simulators no longer call through would read 0.
+    spans = _bench_spans()
+    if family == "abus":
+        simulator = simulation.AgendaSimulator(catalog=movie_catalog)
+    else:
+        simulator = simulation.LlmSimulator(
+            lambda: connectors.MockLlmGateway(replies=["Hi, a comedy please."])
+        )
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, MODULES)
+        simulation.generate_corpus(simulator, connectors.GoodbyeStub(), 3, catalog=movie_catalog)
+    finally:
+        tracer.restore()
+    assert [r[spans.NAME] for r in tracer.spans].count("simulation.turn") == 3

@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .annotation import (
     AnnotationQuality,
-    AnnotatorConfig,
     LlmAnnotator,
     RuleAnnotator,
     annotate_corpus,

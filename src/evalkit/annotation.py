@@ -45,33 +45,6 @@ _WORD = re.compile(r"\w")
 
 
 @dataclass(frozen=True)
-class AnnotatorConfig:
-    """How utterances get their acts.
-
-    ``mode`` selects the rule-based or the LLM-backed annotator. LLM mode
-    requires few-shot examples; rule mode optionally takes a cue lexicon
-    (bundled default otherwise) and an item catalog for title matching.
-    """
-
-    schema: IntentSchema
-    mode: str = "rule"
-    few_shot_examples: tuple[tuple[str, tuple[DialogueAct, ...]], ...] = ()
-    lexicon: Mapping[str, tuple[str, ...]] | None = None
-    catalog: ItemCatalog | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("rule", "llm"):
-            raise ValueError(f"mode must be 'rule' or 'llm', got {self.mode!r}")
-        object.__setattr__(
-            self,
-            "few_shot_examples",
-            tuple((text, tuple(acts)) for text, acts in self.few_shot_examples),
-        )
-        if self.mode == "llm" and not self.few_shot_examples:
-            raise ValueError("llm mode requires few-shot examples")
-
-
-@dataclass(frozen=True)
 class AnnotationQuality:
     """Intent-level annotator quality against gold labels.
 
@@ -137,6 +110,12 @@ def load_prompt_template(template_id: str) -> str:
     )
 
 
+def _fallback(allowed: frozenset[str], **extra) -> tuple[DialogueAct, ...]:
+    """The acts of an utterance no rule or reply labels: ``Other`` where the
+    speaker's ``allowed`` intents include it, otherwise none."""
+    return (DialogueAct(OTHER, extra=extra),) if OTHER in allowed else ()
+
+
 def _find_cue(text: str, cue: str) -> int:
     """Position of the first occurrence of ``cue`` in ``text`` that no word
     character (``\\w``) touches on either side, as for titles; -1 if none."""
@@ -191,9 +170,7 @@ class RuleAnnotator:
             matched.setdefault(RECOMMEND, found[0][0])
 
         if not matched:
-            if OTHER in allowed:
-                return (DialogueAct(OTHER),)
-            return ()
+            return _fallback(allowed)
 
         acts = []
         for intent in sorted(matched, key=lambda i: (matched[i], i)):
@@ -202,14 +179,6 @@ class RuleAnnotator:
                 slots = tuple((ITEM_SLOT, title) for title in titles)
             acts.append(DialogueAct(intent, slots))
         return tuple(acts)
-
-
-def _render_examples(examples) -> str:
-    lines = []
-    for text, acts in examples:
-        rendered = "; ".join(str(act) for act in acts) if acts else "None"
-        lines.append(f"Utterance: {text}\nActs: {rendered}")
-    return "\n".join(lines)
 
 
 def _render_context(context: Sequence[Utterance]) -> str:
@@ -255,31 +224,38 @@ def parse_act_lines(reply: str, schema: IntentSchema, speaker: Speaker) -> tuple
 class LlmAnnotator:
     """Few-shot prompting annotator backed by a chat-completion gateway."""
 
-    def __init__(self, config: AnnotatorConfig, gateway: LlmGateway):
-        if config.mode != "llm":
-            raise ValueError("LlmAnnotator requires an llm-mode config")
-        self.config = config
+    def __init__(
+        self,
+        schema: IntentSchema,
+        gateway: LlmGateway,
+        few_shot_examples: Sequence[tuple[str, Sequence[DialogueAct]]],
+    ):
+        if not few_shot_examples:
+            raise ValueError("llm annotation requires few-shot examples")
+        self.schema = schema
         self.gateway = gateway
         self.template = load_prompt_template("annotate_acts")
-
-    def _prompt(self, utterance: Utterance, context: Sequence[Utterance]) -> str:
-        allowed = sorted(self.config.schema.intents_for(utterance.speaker))
-        return self.template.format(
-            schema=", ".join(allowed),
-            examples=_render_examples(self.config.few_shot_examples),
-            context=_render_context(context),
-            utterance=utterance.text,
-        )
+        lines = []
+        for text, acts in few_shot_examples:
+            rendered = "; ".join(str(act) for act in acts) if acts else "None"
+            lines.append(f"Utterance: {text}\nActs: {rendered}")
+        self.examples = "\n".join(lines)
 
     def annotate(
         self, utterance: Utterance, context: Sequence[Utterance] = ()
     ) -> tuple[DialogueAct, ...]:
         if not utterance.text.strip():
             return ()
-        prompt = self._prompt(utterance, context)
+        allowed = self.schema.intents_for(utterance.speaker)
+        prompt = self.template.format(
+            schema=", ".join(sorted(allowed)),
+            examples=self.examples,
+            context=_render_context(context),
+            utterance=utterance.text,
+        )
         messages = [{"role": "user", "content": prompt}]
-        # One retry on an unparseable reply, then fall back to Other with a
-        # warning flag so downstream pipelines stay total.
+        # One retry on an unparseable reply, then fall back (with a warning
+        # flag) so downstream pipelines stay total.
         for attempt in range(2):
             try:
                 reply = self.gateway.complete(messages)
@@ -288,18 +264,10 @@ class LlmAnnotator:
                     f"utterance {utterance.index}: gateway failure: {exc}"
                 ) from exc
             try:
-                return parse_act_lines(reply, self.config.schema, utterance.speaker)
+                return parse_act_lines(reply, self.schema, utterance.speaker)
             except (ValueError, SchemaViolationError):
                 continue
-        return (DialogueAct(OTHER, extra={"warning": "llm-reply-unparseable"}),)
-
-
-def build_annotator(config: AnnotatorConfig, gateway: LlmGateway | None = None):
-    if config.mode == "rule":
-        return RuleAnnotator(config.schema, config.lexicon, config.catalog)
-    if gateway is None:
-        raise ValueError("llm mode requires a gateway")
-    return LlmAnnotator(config, gateway)
+        return _fallback(allowed, warning="llm-reply-unparseable")
 
 
 def in_order(fn, items: Iterable, jobs: int) -> Iterator:
@@ -319,21 +287,19 @@ def in_order(fn, items: Iterable, jobs: int) -> Iterator:
 
 def iter_annotated(
     dialogues: Iterable[Dialogue],
-    config: AnnotatorConfig,
-    gateway: LlmGateway | None = None,
+    annotator: RuleAnnotator | LlmAnnotator,
     overwrite: bool = False,
     jobs: int = 1,
 ) -> Iterator[Dialogue]:
     """Annotate every utterance of a dialogue stream, yielding dialogues in order.
 
-    Existing acts are kept unless ``overwrite`` is set. In llm mode,
-    utterances run on ``jobs`` threads (rule mode runs inline, whatever
-    ``jobs`` says) and are regrouped by dialogue, so the output never
-    depends on scheduling. Per-utterance failures are aggregated into one
-    AnnotationBatchError, raised after the last dialogue; a dialogue with a
-    failure is not yielded.
+    Existing acts are kept unless ``overwrite`` is set. An LlmAnnotator's
+    utterances run on ``jobs`` threads (a RuleAnnotator runs inline,
+    whatever ``jobs`` says) and are regrouped by dialogue, so the output
+    never depends on scheduling. Per-utterance failures are aggregated into
+    one AnnotationBatchError, raised after the last dialogue; a dialogue
+    with a failure is not yielded.
     """
-    annotator = build_annotator(config, gateway)
 
     def tasks():
         # One task per utterance to annotate, then (dialogue, None) to close the dialogue.
@@ -353,7 +319,7 @@ def iter_annotated(
     failures: list[str] = []
     done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
     # Rule annotation is CPU-bound under the GIL: threads would only add overhead.
-    jobs = 1 if config.mode == "rule" else jobs
+    jobs = 1 if isinstance(annotator, RuleAnnotator) else jobs
     for (dialogue, utterance), outcome in in_order(run_one, tasks(), jobs):
         if isinstance(outcome, str):
             failures.append(outcome)
@@ -371,13 +337,12 @@ def iter_annotated(
 
 def annotate_corpus(
     corpus: Corpus,
-    config: AnnotatorConfig,
-    gateway: LlmGateway | None = None,
+    annotator: RuleAnnotator | LlmAnnotator,
     overwrite: bool = False,
     jobs: int = 1,
 ) -> Corpus:
     """Collect ``iter_annotated`` over a corpus into one with its header."""
-    dialogues = tuple(iter_annotated(corpus.dialogues, config, gateway, overwrite, jobs))
+    dialogues = tuple(iter_annotated(corpus.dialogues, annotator, overwrite, jobs))
     return Corpus(dialogues, corpus.schema_version, corpus.extra)
 
 

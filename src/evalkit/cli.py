@@ -23,12 +23,7 @@ from itertools import chain, islice
 from typing import Any, Mapping, Sequence
 
 from .analysis import reliability_report
-from .annotation import (
-    AnnotatorConfig,
-    RuleAnnotator,
-    iter_annotated,
-    load_rule_lexicon,
-)
+from .annotation import LlmAnnotator, RuleAnnotator, iter_annotated, load_rule_lexicon
 from .catalog import ItemCatalog, load_catalog
 from .connectors import (
     CrsEndpoint,
@@ -47,9 +42,12 @@ from .corpus_io import (
     write_records,
 )
 from .dialogue import (
+    ACCEPT,
     DialogueAct,
     ITEM_SLOT,
     IntentSchema,
+    RECOMMEND,
+    REJECT,
     default_schema,
     simulation_schema,
 )
@@ -93,15 +91,15 @@ JOBS_HELP = (
 DEFAULT_FEW_SHOT = (
     (
         "Have you seen Heat? It is a classic crime film.",
-        (DialogueAct("Recommend", ((ITEM_SLOT, "Heat"),)),),
+        (DialogueAct(RECOMMEND, ((ITEM_SLOT, "Heat"),)),),
     ),
     (
         "Great, I'll watch that one tonight, thanks!",
-        (DialogueAct("Accept"),),
+        (DialogueAct(ACCEPT),),
     ),
     (
         "Not a fan of horror. Anything lighter?",
-        (DialogueAct("Reject"),),
+        (DialogueAct(REJECT),),
     ),
 )
 
@@ -152,13 +150,22 @@ def _load_schema(path: str | None, simulation: bool = False) -> IntentSchema:
         raise ConfigError(f"cannot load intent schema from {path}: {exc}") from exc
 
 
-def _build_gateway_factory(endpoint: str, model: str):
-    """A factory returning a fresh gateway per conversation.
+def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], user: str):
+    """A factory returning a fresh gateway per conversation, for ``user``
+    (``llm mode`` of annotate, ``llm-us`` of simulate).
 
+    The endpoint and model come from flags > config file > environment.
     ``mock:<path>`` endpoints load a JSON array of scripted replies; each
     conversation replays the script from the start, which keeps batch
     generation deterministic.
     """
+    endpoint = _resolve(args.llm_endpoint, config, "llm_endpoint", ENV_LLM_ENDPOINT)
+    model = _resolve(args.llm_model, config, "llm_model", ENV_LLM_MODEL)
+    if not endpoint:
+        raise ConfigError(
+            f"{user} needs an endpoint (flag --llm-endpoint, config key "
+            f"llm_endpoint, or {ENV_LLM_ENDPOINT})"
+        )
     if endpoint.startswith("mock:"):
         script_path = endpoint[len("mock:"):]
         try:
@@ -170,7 +177,7 @@ def _build_gateway_factory(endpoint: str, model: str):
             raise ConfigError(f"mock script {script_path} must be a JSON array of strings")
         return lambda: MockLlmGateway(replies=list(replies))
     options = GatewayOptions(
-        endpoint=endpoint, model=model, auth_token=os.environ.get(ENV_LLM_TOKEN)
+        endpoint=endpoint, model=model or "default", auth_token=os.environ.get(ENV_LLM_TOKEN)
     )
     gateway = HttpLlmGateway(options)
     return lambda: gateway
@@ -270,27 +277,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     config_file = _load_config_file(args.config)
     schema = _load_schema(args.schema)
-    catalog = load_catalog(args.catalog) if args.catalog else None
-    lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
-
-    gateway = None
     if args.mode == "llm":
-        endpoint = _resolve(args.llm_endpoint, config_file, "llm_endpoint", ENV_LLM_ENDPOINT)
-        model = _resolve(args.llm_model, config_file, "llm_model", ENV_LLM_MODEL)
-        if not endpoint:
-            raise ConfigError(
-                f"llm mode needs an endpoint (flag --llm-endpoint, config key "
-                f"llm_endpoint, or {ENV_LLM_ENDPOINT})"
-            )
-        gateway = _build_gateway_factory(endpoint, model or "default")()
-
-    annotator_config = AnnotatorConfig(
-        schema=schema,
-        mode=args.mode,
-        few_shot_examples=DEFAULT_FEW_SHOT if args.mode == "llm" else (),
-        lexicon=lexicon,
-        catalog=catalog,
-    )
+        gateway = _llm_gateway_factory(args, config_file, "llm mode")()
+        annotator = LlmAnnotator(schema, gateway, DEFAULT_FEW_SHOT)
+    else:
+        catalog = load_catalog(args.catalog) if args.catalog else None
+        lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
+        annotator = RuleAnnotator(schema, lexicon, catalog)
     settings = {
         "command": "annotate",
         "mode": args.mode,
@@ -300,9 +293,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     input_header: dict[str, Any] = {}
     with open(args.input, "rb") as handle:
         dialogues = iter_corpus(handle, schema, input_header)
-        annotated = iter_annotated(
-            dialogues, annotator_config, gateway, overwrite=args.overwrite, jobs=args.jobs
-        )
+        annotated = iter_annotated(dialogues, annotator, args.overwrite, args.jobs)
         records = map(dialogue_record, annotated)
         # Drawing the first record reads the input header.
         first = list(islice(records, 1))
@@ -363,16 +354,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         model = load_interaction_model(args.interaction_model) if args.interaction_model else None
         simulator = AgendaSimulator(catalog=catalog, schema=schema, model=model)
     elif args.simulator == "llm-us":
-        endpoint = _resolve(args.llm_endpoint, config_file, "llm_endpoint", ENV_LLM_ENDPOINT)
-        model_name = _resolve(args.llm_model, config_file, "llm_model", ENV_LLM_MODEL)
-        if not endpoint:
-            raise ConfigError(
-                f"llm-us needs an endpoint (flag --llm-endpoint, config key "
-                f"llm_endpoint, or {ENV_LLM_ENDPOINT})"
-            )
-        gateway_factory = _build_gateway_factory(endpoint, model_name or "default")
         simulator = LlmSimulator(
-            gateway_factory, annotator=RuleAnnotator(schema, catalog=catalog)
+            _llm_gateway_factory(args, config_file, "llm-us"),
+            annotator=RuleAnnotator(schema, catalog=catalog),
         )
     else:
         raise ConfigError(f"unknown simulator {args.simulator!r}; use abus or llm-us")

@@ -21,6 +21,8 @@ from .dialogue import (
     Dialogue,
     DialogueAct,
     IntentSchema,
+    PROVENANCE_HUMAN,
+    SATISFIED,
     Speaker,
     UserGoal,
     Utterance,
@@ -94,7 +96,7 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
         utterances=utterances,
         satisfaction=record.get("satisfaction"),
         goal=goal,
-        provenance=record.get("provenance", "human"),
+        provenance=record.get("provenance", PROVENANCE_HUMAN),
         simulator_id=record.get("simulator_id"),
         extra=_extras(record, _DIALOGUE_KEYS),
     )
@@ -286,5 +288,5 @@ def satisfaction_score(corpus: Corpus, crs_id: str) -> float:
     ]
     if not labeled:
         raise ValueError(f"no labeled dialogues for crs_id {crs_id!r}")
-    satisfied = sum(1 for d in labeled if d.satisfaction == "satisfied")
+    satisfied = sum(1 for d in labeled if d.satisfaction == SATISFIED)
     return satisfied / len(labeled)

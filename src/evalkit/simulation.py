@@ -662,16 +662,17 @@ class LlmSimulator:
 
     def __init__(
         self,
-        gateway: LlmGateway | Callable[[], LlmGateway],
+        gateway_factory: Callable[[], LlmGateway],
         annotator: RuleAnnotator | None = None,
     ):
-        self._gateway = gateway
+        # One gateway per conversation, so scripted gateways replay per dialogue.
+        self._gateway_factory = gateway_factory
         # Generated turns should carry acts; without a catalog the rule
         # annotator still tags decisions and disclosures from cue phrases.
         self.annotator = annotator or RuleAnnotator(simulation_schema())
 
     def start_session(self, goal: UserGoal, seed: int) -> _Session:
-        gateway = self._gateway() if callable(self._gateway) else self._gateway
+        gateway = self._gateway_factory()
 
         def step(state: ConversationState, incoming: Utterance | None):
             return llmus_next(state, incoming, gateway, self.annotator)

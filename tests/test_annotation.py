@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from evalkit.annotation import (
     AnnotationQuality,
-    AnnotatorConfig,
     LlmAnnotator,
     RuleAnnotator,
     _find_cue,
     annotate_corpus,
     evaluate_annotator,
+    in_order,
     iter_annotated,
     load_rule_lexicon,
     parse_act_lines,
 )
 from evalkit.catalog import load_catalog
 from evalkit.connectors import MockLlmGateway
-from evalkit.dialogue import Speaker, default_schema, simulation_schema
+from evalkit.dialogue import IntentSchema, Speaker, default_schema, simulation_schema
 from evalkit.errors import (
     AlignmentError,
     AnnotationBatchError,
@@ -30,6 +30,11 @@ from evalkit.errors import (
 from helpers import act, corpus, dlg, utt
 
 SCHEMA = default_schema()
+# A schema without Other for either speaker.
+NO_OTHER = IntentSchema(
+    user_intents=frozenset({"Accept", "Reject", "Disclose"}),
+    system_intents=frozenset({"Recommend", "Respond"}),
+)
 
 FEW_SHOT = (
     ("Have you seen Heat?", (act("Recommend", ("TITLE", "Heat")),)),
@@ -188,18 +193,15 @@ class TestParseActLines:
 
 
 class TestLlmAnnotator:
-    def _config(self):
-        return AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
-
     def test_scripted_reply_parsed(self):
         gateway = MockLlmGateway(replies=["Recommend(TITLE=Heat)"])
-        annotator = LlmAnnotator(self._config(), gateway)
+        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
         acts = annotator.annotate(utt(1, "SYSTEM", text="Maybe try Heat?"))
         assert acts == (act("Recommend", ("TITLE", "Heat")),)
 
     def test_retry_then_other_with_warning_flag(self):
         gateway = MockLlmGateway(replies=["&& broken &&", "still broken (("])
-        annotator = LlmAnnotator(self._config(), gateway)
+        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
         acts = annotator.annotate(utt(0, "USER", text="whatever"))
         assert len(gateway.calls) == 2
         assert acts[0].intent == "Other"
@@ -208,19 +210,19 @@ class TestLlmAnnotator:
 
     def test_second_attempt_can_succeed(self):
         gateway = MockLlmGateway(replies=["garbage ((", "Accept()"])
-        annotator = LlmAnnotator(self._config(), gateway)
+        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
         acts = annotator.annotate(utt(0, "USER", text="ok!"))
         assert [a.intent for a in acts] == ["Accept"]
 
     def test_gateway_failure_propagates_with_utterance_id(self):
         gateway = MockLlmGateway(replies=[])  # exhausted immediately
-        annotator = LlmAnnotator(self._config(), gateway)
+        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
         with pytest.raises(AnnotationError, match="utterance 3"):
             annotator.annotate(utt(3, "USER", text="hello"))
 
     def test_prompt_carries_schema_context_and_utterance(self):
         gateway = MockLlmGateway(replies=["None"])
-        annotator = LlmAnnotator(self._config(), gateway)
+        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
         context = (utt(0, "USER", text="earlier words"),)
         annotator.annotate(utt(1, "SYSTEM", text="current words"), context)
         prompt = gateway.calls[0][0]["content"]
@@ -229,9 +231,52 @@ class TestLlmAnnotator:
         assert "Recommend" in prompt  # allowed system intents listed
         assert "Have you seen Heat?" in prompt  # few-shot example present
 
+    def test_examples_render_once_as_utterance_and_acts_lines(self):
+        examples = FEW_SHOT + (("Hmm.", ()),)
+        gateway = MockLlmGateway(replies=["None"])
+        annotator = LlmAnnotator(SCHEMA, gateway, examples)
+        annotator.annotate(utt(0, "USER", text="hello"))
+        assert annotator.examples == (
+            "Utterance: Have you seen Heat?\nActs: Recommend(TITLE='Heat')\n"
+            "Utterance: I'll watch it, thanks!\nActs: Accept()\n"
+            "Utterance: Hmm.\nActs: None"
+        )
+        assert annotator.examples in gateway.calls[0][0]["content"]
+
     def test_llm_config_requires_examples(self):
         with pytest.raises(ValueError, match="few-shot"):
-            AnnotatorConfig(schema=SCHEMA, mode="llm")
+            LlmAnnotator(SCHEMA, MockLlmGateway(replies=[]), ())
+
+
+@pytest.mark.parametrize("kind", ["rule", "llm"])
+@pytest.mark.parametrize("speaker", ["USER", "SYSTEM"])
+def test_fallback_is_other_only_where_the_schema_allows_it(kind, speaker):
+    def build(schema):
+        if kind == "rule":
+            return RuleAnnotator(schema)
+        return LlmAnnotator(schema, MockLlmGateway(replies=["garbage((("] * 2), FEW_SHOT)
+
+    unlabelled = utt(0, speaker, text="hmm interesting weather")
+    assert build(NO_OTHER).annotate(unlabelled) == ()
+    (other,) = build(SCHEMA).annotate(unlabelled)
+    assert other.intent == "Other"
+    assert other.extra == ({} if kind == "rule" else {"warning": "llm-reply-unparseable"})
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_in_order_fills_a_window_of_four_calls_per_job(jobs):
+    drawn = []
+
+    def source():
+        for number in range(50):
+            drawn.append(number)
+            yield number
+
+    results = in_order(lambda n: n * n, source(), jobs)
+    assert next(results) == 0
+    # The window fills before the first result is handed out.
+    assert len(drawn) == (1 if jobs == 1 else 4 * jobs)
+    assert list(results) == [n * n for n in range(1, 50)]
 
 
 class TestAnnotateCorpus:
@@ -250,12 +295,12 @@ class TestAnnotateCorpus:
 
     def test_empty_corpus_unchanged(self):
         c = corpus()
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        assert annotate_corpus(c, config) == c
+        annotator = RuleAnnotator(SCHEMA)
+        assert annotate_corpus(c, annotator) == c
 
     def test_rule_annotation_fills_empty_acts(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        annotated = annotate_corpus(self._bare_corpus(), config)
+        annotator = RuleAnnotator(SCHEMA)
+        annotated = annotate_corpus(self._bare_corpus(), annotator)
         intents = [
             [a.intent for a in u.acts]
             for u in annotated.dialogues[0].utterances
@@ -263,29 +308,28 @@ class TestAnnotateCorpus:
         assert intents == [["Disclose"], ["Recommend"], ["Accept"]]
 
     def test_rule_annotation_is_repeatable(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        first = annotate_corpus(self._bare_corpus(), config)
-        second = annotate_corpus(self._bare_corpus(), config)
+        annotator = RuleAnnotator(SCHEMA)
+        first = annotate_corpus(self._bare_corpus(), annotator)
+        second = annotate_corpus(self._bare_corpus(), annotator)
         assert first == second
 
     def test_existing_acts_kept_without_overwrite(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        annotated = annotate_corpus(self._bare_corpus(), config)
-        again = annotate_corpus(annotated, config)
+        annotator = RuleAnnotator(SCHEMA)
+        annotated = annotate_corpus(self._bare_corpus(), annotator)
+        again = annotate_corpus(annotated, annotator)
         assert again == annotated
 
     def test_overwrite_replaces_acts(self):
         base = corpus(
             dlg("d1", "sysA", [utt(0, "USER", [act("Inquire")], text="I'll watch it!")])
         )
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        kept = annotate_corpus(base, config)
+        annotator = RuleAnnotator(SCHEMA)
+        kept = annotate_corpus(base, annotator)
         assert kept.dialogues[0].utterances[0].acts[0].intent == "Inquire"
-        rewritten = annotate_corpus(base, config, overwrite=True)
+        rewritten = annotate_corpus(base, annotator, overwrite=True)
         assert rewritten.dialogues[0].utterances[0].acts[0].intent == "Accept"
 
     def test_scripted_llm_corpus(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
         gateway = MockLlmGateway(
             replies=[
                 "Disclose(genre=comedy)",
@@ -293,7 +337,7 @@ class TestAnnotateCorpus:
                 "Accept(TITLE=Paper Moon)",
             ]
         )
-        annotated = annotate_corpus(self._bare_corpus(), config, gateway)
+        annotated = annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway, FEW_SHOT))
         expected = [
             (act("Disclose", ("genre", "comedy")),),
             (act("Recommend", ("TITLE", "Paper Moon")),),
@@ -303,8 +347,8 @@ class TestAnnotateCorpus:
 
     def test_annotation_preserves_everything_else(self):
         base = self._bare_corpus()
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        annotated = annotate_corpus(base, config)
+        annotator = RuleAnnotator(SCHEMA)
+        annotated = annotate_corpus(base, annotator)
         for before, after in zip(
             base.dialogues[0].utterances, annotated.dialogues[0].utterances
         ):
@@ -314,16 +358,15 @@ class TestAnnotateCorpus:
         assert annotated.dialogues[0].dialogue_id == "d1"
 
     def test_batch_error_aggregates_failures(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
         gateway = MockLlmGateway(replies=["Accept()"])  # exhausted after one
         with pytest.raises(AnnotationBatchError) as excinfo:
-            annotate_corpus(self._bare_corpus(), config, gateway)
+            annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway, FEW_SHOT))
         assert excinfo.value.count == 2
 
     def test_parallel_matches_sequential(self):
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        assert annotate_corpus(self._bare_corpus(), config, jobs=4) == annotate_corpus(
-            self._bare_corpus(), config
+        annotator = RuleAnnotator(SCHEMA)
+        assert annotate_corpus(self._bare_corpus(), annotator, jobs=4) == annotate_corpus(
+            self._bare_corpus(), annotator
         )
 
     def test_rule_mode_runs_on_the_calling_thread_at_any_jobs(self, monkeypatch):
@@ -336,8 +379,8 @@ class TestAnnotateCorpus:
             return annotate(self, utterance, context)
 
         monkeypatch.setattr(RuleAnnotator, "annotate", recording)
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        annotate_corpus(self._bare_corpus(), config, jobs=4)
+        annotator = RuleAnnotator(SCHEMA)
+        annotate_corpus(self._bare_corpus(), annotator, jobs=4)
         assert threads and set(threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -349,8 +392,8 @@ class TestAnnotateCorpus:
                 drawn.append(number)
                 yield dlg(f"d{number}", "sysA", [utt(0, "USER", text="thanks!")])
 
-        config = AnnotatorConfig(schema=SCHEMA, mode="rule")
-        stream = iter_annotated(source(), config, jobs=jobs)
+        annotator = RuleAnnotator(SCHEMA)
+        stream = iter_annotated(source(), annotator, jobs=jobs)
         assert next(stream).dialogue_id == "d0"
         assert len(drawn) <= (1 if jobs == 1 else 4 * jobs)
         assert [d.dialogue_id for d in stream] == [f"d{n}" for n in range(1, 50)]
@@ -365,9 +408,8 @@ class TestAnnotateCorpus:
             return "Other()"
 
         bare = corpus(dlg("d1", "sysA", [utt(i, "USER", text=f"u{i}") for i in range(4)]))
-        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
         gateway = MockLlmGateway(responder=responder)
-        annotated = annotate_corpus(bare, config, gateway, jobs=4)
+        annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, gateway, FEW_SHOT), jobs=4)
         assert [u.acts[0].intent for u in annotated.dialogues[0].utterances] == ["Other"] * 4
 
     def test_partial_failures_same_at_any_jobs(self):
@@ -395,12 +437,11 @@ class TestAnnotateCorpus:
                 for d in range(5)
             )
         )
-        config = AnnotatorConfig(schema=SCHEMA, mode="llm", few_shot_examples=FEW_SHOT)
         failures = []
         for jobs in (1, 4):
-            gateway = MockLlmGateway(responder=responder)
+            annotator = LlmAnnotator(SCHEMA, MockLlmGateway(responder=responder), FEW_SHOT)
             with pytest.raises(AnnotationBatchError) as excinfo:
-                annotate_corpus(bare, config, gateway, jobs=jobs)
+                annotate_corpus(bare, annotator, jobs=jobs)
             failures.append(excinfo.value.failures)
         assert failures[0] == failures[1]
         assert len(failures[0]) == 7

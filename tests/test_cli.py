@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
-from evalkit.annotation import AnnotatorConfig, annotate_corpus
+from evalkit.annotation import RuleAnnotator, annotate_corpus
 from evalkit.cli import _stamp, main
 from evalkit.corpus_io import read_corpus, serialize_corpus, write_corpus
-from evalkit.dialogue import Corpus, default_schema, simulation_schema
+from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 
 from conftest import MOVIES
 from helpers import act, corpus, dlg, turns, utt
@@ -232,6 +232,35 @@ class TestAnnotate:
         assert annotate_with(["--config", str(config_file)]) == "Reject"
         assert annotate_with([]) == "Inquire"
 
+    def test_llm_fallback_honours_a_schema_without_other(self, tmp_path):
+        record = {
+            "user_intents": ["Accept", "Reject", "Disclose"],
+            "system_intents": ["Recommend", "Respond"],
+        }
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(record))
+        src = tmp_path / "raw.ndjson"
+        bare = dlg("d1", "sysA", [utt(0, "USER", text="hmm"), utt(1, "SYSTEM", text="well")])
+        write_corpus(corpus(bare), src)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["garbage((("] * 4))
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        assert main(argv + ["--schema", str(schema), "--llm-endpoint", f"mock:{script}"]) == 0
+        annotated = read_corpus(out, IntentSchema.from_record(record))
+        assert [u.acts for u in annotated.dialogues[0].utterances] == [(), ()]
+
+    def test_llm_mode_reads_no_rule_files(self, tmp_path):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", text="sure!")])), src)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["Accept()"]))
+        out = tmp_path / "annotated.ndjson"
+        missing = ["--catalog", str(tmp_path / "no.json"), "--lexicon", str(tmp_path / "no.tsv")]
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        assert main(argv + missing + ["--llm-endpoint", f"mock:{script}"]) == 0
+        assert main(argv[:-2] + missing) == 1  # rule mode does read them
+
     def test_failed_llm_run_leaves_the_old_output(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"
         first = dlg("d1", "sysA", [utt(0, "USER", text="sure!")])
@@ -279,7 +308,7 @@ class TestAnnotate:
         argv = ["annotate", "--input", str(src), "--output", str(out), "--seed", "3"]
         assert main(argv + ["--jobs", jobs]) == 0
 
-        annotated = annotate_corpus(read_corpus(src), AnnotatorConfig(default_schema()))
+        annotated = annotate_corpus(read_corpus(src), RuleAnnotator(default_schema()))
         settings = {"command": "annotate", "mode": "rule", "overwrite": False, "seed": 3}
         extra = {**annotated.extra, **_stamp(settings)}
         assert out.read_bytes() == serialize_corpus(replace(annotated, extra=extra))
@@ -545,6 +574,16 @@ class TestSimulate:
             ]
         )
         assert code == 1  # unknown stub surfaces as a validation error
+
+    def test_llmus_without_endpoint_is_config_error(
+        self, tmp_path, catalog_file, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("EVALKIT_LLM_ENDPOINT", raising=False)
+        argv = ["simulate", "--simulator", "llm-us", "--crs", "stub:echo"]
+        argv += ["--catalog", catalog_file]
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert "llm-us needs an endpoint" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unreachable_endpoint_all_fail_exits_three(self, tmp_path, catalog_file, capsys):
         code = main(

@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 import re
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import average_ranks
 from .catalog import ItemCatalog
-from .connectors import LlmGateway
+from .connectors import LlmGateway, MockLlmGateway
 from .dialogue import (
     Corpus,
     Dialogue,
@@ -275,6 +274,9 @@ def in_order(fn, items: Iterable, jobs: int) -> Iterator:
     if jobs <= 1:
         yield from map(fn, items)
         return
+    # Imported here: it pulls in logging, and no single-job run needs it.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         pending: deque = deque()
         for item in items:
@@ -294,11 +296,12 @@ def iter_annotated(
     """Annotate every utterance of a dialogue stream, yielding dialogues in order.
 
     Existing acts are kept unless ``overwrite`` is set. An LlmAnnotator's
-    utterances run on ``jobs`` threads (a RuleAnnotator runs inline,
-    whatever ``jobs`` says) and are regrouped by dialogue, so the output
-    never depends on scheduling. Per-utterance failures are aggregated into
-    one AnnotationBatchError, raised after the last dialogue; a dialogue
-    with a failure is not yielded.
+    utterances run on ``jobs`` threads and are regrouped by dialogue, so the
+    output never depends on scheduling. A RuleAnnotator, and an LlmAnnotator
+    on a scripted MockLlmGateway, run inline whatever ``jobs`` says.
+    Per-utterance failures are aggregated into one AnnotationBatchError,
+    raised after the last dialogue; a dialogue with a failure is not
+    yielded.
     """
 
     def tasks():
@@ -318,8 +321,13 @@ def iter_annotated(
 
     failures: list[str] = []
     done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
-    # Rule annotation is CPU-bound under the GIL: threads would only add overhead.
-    jobs = 1 if isinstance(annotator, RuleAnnotator) else jobs
+    # Rule annotation is CPU-bound under the GIL: threads would only add
+    # overhead. A scripted mock hands out replies in call order: threads
+    # would let scheduling pick which utterance gets which reply.
+    if isinstance(annotator, RuleAnnotator) or (
+        isinstance(annotator.gateway, MockLlmGateway) and annotator.gateway.scripted
+    ):
+        jobs = 1
     for (dialogue, utterance), outcome in in_order(run_one, tasks(), jobs):
         if isinstance(outcome, str):
             failures.append(outcome)

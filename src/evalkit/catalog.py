@@ -131,16 +131,19 @@ def load_catalog(source) -> ItemCatalog:
     """Load a catalog from a JSON file path or parsed list.
 
     Expected shape: a list of objects, each with an ``id`` (or ``title``)
-    key naming the item and any further keys as attributes.
+    key naming the item and any further keys as attributes. Records passed
+    in are copied, never changed.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as handle:
             records = json.load(handle)
     else:
-        records = source
+        # Copied, since the id is popped below; parsed records are ours.
+        records = [dict(record) for record in source]
     items = []
     for record in records:
-        record = dict(record)
+        if not isinstance(record, dict):
+            raise ValueError("catalog records must be JSON objects")
         item_id = record.pop("id", None) or record.pop("title", None)
         if not item_id:
             raise ValueError("catalog records need an 'id' or 'title' key")

@@ -83,7 +83,8 @@ JOBS_HELP = (
     "worker threads (default 1), each on one conversation or utterance at a time, "
     "at most 4 x jobs in flight, results in seed or input order; they help only live, "
     "I/O-bound runs, as offline runs are CPU-bound under the GIL; rule-mode annotate "
-    "ignores it"
+    "and llm-mode annotate on a mock: endpoint (its scripted replies go out in call "
+    "order) ignore it and run inline"
 )
 
 # Built-in few-shot examples so llm-mode annotation works without an

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-import requests
-
 from .errors import (
     ConnectorError,
     ConnectorTimeout,
@@ -64,6 +62,8 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     raises a permanent one. Status and body errors keep the response text
     in ``raw_body``.
     """
+    import requests  # on first use: no offline command pays for importing it
+
     try:
         response = requests.post(url, json=payload, headers=headers, timeout=timeout)
     except requests.Timeout as exc:
@@ -82,6 +82,15 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         raise GatewayError(
             f"{url} returned non-JSON body", raw_body=response.text
         ) from exc
+
+
+def __getattr__(name: str):
+    # ``connectors.requests`` still names the module ``post_json`` imports.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _extract_text(body: Mapping[str, Any]) -> str:
@@ -133,10 +142,12 @@ class HttpLlmGateway:
 class MockLlmGateway:
     """Scripted gateway for offline tests.
 
-    Replies are returned in order and the mock fails loudly when the script
-    is exhausted. A ``responder`` callable may be supplied instead of a
-    script for programmable fakes. Every call's messages are recorded in
-    ``calls`` for prompt assertions.
+    Replies are returned in call order and the mock fails loudly when the
+    script is exhausted; ``scripted`` says a script is in use, so callers
+    that need a reply per prompt make their calls in a fixed order. A
+    ``responder`` callable may be supplied instead of a script for
+    programmable fakes. Every call's messages are recorded in ``calls`` for
+    prompt assertions.
     """
 
     def __init__(
@@ -147,6 +158,7 @@ class MockLlmGateway:
         if (replies is None) == (responder is None):
             raise ValueError("provide exactly one of replies or responder")
         self._replies = list(replies) if replies is not None else None
+        self.scripted = replies is not None
         self._responder = responder
         self._cursor = 0
         self._lock = threading.Lock()

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +48,41 @@ class TestIndex:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             load_catalog([{"title": "Heat"}, {"title": "Heat", "year": "1995"}])
+
+
+class TestLoadCatalog:
+    RECORDS = [
+        {"id": "Heat", "year": "1995", "actor": ["Al Pacino", "Robert De Niro"]},
+        {"title": "Jaws", "genre": "thriller"},
+        {"id": "Up", "title": "Up (2009)"},
+    ]
+
+    def test_records_passed_in_are_left_unchanged(self):
+        records = copy.deepcopy(self.RECORDS)
+        catalog = load_catalog(records)
+        assert records == self.RECORDS
+        assert [item.item_id for item in catalog] == ["Heat", "Jaws", "Up"]
+
+    def test_a_file_and_its_records_give_equal_catalogs(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(self.RECORDS), encoding="utf-8")
+
+        def contents(catalog):
+            return [(item.item_id, dict(item.attributes)) for item in catalog]
+
+        from_file, from_list = load_catalog(path), load_catalog(self.RECORDS)
+        assert contents(from_file) == contents(from_list)
+        assert contents(from_list) == [
+            ("Heat", {"year": "1995", "actor": ["Al Pacino", "Robert De Niro"]}),
+            ("Jaws", {"genre": "thriller"}),
+            ("Up", {"title": "Up (2009)"}),
+        ]
+
+    def test_a_file_record_that_is_not_an_object_is_rejected(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(["Heat"]), encoding="utf-8")
+        with pytest.raises(ValueError, match="catalog records must be JSON objects"):
+            load_catalog(path)
 
 
 class TestFindTitles:

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, annotate_corpus
 from evalkit.cli import _stamp, main
+from evalkit.connectors import MockLlmGateway
 from evalkit.corpus_io import read_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 
@@ -260,6 +262,34 @@ class TestAnnotate:
         argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
         assert main(argv + missing + ["--llm-endpoint", f"mock:{script}"]) == 0
         assert main(argv[:-2] + missing) == 1  # rule mode does read them
+
+    def test_llm_mock_writes_the_same_bytes_at_any_jobs(self, tmp_path, monkeypatch):
+        # The scripted mock hands out replies in call order. The delay makes
+        # later utterances of a dialogue reach it first whenever threads run
+        # them, so only inline annotation keeps the bytes of --jobs 1.
+        complete = MockLlmGateway.complete
+
+        def delayed(self, messages):
+            turn = int(messages[-1]["content"].rsplit("Utterance: turn ", 1)[1].split()[0])
+            time.sleep(0.01 * (4 - turn))
+            return complete(self, messages)
+
+        monkeypatch.setattr(MockLlmGateway, "complete", delayed)
+        src = tmp_path / "raw.ndjson"
+        utterances = [utt(i, "USER", text=f"turn {i}") for i in range(4)]
+        write_corpus(corpus(dlg("d0", "sysA", utterances), dlg("d1", "sysA", utterances)), src)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["Accept()", "Reject()", "Disclose()", "Inquire()"] * 2))
+        outputs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"jobs{jobs}.ndjson"
+            argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+            assert main(argv + ["--llm-endpoint", f"mock:{script}", "--jobs", jobs]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        annotated = read_corpus(tmp_path / "jobs1.ndjson")
+        intents = [u.acts[0].intent for d in annotated.dialogues for u in d.utterances]
+        assert intents == ["Accept", "Reject", "Disclose", "Inquire"] * 2
 
     def test_failed_llm_run_leaves_the_old_output(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"

@@ -1,5 +1,9 @@
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,9 @@ from evalkit import (
     metrics,
     simulation,
 )
+from evalkit.corpus_io import write_corpus
+
+from helpers import corpus, dlg, utt
 
 SOURCES = sorted(Path(evalkit.__file__).parent.glob("*.py"))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -72,6 +79,52 @@ def _starts_thread_pool(call: ast.Call) -> bool:
 def test_only_annotation_in_order_starts_a_thread_pool():
     # simulate and annotate share one bounded, ordered worker map.
     assert _callers(_starts_thread_pool) == ["annotation.in_order"]
+
+
+# Run in a fresh interpreter: which modules an import and offline commands load.
+COLD_RUN = """
+import json, sys
+import evalkit, evalkit.cli
+
+def heavy():
+    return [m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules]
+
+loaded = {"import": heavy()}
+corpus, annotated, report = sys.argv[1:]
+for argv in (
+    ["ingest", "--input", corpus],
+    ["annotate", "--input", corpus, "--output", annotated],
+    ["evaluate", "--input", annotated, "--output", report],
+):
+    loaded[argv[0]] = (evalkit.cli.main(argv), heavy())
+import requests
+loaded["connectors.requests"] = evalkit.connectors.requests is requests
+print(json.dumps(loaded))
+"""
+
+
+def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
+    # Only live HTTP endpoints need requests (about half of a cold
+    # ``import evalkit``), and only runs on more than one job need
+    # concurrent.futures.
+    path = tmp_path / "corpus.ndjson"
+    utterances = [utt(0, "USER", text="a comedy, please"), utt(1, "SYSTEM", text="Try Up.")]
+    write_corpus(corpus(dlg("d1", "sysA", utterances)), path)
+    source_root = str(Path(evalkit.__file__).resolve().parents[1])
+    path_entries = [source_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    outputs = [str(tmp_path / "annotated.ndjson"), str(tmp_path / "report.ndjson")]
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_RUN, str(path), *outputs],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "import": [],
+        "ingest": [0, []],
+        "annotate": [0, []],
+        "evaluate": [0, []],
+        "connectors.requests": True,
+    }
 
 
 MODULES = {

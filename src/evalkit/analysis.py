@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from itertools import groupby
 from typing import Any, Mapping, Sequence
 
@@ -213,6 +212,8 @@ def load_reference_scores() -> dict[str, Any]:
     externally published correlation/difference figures used as regression
     targets.
     """
+    from importlib import resources
+
     text = (
         resources.files("evalkit").joinpath("data/reference_scores.json").read_text("utf-8")
     )

@@ -12,7 +12,6 @@ import functools
 import re
 from collections import deque
 from dataclasses import dataclass, replace
-from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .analysis import average_ranks
@@ -78,6 +77,8 @@ def load_rule_lexicon(source=None) -> dict[str, tuple[str, ...]]:
     are skipped. With no source, the bundled default lexicon is used.
     """
     if source is None:
+        from importlib import resources
+
         text = (
             resources.files("evalkit").joinpath("data/rule_lexicon.tsv").read_text("utf-8")
         )
@@ -102,6 +103,8 @@ def load_rule_lexicon(source=None) -> dict[str, tuple[str, ...]]:
 @functools.cache
 def load_prompt_template(template_id: str) -> str:
     """The bundled prompt ``data/prompts/<template_id>.txt``, read once."""
+    from importlib import resources
+
     return (
         resources.files("evalkit")
         .joinpath(f"data/prompts/{template_id}.txt")

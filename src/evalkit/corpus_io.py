@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 import json
 import os
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 from .dialogue import (
@@ -42,54 +44,56 @@ _DIALOGUE_KEYS = {
 _UTTERANCE_KEYS = {"index", "speaker", "text", "acts", "items"}
 _ACT_KEYS = {"intent", "slots"}
 _GOAL_KEYS = {"constraints", "requests"}
+_SPEAKERS = {speaker.value: speaker for speaker in Speaker}
+_slot_pair = itemgetter("slot", "value")
+# The ``extra`` of every parsed object without unknown keys.
+_NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
 
 
-def _extras(record: Mapping[str, Any], known: set[str]) -> dict[str, Any]:
+def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
+    if record.keys() <= known:
+        return _NO_EXTRAS
     return {k: v for k, v in record.items() if k not in known}
 
 
+# Acts and utterances are built with positional arguments: matching
+# keywords would cost a sizeable share of a small record's parse.
 def _parse_act(record: Mapping[str, Any]) -> DialogueAct:
-    slots = tuple(
-        (pair["slot"], pair["value"]) for pair in record.get("slots", ())
-    )
-    return DialogueAct(
-        intent=record["intent"],
-        slots=slots,
-        extra=_extras(record, _ACT_KEYS),
-    )
+    slots = tuple(map(_slot_pair, record.get("slots", ())))
+    return DialogueAct(record["intent"], slots, _extras(record, _ACT_KEYS))
 
 
 def _parse_goal(record: Mapping[str, Any]) -> UserGoal:
-    constraints = tuple(
-        (pair["slot"], pair["value"]) for pair in record.get("constraints", ())
-    )
     return UserGoal(
-        constraints=constraints,
+        constraints=tuple(map(_slot_pair, record.get("constraints", ()))),
         requests=tuple(record.get("requests", ())),
         extra=_extras(record, _GOAL_KEYS),
     )
 
 
 def _parse_utterance(record: Mapping[str, Any], schema: IntentSchema) -> Utterance:
-    speaker = Speaker(record["speaker"])
-    acts = tuple(_parse_act(a) for a in record.get("acts", ()))
+    try:
+        speaker = _SPEAKERS[record["speaker"]]
+    except (KeyError, TypeError):
+        speaker = Speaker(record["speaker"])  # raises the error naming the field or value
+    acts = tuple(map(_parse_act, record.get("acts", ())))
+    intents = schema.intents_for(speaker)
     for act in acts:
-        schema.validate_act(act, speaker)
+        if act.intent not in intents:
+            schema.validate_act(act, speaker)
     return Utterance(
-        index=record["index"],
-        speaker=speaker,
-        text=record.get("text", ""),
-        acts=acts,
-        items=tuple(record.get("items", ())),
-        extra=_extras(record, _UTTERANCE_KEYS),
+        record["index"],
+        speaker,
+        record.get("text", ""),
+        acts,
+        tuple(record.get("items", ())),
+        _extras(record, _UTTERANCE_KEYS),
     )
 
 
 def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue:
     goal = _parse_goal(record["goal"]) if record.get("goal") is not None else None
-    utterances = tuple(
-        _parse_utterance(u, schema) for u in record.get("utterances", ())
-    )
+    utterances = tuple([_parse_utterance(u, schema) for u in record.get("utterances", ())])
     return Dialogue(
         dialogue_id=record["dialogue_id"],
         crs_id=record["crs_id"],

@@ -3,6 +3,8 @@
 All types are immutable after construction and safe to share across
 threads. Sequences are stored as tuples; unknown fields from external
 records are carried in ``extra`` mappings so they survive a round-trip.
+A parsed object without unknown fields shares one read-only empty
+``extra`` mapping.
 """
 
 from __future__ import annotations
@@ -43,12 +45,40 @@ BYE = "Bye"
 ITEM_SLOT = "TITLE"
 
 
+def _as_strings(values: Iterable) -> tuple[str, ...]:
+    """``values`` as a tuple of str; a tuple of str is returned as it is."""
+    if type(values) is tuple and all(type(value) is str for value in values):
+        return values
+    return tuple(map(str, values))
+
+
 def _as_slot_pairs(slots: Iterable) -> tuple[tuple[str, str], ...]:
-    pairs = []
-    for entry in slots:
-        name, value = entry
-        pairs.append((str(name), str(value)))
-    return tuple(pairs)
+    """``slots`` as a tuple of (str, str) pairs; such a tuple is returned as it is."""
+    if type(slots) is tuple:
+        for pair in slots:
+            if not (
+                type(pair) is tuple and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str
+            ):
+                break
+        else:
+            return slots
+    return tuple([(str(name), str(value)) for name, value in slots])
+
+
+def _slot_fault(pairs: tuple[tuple[str, str], ...]) -> tuple[str, str] | None:
+    """The first pair with an empty name or equal to an earlier pair, or None.
+
+    The walk that finds it runs only when C-level tests say there is one.
+    """
+    if "" not in dict(pairs) and (len(pairs) < 2 or len(set(pairs)) == len(pairs)):
+        return None
+    seen = set()
+    for pair in pairs:
+        if not pair[0] or pair in seen:
+            return pair
+        seen.add(pair)
+    return None
 
 
 @dataclass(frozen=True)
@@ -138,15 +168,12 @@ class DialogueAct:
         if not self.intent:
             raise ValueError("act intent must be non-empty")
         object.__setattr__(self, "slots", _as_slot_pairs(self.slots))
-        seen = set()
-        for name, value in self.slots:
+        fault = _slot_fault(self.slots)
+        if fault is not None:
+            name, value = fault
             if not name:
                 raise ValueError(f"slot name must be non-empty in {self.intent} act")
-            if (name, value) in seen:
-                raise ValueError(
-                    f"duplicate slot pair ({name}={value}) in {self.intent} act"
-                )
-            seen.add((name, value))
+            raise ValueError(f"duplicate slot pair ({name}={value}) in {self.intent} act")
 
     def slot_values(self, name: str) -> tuple[str, ...]:
         """All values carried for slot ``name``, in order."""
@@ -175,13 +202,11 @@ class Utterance:
             raise ValueError("utterance index must be >= 0")
         if not isinstance(self.speaker, Speaker):
             object.__setattr__(self, "speaker", Speaker(self.speaker))
-        object.__setattr__(self, "acts", tuple(self.acts))
-        object.__setattr__(self, "items", tuple(str(i) for i in self.items))
-        for item in self.items:
-            if not item:
-                raise ValueError(
-                    f"utterance {self.index}: item identifiers must be non-empty"
-                )
+        if type(self.acts) is not tuple:
+            object.__setattr__(self, "acts", tuple(self.acts))
+        object.__setattr__(self, "items", _as_strings(self.items))
+        if "" in self.items:
+            raise ValueError(f"utterance {self.index}: item identifiers must be non-empty")
 
     def intents(self) -> tuple[str, ...]:
         return tuple(act.intent for act in self.acts)
@@ -200,19 +225,17 @@ class UserGoal:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", _as_slot_pairs(self.constraints))
-        object.__setattr__(self, "requests", tuple(str(r) for r in self.requests))
+        object.__setattr__(self, "requests", _as_strings(self.requests))
         if not self.constraints:
             raise ValueError("a goal needs at least one constraint")
-        seen = set()
-        for name, value in self.constraints:
+        fault = _slot_fault(self.constraints)
+        if fault is not None:
+            name, value = fault
             if not name:
                 raise ValueError("constraint slot names must be non-empty")
-            if (name, value) in seen:
-                raise ValueError(f"duplicate constraint ({name}={value})")
-            seen.add((name, value))
-        for request in self.requests:
-            if not request:
-                raise ValueError("request attribute names must be non-empty")
+            raise ValueError(f"duplicate constraint ({name}={value})")
+        if "" in self.requests:
+            raise ValueError("request attribute names must be non-empty")
 
 
 @dataclass(frozen=True)

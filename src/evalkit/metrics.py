@@ -95,7 +95,8 @@ class RecommendationRound:
             raise ValueError(f"unknown round outcome {self.outcome!r}")
         if not self.start_index < self.end_index:
             raise ValueError("round must satisfy start_index < end_index")
-        object.__setattr__(self, "items", tuple(self.items))
+        if type(self.items) is not tuple:
+            object.__setattr__(self, "items", tuple(self.items))
 
 
 @dataclass(frozen=True)
@@ -144,15 +145,6 @@ def _require_annotated(dialogue: Dialogue) -> None:
         )
 
 
-def _round_items(utterance) -> list[str]:
-    items = []
-    for act in utterance.acts:
-        if act.intent == RECOMMEND:
-            items.extend(act.slot_values(ITEM_SLOT))
-    items.extend(utterance.items)
-    return items
-
-
 def segment_rounds(dialogue: Dialogue) -> list[RecommendationRound]:
     """Split a dialogue into recommendation rounds.
 
@@ -160,47 +152,44 @@ def segment_rounds(dialogue: Dialogue) -> list[RecommendationRound]:
     at the first later user utterance carrying Accept or Reject; further
     Recommend acts before that decision extend the open round. A round
     still open at dialogue end is returned as unresolved with
-    ``end_index`` one past the last utterance.
+    ``end_index`` one past the last utterance. A round's items are the
+    item-slot values of its Recommend acts and the items of its
+    recommending utterances, each once, in order of first mention.
     """
     _require_annotated(dialogue)
     rounds: list[RecommendationRound] = []
     open_start: int | None = None
-    open_items: list[str] = []
+    # The open round's items, as an insertion-ordered set.
+    open_items: dict[str, None] = {}
 
     for utterance in dialogue.utterances:
-        if utterance.speaker is Speaker.SYSTEM and utterance.has_intent(RECOMMEND):
-            if open_start is None:
-                open_start = utterance.index
-                open_items = []
-            seen = set(open_items)
-            for item in _round_items(utterance):
-                if item not in seen:
-                    open_items.append(item)
-                    seen.add(item)
-        elif utterance.speaker is Speaker.USER and open_start is not None:
-            decision = next(
-                (a for a in utterance.acts if a.intent in (ACCEPT, REJECT)), None
-            )
-            if decision is not None:
-                outcome = OUTCOME_ACCEPTED if decision.intent == ACCEPT else OUTCOME_REJECTED
-                rounds.append(
-                    RecommendationRound(
-                        start_index=open_start,
-                        end_index=utterance.index,
-                        outcome=outcome,
-                        items=tuple(open_items),
+        if utterance.speaker is Speaker.SYSTEM:
+            recommends = False
+            for act in utterance.acts:
+                if act.intent == RECOMMEND:
+                    if open_start is None:
+                        open_start, open_items = utterance.index, {}
+                    recommends = True
+                    for name, value in act.slots:
+                        if name == ITEM_SLOT:
+                            open_items[value] = None
+            if recommends:
+                for item in utterance.items:
+                    open_items[item] = None
+        elif open_start is not None:  # a user utterance in an open round
+            for act in utterance.acts:
+                if act.intent == ACCEPT or act.intent == REJECT:
+                    outcome = OUTCOME_ACCEPTED if act.intent == ACCEPT else OUTCOME_REJECTED
+                    rounds.append(
+                        RecommendationRound(open_start, utterance.index, outcome, tuple(open_items))
                     )
-                )
-                open_start = None
-                open_items = []
+                    open_start = None
+                    break
 
     if open_start is not None:
         rounds.append(
             RecommendationRound(
-                start_index=open_start,
-                end_index=len(dialogue.utterances),
-                outcome=OUTCOME_UNRESOLVED,
-                items=tuple(open_items),
+                open_start, len(dialogue.utterances), OUTCOME_UNRESOLVED, tuple(open_items)
             )
         )
     return rounds
@@ -214,23 +203,19 @@ def accepted_item_count(dialogue: Dialogue) -> int:
     it resolves, i.e. counts as 1.
     """
     _require_annotated(dialogue)
-    named: list[str] = []
-    seen: set[str] = set()
+    named: set[str] = set()
     bare = 0
     for utterance in dialogue.utterances:
-        if utterance.speaker is not Speaker.USER:
-            continue
-        for act in utterance.acts:
-            if act.intent != ACCEPT:
-                continue
-            values = act.slot_values(ITEM_SLOT)
-            if values:
-                for value in values:
-                    if value not in seen:
-                        named.append(value)
-                        seen.add(value)
-            else:
-                bare += 1
+        if utterance.speaker is Speaker.USER:
+            for act in utterance.acts:
+                if act.intent == ACCEPT:
+                    titled = False
+                    for name, value in act.slots:
+                        if name == ITEM_SLOT:
+                            named.add(value)
+                            titled = True
+                    if not titled:
+                        bare += 1
     return len(named) + bare
 
 
@@ -252,8 +237,11 @@ class DialogueFacts:
 def _utility(
     facts: DialogueFacts, rewards: Sequence[RewardFactor], costs: Sequence[CostFactor]
 ) -> float:
-    total_reward = sum(f.weight * f.evaluator(facts) for f in rewards)
-    total_cost = sum(f.weight * f.evaluator(facts) for f in costs)
+    total_reward = total_cost = 0
+    for factor in rewards:
+        total_reward += factor.weight * factor.evaluator(facts)
+    for factor in costs:
+        total_cost += factor.weight * factor.evaluator(facts)
     if total_cost == 0 and total_reward == 0:
         return 0.0
     if total_cost <= 0:
@@ -342,14 +330,13 @@ def _recommendation_turns(dialogue: Dialogue):
     for utterance in dialogue.utterances:
         if utterance.speaker is not Speaker.SYSTEM:
             continue
-        recommends = utterance.has_intent(RECOMMEND)
-        items = list(utterance.items)
-        if not items and recommends:
-            for act in utterance.acts:
-                if act.intent == RECOMMEND:
-                    items.extend(act.slot_values(ITEM_SLOT))
-        if items or recommends:
-            turns.append((utterance.index, tuple(items)))
+        if utterance.items:
+            turns.append((utterance.index, utterance.items))
+            continue
+        recommends = [act for act in utterance.acts if act.intent == RECOMMEND]
+        if recommends:
+            items = tuple([v for act in recommends for n, v in act.slots if n == ITEM_SLOT])
+            turns.append((utterance.index, items))
     return turns
 
 

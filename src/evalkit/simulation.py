@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from importlib import resources
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .annotation import RuleAnnotator, in_order, load_prompt_template
@@ -167,6 +166,8 @@ def load_interaction_model(source) -> InteractionModel:
 
 
 def default_interaction_model() -> InteractionModel:
+    from importlib import resources
+
     text = (
         resources.files("evalkit")
         .joinpath("data/interaction_model.tsv")

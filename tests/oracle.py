@@ -29,50 +29,75 @@ def _dialogue_success(utterances: list[dict]) -> float:
     return 0.0
 
 
-def _dialogue_srrr(utterances: list[dict]) -> float:
-    outcomes: list[bool] = []
-    open_round = False
+def _first_mentions(values: list[str]) -> list[str]:
+    return [value for position, value in enumerate(values) if value not in values[:position]]
+
+
+def _titles(act: dict) -> list[str]:
+    return [pair["value"] for pair in act.get("slots", []) if pair["slot"] == "TITLE"]
+
+
+def oracle_rounds(utterances: list[dict]) -> list[tuple[int, int, str, list[str]]]:
+    """(start, end, outcome, items) per recommendation round of one
+    dialogue record's utterances.
+
+    A round opens at a SYSTEM utterance with a Recommend act and closes at
+    the first later USER utterance with an Accept or Reject act, the first
+    of which decides it; further Recommends extend the open round, and one
+    still open at the end is unresolved and ends one past the last
+    utterance. Its items are the TITLE values of its Recommend acts and the
+    items of its recommending utterances, each once, in order of first
+    mention.
+    """
+    rounds = []
+    start = None
+    mentions: list[str] = []
     for utterance in utterances:
-        intents = [act["intent"] for act in utterance.get("acts", [])]
+        acts = utterance.get("acts", [])
+        intents = [act["intent"] for act in acts]
         if utterance["speaker"] == "SYSTEM" and "Recommend" in intents:
-            open_round = True
-        elif utterance["speaker"] == "USER" and open_round:
-            decision = None
-            for act in utterance.get("acts", []):
-                if act["intent"] in ("Accept", "Reject"):
-                    decision = act["intent"]
-                    break
-            if decision is not None:
-                outcomes.append(decision == "Accept")
-                open_round = False
-    if open_round:
-        outcomes.append(False)
-    if not outcomes:
-        return 0.0
-    return sum(1 for outcome in outcomes if outcome) / len(outcomes)
+            if start is None:
+                start, mentions = utterance["index"], []
+            for act in acts:
+                if act["intent"] == "Recommend":
+                    mentions += _titles(act)
+            mentions += utterance.get("items", [])
+        elif utterance["speaker"] == "USER" and start is not None:
+            decisions = [intent for intent in intents if intent in ("Accept", "Reject")]
+            if decisions:
+                outcome = "accepted" if decisions[0] == "Accept" else "rejected"
+                rounds.append((start, utterance["index"], outcome, _first_mentions(mentions)))
+                start = None
+    if start is not None:
+        rounds.append((start, len(utterances), "unresolved", _first_mentions(mentions)))
+    return rounds
 
 
-def _dialogue_rdl(utterances: list[dict]) -> float:
+def oracle_accepted_items(utterances: list[dict]) -> int:
+    """Distinct TITLE values over USER Accept acts, plus 1 for each such act
+    that names no title."""
     named: list[str] = []
     bare = 0
     for utterance in utterances:
         if utterance["speaker"] != "USER":
             continue
         for act in utterance.get("acts", []):
-            if act["intent"] != "Accept":
-                continue
-            values = [
-                pair["value"]
-                for pair in act.get("slots", [])
-                if pair["slot"] == "TITLE"
-            ]
-            if values:
-                for value in values:
-                    if value not in named:
-                        named.append(value)
-            else:
-                bare += 1
-    return (len(named) + bare) / len(utterances)
+            if act["intent"] == "Accept":
+                titles = _titles(act)
+                named += titles
+                bare += 0 if titles else 1
+    return len(_first_mentions(named)) + bare
+
+
+def _dialogue_srrr(utterances: list[dict]) -> float:
+    outcomes = [outcome for _, _, outcome, _ in oracle_rounds(utterances)]
+    if not outcomes:
+        return 0.0
+    return outcomes.count("accepted") / len(outcomes)
+
+
+def _dialogue_rdl(utterances: list[dict]) -> float:
+    return oracle_accepted_items(utterances) / len(utterances)
 
 
 def oracle_reports(stream: bytes) -> dict[str, dict[str, float]]:

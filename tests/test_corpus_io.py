@@ -64,6 +64,16 @@ def stream(*records) -> bytes:
     return ("\n".join([HEADER] + [json.dumps(r) for r in records]) + "\n").encode()
 
 
+def with_second_utterance(**fields) -> dict:
+    """A copy of FIXTURE_RECORD whose SYSTEM utterance has ``fields`` set."""
+    record = json.loads(json.dumps(FIXTURE_RECORD))
+    record["utterances"][1].update(fields)
+    return record
+
+
+TITLE_UP = {"slot": "TITLE", "value": "Up"}
+
+
 class TestParseCorpus:
     def test_empty_stream_yields_empty_corpus(self):
         parsed = parse_corpus(b"")
@@ -100,6 +110,58 @@ class TestParseCorpus:
             parse_corpus(stream(record))
         assert "FlyToMoon" in str(excinfo.value)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"items": ["Up", ""]}, "utterance 1: item identifiers must be non-empty"),
+            (
+                {"acts": [{"intent": "Recommend", "slots": [TITLE_UP, {"slot": "", "value": "x"}]}]},
+                "slot name must be non-empty in Recommend act",
+            ),
+            (
+                {"acts": [{"intent": "Recommend", "slots": [TITLE_UP, TITLE_UP]}]},
+                "duplicate slot pair (TITLE=Up) in Recommend act",
+            ),
+            ({"index": -1}, "utterance index must be >= 0"),
+            ({"speaker": "ROBOT"}, "'ROBOT' is not a valid Speaker"),
+            (
+                {"acts": [{"intent": "Accept"}]},
+                "intent 'Accept' is not a SYSTEM intent in the configured schema",
+            ),
+        ],
+    )
+    def test_invalid_utterance_names_reason_and_line(self, fields, reason):
+        first = dict(FIXTURE_RECORD, dialogue_id="d0")
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(stream(first, with_second_utterance(**fields)))
+        assert excinfo.value.reason == reason
+        assert excinfo.value.line_number == 3
+
+    def test_non_string_items_and_slots_become_strings(self):
+        record = with_second_utterance(
+            acts=[{"intent": "Recommend", "slots": [{"slot": 7, "value": 1}]}], items=[1]
+        )
+        utterance = parse_corpus(stream(record)).dialogues[0].utterances[1]
+        assert utterance.items == ("1",)
+        assert utterance.acts[0].slots == (("7", "1"),)
+
+    def test_records_without_unknown_keys_share_a_read_only_empty_extra(self):
+        dialogue = parse_corpus(stream(FIXTURE_RECORD)).dialogues[0]
+        first, second = dialogue.utterances
+        extras = [dialogue.extra, first.extra, second.extra, first.acts[0].extra]
+        assert all(extra == {} for extra in extras)
+        assert all(extra is extras[0] for extra in extras)
+        with pytest.raises(TypeError):
+            first.extra["mood"] = "sunny"
+
+    def test_unknown_keys_give_a_plain_dict(self):
+        record = with_second_utterance(
+            acts=[{"intent": "Recommend", "slots": [TITLE_UP], "why": "popular"}], mood="sunny"
+        )
+        utterance = parse_corpus(stream(record)).dialogues[0].utterances[1]
+        assert type(utterance.extra) is dict and utterance.extra == {"mood": "sunny"}
+        assert type(utterance.acts[0].extra) is dict and utterance.acts[0].extra == {"why": "popular"}
 
     def test_duplicate_dialogue_id_reports_line(self):
         with pytest.raises(CorpusFormatError) as excinfo:

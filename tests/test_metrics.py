@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evalkit import metrics
@@ -44,7 +44,7 @@ from helpers import (
     turns,
     utt,
 )
-from oracle import oracle_recall, oracle_reports
+from oracle import oracle_accepted_items, oracle_recall, oracle_reports, oracle_rounds
 
 
 def one_round_accepted():
@@ -600,15 +600,22 @@ turn_spec = st.one_of(
 
 
 @st.composite
+def annotated_utterances(draw):
+    """One dialogue's utterances, at least one of them with an act."""
+    specs = draw(st.lists(turn_spec, min_size=1, max_size=8))
+    utterances = [utt(i, *spec) for i, spec in enumerate(specs)]
+    if not any(u.acts for u in utterances):
+        utterances[0] = replace(utterances[0], acts=(DialogueAct("Other"),))
+    return utterances
+
+
+@st.composite
 def corpora_with_truth(draw):
     """A small annotated corpus, recall ground truth for some of its system
     turns, and N."""
     dialogues = []
     for number in range(draw(st.integers(1, 6))):
-        specs = draw(st.lists(turn_spec, min_size=1, max_size=8))
-        utterances = [utt(i, *spec) for i, spec in enumerate(specs)]
-        if not any(u.acts for u in utterances):
-            utterances[0] = replace(utterances[0], acts=(DialogueAct("Other"),))
+        utterances = draw(annotated_utterances())
         crs_id = draw(st.sampled_from(("sysA", "sysB", "sysC")))
         dialogues.append(dlg(f"d{number}", crs_id, utterances))
     keys = [
@@ -621,6 +628,48 @@ def corpora_with_truth(draw):
     if keys:
         truth = draw(st.dictionaries(st.sampled_from(keys), st.sets(item, max_size=2)))
     return corpus(*dialogues), truth, draw(st.integers(1, 3))
+
+
+def title(intent, *values):
+    return act(intent, *(("TITLE", value) for value in values))
+
+
+class TestFoldAgainstOracle:
+    @given(annotated_utterances().map(lambda utterances: dlg("d0", "sysA", utterances)))
+    # Recommend turns before a decision, with titles both in acts and in items.
+    @example(dlg("d0", "sysA", turns(
+        ("SYSTEM", [title("Recommend", "Alpha")], ["Alpha"]),
+        ("SYSTEM", [title("Recommend", "Beta", "Alpha"), title("Recommend", "Gamma")], ["Delta", "Beta"]),
+        ("USER", [title("Accept", "Beta")]),
+    )))
+    # Bare and titled Accepts, the same title accepted twice.
+    @example(dlg("d0", "sysA", turns(
+        ("SYSTEM", ["Recommend"]),
+        ("USER", ["Accept"]),
+        ("USER", [title("Accept", "Alpha"), "Accept"]),
+        ("USER", [title("Accept", "Alpha", "Beta")]),
+    )))
+    # Reject and Accept in one utterance: the first one decides.
+    @example(dlg("d0", "sysA", turns(
+        ("SYSTEM", [title("Recommend", "Alpha")]),
+        ("USER", [title("Reject", "Alpha"), title("Accept", "Alpha")]),
+        ("SYSTEM", [title("Recommend", "Beta")]),
+        ("USER", ["Accept", "Reject"]),
+    )))
+    # A decision before any Recommend, and a round unresolved at the end.
+    @example(dlg("d0", "sysA", turns(
+        ("USER", [title("Accept", "Alpha")]),
+        ("SYSTEM", ["Explain"], ["Beta"]),
+        ("SYSTEM", ["Recommend"], ["Beta"]),
+        ("USER", ["Inquire"]),
+    )))
+    def test_rounds_and_accepted_items_equal_the_oracle(self, dialogue):
+        utterances = json.loads(serialize_corpus(corpus(dialogue)).splitlines()[1])["utterances"]
+        rounds = segment_rounds(dialogue)
+        assert [(r.start_index, r.end_index, r.outcome, list(r.items)) for r in rounds] == (
+            oracle_rounds(utterances)
+        )
+        assert accepted_item_count(dialogue) == oracle_accepted_items(utterances)
 
 
 class TestOnePassEngine:

@@ -84,19 +84,23 @@ def test_only_annotation_in_order_starts_a_thread_pool():
 # Run in a fresh interpreter: which modules an import and offline commands load.
 COLD_RUN = """
 import json, sys
+# Checked only if nothing loaded it before evalkit, as a site hook may.
+data_reader = [] if "importlib.resources" in sys.modules else ["importlib.resources"]
 import evalkit, evalkit.cli
 
-def heavy():
-    return [m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules]
+def heavy(also):
+    names = ["requests", "urllib3", "concurrent.futures", *also]
+    return [m for m in names if m in sys.modules]
 
-loaded = {"import": heavy()}
+loaded = {"import": heavy(data_reader)}
 corpus, annotated, report = sys.argv[1:]
-for argv in (
-    ["ingest", "--input", corpus],
-    ["annotate", "--input", corpus, "--output", annotated],
-    ["evaluate", "--input", annotated, "--output", report],
+# ingest and evaluate read no bundled data file; rule annotate reads its lexicon.
+for argv, also in (
+    (["ingest", "--input", corpus], data_reader),
+    (["evaluate", "--input", corpus, "--output", report], data_reader),
+    (["annotate", "--input", corpus, "--output", annotated], []),
 ):
-    loaded[argv[0]] = (evalkit.cli.main(argv), heavy())
+    loaded[argv[0]] = (evalkit.cli.main(argv), heavy(also))
 import requests
 loaded["connectors.requests"] = evalkit.connectors.requests is requests
 print(json.dumps(loaded))
@@ -105,24 +109,29 @@ print(json.dumps(loaded))
 
 def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
     # Only live HTTP endpoints need requests (about half of a cold
-    # ``import evalkit``), and only runs on more than one job need
-    # concurrent.futures.
+    # ``import evalkit``), only runs on more than one job need
+    # concurrent.futures, and only commands that read bundled data need
+    # importlib.resources.
     path = tmp_path / "corpus.ndjson"
-    utterances = [utt(0, "USER", text="a comedy, please"), utt(1, "SYSTEM", text="Try Up.")]
+    utterances = [
+        utt(0, "USER", ["Disclose"], text="a comedy, please"),
+        utt(1, "SYSTEM", ["Recommend"], text="Try Up."),
+    ]
     write_corpus(corpus(dlg("d1", "sysA", utterances)), path)
     source_root = str(Path(evalkit.__file__).resolve().parents[1])
-    path_entries = [source_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    # -S runs no site hooks, so none can load a module for the commands;
+    # this interpreter's import path stands in for the site packages.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
     outputs = [str(tmp_path / "annotated.ndjson"), str(tmp_path / "report.ndjson")]
     result = subprocess.run(
-        [sys.executable, "-c", COLD_RUN, str(path), *outputs],
+        [sys.executable, "-S", "-c", COLD_RUN, str(path), *outputs],
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == {
         "import": [],
         "ingest": [0, []],
-        "annotate": [0, []],
         "evaluate": [0, []],
+        "annotate": [0, []],
         "connectors.requests": True,
     }
 

@@ -17,11 +17,9 @@ from .analysis import (
     reliability_report,
 )
 from .annotation import (
-    AnnotationQuality,
     LlmAnnotator,
     RuleAnnotator,
     annotate_corpus,
-    evaluate_annotator,
     iter_annotated,
 )
 from .catalog import CatalogItem, ItemCatalog, load_catalog
@@ -41,7 +39,6 @@ from .corpus_io import (
     iter_corpus,
     parse_corpus,
     read_corpus,
-    satisfaction_score,
     serialize_corpus,
     write_corpus,
 )
@@ -63,7 +60,6 @@ from .metrics import (
     RecommendationRound,
     RewardFactor,
     evaluate_system,
-    recall_at_n,
     rdl,
     segment_rounds,
     srrr,

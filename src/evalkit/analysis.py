@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import UndefinedCorrelationError
 
@@ -36,21 +36,8 @@ class Ranking:
         if scores != sorted(scores, reverse=True):
             raise ValueError("ranking entries must be sorted by score descending")
 
-    def as_rank_map(self) -> dict[str, float]:
-        return {e.crs_id: e.rank for e in self.entries}
-
     def order(self) -> tuple[str, ...]:
         return tuple(e.crs_id for e in self.entries)
-
-
-def average_ranks(ordered: Sequence[float]) -> list[float]:
-    """1-based ranks of already sorted values; each run of equal values
-    shares the average rank of its positions."""
-    ranks: list[float] = []
-    for _, run in groupby(ordered):
-        size = len(list(run))
-        ranks.extend([len(ranks) + (size + 1) / 2] * size)
-    return ranks
 
 
 def rank_systems(scores: Mapping[str, float]) -> Ranking:
@@ -58,13 +45,13 @@ def rank_systems(scores: Mapping[str, float]) -> Ranking:
     if len(scores) < 2:
         raise ValueError("ranking needs at least 2 systems")
     ordered = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    ranks = average_ranks([score for _, score in ordered])
-    return Ranking(
-        entries=tuple(
-            RankedSystem(crs_id=crs_id, score=score, rank=rank)
-            for (crs_id, score), rank in zip(ordered, ranks)
-        )
-    )
+    # Each run of equal scores shares the average of its 1-based positions.
+    entries: list[RankedSystem] = []
+    for score, run in groupby(ordered, key=lambda pair: pair[1]):
+        run = list(run)
+        rank = len(entries) + (len(run) + 1) / 2
+        entries.extend(RankedSystem(crs_id, score, rank) for crs_id, _ in run)
+    return Ranking(entries=tuple(entries))
 
 
 def _tied_pairs(values: list[float]) -> int:

@@ -1,4 +1,4 @@
-"""Dialogue-act annotation: rule-based and LLM-backed annotators plus scoring.
+"""Dialogue-act annotation: rule-based and LLM-backed annotators.
 
 The rule annotator is a pure function of (utterance, cue lexicon, item
 catalog) and exists as a deterministic offline path; the LLM annotator
@@ -11,10 +11,9 @@ from __future__ import annotations
 import functools
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .analysis import average_ranks
 from .catalog import ItemCatalog
 from .connectors import LlmGateway, MockLlmGateway
 from .dialogue import (
@@ -31,7 +30,6 @@ from .dialogue import (
     Utterance,
 )
 from .errors import (
-    AlignmentError,
     AnnotationBatchError,
     AnnotationError,
     GatewayError,
@@ -40,34 +38,6 @@ from .errors import (
 
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
 _WORD = re.compile(r"\w")
-
-
-@dataclass(frozen=True)
-class AnnotationQuality:
-    """Intent-level annotator quality against gold labels.
-
-    Precision/recall are reported per intent and omitted where undefined
-    (no predicted or no gold occurrences respectively). AUCs pool
-    one-vs-rest (utterance, intent) decisions per speaker role and are
-    None when only one class is present.
-    """
-
-    per_intent_precision: Mapping[str, float]
-    per_intent_recall: Mapping[str, float]
-    auc_user: float | None = None
-    auc_system: float | None = None
-
-    def __post_init__(self):
-        for name, mapping in (
-            ("precision", self.per_intent_precision),
-            ("recall", self.per_intent_recall),
-        ):
-            for intent, value in mapping.items():
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"{name}[{intent}] out of [0,1]: {value}")
-        for name, value in (("auc_user", self.auc_user), ("auc_system", self.auc_system)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of [0,1]: {value}")
 
 
 def load_rule_lexicon(source=None) -> dict[str, tuple[str, ...]]:
@@ -355,104 +325,3 @@ def annotate_corpus(
     """Collect ``iter_annotated`` over a corpus into one with its header."""
     dialogues = tuple(iter_annotated(corpus.dialogues, annotator, overwrite, jobs))
     return Corpus(dialogues, corpus.schema_version, corpus.extra)
-
-
-def _roc_auc(instances: list[tuple[bool, float]]) -> float | None:
-    """Rank-based AUC with average ranks for ties; None when one class only."""
-    positives = sum(1 for label, _ in instances if label)
-    negatives = len(instances) - positives
-    if positives == 0 or negatives == 0:
-        return None
-    ordered = sorted(instances, key=lambda pair: pair[1])
-    ranks = average_ranks([score for _, score in ordered])
-    positive_rank_sum = sum(rank for (label, _), rank in zip(ordered, ranks) if label)
-    return (positive_rank_sum - positives * (positives + 1) / 2) / (
-        positives * negatives
-    )
-
-
-def _check_aligned(predicted: Corpus, gold: Corpus) -> None:
-    predicted_ids = {d.dialogue_id for d in predicted.dialogues}
-    gold_ids = {d.dialogue_id for d in gold.dialogues}
-    if predicted_ids != gold_ids:
-        raise AlignmentError(
-            f"corpora cover different dialogues: "
-            f"{sorted(predicted_ids ^ gold_ids)[:5]} ..."
-        )
-    gold_by_id = {d.dialogue_id: d for d in gold.dialogues}
-    for dialogue in predicted.dialogues:
-        other = gold_by_id[dialogue.dialogue_id]
-        if len(dialogue.utterances) != len(other.utterances):
-            raise AlignmentError(
-                f"dialogue {dialogue.dialogue_id}: utterance counts differ"
-            )
-        for mine, theirs in zip(dialogue.utterances, other.utterances):
-            if mine.speaker is not theirs.speaker:
-                raise AlignmentError(
-                    f"dialogue {dialogue.dialogue_id}[{mine.index}]: speakers differ"
-                )
-
-
-def evaluate_annotator(
-    predicted: Corpus,
-    gold: Corpus,
-    confidences: Mapping[tuple[str, int, str], float] | None = None,
-) -> AnnotationQuality:
-    """Score predicted acts against gold at the intent level.
-
-    Slot values are ignored. ``confidences`` optionally maps
-    (dialogue_id, index, intent) to a score; binary act presence is used
-    otherwise.
-    """
-    _check_aligned(predicted, gold)
-    gold_by_id = {d.dialogue_id: d for d in gold.dialogues}
-
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    role_instances: dict[Speaker, list[tuple[bool, float]]] = {
-        Speaker.USER: [],
-        Speaker.SYSTEM: [],
-    }
-    role_labels: dict[Speaker, set[str]] = {Speaker.USER: set(), Speaker.SYSTEM: set()}
-    pairs = []
-    for dialogue in predicted.dialogues:
-        gold_dialogue = gold_by_id[dialogue.dialogue_id]
-        for mine, theirs in zip(dialogue.utterances, gold_dialogue.utterances):
-            pairs.append((dialogue.dialogue_id, mine, theirs))
-            role_labels[mine.speaker].update(mine.intents())
-            role_labels[mine.speaker].update(theirs.intents())
-
-    for dialogue_id, mine, theirs in pairs:
-        predicted_intents = set(mine.intents())
-        gold_intents = set(theirs.intents())
-        for intent in predicted_intents | gold_intents:
-            if intent in predicted_intents and intent in gold_intents:
-                tp[intent] = tp.get(intent, 0) + 1
-            elif intent in predicted_intents:
-                fp[intent] = fp.get(intent, 0) + 1
-            else:
-                fn[intent] = fn.get(intent, 0) + 1
-        for intent in sorted(role_labels[mine.speaker]):
-            if confidences is not None and (dialogue_id, mine.index, intent) in confidences:
-                score = confidences[(dialogue_id, mine.index, intent)]
-            else:
-                score = 1.0 if intent in predicted_intents else 0.0
-            role_instances[mine.speaker].append((intent in gold_intents, score))
-
-    precision = {
-        intent: tp.get(intent, 0) / (tp.get(intent, 0) + fp.get(intent, 0))
-        for intent in set(tp) | set(fp)
-        if tp.get(intent, 0) + fp.get(intent, 0) > 0
-    }
-    recall = {
-        intent: tp.get(intent, 0) / (tp.get(intent, 0) + fn.get(intent, 0))
-        for intent in set(tp) | set(fn)
-        if tp.get(intent, 0) + fn.get(intent, 0) > 0
-    }
-    return AnnotationQuality(
-        per_intent_precision=precision,
-        per_intent_recall=recall,
-        auc_user=_roc_auc(role_instances[Speaker.USER]),
-        auc_system=_roc_auc(role_instances[Speaker.SYSTEM]),
-    )

@@ -243,9 +243,22 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
             raw = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load ground truth from {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"ground truth {path} must be a JSON object of dialogue ids")
     mapping: dict[tuple[str, int], set[str]] = {}
     for dialogue_id, per_turn in raw.items():
+        if not isinstance(per_turn, dict):
+            raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
         for index, items in per_turn.items():
+            if not index.isdecimal():
+                raise ConfigError(
+                    f"ground truth {path}: index {index!r} of {dialogue_id!r} "
+                    f"is not a non-negative integer"
+                )
+            if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+                raise ConfigError(
+                    f"ground truth {path}: ({dialogue_id}, {index}) must be an array of item ids"
+                )
             mapping[(dialogue_id, int(index))] = set(items)
     return mapping
 

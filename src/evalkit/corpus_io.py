@@ -1,4 +1,4 @@
-"""Corpus parsing, serialization, and corpus-level scores.
+"""Corpus parsing and serialization.
 
 The on-disk format is newline-delimited JSON (UTF-8): a leading header
 record carrying ``schema_version`` (plus any corpus-level metadata),
@@ -24,7 +24,6 @@ from .dialogue import (
     DialogueAct,
     IntentSchema,
     PROVENANCE_HUMAN,
-    SATISFIED,
     Speaker,
     UserGoal,
     Utterance,
@@ -279,18 +278,3 @@ def write_corpus(corpus: Corpus, path) -> None:
 def read_corpus(path, schema: IntentSchema | None = None) -> Corpus:
     with open(path, "rb") as handle:
         return parse_corpus(handle, schema)
-
-
-def satisfaction_score(corpus: Corpus, crs_id: str) -> float:
-    """Fraction of a system's labeled dialogues marked satisfied.
-
-    Unlabeled dialogues (e.g. simulated ones) are excluded from the
-    denominator. Raises ValueError when the system has no labeled dialogues.
-    """
-    labeled = [
-        d for d in corpus.dialogues if d.crs_id == crs_id and d.satisfaction is not None
-    ]
-    if not labeled:
-        raise ValueError(f"no labeled dialogues for crs_id {crs_id!r}")
-    satisfied = sum(1 for d in labeled if d.satisfaction == SATISFIED)
-    return satisfied / len(labeled)

@@ -24,10 +24,6 @@ class CorpusFormatError(EvalkitError):
         self.reason = reason
 
 
-class AlignmentError(EvalkitError):
-    """Two corpora that must be aligned on (dialogue_id, index) are not."""
-
-
 class AnnotationError(EvalkitError):
     """A single utterance could not be annotated."""
 

@@ -40,13 +40,11 @@ OUTCOME_UNRESOLVED = "unresolved"
 MICRO = "micro"
 MACRO = "macro"
 
-RECALL_VARIANT_STANDARD = "standard"
-# The published formula carries an extra 1/(total utterances) prefactor on
-# top of conventional micro-averaged recall; it is implemented verbatim
-# under this name and never silently merged with the standard variant.
-RECALL_VARIANT_LENGTH_NORMALIZED = "length_normalized"
-# The order evaluate_system reports the two variants in.
-_RECALL_VARIANTS = (RECALL_VARIANT_STANDARD, RECALL_VARIANT_LENGTH_NORMALIZED)
+# The two recall reports, in the order evaluate_system returns them. The
+# published formula carries an extra 1/(total utterances) prefactor on top
+# of conventional micro-averaged recall; it is implemented verbatim as
+# length_normalized and never silently merged with standard.
+_RECALL_VARIANTS = ("standard", "length_normalized")
 
 METRIC_SR = "SR"
 METRIC_SRRR = "SRRR"
@@ -138,13 +136,6 @@ class MetricReport:
         )
 
 
-def _require_annotated(dialogue: Dialogue) -> None:
-    if not dialogue.has_acts():
-        raise UnannotatedDialogueError(
-            f"dialogue {dialogue.dialogue_id} carries no act annotations"
-        )
-
-
 def segment_rounds(dialogue: Dialogue) -> list[RecommendationRound]:
     """Split a dialogue into recommendation rounds.
 
@@ -155,8 +146,12 @@ def segment_rounds(dialogue: Dialogue) -> list[RecommendationRound]:
     ``end_index`` one past the last utterance. A round's items are the
     item-slot values of its Recommend acts and the items of its
     recommending utterances, each once, in order of first mention.
+    Raises UnannotatedDialogueError on a dialogue without acts.
     """
-    _require_annotated(dialogue)
+    if not dialogue.has_acts():
+        raise UnannotatedDialogueError(
+            f"dialogue {dialogue.dialogue_id} carries no act annotations"
+        )
     rounds: list[RecommendationRound] = []
     open_start: int | None = None
     # The open round's items, as an insertion-ordered set.
@@ -200,9 +195,9 @@ def accepted_item_count(dialogue: Dialogue) -> int:
 
     Distinct item-slot values across user Accept acts are counted once
     each; an Accept act with no item slots credits the single unnamed item
-    it resolves, i.e. counts as 1.
+    it resolves, i.e. counts as 1. The dialogue's annotation is not checked
+    here: ``DialogueFacts.of`` has ``segment_rounds`` check it once.
     """
-    _require_annotated(dialogue)
     named: set[str] = set()
     bare = 0
     for utterance in dialogue.utterances:
@@ -340,27 +335,6 @@ def _recommendation_turns(dialogue: Dialogue):
     return turns
 
 
-def recall_at_n(
-    corpus: Iterable[Dialogue],
-    ground_truth: Mapping[tuple[str, int], Any],
-    n: int,
-    variant: str = RECALL_VARIANT_STANDARD,
-) -> MetricReport:
-    """Recall@N over recommendation turns, micro-averaged per system.
-
-    ``ground_truth`` maps (dialogue_id, utterance index) to the set of
-    target items for that turn. Each recommended list is truncated to its
-    first ``n`` items. The ``standard`` variant is hits over total
-    ground-truth items; the ``length_normalized`` variant follows the
-    published reward/cost formulation verbatim, dividing hits by N per
-    recommendation turn and additionally by the system's total utterance
-    count.
-    """
-    if variant not in _RECALL_VARIANTS:
-        raise ValueError(f"variant must be one of {_RECALL_VARIANTS}")
-    return evaluate_system(corpus, ["recall"], ground_truth, n)[_RECALL_VARIANTS.index(variant)]
-
-
 def check_metric_names(metrics: Sequence[str]) -> list[str]:
     """The metric names lowercased; ValueError if any is unknown."""
     requested = [m.lower() for m in metrics]
@@ -395,8 +369,12 @@ def evaluate_system(
     """Compute the requested metrics over dialogues, one report per metric.
 
     Metric names: ``sr``, ``srrr``, ``rdl``, ``recall`` (case-insensitive).
-    Requesting ``recall`` requires ``ground_truth`` and yields both recall
-    variants as separate reports. ``dialogues`` (a ``Corpus``, the output
+    Requesting ``recall`` requires ``ground_truth``, which maps
+    (dialogue_id, utterance index) to that turn's target items, and yields
+    two micro-averaged reports over recommendation turns, each truncated
+    to its first ``n`` items: ``standard`` (hits over target items) and
+    ``length_normalized`` (hits over N per turn, then over the system's
+    total utterance count). ``dialogues`` (a ``Corpus``, the output
     of ``iter_corpus``, or any iterable; ids must be unique) is read once:
     every metric is scored in that one pass into per-system tallies.
     Systems are reported in first-appearance order, and per-dialogue

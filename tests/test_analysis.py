@@ -21,11 +21,11 @@ class TestRankSystems:
     def test_two_systems(self):
         ranking = rank_systems({"A": 0.5, "B": 0.2})
         assert ranking.order() == ("A", "B")
-        assert ranking.as_rank_map() == {"A": 1.0, "B": 2.0}
+        assert [(e.crs_id, e.rank) for e in ranking.entries] == [("A", 1.0), ("B", 2.0)]
 
     def test_ties_share_average_rank(self):
         ranking = rank_systems({"A": 0.1, "B": 0.1, "C": 0.0})
-        ranks = ranking.as_rank_map()
+        ranks = {e.crs_id: e.rank for e in ranking.entries}
         assert ranks["A"] == ranks["B"] == 1.5
         assert ranks["C"] == 3.0
 
@@ -102,8 +102,8 @@ class TestKendallTauB:
         y = REF["satisfaction"]
         from_scores = kendall_tau_b(x, y)
         # Ranks order ascending with score, so negate to keep orientation.
-        rank_x = {k: -v for k, v in rank_systems(x).as_rank_map().items()}
-        rank_y = {k: -v for k, v in rank_systems(y).as_rank_map().items()}
+        rank_x = {e.crs_id: -e.rank for e in rank_systems(x).entries}
+        rank_y = {e.crs_id: -e.rank for e in rank_systems(y).entries}
         assert kendall_tau_b(rank_x, rank_y) == pytest.approx(from_scores)
 
     def test_mismatched_ids_rejected(self):

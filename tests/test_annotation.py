@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evalkit.annotation import (
-    AnnotationQuality,
     LlmAnnotator,
     RuleAnnotator,
     _find_cue,
     annotate_corpus,
-    evaluate_annotator,
     in_order,
     iter_annotated,
     load_rule_lexicon,
@@ -21,7 +19,6 @@ from evalkit.catalog import load_catalog
 from evalkit.connectors import MockLlmGateway
 from evalkit.dialogue import IntentSchema, Speaker, default_schema, simulation_schema
 from evalkit.errors import (
-    AlignmentError,
     AnnotationBatchError,
     AnnotationError,
     GatewayError,
@@ -446,90 +443,3 @@ class TestAnnotateCorpus:
         assert failures[0] == failures[1]
         assert len(failures[0]) == 7
         assert failures[0][0].startswith("d0[0]: utterance 0: gateway failure")
-
-
-class TestEvaluateAnnotator:
-    def _gold(self):
-        return corpus(
-            dlg(
-                "d1",
-                "sysA",
-                [
-                    utt(0, "USER", [act("Accept")]),
-                    utt(1, "USER", [act("Inquire")]),
-                    utt(2, "USER", [act("Accept")]),
-                    utt(3, "USER", [act("Reject")]),
-                ],
-            )
-        )
-
-    def test_identical_corpora_scores_one(self):
-        gold = self._gold()
-        quality = evaluate_annotator(gold, gold)
-        assert set(quality.per_intent_precision.values()) == {1.0}
-        assert set(quality.per_intent_recall.values()) == {1.0}
-
-    def test_accept_everywhere(self):
-        predicted = corpus(
-            dlg(
-                "d1",
-                "sysA",
-                [utt(i, "USER", [act("Accept")]) for i in range(4)],
-            )
-        )
-        quality = evaluate_annotator(predicted, self._gold())
-        assert quality.per_intent_precision["Accept"] == 0.5
-        assert quality.per_intent_recall["Accept"] == 1.0
-
-    def test_no_predictions_means_absent_precision_zero_recall(self):
-        predicted = corpus(
-            dlg("d1", "sysA", [utt(i, "USER") for i in range(4)])
-        )
-        quality = evaluate_annotator(predicted, self._gold())
-        assert quality.per_intent_precision == {}
-        assert quality.per_intent_recall["Accept"] == 0.0
-        assert quality.per_intent_recall["Inquire"] == 0.0
-
-    def test_auc_with_perfect_confidences(self):
-        gold = self._gold()
-        predicted = corpus(
-            dlg("d1", "sysA", [utt(i, "USER") for i in range(4)])
-        )
-        confidences = {
-            ("d1", 0, "Accept"): 0.9,
-            ("d1", 1, "Accept"): 0.1,
-            ("d1", 2, "Accept"): 0.8,
-            ("d1", 3, "Accept"): 0.2,
-            ("d1", 0, "Inquire"): 0.1,
-            ("d1", 1, "Inquire"): 0.9,
-            ("d1", 2, "Inquire"): 0.2,
-            ("d1", 3, "Inquire"): 0.1,
-            ("d1", 0, "Reject"): 0.05,
-            ("d1", 1, "Reject"): 0.05,
-            ("d1", 2, "Reject"): 0.1,
-            ("d1", 3, "Reject"): 0.95,
-        }
-        quality = evaluate_annotator(predicted, gold, confidences)
-        assert quality.auc_user == 1.0
-
-    def test_auc_binary_presence(self):
-        gold = self._gold()
-        quality = evaluate_annotator(gold, gold)
-        assert quality.auc_user == 1.0
-        # No system utterances at all: AUC undefined on that role.
-        assert quality.auc_system is None
-
-    def test_misaligned_corpora_rejected(self):
-        gold = self._gold()
-        missing = corpus(dlg("other", "sysA", [utt(0, "USER", [act("Accept")])]))
-        with pytest.raises(AlignmentError):
-            evaluate_annotator(missing, gold)
-        short = corpus(dlg("d1", "sysA", [utt(0, "USER", [act("Accept")])]))
-        with pytest.raises(AlignmentError):
-            evaluate_annotator(short, gold)
-
-    def test_quality_bounds_validated(self):
-        with pytest.raises(ValueError):
-            AnnotationQuality(
-                per_intent_precision={"Accept": 1.5}, per_intent_recall={}
-            )

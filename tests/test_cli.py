@@ -429,6 +429,19 @@ class TestEvaluate:
         assert code == 2
         assert "--ground-truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "truth",
+        [[["d1", 1, ["Alpha"]]], {"d1": {"1": "Alpha"}}, {"d1": {"x": ["Alpha"]}}],
+        ids=["array", "bare-string-target", "non-integer-index"],
+    )
+    def test_malformed_ground_truth_is_a_configuration_error(self, truth, tmp_path, capsys):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = write_scores(tmp_path / "truth.json", truth)
+        argv = ["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]
+        assert main(argv + ["--metrics", "recall", "--ground-truth", truth_path]) == 2
+        assert truth_path in capsys.readouterr().err
+
     def test_duplicate_id_across_inputs_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "a.ndjson"
         write_corpus(small_corpus(), path)

@@ -13,7 +13,6 @@ from evalkit.corpus_io import (
     iter_corpus,
     iter_records,
     parse_corpus,
-    satisfaction_score,
     serialize_corpus,
     write_corpus,
     write_records,
@@ -409,46 +408,6 @@ class TestSerializeCorpus:
         rng = random.Random(7)
         c = random_corpus(rng)
         assert serialize_corpus(c) == serialize_corpus(c)
-
-
-class TestSatisfactionScore:
-    def _scored(self, labels, crs_id="sysA"):
-        dialogues = [
-            dlg(f"d{i}", crs_id, [utt(0, "USER", [act("Other")])], satisfaction=label)
-            for i, label in enumerate(labels)
-        ]
-        return corpus(*dialogues)
-
-    def test_all_satisfied(self):
-        c = self._scored(["satisfied"] * 3)
-        assert satisfaction_score(c, "sysA") == 1.0
-
-    def test_half_satisfied(self):
-        c = self._scored(["satisfied", "frustrated", "satisfied", "frustrated"])
-        assert satisfaction_score(c, "sysA") == 0.5
-
-    def test_unlabeled_excluded_from_denominator(self):
-        c = self._scored(["satisfied", None, None, "frustrated"])
-        assert satisfaction_score(c, "sysA") == 0.5
-
-    def test_no_labeled_dialogues_raises(self):
-        c = self._scored([None, None])
-        with pytest.raises(ValueError, match="no labeled dialogues"):
-            satisfaction_score(c, "sysA")
-        with pytest.raises(ValueError, match="no labeled dialogues"):
-            satisfaction_score(c, "missing")
-
-    def test_order_invariance(self):
-        labels = ["satisfied", "frustrated", None, "satisfied"]
-        c = self._scored(labels)
-        shuffled = corpus(*reversed(c.dialogues))
-        assert satisfaction_score(c, "sysA") == satisfaction_score(shuffled, "sysA")
-
-    def test_published_score_reproduced_from_counts(self):
-        # 23 satisfied of 44 labeled reproduces the bundled reference value.
-        c = self._scored(["satisfied"] * 23 + ["frustrated"] * 21)
-        reference = load_reference_scores()["satisfaction"]["ChatCRS_OpenDialKG"]
-        assert abs(satisfaction_score(c, "sysA") - reference) < 5e-4
 
 
 class TestCorpusCounts:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from evalkit import metrics
 from evalkit.analysis import rank_systems
 from evalkit.corpus_io import iter_corpus, serialize_corpus
-from evalkit.dialogue import Corpus, DialogueAct, Speaker
+from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
-    RECALL_VARIANT_LENGTH_NORMALIZED,
     CostFactor,
     MetricReport,
     RewardFactor,
@@ -23,7 +22,6 @@ from evalkit.metrics import (
     dialogue_length_cost,
     dialogue_rdl,
     evaluate_system,
-    recall_at_n,
     rdl,
     round_count_cost,
     segment_rounds,
@@ -137,6 +135,26 @@ class TestSegmentRounds:
             segment_rounds(d)
 
 
+BARE = dlg("bare", "sysA", [utt(0, "USER"), utt(1, "SYSTEM")])
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda: utility(BARE, [accepted_items_reward()], [constant_cost()]),
+        lambda: dialogue_rdl(BARE),
+        lambda: success_rate(corpus(BARE)),
+        lambda: srrr(corpus(BARE)),
+        lambda: rdl(corpus(BARE)),
+        lambda: evaluate_system([one_round_accepted(), BARE], ["sr", "recall"], {}),
+    ],
+    ids=["utility", "dialogue_rdl", "success_rate", "srrr", "rdl", "evaluate_system"],
+)
+def test_every_act_metric_rejects_an_unannotated_dialogue(score):
+    with pytest.raises(UnannotatedDialogueError, match="bare"):
+        score()
+
+
 class TestSuccessRate:
     def test_every_dialogue_accepted(self):
         c = corpus(
@@ -237,7 +255,8 @@ class TestRecallAtN:
             "sysA",
             turns(("USER", ["Disclose"]), ("SYSTEM", ["Recommend"], ["Alpha"])),
         )
-        report = recall_at_n(corpus(d), {("r1", 1): {"Alpha"}}, n=1)
+        report = evaluate_system(corpus(d), ["recall"], {("r1", 1): {"Alpha"}}, 1)[0]
+        assert report.metric == "Recall@1[standard]"
         assert report.per_system["sysA"] == 1.0
         assert report.aggregation == "micro"
 
@@ -253,9 +272,9 @@ class TestRecallAtN:
             ),
         )
         truth = {("r2", 1): {"Alpha"}, ("r2", 3): {"Gamma"}}
-        standard = recall_at_n(corpus(d), truth, n=2, variant="standard")
+        standard, normalized = evaluate_system(corpus(d), ["recall"], truth, 2)
         assert standard.per_system["sysA"] == pytest.approx(0.5)
-        normalized = recall_at_n(corpus(d), truth, n=2, variant="length_normalized")
+        assert normalized.metric == "Recall@2[length_normalized]"
         # inner ratio: 1 hit / (n=2 * 2 recommendation turns) = 0.25,
         # then divided by the 4-utterance total.
         assert normalized.per_system["sysA"] * len(d) == pytest.approx(0.25)
@@ -269,8 +288,8 @@ class TestRecallAtN:
             turns(("USER", ["Disclose"]), ("SYSTEM", ["Recommend"], ["Alpha", "Beta"])),
         )
         truth = {("trunc", 1): {"Beta"}}
-        assert recall_at_n(corpus(d), truth, n=1).per_system["sysA"] == 0.0
-        assert recall_at_n(corpus(d), truth, n=2).per_system["sysA"] == 1.0
+        assert evaluate_system(corpus(d), ["recall"], truth, 1)[0].per_system["sysA"] == 0.0
+        assert evaluate_system(corpus(d), ["recall"], truth, 2)[0].per_system["sysA"] == 1.0
 
     def test_missing_ground_truth_skips_turn_with_warning(self):
         d = dlg(
@@ -283,10 +302,13 @@ class TestRecallAtN:
                 ("SYSTEM", ["Recommend"], ["Beta"]),
             ),
         )
-        report = recall_at_n(corpus(d), {("missing", 1): {"Alpha"}}, n=1)
+        truth = {("missing", 1): {"Alpha"}}
+        report, normalized = evaluate_system(corpus(d), ["recall"], truth, 1)
         assert report.per_system["sysA"] == 1.0
         assert len(report.warnings) == 1
         assert "3" in report.warnings[0]
+        # length_normalized repeats the skipped turns, then flags itself.
+        assert normalized.warnings[:-1] == report.warnings
 
     def test_items_fall_back_to_recommend_slots(self):
         d = dlg(
@@ -294,12 +316,12 @@ class TestRecallAtN:
             "sysA",
             turns(("USER", ["Disclose"]), ("SYSTEM", [act("Recommend", ("TITLE", "Alpha"))])),
         )
-        report = recall_at_n(corpus(d), {("slots", 1): {"Alpha"}}, n=1)
+        report = evaluate_system(corpus(d), ["recall"], {("slots", 1): {"Alpha"}}, 1)[0]
         assert report.per_system["sysA"] == 1.0
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            recall_at_n(corpus(one_round_accepted()), {}, n=0)
+            evaluate_system(corpus(one_round_accepted()), ["recall"], {}, 0)
 
     def test_randomized_against_oracle(self):
         rng = random.Random(2025)
@@ -316,7 +338,7 @@ class TestRecallAtN:
                                 rng.choice(("Alpha", "Beta", "Gamma", "Delta"))
                             }
             n = rng.randint(1, 3)
-            engine = recall_at_n(c, truth, n=n).per_system
+            engine = evaluate_system(c, ["recall"], truth, n)[0].per_system
             assert engine == oracle_recall(serialize_corpus(c), truth, n)
 
 
@@ -686,14 +708,24 @@ class TestOnePassEngine:
 
     @given(corpora_with_truth())
     def test_recall_reports_equal_separate_calls(self, case):
+        # Scoring SR, SRRR and RDL in the same pass leaves both recall
+        # reports as a recall-only call makes them.
         c, truth, n = case
-        reports = evaluate_system(c, ["recall"], truth, n)
-        assert reports == [
-            recall_at_n(c, truth, n),
-            recall_at_n(c, truth, n, RECALL_VARIANT_LENGTH_NORMALIZED),
-        ]
-        standard, normalized = reports
-        assert normalized.warnings[:-1] == standard.warnings
+        reports = evaluate_system(c, ["sr", "srrr", "rdl", "recall"], truth, n)
+        assert reports[3:] == evaluate_system(c, ["recall"], truth, n)
+
+    def test_annotation_checked_once_per_dialogue(self, monkeypatch):
+        checked = []
+        has_acts = Dialogue.has_acts
+
+        def counting(dialogue):
+            checked.append(dialogue.dialogue_id)
+            return has_acts(dialogue)
+
+        monkeypatch.setattr(Dialogue, "has_acts", counting)
+        c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
+        evaluate_system(c, ["sr", "srrr", "rdl", "recall"], {}, 1)
+        assert checked == ["accepted", "tworounds", "unresolved"]
 
     @given(corpora_with_truth())
     def test_one_shot_generator_equals_the_corpus(self, case):

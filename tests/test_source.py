@@ -2,9 +2,11 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -38,6 +40,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_names_are_the_readme_library_api():
+    # A name added to or dropped from the package must be added to or
+    # dropped from the README's list too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    public = {
+        name
+        for name, value in vars(evalkit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == listed
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

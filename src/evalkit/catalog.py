@@ -6,7 +6,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 _NON_WORD = re.compile(r"\W")
 
@@ -41,50 +41,64 @@ class CatalogItem:
         return all(self.satisfies(slot, value) for slot, value in constraints)
 
 
-@dataclass(frozen=True)
 class ItemCatalog:
-    """An immutable collection of catalog items keyed by id.
+    """A read-only collection of catalog items keyed by id, in the order given.
 
-    The id map and the slot names are built with the catalog; the title
-    index behind ``find_titles`` is built on first use, since only rule
-    annotation needs it.
+    The catalog keeps each item's attribute record and builds its
+    ``CatalogItem`` on first lookup, so loading costs little more than
+    decoding. The title index behind ``find_titles`` is built on first use,
+    once per catalog, since only rule annotation needs it.
     """
 
-    items: tuple[CatalogItem, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if not self.items:
-            raise ValueError("catalog must contain at least one item")
-        by_id: dict[str, CatalogItem] = {}
+    def __init__(self, items: Iterable[CatalogItem]):
+        built: dict[str, CatalogItem] = {}
         names: set[str] = set()
-        for item in self.items:
-            if item.item_id in by_id:
+        for item in items:
+            if item.item_id in built:
                 raise ValueError(f"duplicate catalog item id {item.item_id!r}")
-            by_id[item.item_id] = item
+            built[item.item_id] = item
             names.update(item.attributes)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_slots", tuple(sorted(names)))
-        object.__setattr__(self, "_title_index", None)
+        self._set_up({key: item.attributes for key, item in built.items()}, names, built)
+
+    def _set_up(self, records: dict[str, Mapping], names: set[str], built: dict) -> None:
+        if not records:
+            raise ValueError("catalog must contain at least one item")
+        self._records = records
+        self._ids = tuple(records)
+        self._built = built
+        self._slots = tuple(sorted(names))
+        self._title_index = None
+
+    def _item(self, item_id: str) -> CatalogItem:
+        item = self._built.get(item_id)
+        if item is None:
+            # Racing threads may both build it; setdefault keeps one.
+            item = CatalogItem(item_id, self._records[item_id])
+            item = self._built.setdefault(item_id, item)
+        return item
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[CatalogItem]:
-        return iter(self.items)
+        return map(self._item, self._ids)
 
     def get(self, item_id: str) -> CatalogItem | None:
-        return self._by_id.get(item_id)
+        return self._item(item_id) if item_id in self._records else None
+
+    def item_at(self, position: int) -> CatalogItem:
+        """The item at ``position`` in catalog order."""
+        return self._item(self._ids[position])
 
     def slots(self) -> tuple[str, ...]:
         """All attribute names that appear on at least one item, sorted."""
         return self._slots
 
     def titles(self) -> tuple[str, ...]:
-        return tuple(item.item_id for item in self.items)
+        return self._ids
 
     def matching(self, constraints) -> tuple[CatalogItem, ...]:
-        return tuple(i for i in self.items if i.satisfies_all(constraints))
+        return tuple(i for i in self if i.satisfies_all(constraints))
 
     def find_titles(self, text: str) -> list[tuple[int, str]]:
         """Catalog titles named in ``text``, as (position, title) pairs.
@@ -99,11 +113,10 @@ class ItemCatalog:
         if self._title_index is None:
             # Racing threads build equal indexes; either may be kept.
             by_text: dict[str, tuple[str, ...]] = {}
-            for title in sorted(self._by_id):
-                by_text[title.lower()] = by_text.get(title.lower(), ()) + (title,)
-            object.__setattr__(
-                self, "_title_index", (by_text, max(len(t) for t in by_text))
-            )
+            for title in self._ids:
+                key = title.lower()
+                by_text[key] = by_text.get(key, ()) + (title,)
+            self._title_index = (by_text, max(map(len, by_text)))
         by_text, longest = self._title_index
         lowered = text.lower()
         breaks = [match.start() for match in _NON_WORD.finditer(lowered)]
@@ -128,24 +141,39 @@ class ItemCatalog:
 
 
 def load_catalog(source) -> ItemCatalog:
-    """Load a catalog from a JSON file path or parsed list.
+    """Load a catalog from a JSON file path or a parsed list of records.
 
-    Expected shape: a list of objects, each with an ``id`` (or ``title``)
-    key naming the item and any further keys as attributes. Records passed
-    in are copied, never changed.
+    The catalog is a JSON array of objects. Each names its item by an
+    ``id`` (or ``title``) key holding a string or a number, which becomes a
+    string; its further keys are the item's attributes. Records passed in
+    are copied, never changed. Any other shape raises ValueError.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+    parsed = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    if parsed:
         with open(source, "r", encoding="utf-8") as handle:
-            records = json.load(handle)
-    else:
-        # Copied, since the id is popped below; parsed records are ours.
-        records = [dict(record) for record in source]
-    items = []
-    for record in records:
+            source = json.load(handle)
+    if not isinstance(source, (list, tuple)):
+        raise ValueError("catalog must be a JSON array of objects")
+    records: dict[str, dict] = {}
+    names: set[str] = set()
+    for record in source:
         if not isinstance(record, dict):
             raise ValueError("catalog records must be JSON objects")
-        item_id = record.pop("id", None) or record.pop("title", None)
-        if not item_id:
+        if not parsed:
+            # Copied, since the id is popped below; parsed records are ours.
+            record = dict(record)
+        item_id = record.pop("id", None)
+        if item_id in (None, ""):
+            item_id = record.pop("title", None)
+        if item_id in (None, ""):
             raise ValueError("catalog records need an 'id' or 'title' key")
-        items.append(CatalogItem(item_id=str(item_id), attributes=record))
-    return ItemCatalog(items=tuple(items))
+        if type(item_id) not in (str, int, float):
+            raise ValueError(f"catalog item id {item_id!r} is not a string or number")
+        item_id = str(item_id)
+        if item_id in records:
+            raise ValueError(f"duplicate catalog item id {item_id!r}")
+        records[item_id] = record
+        names.update(record)
+    catalog = ItemCatalog.__new__(ItemCatalog)
+    catalog._set_up(records, names, {})
+    return catalog

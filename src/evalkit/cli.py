@@ -188,7 +188,7 @@ def _build_connector(spec: str, catalog: ItemCatalog | None, stub_item: str | No
     if spec.startswith("stub:"):
         name = spec[len("stub:"):]
         if name == "always-recommend":
-            item = stub_item or (catalog.items[0].item_id if catalog else None)
+            item = stub_item or (catalog.item_at(0).item_id if catalog else None)
             if item is not None:
                 return make_stub(name, item_id=item)
         return make_stub(name)

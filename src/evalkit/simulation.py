@@ -218,7 +218,7 @@ def sample_goal(
 
     for _ in range(config.max_attempts):
         count = rng.randint(config.min_constraints, config.max_constraints)
-        anchor = catalog.items[rng.randrange(len(catalog))]
+        anchor = catalog.item_at(rng.randrange(len(catalog)))
         populated = [s for s in config.constraint_slots if anchor.values(s)]
         if len(populated) < count:
             continue

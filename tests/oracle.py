@@ -3,13 +3,15 @@
 Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
 accept counting. The catalog references scan every item or try every
-title at every position. Kept deliberately naive so it can serve as an
+title at every position, and goal sampling replays its draws over the
+plain catalog records. Kept deliberately naive so it can serve as an
 oracle.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
 
 
@@ -192,3 +194,34 @@ def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:
                 found.setdefault(title, position)
         position += width or 1
     return sorted((p, t) for t, p in found.items())
+
+
+def oracle_sample_goal(records: list[dict], config, seed: int):
+    """``sample_goal``'s random draws replayed over plain catalog records
+    in file order: ``(constraints, requests)``, or None when no drawn
+    record populates enough constraint slots within the attempt budget."""
+    rng = random.Random(seed)
+    items = []
+    for record in records:
+        name_key = "id" if record.get("id") not in (None, "") else "title"
+        items.append({k: v for k, v in record.items() if k != name_key})
+
+    def values(item: dict, slot: str) -> tuple[str, ...]:
+        value = item.get(slot)
+        if value is None:
+            return ()
+        return tuple(str(v) for v in value) if isinstance(value, list) else (str(value),)
+
+    for _ in range(config.max_attempts):
+        count = rng.randint(config.min_constraints, config.max_constraints)
+        anchor = items[rng.randrange(len(items))]
+        populated = [slot for slot in config.constraint_slots if values(anchor, slot)]
+        if len(populated) < count:
+            continue
+        chosen = rng.sample(populated, count)
+        constraints = tuple((slot, rng.choice(values(anchor, slot))) for slot in chosen)
+        cap = min(config.max_requests, len(config.request_slots))
+        request_count = rng.randint(min(config.min_requests, cap), cap) if cap else 0
+        requests = tuple(rng.sample(list(config.request_slots), request_count)) if request_count else ()
+        return constraints, requests
+    return None

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalkit.catalog import CatalogItem, ItemCatalog, load_catalog
+from evalkit.cli import main
 
 from oracle import oracle_find_titles, oracle_get, oracle_slots
 
@@ -83,6 +84,50 @@ class TestLoadCatalog:
         path.write_text(json.dumps(["Heat"]), encoding="utf-8")
         with pytest.raises(ValueError, match="catalog records must be JSON objects"):
             load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["Heat"], "catalog records must be JSON objects"),
+            ({"id": "Heat"}, "catalog must be a JSON array of objects"),
+            ([{"id": ["a"]}], "is not a string or number"),
+            ([{"title": {"a": "b"}}], "is not a string or number"),
+            ([{"id": True}], "is not a string or number"),
+            ([{"id": [], "title": "Heat"}], "is not a string or number"),
+        ],
+    )
+    def test_a_file_and_a_value_are_checked_alike(self, tmp_path, value, message):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        for source in (path, value):
+            with pytest.raises(ValueError, match=message):
+                load_catalog(source)
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", str(path)]
+        assert main(argv + ["--output", str(tmp_path / "sim.ndjson")]) == 1
+
+    def test_number_ids_become_strings(self):
+        catalog = load_catalog([{"id": 7, "year": 1995}, {"title": 2.5}, {"id": 0, "title": "Up"}])
+        assert catalog.titles() == ("7", "2.5", "0")
+        assert catalog.get("7").attributes == {"year": 1995}
+
+
+class TestConstructionPaths:
+    @settings(max_examples=100)
+    @given(
+        st.lists(st.tuples(titles, attributes), min_size=1, max_size=8, unique_by=lambda p: p[0]),
+        titles,
+        st.text(TITLE_ALPHABET, max_size=20),
+    )
+    def test_items_and_records_give_the_same_catalog(self, records, probe, text):
+        built = ItemCatalog([CatalogItem(item_id, attrs) for item_id, attrs in records])
+        loaded = load_catalog([{"id": item_id, **attrs} for item_id, attrs in records])
+        assert len(built) == len(loaded) == len(records)
+        assert list(built) == list(loaded)
+        for item_id in [item_id for item_id, _ in records] + [probe]:
+            assert built.get(item_id) == loaded.get(item_id)
+        assert built.slots() == loaded.slots()
+        assert built.titles() == loaded.titles()
+        assert built.find_titles(text) == loaded.find_titles(text)
 
 
 class TestFindTitles:

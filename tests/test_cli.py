@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -848,3 +852,35 @@ class TestReadmeWalkthrough:
                 assert main(step[1]) == 0, step[1]
         assert "sim: tau_b=1.000" in capsys.readouterr().out
         assert (tmp_path / "reliability.ndjson").is_file()
+
+    @pytest.mark.parametrize(
+        "python", [p for p in os.environ.get("EVALKIT_TEST_PYTHONS", "").split(os.pathsep) if p]
+        or [None],
+    )
+    def test_listed_interpreters_give_the_same_bytes(self, tmp_path, python):
+        # EVALKIT_TEST_PYTHONS holds interpreter paths joined by os.pathsep;
+        # each runs the walkthrough with the standard library alone.
+        if python is None:
+            pytest.skip("EVALKIT_TEST_PYTHONS lists no interpreters")
+        expected = walkthrough_hashes(sys.executable, tmp_path / "current")
+        assert walkthrough_hashes(python, tmp_path / "listed") == expected
+
+
+def walkthrough_hashes(python: str, directory: Path) -> dict[str, str]:
+    """SHA-256 of every file the README walkthrough leaves in ``directory``
+    and of its stdout, with each step run as ``python -m evalkit.cli``."""
+    directory.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    stdout = b""
+    for step in readme_walkthrough():
+        if step[0] == "write":
+            (directory / step[1]).write_text(step[2])
+        else:
+            command = [python, "-m", "evalkit.cli", *step[1]]
+            done = subprocess.run(
+                command, cwd=directory, env=env, capture_output=True, check=True, timeout=120
+            )
+            stdout += done.stdout
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+    hashes["stdout"] = hashlib.sha256(stdout).hexdigest()
+    return hashes

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from evalkit.annotation import RuleAnnotator
 from evalkit.catalog import load_catalog
@@ -43,6 +45,7 @@ from evalkit.simulation import (
 )
 
 from helpers import utt
+from oracle import oracle_sample_goal
 
 SCHEMA = simulation_schema()
 
@@ -113,6 +116,35 @@ class TestSampleGoal:
         for seed in range(20):
             goal = sample_goal(movie_catalog, config, seed=seed)
             assert 1 <= len(goal.requests) <= 3
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_draws_from_items_in_file_order(self, data):
+        value = st.sampled_from(("a", "b", "c", "7"))
+        attributes = st.dictionaries(
+            st.sampled_from(("genre", "year", "actor")),
+            st.one_of(value, st.integers(0, 9), st.lists(value, max_size=2)),
+        )
+        titles = st.lists(st.sampled_from("PQRSTUVW"), min_size=1, max_size=8, unique=True)
+        records = [{"id": title, **data.draw(attributes)} for title in data.draw(titles)]
+        slots = sorted({slot for record in records for slot in record} - {"id"})
+        assume(slots)
+        low = data.draw(st.integers(1, 2))
+        config = GoalConfig(
+            constraint_slots=data.draw(st.lists(st.sampled_from(slots), min_size=1, unique=True)),
+            request_slots=data.draw(st.lists(st.sampled_from(slots), unique=True)),
+            min_constraints=low,
+            max_constraints=data.draw(st.integers(low, 3)),
+            max_attempts=data.draw(st.integers(1, 6)),
+        )
+        seed = data.draw(st.integers(0, 2**16))
+        expected = oracle_sample_goal(records, config, seed)
+        if expected is None:
+            with pytest.raises(SimulationError):
+                sample_goal(load_catalog(records), config, seed)
+        else:
+            goal = sample_goal(load_catalog(records), config, seed)
+            assert (goal.constraints, goal.requests) == expected
 
     def test_impossible_combination_raises(self):
         # Two items, each with only one of the two slots populated: a

@@ -271,7 +271,7 @@ def iter_annotated(
     Existing acts are kept unless ``overwrite`` is set. An LlmAnnotator's
     utterances run on ``jobs`` threads and are regrouped by dialogue, so the
     output never depends on scheduling. A RuleAnnotator, and an LlmAnnotator
-    on a scripted MockLlmGateway, run inline whatever ``jobs`` says.
+    on a MockLlmGateway, run inline whatever ``jobs`` says.
     Per-utterance failures are aggregated into one AnnotationBatchError,
     raised after the last dialogue; a dialogue with a failure is not
     yielded.
@@ -295,11 +295,9 @@ def iter_annotated(
     failures: list[str] = []
     done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
     # Rule annotation is CPU-bound under the GIL: threads would only add
-    # overhead. A scripted mock hands out replies in call order: threads
+    # overhead. A mock hands out its scripted replies in call order: threads
     # would let scheduling pick which utterance gets which reply.
-    if isinstance(annotator, RuleAnnotator) or (
-        isinstance(annotator.gateway, MockLlmGateway) and annotator.gateway.scripted
-    ):
+    if isinstance(annotator, RuleAnnotator) or isinstance(annotator.gateway, MockLlmGateway):
         jobs = 1
     for (dialogue, utterance), outcome in in_order(run_one, tasks(), jobs):
         if isinstance(outcome, str):

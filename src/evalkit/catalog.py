@@ -9,14 +9,18 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
 _NON_WORD = re.compile(r"\W")
+# The JSON types an attribute value, or an element of an array value, may
+# have; bool is excluded (``type`` is checked, not ``isinstance``).
+_SCALARS = (str, int, float)
 
 
 @dataclass(frozen=True)
 class CatalogItem:
     """One recommendable item with string-valued attributes.
 
-    Attribute values may be single strings or lists of strings (e.g. several
-    actors); ``values(slot)`` normalizes both to a tuple.
+    An attribute value is a string, a number, or an array of strings and
+    numbers (e.g. several actors); null means the attribute is absent.
+    ``values(slot)`` normalizes each to a tuple of strings.
     """
 
     item_id: str
@@ -30,9 +34,14 @@ class CatalogItem:
         value = self.attributes.get(slot)
         if value is None:
             return ()
-        if isinstance(value, (list, tuple)):
-            return tuple(str(v) for v in value)
-        return (str(value),)
+        if type(value) in _SCALARS:
+            return (str(value),)
+        if type(value) in (list, tuple) and all(type(v) in _SCALARS for v in value):
+            return tuple(map(str, value))
+        raise ValueError(
+            f"catalog item {self.item_id!r}: attribute {slot!r} is not a string, "
+            f"a number or an array of them: {value!r}"
+        )
 
     def satisfies(self, slot: str, value: str) -> bool:
         return value in self.values(slot)
@@ -42,53 +51,37 @@ class CatalogItem:
 
 
 class ItemCatalog:
-    """A read-only collection of catalog items keyed by id, in the order given.
+    """A read-only collection of catalog items keyed by id, in file order.
 
-    The catalog keeps each item's attribute record and builds its
-    ``CatalogItem`` on first lookup, so loading costs little more than
-    decoding. The title index behind ``find_titles`` is built on first use,
-    once per catalog, since only rule annotation needs it.
+    Built only by ``load_catalog``. The catalog keeps each item's attribute
+    record and builds a fresh ``CatalogItem`` on every lookup, so loading
+    costs little more than decoding. The title index behind ``find_titles``
+    is built on first use, once per catalog, since only rule annotation
+    needs it.
     """
 
-    def __init__(self, items: Iterable[CatalogItem]):
-        built: dict[str, CatalogItem] = {}
-        names: set[str] = set()
-        for item in items:
-            if item.item_id in built:
-                raise ValueError(f"duplicate catalog item id {item.item_id!r}")
-            built[item.item_id] = item
-            names.update(item.attributes)
-        self._set_up({key: item.attributes for key, item in built.items()}, names, built)
-
-    def _set_up(self, records: dict[str, Mapping], names: set[str], built: dict) -> None:
+    def __init__(self, records: dict[str, Mapping], slots: Iterable[str]):
         if not records:
             raise ValueError("catalog must contain at least one item")
         self._records = records
         self._ids = tuple(records)
-        self._built = built
-        self._slots = tuple(sorted(names))
+        self._slots = tuple(sorted(slots))
         self._title_index = None
-
-    def _item(self, item_id: str) -> CatalogItem:
-        item = self._built.get(item_id)
-        if item is None:
-            # Racing threads may both build it; setdefault keeps one.
-            item = CatalogItem(item_id, self._records[item_id])
-            item = self._built.setdefault(item_id, item)
-        return item
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[CatalogItem]:
-        return map(self._item, self._ids)
+        return map(CatalogItem, self._records, self._records.values())
 
     def get(self, item_id: str) -> CatalogItem | None:
-        return self._item(item_id) if item_id in self._records else None
+        record = self._records.get(item_id)
+        return None if record is None else CatalogItem(item_id, record)
 
     def item_at(self, position: int) -> CatalogItem:
         """The item at ``position`` in catalog order."""
-        return self._item(self._ids[position])
+        item_id = self._ids[position]
+        return CatalogItem(item_id, self._records[item_id])
 
     def slots(self) -> tuple[str, ...]:
         """All attribute names that appear on at least one item, sorted."""
@@ -145,7 +138,8 @@ def load_catalog(source) -> ItemCatalog:
 
     The catalog is a JSON array of objects. Each names its item by an
     ``id`` (or ``title``) key holding a string or a number, which becomes a
-    string; its further keys are the item's attributes. Records passed in
+    string; its further keys are the item's attributes, whose values
+    ``CatalogItem.values`` checks when they are read. Records passed in
     are copied, never changed. Any other shape raises ValueError.
     """
     parsed = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
@@ -174,6 +168,4 @@ def load_catalog(source) -> ItemCatalog:
             raise ValueError(f"duplicate catalog item id {item_id!r}")
         records[item_id] = record
         names.update(record)
-    catalog = ItemCatalog.__new__(ItemCatalog)
-    catalog._set_up(records, names, {})
-    return catalog
+    return ItemCatalog(records, names)

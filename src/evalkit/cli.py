@@ -56,6 +56,7 @@ from .errors import (
     CorpusFormatError,
     EvalkitError,
     GatewayError,
+    SchemaViolationError,
     SimulationError,
 )
 from .metrics import MetricReport, check_metric_names, evaluate_system
@@ -86,6 +87,17 @@ JOBS_HELP = (
     "and llm-mode annotate on a mock: endpoint (its scripted replies go out in call "
     "order) ignore it and run inline"
 )
+
+# The config file keys the commands read, with the JSON type each must have.
+_CONFIG_TYPES = {
+    "n": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "jobs": (int, "an integer"),
+    "max_utterances": (int, "an integer"),
+    "timeout": ((int, float), "a number"),
+    "llm_endpoint": (str, "a string"),
+    "llm_model": (str, "a string"),
+}
 
 # Built-in few-shot examples so llm-mode annotation works without an
 # examples file; callers with a tuned prompt should pass their own.
@@ -126,6 +138,11 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for key, (kind, name) in _CONFIG_TYPES.items():
+        if key in loaded:
+            value = loaded[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"config file {path}: {key!r} must be {name}, not {value!r}")
     return loaded
 
 
@@ -146,9 +163,18 @@ def _load_schema(path: str | None, simulation: bool = False) -> IntentSchema:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             record = json.load(handle)
-        return IntentSchema.from_record(record)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load intent schema from {path}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ConfigError(f"intent schema {path} must be a JSON object")
+    for key in ("user_intents", "system_intents"):
+        intents = record.get(key)
+        if not isinstance(intents, list) or not all(isinstance(i, str) for i in intents):
+            raise ConfigError(f"intent schema {path}: {key!r} must be an array of strings")
+    try:
+        return IntentSchema.from_record(record)
+    except SchemaViolationError as exc:
+        raise ConfigError(f"intent schema {path}: {exc}") from exc
 
 
 def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], user: str):
@@ -354,10 +380,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         value = _resolve(flag_value, config_file, key)
         return fallback if value is None else value
 
-    n = int(setting(args.n, "n", 200))
-    seed = int(setting(args.seed, "seed", 0))
-    jobs = int(setting(args.jobs, "jobs", 1))
-    max_utterances = int(setting(args.max_utterances, "max_utterances", 20))
+    # Flags are parsed to these types and _load_config_file checked the file's.
+    n = setting(args.n, "n", 200)
+    seed = setting(args.seed, "seed", 0)
+    jobs = setting(args.jobs, "jobs", 1)
+    max_utterances = setting(args.max_utterances, "max_utterances", 20)
     timeout = float(setting(args.timeout, "timeout", 30.0))
 
     schema = _load_schema(args.schema, simulation=True)
@@ -501,7 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     simulate.add_argument("--max-utterances", type=int, default=None)
-    simulate.add_argument("--timeout", type=float, default=None, help="per-call timeout seconds")
+    simulate.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="seconds each CRS call may take (default 30); LLM calls keep the gateway's 30 s",
+    )
     simulate.add_argument("--interaction-model")
     simulate.add_argument("--constraint-slots")
     simulate.add_argument("--request-slots")

@@ -26,6 +26,8 @@ Message = Mapping[str, str]
 # A transport takes (url, json payload, headers) and returns the parsed
 # JSON reply; injecting one keeps request-building logic testable.
 Transport = Callable[[str, dict, dict], dict]
+# Immediate retries of a transient LLM failure, after the first attempt.
+LLM_RETRIES = 2
 
 
 def bearer_headers(token: str | None) -> dict[str, str]:
@@ -38,19 +40,12 @@ class GatewayOptions:
 
     endpoint: str
     model: str
-    temperature: float = 0.0
-    streaming: bool = False
     timeout: float = 30.0
-    max_retries: int = 2
     auth_token: str | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
@@ -84,15 +79,6 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         ) from exc
 
 
-def __getattr__(name: str):
-    # ``connectors.requests`` still names the module ``post_json`` imports.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _extract_text(body: Mapping[str, Any]) -> str:
     # Accept the common reply shapes: {"text": ...}, {"response": ...},
     # and chat-style {"message": {"content": ...}}.
@@ -114,8 +100,9 @@ class HttpLlmGateway:
     """Chat-completion client for any endpoint speaking the wire contract.
 
     The request body carries the model id, the role-tagged message list,
-    the temperature, and the stream flag. Transient failures are retried
-    immediately, up to ``options.max_retries`` times.
+    temperature 0 and stream off: fixed, for reproducible replies and
+    because many endpoints stream unless told not to. Transient failures
+    are retried immediately, up to ``LLM_RETRIES`` times.
     """
 
     def __init__(self, options: GatewayOptions, transport: Transport | None = None):
@@ -126,40 +113,30 @@ class HttpLlmGateway:
         payload = {
             "model": self.options.model,
             "messages": [dict(m) for m in messages],
-            "temperature": self.options.temperature,
-            "stream": self.options.streaming,
+            "temperature": 0.0,
+            "stream": False,
         }
         headers = bearer_headers(self.options.auth_token)
-        for attempt in range(self.options.max_retries + 1):
+        for attempt in range(LLM_RETRIES + 1):
             try:
                 body = self._transport(self.options.endpoint, payload, headers)
                 return _extract_text(body)
             except GatewayError as exc:
-                if not exc.transient or attempt == self.options.max_retries:
+                if not exc.transient or attempt == LLM_RETRIES:
                     raise
 
 
 class MockLlmGateway:
-    """Scripted gateway for offline tests.
+    """Scripted gateway for offline runs and tests.
 
-    Replies are returned in call order and the mock fails loudly when the
-    script is exhausted; ``scripted`` says a script is in use, so callers
-    that need a reply per prompt make their calls in a fixed order. A
-    ``responder`` callable may be supplied instead of a script for
-    programmable fakes. Every call's messages are recorded in ``calls`` for
-    prompt assertions.
+    Replies are returned in call order, so callers that need a reply per
+    prompt make their calls in a fixed order; the mock fails loudly when
+    the script is exhausted. Every call's messages are recorded in
+    ``calls`` for prompt assertions.
     """
 
-    def __init__(
-        self,
-        replies: Sequence[str] | None = None,
-        responder: Callable[[Sequence[Message]], str] | None = None,
-    ):
-        if (replies is None) == (responder is None):
-            raise ValueError("provide exactly one of replies or responder")
-        self._replies = list(replies) if replies is not None else None
-        self.scripted = replies is not None
-        self._responder = responder
+    def __init__(self, replies: Sequence[str]):
+        self._replies = list(replies)
         self._cursor = 0
         self._lock = threading.Lock()
         self.calls: list[list[dict]] = []
@@ -167,16 +144,13 @@ class MockLlmGateway:
     def complete(self, messages: Sequence[Message]) -> str:
         with self._lock:
             self.calls.append([dict(m) for m in messages])
-            if self._replies is not None:
-                if self._cursor >= len(self._replies):
-                    raise ScriptExhaustedError(
-                        f"mock gateway script exhausted after "
-                        f"{len(self._replies)} replies"
-                    )
-                reply = self._replies[self._cursor]
-                self._cursor += 1
-                return reply
-        return self._responder(messages)
+            if self._cursor >= len(self._replies):
+                raise ScriptExhaustedError(
+                    f"mock gateway script exhausted after {len(self._replies)} replies"
+                )
+            reply = self._replies[self._cursor]
+            self._cursor += 1
+            return reply
 
 
 @dataclass(frozen=True)

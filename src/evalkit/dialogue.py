@@ -37,6 +37,7 @@ REJECT = "Reject"
 RECOMMEND = "Recommend"
 REQUEST = "Request"
 DISCLOSE = "Disclose"
+REFINE = "Refine"
 INQUIRE = "Inquire"
 OTHER = "Other"
 BYE = "Bye"
@@ -135,7 +136,7 @@ def default_schema() -> IntentSchema:
     """Schema used for corpus annotation when none is supplied."""
     return IntentSchema(
         user_intents=frozenset(
-            {DISCLOSE, "Refine", INQUIRE, ACCEPT, REJECT, OTHER}
+            {DISCLOSE, REFINE, INQUIRE, ACCEPT, REJECT, OTHER}
         ),
         system_intents=frozenset(
             {RECOMMEND, "Explain", REQUEST, "Respond", OTHER}
@@ -207,9 +208,6 @@ class Utterance:
         object.__setattr__(self, "items", _as_strings(self.items))
         if "" in self.items:
             raise ValueError(f"utterance {self.index}: item identifiers must be non-empty")
-
-    def intents(self) -> tuple[str, ...]:
-        return tuple(act.intent for act in self.acts)
 
     def has_intent(self, label: str) -> bool:
         return any(act.intent == label for act in self.acts)

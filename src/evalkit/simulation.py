@@ -34,6 +34,7 @@ from .dialogue import (
     OTHER,
     PROVENANCE_SIMULATED,
     RECOMMEND,
+    REFINE,
     REJECT,
     REQUEST,
     Speaker,
@@ -48,8 +49,6 @@ from .errors import (
     SchemaViolationError,
     SimulationError,
 )
-
-REFINE = "Refine"
 
 _START_ROW = "__start__"
 _PROBABILITY_TOLERANCE = 1e-9

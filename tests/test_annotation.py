@@ -39,6 +39,14 @@ FEW_SHOT = (
 )
 
 
+class CallbackGateway:
+    """A gateway that answers each call with ``reply(messages)``; unlike
+    MockLlmGateway, it lets LlmAnnotator runs use their worker threads."""
+
+    def __init__(self, reply):
+        self.complete = reply
+
+
 @pytest.fixture(scope="module")
 def title_catalog():
     return load_catalog(
@@ -405,7 +413,7 @@ class TestAnnotateCorpus:
             return "Other()"
 
         bare = corpus(dlg("d1", "sysA", [utt(i, "USER", text=f"u{i}") for i in range(4)]))
-        gateway = MockLlmGateway(responder=responder)
+        gateway = CallbackGateway(responder)
         annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, gateway, FEW_SHOT), jobs=4)
         assert [u.acts[0].intent for u in annotated.dialogues[0].utterances] == ["Other"] * 4
 
@@ -436,7 +444,7 @@ class TestAnnotateCorpus:
         )
         failures = []
         for jobs in (1, 4):
-            annotator = LlmAnnotator(SCHEMA, MockLlmGateway(responder=responder), FEW_SHOT)
+            annotator = LlmAnnotator(SCHEMA, CallbackGateway(responder), FEW_SHOT)
             with pytest.raises(AnnotationBatchError) as excinfo:
                 annotate_corpus(bare, annotator, jobs=jobs)
             failures.append(excinfo.value.failures)

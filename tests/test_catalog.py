@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evalkit.catalog import CatalogItem, ItemCatalog, load_catalog
+from evalkit.catalog import CatalogItem, load_catalog
 from evalkit.cli import main
 
 from oracle import oracle_find_titles, oracle_get, oracle_slots
@@ -41,10 +41,11 @@ class TestIndex:
     )
     def test_get_and_slots_match_a_linear_scan(self, records, probe):
         items = [CatalogItem(item_id, attrs) for item_id, attrs in records]
-        catalog = ItemCatalog(tuple(items))
+        catalog = load_catalog([{"id": item_id, **attrs} for item_id, attrs in records])
         assert catalog.slots() == oracle_slots(items)
         for item_id in [item.item_id for item in items] + [probe]:
-            assert catalog.get(item_id) is oracle_get(items, item_id)
+            assert catalog.get(item_id) == oracle_get(items, item_id)
+        assert list(catalog) == [catalog.item_at(i) for i in range(len(catalog))] == items
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -111,23 +112,30 @@ class TestLoadCatalog:
         assert catalog.get("7").attributes == {"year": 1995}
 
 
-class TestConstructionPaths:
-    @settings(max_examples=100)
-    @given(
-        st.lists(st.tuples(titles, attributes), min_size=1, max_size=8, unique_by=lambda p: p[0]),
-        titles,
-        st.text(TITLE_ALPHABET, max_size=20),
-    )
-    def test_items_and_records_give_the_same_catalog(self, records, probe, text):
-        built = ItemCatalog([CatalogItem(item_id, attrs) for item_id, attrs in records])
-        loaded = load_catalog([{"id": item_id, **attrs} for item_id, attrs in records])
-        assert len(built) == len(loaded) == len(records)
-        assert list(built) == list(loaded)
-        for item_id in [item_id for item_id, _ in records] + [probe]:
-            assert built.get(item_id) == loaded.get(item_id)
-        assert built.slots() == loaded.slots()
-        assert built.titles() == loaded.titles()
-        assert built.find_titles(text) == loaded.find_titles(text)
+class TestAttributeValues:
+    def test_strings_numbers_and_arrays_of_them_become_strings(self):
+        record = {"id": "A", "genre": "comedy", "year": 1995, "score": 7.5,
+                  "cast": ["Ann", 2], "plot": None}
+        item = load_catalog([record]).get("A")
+        assert item.values("genre") == ("comedy",)
+        assert item.values("year") == ("1995",)
+        assert item.values("score") == ("7.5",)
+        assert item.values("cast") == ("Ann", "2")
+        assert item.values("plot") == item.values("absent") == ()
+
+    @pytest.mark.parametrize("value", [True, {"x": 1}, [["a"]], ["a", None], [False]])
+    def test_any_other_value_is_rejected_naming_item_and_slot(self, value):
+        item = load_catalog([{"id": "A", "family": value}]).get("A")
+        with pytest.raises(ValueError, match="catalog item 'A': attribute 'family' is not"):
+            item.values("family")
+
+    def test_a_goal_never_carries_a_repr(self, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"id": "A", "family": True}]), encoding="utf-8")
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", str(path)]
+        assert main(argv + ["-n", "1", "--output", str(tmp_path / "sim.ndjson")]) == 1
+        assert "attribute 'family' is not a string" in capsys.readouterr().err
+        assert not (tmp_path / "sim.ndjson").exists()
 
 
 class TestFindTitles:

@@ -112,6 +112,34 @@ class TestIngest:
         assert main(["ingest", "--input", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, detail",
+        [
+            ([], "must be a JSON object"),
+            (
+                {"user_intents": ["Accept", "Reject"], "system_intents": 5},
+                "'system_intents' must be an array of strings",
+            ),
+            (
+                {"user_intents": "Accept", "system_intents": ["Recommend"]},
+                "'user_intents' must be an array of strings",
+            ),
+            (
+                {"user_intents": ["Accept"], "system_intents": ["Recommend"]},
+                "user intents must include 'Reject'",
+            ),
+        ],
+        ids=["array", "number", "string", "rule-violation"],
+    )
+    def test_malformed_schema_is_a_configuration_error(self, record, detail, tmp_path, capsys):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(record))
+        assert main(["ingest", "--input", str(path), "--schema", str(schema)]) == 2
+        err = capsys.readouterr().err
+        assert f"intent schema {schema}" in err and detail in err
+
 
 class TestAnnotate:
     def test_rule_mode_annotates(self, tmp_path, catalog_file):
@@ -603,6 +631,28 @@ class TestSimulate:
             == 0
         )
         assert len(read_corpus(out2, simulation_schema())) == 1
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("n", [1], "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("jobs", True, "an integer"),
+            ("max_utterances", "4", "an integer"),
+            ("timeout", "5", "a number"),
+            ("llm_endpoint", 5, "a string"),
+            ("llm_model", None, "a string"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, catalog_file, capsys, monkeypatch, key, value, kind
+    ):
+        monkeypatch.delenv("EVALKIT_LLM_ENDPOINT", raising=False)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        argv = ["simulate", "--simulator", "llm-us", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + ["--config", str(config), "--output", str(tmp_path / "x")]) == 2
+        assert f"config file {config}: {key!r} must be {kind}" in capsys.readouterr().err
 
     def test_unknown_stub_is_config_error(self, tmp_path, catalog_file, capsys):
         code = main(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 import requests
@@ -70,7 +71,7 @@ class FakePost:
 def fake_post(monkeypatch):
     def install(*responses):
         fake = FakePost(responses)
-        monkeypatch.setattr(connectors.requests, "post", fake)
+        monkeypatch.setattr(requests, "post", fake)
         return fake
 
     return install
@@ -123,16 +124,6 @@ class TestMockLlmGateway:
         with pytest.raises(ScriptExhaustedError):
             gateway.complete([{"role": "user", "content": "b"}])
 
-    def test_responder_mode(self):
-        gateway = MockLlmGateway(responder=lambda messages: messages[-1]["content"].upper())
-        assert gateway.complete([{"role": "user", "content": "shout"}]) == "SHOUT"
-
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            MockLlmGateway()
-        with pytest.raises(ValueError):
-            MockLlmGateway(replies=["x"], responder=lambda m: "y")
-
     def test_calls_are_recorded(self):
         gateway = MockLlmGateway(replies=["ok"])
         gateway.complete([{"role": "user", "content": "hi"}])
@@ -161,12 +152,12 @@ class TestHttpLlmGateway:
         assert len(transport.requests) == 2
 
     def test_exhausted_retries_raise_last_error(self):
-        failures = [GatewayError("boom", transient=True)] * (OPTIONS.max_retries + 1)
+        failures = [GatewayError("boom", transient=True)] * 3
         transport = RecordingTransport(failures)
         gateway = HttpLlmGateway(OPTIONS, transport=transport)
         with pytest.raises(GatewayError, match="boom"):
             gateway.complete([{"role": "user", "content": "x"}])
-        assert len(transport.requests) == OPTIONS.max_retries + 1
+        assert len(transport.requests) == 1 + connectors.LLM_RETRIES == 3
 
     def test_permanent_failure_not_retried(self):
         transport = RecordingTransport([GatewayError("bad request"), {"text": "x"}])
@@ -182,7 +173,7 @@ class TestHttpLlmGateway:
             assert gateway.complete([{"role": "user", "content": "x"}]) == "a"
 
     def test_reply_without_text_field_raises(self):
-        transport = RecordingTransport([{"weird": 1}] * (OPTIONS.max_retries + 1))
+        transport = RecordingTransport([{"weird": 1}] * (1 + connectors.LLM_RETRIES))
         gateway = HttpLlmGateway(OPTIONS, transport=transport)
         with pytest.raises(GatewayError, match="no text field"):
             gateway.complete([{"role": "user", "content": "x"}])
@@ -222,12 +213,16 @@ class TestHttpLlmGateway:
 
 class TestGatewayOptions:
     def test_defaults_match_offline_reproducibility_setup(self):
-        assert OPTIONS.temperature == 0.0
-        assert OPTIONS.streaming is False
+        # Temperature 0 and stream off are fixed in every request body
+        # (see TestHttpLlmGateway), so no option can change them.
+        names = [option.name for option in fields(GatewayOptions)]
+        assert names == ["endpoint", "model", "timeout", "auth_token"]
+        assert (OPTIONS.timeout, OPTIONS.auth_token) == (30.0, None)
 
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            GatewayOptions(endpoint="http://x", model="m", temperature=-1.0)
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            GatewayOptions(endpoint="http://x", model="m", timeout=timeout)
 
 
 class TestStubs:

@@ -117,8 +117,6 @@ for argv, also in (
     (["annotate", "--input", corpus, "--output", annotated], []),
 ):
     loaded[argv[0]] = (evalkit.cli.main(argv), heavy(also))
-import requests
-loaded["connectors.requests"] = evalkit.connectors.requests is requests
 print(json.dumps(loaded))
 """
 
@@ -148,7 +146,6 @@ def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
         "ingest": [0, []],
         "evaluate": [0, []],
         "annotate": [0, []],
-        "connectors.requests": True,
     }
 
 

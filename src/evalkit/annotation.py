@@ -38,24 +38,31 @@ from .errors import (
 
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
 _WORD = re.compile(r"\w")
+# The built-in few-shot examples of llm-mode annotation, as prompts show them.
+_FEW_SHOT = (
+    "Utterance: Have you seen Heat? It is a classic crime film.\n"
+    "Acts: Recommend(TITLE='Heat')\n"
+    "Utterance: Great, I'll watch that one tonight, thanks!\n"
+    "Acts: Accept()\n"
+    "Utterance: Not a fan of horror. Anything lighter?\n"
+    "Acts: Reject()"
+)
 
 
-def load_rule_lexicon(source=None) -> dict[str, tuple[str, ...]]:
-    """Load an intent→cue-phrase table.
+def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
+    """Load an intent→cue-phrase table from the file at ``path``.
 
     Each line is ``intent<TAB>cue phrase``; blank lines and ``#`` comments
-    are skipped. With no source, the bundled default lexicon is used.
+    are skipped. With no path, the bundled default lexicon is used.
     """
-    if source is None:
+    if path is None:
         from importlib import resources
 
         text = (
             resources.files("evalkit").joinpath("data/rule_lexicon.tsv").read_text("utf-8")
         )
-    elif isinstance(source, str) and "\t" in source:
-        text = source
     else:
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     lexicon: dict[str, list[str]] = {}
     for raw_line in text.splitlines():
@@ -194,24 +201,13 @@ def parse_act_lines(reply: str, schema: IntentSchema, speaker: Speaker) -> tuple
 
 
 class LlmAnnotator:
-    """Few-shot prompting annotator backed by a chat-completion gateway."""
+    """Few-shot prompting annotator backed by a chat-completion gateway,
+    with built-in examples."""
 
-    def __init__(
-        self,
-        schema: IntentSchema,
-        gateway: LlmGateway,
-        few_shot_examples: Sequence[tuple[str, Sequence[DialogueAct]]],
-    ):
-        if not few_shot_examples:
-            raise ValueError("llm annotation requires few-shot examples")
+    def __init__(self, schema: IntentSchema, gateway: LlmGateway):
         self.schema = schema
         self.gateway = gateway
         self.template = load_prompt_template("annotate_acts")
-        lines = []
-        for text, acts in few_shot_examples:
-            rendered = "; ".join(str(act) for act in acts) if acts else "None"
-            lines.append(f"Utterance: {text}\nActs: {rendered}")
-        self.examples = "\n".join(lines)
 
     def annotate(
         self, utterance: Utterance, context: Sequence[Utterance] = ()
@@ -221,7 +217,7 @@ class LlmAnnotator:
         allowed = self.schema.intents_for(utterance.speaker)
         prompt = self.template.format(
             schema=", ".join(sorted(allowed)),
-            examples=self.examples,
+            examples=_FEW_SHOT,
             context=_render_context(context),
             utterance=utterance.text,
         )

@@ -43,11 +43,8 @@ class CatalogItem:
             f"a number or an array of them: {value!r}"
         )
 
-    def satisfies(self, slot: str, value: str) -> bool:
-        return value in self.values(slot)
-
     def satisfies_all(self, constraints) -> bool:
-        return all(self.satisfies(slot, value) for slot, value in constraints)
+        return all(value in self.values(slot) for slot, value in constraints)
 
 
 class ItemCatalog:

@@ -41,16 +41,7 @@ from .corpus_io import (
     write_corpus,
     write_records,
 )
-from .dialogue import (
-    ACCEPT,
-    DialogueAct,
-    ITEM_SLOT,
-    IntentSchema,
-    RECOMMEND,
-    REJECT,
-    default_schema,
-    simulation_schema,
-)
+from .dialogue import IntentSchema, default_schema, simulation_schema
 from .errors import (
     ConnectorError,
     CorpusFormatError,
@@ -99,23 +90,6 @@ _CONFIG_TYPES = {
     "llm_model": (str, "a string"),
 }
 
-# Built-in few-shot examples so llm-mode annotation works without an
-# examples file; callers with a tuned prompt should pass their own.
-DEFAULT_FEW_SHOT = (
-    (
-        "Have you seen Heat? It is a classic crime film.",
-        (DialogueAct(RECOMMEND, ((ITEM_SLOT, "Heat"),)),),
-    ),
-    (
-        "Great, I'll watch that one tonight, thanks!",
-        (DialogueAct(ACCEPT),),
-    ),
-    (
-        "Not a fan of horror. Anything lighter?",
-        (DialogueAct(REJECT),),
-    ),
-)
-
 
 class ConfigError(EvalkitError):
     """Bad command-line or file configuration."""
@@ -144,6 +118,12 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"config file {path}: {key!r} must be {name}, not {value!r}")
     return loaded
+
+
+def _check_at_least(key: str, value, low) -> None:
+    """Reject a numeric setting below ``low`` as a configuration error."""
+    if value < low:
+        raise ConfigError(f"{key} must be at least {low}, not {value}")
 
 
 def _resolve(flag_value, config: Mapping[str, Any], key: str, env_var: str | None = None):
@@ -315,11 +295,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    _check_at_least("jobs", args.jobs, 1)
     config_file = _load_config_file(args.config)
     schema = _load_schema(args.schema)
     if args.mode == "llm":
         gateway = _llm_gateway_factory(args, config_file, "llm mode")()
-        annotator = LlmAnnotator(schema, gateway, DEFAULT_FEW_SHOT)
+        annotator = LlmAnnotator(schema, gateway)
     else:
         catalog = load_catalog(args.catalog) if args.catalog else None
         lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
@@ -384,8 +365,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = setting(args.n, "n", 200)
     seed = setting(args.seed, "seed", 0)
     jobs = setting(args.jobs, "jobs", 1)
-    max_utterances = setting(args.max_utterances, "max_utterances", 20)
-    timeout = float(setting(args.timeout, "timeout", 30.0))
+    max_utterances = setting(args.max_utterances, "max_utterances", RunLimits.max_utterances)
+    timeout = float(setting(args.timeout, "timeout", RunLimits.per_call_timeout))
+    _check_at_least("n", n, 1)
+    _check_at_least("jobs", jobs, 1)
+    _check_at_least("max_utterances", max_utterances, 2)
+    if not timeout > 0:  # also rejects NaN
+        raise ConfigError(f"timeout must be positive, not {timeout}")
 
     schema = _load_schema(args.schema, simulation=True)
     catalog = load_catalog(args.catalog)

@@ -118,12 +118,6 @@ class IntentSchema:
                 f"in the configured schema"
             )
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "user_intents": sorted(self.user_intents),
-            "system_intents": sorted(self.system_intents),
-        }
-
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "IntentSchema":
         return cls(

@@ -39,10 +39,6 @@ class AnnotationBatchError(AnnotationError):
         )
         self.failures = tuple(failures)
 
-    @property
-    def count(self) -> int:
-        return len(self.failures)
-
 
 class GatewayError(EvalkitError):
     """The language-model gateway failed to produce a completion.

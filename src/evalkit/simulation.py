@@ -52,6 +52,16 @@ from .errors import (
 
 _START_ROW = "__start__"
 _PROBABILITY_TOLERANCE = 1e-9
+# A goal has 1-2 constraints and 1-3 requests (fewer when fewer request
+# slots are configured); sampling gives up after 50 anchor draws.
+_CONSTRAINT_COUNTS = (1, 2)
+_REQUEST_COUNTS = (1, 3)
+_GOAL_ATTEMPTS = 50
+# The loop guard ends a conversation when a CRS reply repeats the one
+# before it for the third time in a row.
+_LOOP_GUARD_REPEATS = 3
+# Characters of history the LLM simulator's prompts keep, newest first.
+_HISTORY_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -59,15 +69,12 @@ class RunLimits:
     """Hard bounds on one simulated conversation."""
 
     max_utterances: int = 20
-    max_consecutive_nonprogress: int = 3
     per_call_timeout: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
         if self.max_utterances < 2:
             raise ValueError("max_utterances must be >= 2")
-        if self.max_consecutive_nonprogress < 1:
-            raise ValueError("max_consecutive_nonprogress must be >= 1")
         if self.per_call_timeout <= 0:
             raise ValueError("per_call_timeout must be positive")
 
@@ -125,18 +132,19 @@ class InteractionModel:
                 )
 
 
-def load_interaction_model(source) -> InteractionModel:
-    """Load a tab-separated probability table.
+def load_interaction_model(path) -> InteractionModel:
+    """Load a tab-separated probability table from the file at ``path``.
 
     The header names the user-intent columns; each following row is a
     system intent (or ``__start__`` for the opening distribution) followed
-    by one probability per column.
+    by one probability per column. Blank lines and ``#`` comments are
+    skipped.
     """
-    if isinstance(source, str) and "\t" in source:
-        text = source
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return _parse_interaction_model(handle.read())
+
+
+def _parse_interaction_model(text: str) -> InteractionModel:
     lines = [
         line for line in text.splitlines() if line.strip() and not line.startswith("#")
     ]
@@ -172,51 +180,40 @@ def default_interaction_model() -> InteractionModel:
         .joinpath("data/interaction_model.tsv")
         .read_text("utf-8")
     )
-    return load_interaction_model(text)
+    return _parse_interaction_model(text)
 
 
 @dataclass(frozen=True)
 class GoalConfig:
-    """What goals may be sampled from a catalog."""
+    """The catalog slots sampled goals constrain and ask about."""
 
     constraint_slots: tuple[str, ...]
     request_slots: tuple[str, ...] = ()
-    min_constraints: int = 1
-    max_constraints: int = 2
-    min_requests: int = 1
-    max_requests: int = 3
-    max_attempts: int = 50
 
     def __post_init__(self):
         object.__setattr__(self, "constraint_slots", tuple(self.constraint_slots))
         object.__setattr__(self, "request_slots", tuple(self.request_slots))
         if not self.constraint_slots:
             raise ValueError("goal config needs at least one constraint slot")
-        if not 1 <= self.min_constraints <= self.max_constraints:
-            raise ValueError("constraint counts must satisfy 1 <= min <= max")
-        if not 0 <= self.min_requests <= self.max_requests:
-            raise ValueError("request counts must satisfy 0 <= min <= max")
 
 
-def sample_goal(
-    catalog: ItemCatalog, config: GoalConfig, seed: int | random.Random
-) -> UserGoal:
+def sample_goal(catalog: ItemCatalog, config: GoalConfig, seed: int) -> UserGoal:
     """Draw a satisfiable goal: constraints anchored to one catalog item.
 
-    Deterministic for a fixed integer seed. Constraint values are taken
-    from a single randomly chosen item, so at least that item matches all
-    of them. Raises ValueError when a configured slot is absent from the
+    Deterministic for a fixed seed. Constraint values are taken from a
+    single randomly chosen item, so at least that item matches all of
+    them. Raises ValueError when a configured slot is absent from the
     catalog, SimulationError when no drawn item populates enough constraint
     slots within the attempt budget.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     catalog_slots = set(catalog.slots())
     for slot in config.constraint_slots + config.request_slots:
         if slot not in catalog_slots:
             raise ValueError(f"slot {slot!r} is not present in the catalog")
 
-    for _ in range(config.max_attempts):
-        count = rng.randint(config.min_constraints, config.max_constraints)
+    for _ in range(_GOAL_ATTEMPTS):
+        count = rng.randint(*_CONSTRAINT_COUNTS)
         anchor = catalog.item_at(rng.randrange(len(catalog)))
         populated = [s for s in config.constraint_slots if anchor.values(s)]
         if len(populated) < count:
@@ -225,8 +222,8 @@ def sample_goal(
         constraints = tuple(
             (slot, rng.choice(anchor.values(slot))) for slot in chosen
         )
-        request_cap = min(config.max_requests, len(config.request_slots))
-        request_floor = min(config.min_requests, request_cap)
+        request_cap = min(_REQUEST_COUNTS[1], len(config.request_slots))
+        request_floor = min(_REQUEST_COUNTS[0], request_cap)
         request_count = rng.randint(request_floor, request_cap) if request_cap else 0
         requests = (
             tuple(rng.sample(list(config.request_slots), request_count))
@@ -235,7 +232,7 @@ def sample_goal(
         )
         return UserGoal(constraints=constraints, requests=requests)
     raise SimulationError(
-        f"no satisfiable goal found after {config.max_attempts} attempts"
+        f"no satisfiable goal found after {_GOAL_ATTEMPTS} attempts"
     )
 
 
@@ -543,13 +540,12 @@ class AgendaSimulator:
         catalog: ItemCatalog,
         schema: IntentSchema | None = None,
         model: InteractionModel | None = None,
-        annotator: RuleAnnotator | None = None,
     ):
         self.schema = schema or simulation_schema()
         self.model = model or default_interaction_model()
         self.model.validate_against(self.schema)
         self.catalog = catalog
-        self.annotator = annotator or RuleAnnotator(self.schema, catalog=catalog)
+        self.annotator = RuleAnnotator(self.schema, catalog=catalog)
 
     def start_session(self, goal: UserGoal, seed: int) -> _Session:
         rng = random.Random(seed)
@@ -577,14 +573,14 @@ def _render_goal(goal: UserGoal) -> str:
 TRUNCATION_MARKER = "[earlier turns omitted]"
 
 
-def _render_history(history: Sequence[tuple[str, str]], budget: int) -> str:
+def _render_history(history: Sequence[tuple[str, str]]) -> str:
     if not history:
         return "(start of conversation)"
     lines = [f"{speaker}: {text}" for speaker, text in history]
     kept: list[str] = []
     used = 0
     for line in reversed(lines):
-        if kept and used + len(line) + 1 > budget:
+        if kept and used + len(line) + 1 > _HISTORY_BUDGET:
             break
         kept.append(line)
         used += len(line) + 1
@@ -599,7 +595,6 @@ def llmus_next(
     incoming: Utterance | None,
     gateway: LlmGateway,
     annotator: RuleAnnotator | None = None,
-    max_prompt_chars: int = 4000,
 ) -> tuple[ConversationState, Utterance | Abort]:
     """Advance the LLM simulator by one turn (at most two gateway calls).
 
@@ -616,7 +611,7 @@ def llmus_next(
     heard = replace(state, history=history)
 
     goal_text = _render_goal(state.goal)
-    history_text = _render_history(history, max_prompt_chars)
+    history_text = _render_history(history)
 
     if incoming is not None:
         decision_prompt = load_prompt_template("simulator_continue").format(
@@ -751,7 +746,7 @@ def run_conversation(
         else:
             repeats = 0
             last_reply = reply.text
-        if repeats >= limits.max_consecutive_nonprogress:
+        if repeats >= _LOOP_GUARD_REPEATS:
             reason = "loop-guard"
             break
         if len(utterances) >= limits.max_utterances:

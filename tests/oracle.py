@@ -199,7 +199,11 @@ def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:
 def oracle_sample_goal(records: list[dict], config, seed: int):
     """``sample_goal``'s random draws replayed over plain catalog records
     in file order: ``(constraints, requests)``, or None when no drawn
-    record populates enough constraint slots within the attempt budget."""
+    record populates enough constraint slots within the attempt budget.
+
+    The goal sizes (1-2 constraints, 1-3 requests) and the budget of 50
+    attempts are written out here, so a change to evalkit's constants
+    fails the property test."""
     rng = random.Random(seed)
     items = []
     for record in records:
@@ -212,16 +216,16 @@ def oracle_sample_goal(records: list[dict], config, seed: int):
             return ()
         return tuple(str(v) for v in value) if isinstance(value, list) else (str(value),)
 
-    for _ in range(config.max_attempts):
-        count = rng.randint(config.min_constraints, config.max_constraints)
+    for _ in range(50):
+        count = rng.randint(1, 2)
         anchor = items[rng.randrange(len(items))]
         populated = [slot for slot in config.constraint_slots if values(anchor, slot)]
         if len(populated) < count:
             continue
         chosen = rng.sample(populated, count)
         constraints = tuple((slot, rng.choice(values(anchor, slot))) for slot in chosen)
-        cap = min(config.max_requests, len(config.request_slots))
-        request_count = rng.randint(min(config.min_requests, cap), cap) if cap else 0
+        cap = min(3, len(config.request_slots))
+        request_count = rng.randint(min(1, cap), cap) if cap else 0
         requests = tuple(rng.sample(list(config.request_slots), request_count)) if request_count else ()
         return constraints, requests
     return None

@@ -309,7 +309,7 @@ def test_criterion_6_simulation_determinism_and_termination(movie_catalog):
     # within the utterance cap.
     simulator = AgendaSimulator(catalog=movie_catalog)
     repeat_stub = AlwaysRecommendStub(item_id="Not In The Catalog")
-    limits = RunLimits(max_utterances=20, max_consecutive_nonprogress=3)
+    limits = RunLimits(max_utterances=20)
     from evalkit.dialogue import UserGoal
 
     for seed in range(10):

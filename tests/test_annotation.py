@@ -33,12 +33,6 @@ NO_OTHER = IntentSchema(
     system_intents=frozenset({"Recommend", "Respond"}),
 )
 
-FEW_SHOT = (
-    ("Have you seen Heat?", (act("Recommend", ("TITLE", "Heat")),)),
-    ("I'll watch it, thanks!", (act("Accept"),)),
-)
-
-
 class CallbackGateway:
     """A gateway that answers each call with ``reply(messages)``; unlike
     MockLlmGateway, it lets LlmAnnotator runs use their worker threads."""
@@ -163,12 +157,21 @@ class TestRuleAnnotator:
         u = utt(0, "USER", text="I'm looking for something with Step Brothers vibes")
         assert annotator.annotate(u) == annotator.annotate(u)
 
-    def test_custom_lexicon_text(self):
-        lexicon = load_rule_lexicon("Accept\tsure why not\nReject\tnope\n")
+    def test_custom_lexicon_text(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("# cues\nAccept\tsure why not\n\nReject\tnope\n", encoding="utf-8")
+        lexicon = load_rule_lexicon(path)
+        assert lexicon == {"Accept": ("sure why not",), "Reject": ("nope",)}
         annotator = RuleAnnotator(SCHEMA, lexicon=lexicon)
         assert [a.intent for a in annotator.annotate(utt(0, "USER", text="Sure why not!"))] == [
             "Accept"
         ]
+
+    def test_lexicon_path_containing_a_tab_is_read_as_a_path(self, tmp_path):
+        folder = tmp_path / "d\tt"
+        folder.mkdir()
+        (folder / "lex.tsv").write_text("Accept\tdeal\n", encoding="utf-8")
+        assert load_rule_lexicon(str(folder / "lex.tsv")) == {"Accept": ("deal",)}
 
 
 class TestParseActLines:
@@ -200,13 +203,13 @@ class TestParseActLines:
 class TestLlmAnnotator:
     def test_scripted_reply_parsed(self):
         gateway = MockLlmGateway(replies=["Recommend(TITLE=Heat)"])
-        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
+        annotator = LlmAnnotator(SCHEMA, gateway)
         acts = annotator.annotate(utt(1, "SYSTEM", text="Maybe try Heat?"))
         assert acts == (act("Recommend", ("TITLE", "Heat")),)
 
     def test_retry_then_other_with_warning_flag(self):
         gateway = MockLlmGateway(replies=["&& broken &&", "still broken (("])
-        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
+        annotator = LlmAnnotator(SCHEMA, gateway)
         acts = annotator.annotate(utt(0, "USER", text="whatever"))
         assert len(gateway.calls) == 2
         assert acts[0].intent == "Other"
@@ -215,19 +218,19 @@ class TestLlmAnnotator:
 
     def test_second_attempt_can_succeed(self):
         gateway = MockLlmGateway(replies=["garbage ((", "Accept()"])
-        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
+        annotator = LlmAnnotator(SCHEMA, gateway)
         acts = annotator.annotate(utt(0, "USER", text="ok!"))
         assert [a.intent for a in acts] == ["Accept"]
 
     def test_gateway_failure_propagates_with_utterance_id(self):
         gateway = MockLlmGateway(replies=[])  # exhausted immediately
-        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
+        annotator = LlmAnnotator(SCHEMA, gateway)
         with pytest.raises(AnnotationError, match="utterance 3"):
             annotator.annotate(utt(3, "USER", text="hello"))
 
     def test_prompt_carries_schema_context_and_utterance(self):
         gateway = MockLlmGateway(replies=["None"])
-        annotator = LlmAnnotator(SCHEMA, gateway, FEW_SHOT)
+        annotator = LlmAnnotator(SCHEMA, gateway)
         context = (utt(0, "USER", text="earlier words"),)
         annotator.annotate(utt(1, "SYSTEM", text="current words"), context)
         prompt = gateway.calls[0][0]["content"]
@@ -237,20 +240,17 @@ class TestLlmAnnotator:
         assert "Have you seen Heat?" in prompt  # few-shot example present
 
     def test_examples_render_once_as_utterance_and_acts_lines(self):
-        examples = FEW_SHOT + (("Hmm.", ()),)
         gateway = MockLlmGateway(replies=["None"])
-        annotator = LlmAnnotator(SCHEMA, gateway, examples)
-        annotator.annotate(utt(0, "USER", text="hello"))
-        assert annotator.examples == (
-            "Utterance: Have you seen Heat?\nActs: Recommend(TITLE='Heat')\n"
-            "Utterance: I'll watch it, thanks!\nActs: Accept()\n"
-            "Utterance: Hmm.\nActs: None"
-        )
-        assert annotator.examples in gateway.calls[0][0]["content"]
-
-    def test_llm_config_requires_examples(self):
-        with pytest.raises(ValueError, match="few-shot"):
-            LlmAnnotator(SCHEMA, MockLlmGateway(replies=[]), ())
+        LlmAnnotator(SCHEMA, gateway).annotate(utt(0, "USER", text="hello"))
+        assert (
+            "Examples:\n"
+            "Utterance: Have you seen Heat? It is a classic crime film.\n"
+            "Acts: Recommend(TITLE='Heat')\n"
+            "Utterance: Great, I'll watch that one tonight, thanks!\n"
+            "Acts: Accept()\n"
+            "Utterance: Not a fan of horror. Anything lighter?\n"
+            "Acts: Reject()\n\n"
+        ) in gateway.calls[0][0]["content"]
 
 
 @pytest.mark.parametrize("kind", ["rule", "llm"])
@@ -259,7 +259,7 @@ def test_fallback_is_other_only_where_the_schema_allows_it(kind, speaker):
     def build(schema):
         if kind == "rule":
             return RuleAnnotator(schema)
-        return LlmAnnotator(schema, MockLlmGateway(replies=["garbage((("] * 2), FEW_SHOT)
+        return LlmAnnotator(schema, MockLlmGateway(replies=["garbage((("] * 2))
 
     unlabelled = utt(0, speaker, text="hmm interesting weather")
     assert build(NO_OTHER).annotate(unlabelled) == ()
@@ -342,7 +342,7 @@ class TestAnnotateCorpus:
                 "Accept(TITLE=Paper Moon)",
             ]
         )
-        annotated = annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway, FEW_SHOT))
+        annotated = annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway))
         expected = [
             (act("Disclose", ("genre", "comedy")),),
             (act("Recommend", ("TITLE", "Paper Moon")),),
@@ -365,8 +365,8 @@ class TestAnnotateCorpus:
     def test_batch_error_aggregates_failures(self):
         gateway = MockLlmGateway(replies=["Accept()"])  # exhausted after one
         with pytest.raises(AnnotationBatchError) as excinfo:
-            annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway, FEW_SHOT))
-        assert excinfo.value.count == 2
+            annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway))
+        assert len(excinfo.value.failures) == 2
 
     def test_parallel_matches_sequential(self):
         annotator = RuleAnnotator(SCHEMA)
@@ -414,7 +414,7 @@ class TestAnnotateCorpus:
 
         bare = corpus(dlg("d1", "sysA", [utt(i, "USER", text=f"u{i}") for i in range(4)]))
         gateway = CallbackGateway(responder)
-        annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, gateway, FEW_SHOT), jobs=4)
+        annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, gateway), jobs=4)
         assert [u.acts[0].intent for u in annotated.dialogues[0].utterances] == ["Other"] * 4
 
     def test_partial_failures_same_at_any_jobs(self):
@@ -444,7 +444,7 @@ class TestAnnotateCorpus:
         )
         failures = []
         for jobs in (1, 4):
-            annotator = LlmAnnotator(SCHEMA, CallbackGateway(responder), FEW_SHOT)
+            annotator = LlmAnnotator(SCHEMA, CallbackGateway(responder))
             with pytest.raises(AnnotationBatchError) as excinfo:
                 annotate_corpus(bare, annotator, jobs=jobs)
             failures.append(excinfo.value.failures)

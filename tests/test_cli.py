@@ -203,6 +203,15 @@ class TestAnnotate:
         assert code == 2
         assert "EVALKIT_LLM_ENDPOINT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", text="hi")])), src)
+        out = tmp_path / "o"
+        assert main(["annotate", "--input", str(src), "--output", str(out), "--jobs", jobs]) == 2
+        assert f"jobs must be at least 1, not {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_llm_mode_with_mock_endpoint(self, tmp_path):
         src = tmp_path / "raw.ndjson"
         write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", text="sure!")])), src)
@@ -653,6 +662,51 @@ class TestSimulate:
         argv = ["simulate", "--simulator", "llm-us", "--crs", "stub:echo", "--catalog", catalog_file]
         assert main(argv + ["--config", str(config), "--output", str(tmp_path / "x")]) == 2
         assert f"config file {config}: {key!r} must be {kind}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, flag, value, message",
+        [
+            ("n", "-n", 0, "n must be at least 1, not 0"),
+            ("n", "-n", -1, "n must be at least 1, not -1"),
+            ("jobs", "--jobs", -3, "jobs must be at least 1, not -3"),
+            ("max_utterances", "--max-utterances", 1, "max_utterances must be at least 2, not 1"),
+            ("timeout", "--timeout", 0, "timeout must be positive, not 0.0"),
+            ("timeout", "--timeout", -2.5, "timeout must be positive, not -2.5"),
+            ("timeout", "--timeout", float("nan"), "timeout must be positive, not nan"),
+        ],
+    )
+    def test_out_of_range_setting_is_a_config_error(
+        self, tmp_path, catalog_file, capsys, key, flag, value, message
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo"]
+        argv += ["--catalog", catalog_file, "--output", str(out)]
+        for source in (["--config", str(config)], [flag, str(value)]):
+            assert main(argv + source) == 2
+            assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interaction_model_file(self, tmp_path, catalog_file):
+        # Once the goal's planned disclosures and questions are out, every
+        # system intent is answered with Inquire, so no one says Bye (the
+        # bundled model ends each of these dialogues with Bye).
+        model = tmp_path / "model.tsv"
+        rows = ["# a sampled user turn only ever asks", "system_intent\tDisclose\tInquire"]
+        rows += ["__start__\t1\t0", ""]
+        rows += [f"{intent}\t0\t1" for intent in sorted(simulation_schema().system_intents)]
+        model.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        argv += ["-n", "5", "--interaction-model", str(model), "--output", str(out)]
+        assert main(argv) == 0
+        generated = read_corpus(out, simulation_schema())
+        assert all(d.extra["termination_reason"] != "simulator-stop" for d in generated.dialogues)
+        user_intents = {
+            a.intent for d in generated.dialogues for u in d.utterances for a in u.acts
+        }
+        assert user_intents == {"Disclose", "Inquire"}
 
     def test_unknown_stub_is_config_error(self, tmp_path, catalog_file, capsys):
         code = main(

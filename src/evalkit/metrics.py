@@ -10,8 +10,10 @@ factor on each side:
   cost = number of rounds;
 * reward per dialogue length (RDL): reward = accepted items, cost = total
   utterance count;
-* recall@N: reward = recommended items matching the ground truth, cost =
-  N per recommendation turn (micro-averaged over turns).
+* recall@N: reward = the first N recommended items that match the
+  ground truth, cost = the turn's target items, micro-averaged over
+  recommendation turns (``standard``); the ``length_normalized`` variant
+  divides hits by N per turn, then by the system's utterance count.
 
 SR, SRRR, and RDL are macro-averaged: each dialogue is scored first, then
 dialogue scores are averaged per system, all in one pass over the corpus.

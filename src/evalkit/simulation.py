@@ -40,6 +40,7 @@ from .dialogue import (
     Speaker,
     UserGoal,
     Utterance,
+    _bundled_text,
     simulation_schema,
 )
 from .errors import (
@@ -173,14 +174,7 @@ def _parse_interaction_model(text: str) -> InteractionModel:
 
 
 def default_interaction_model() -> InteractionModel:
-    from importlib import resources
-
-    text = (
-        resources.files("evalkit")
-        .joinpath("data/interaction_model.tsv")
-        .read_text("utf-8")
-    )
-    return _parse_interaction_model(text)
+    return _parse_interaction_model(_bundled_text("interaction_model.tsv"))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, annotate_corpus
-from evalkit.cli import _stamp, main
-from evalkit.connectors import MockLlmGateway
+from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
+from evalkit.connectors import HttpLlmGateway, MockLlmGateway
 from evalkit.corpus_io import read_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 
@@ -211,6 +211,38 @@ class TestAnnotate:
         assert main(["annotate", "--input", str(src), "--output", str(out), "--jobs", jobs]) == 2
         assert f"jobs must be at least 1, not {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_and_jobs_from_config_file(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", text="hi")])), src)
+        out = tmp_path / "o.ndjson"
+        config = tmp_path / "run.json"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--config", str(config)]
+        config.write_text(json.dumps({"seed": 9}))
+        assert main(argv) == 0
+        assert json.loads(out.read_text().splitlines()[0])["seed"] == 9
+        assert main(argv + ["--seed", "4"]) == 0  # a flag still beats the file
+        assert json.loads(out.read_text().splitlines()[0])["seed"] == 4
+        out.unlink()
+        config.write_text(json.dumps({"jobs": -3}))
+        assert main(argv) == 2
+        assert "jobs must be at least 1, not -3" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--jobs", "2"]) == 0
+
+    def test_live_endpoint_is_one_gateway_for_every_conversation(self, monkeypatch):
+        monkeypatch.setenv("EVALKIT_LLM_TOKEN", "s3cret")
+        monkeypatch.delenv("EVALKIT_LLM_MODEL", raising=False)
+        argv = ["annotate", "--input", "in", "--output", "out", "--mode", "llm"]
+        args = build_parser().parse_args(argv + ["--llm-endpoint", "http://127.0.0.1:9/v1"])
+        factory = _llm_gateway_factory(args, {}, "llm mode")
+        gateway = factory()
+        assert isinstance(gateway, HttpLlmGateway) and factory() is gateway
+        assert gateway.options.endpoint == "http://127.0.0.1:9/v1"
+        assert gateway.options.model == "default"
+        assert gateway.options.auth_token == "s3cret"
+        named = _llm_gateway_factory(args, {"llm_model": "m-1"}, "llm mode")()
+        assert named.options.model == "m-1"
 
     def test_llm_mode_with_mock_endpoint(self, tmp_path):
         src = tmp_path / "raw.ndjson"
@@ -470,10 +502,28 @@ class TestEvaluate:
         assert code == 2
         assert "--ground-truth" in capsys.readouterr().err
 
+    def test_recall_with_ground_truth(self, tmp_path, capsys):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = write_scores(tmp_path / "truth.json", {"d1": {"1": ["Alpha"]}})
+        out = tmp_path / "report.ndjson"
+        argv = ["evaluate", "--input", str(path), "--output", str(out), "--metrics", "recall"]
+        assert main(argv + ["--ground-truth", truth_path]) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()][1:]
+        by_metric = {r["metric"]: r["per_system"] for r in records}
+        assert by_metric["Recall@1[standard]"] == {"sysA": 1.0, "sysB": 0.0}
+        assert by_metric["Recall@1[length_normalized]"]["sysA"] == pytest.approx(1 / 3)
+        assert "Recall@1[standard]\tsysA\t1.000000" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "truth",
-        [[["d1", 1, ["Alpha"]]], {"d1": {"1": "Alpha"}}, {"d1": {"x": ["Alpha"]}}],
-        ids=["array", "bare-string-target", "non-integer-index"],
+        [
+            [["d1", 1, ["Alpha"]]],
+            {"d1": ["Alpha"]},
+            {"d1": {"1": "Alpha"}},
+            {"d1": {"x": ["Alpha"]}},
+        ],
+        ids=["array", "turns-not-an-object", "bare-string-target", "non-integer-index"],
     )
     def test_malformed_ground_truth_is_a_configuration_error(self, truth, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
@@ -799,6 +849,7 @@ class TestCompare:
             ]
         )
         assert code == 1
+        assert "'reference' and candidate 'c' share no systems" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, detail",
@@ -817,6 +868,41 @@ class TestCompare:
         argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
         assert main(argv) == 2
         assert f"cannot parse scores from {report}: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, metrics, detail",
+        [
+            (["--metric", "recall"], "sr,rdl", "metric 'recall' not in report file {} (has: SR, RDL)"),
+            ([], "sr,rdl", "report file {} holds several metrics (SR, RDL); use --metric"),
+            (["--metric", "SR"], "", "no metric records in report file {}"),
+        ],
+        ids=["metric-absent", "several-metrics", "no-metric-records"],
+    )
+    def test_report_file_without_one_metric_is_a_config_error(
+        self, tmp_path, capsys, flags, metrics, detail
+    ):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        report = tmp_path / "report.ndjson"
+        argv = ["evaluate", "--input", str(path), "--output", str(report), "--metrics", metrics]
+        assert main(argv) == 0
+        ref = write_scores(tmp_path / "ref.json", {"sysA": 0.4, "sysB": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"sysA": 0.8, "sysB": 0.3})
+        argv = ["compare", "--candidate", f"mine={report}", *flags]
+        argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
+        assert main(argv) == 2
+        assert detail.format(report) in capsys.readouterr().err
+
+    def test_candidate_without_a_name_is_named_by_its_file(self, tmp_path, capsys):
+        ref = write_scores(tmp_path / "ref.json", {"A": 0.3, "B": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"A": 0.9, "B": 0.2})
+        cand = write_scores(tmp_path / "cand.json", {"A": 0.5, "B": 0.2})
+        out = tmp_path / "rel.ndjson"
+        argv = ["compare", "--candidate", cand, "--reference", ref, "--satisfaction", sat]
+        assert main(argv + ["--output", str(out)]) == 0
+        record = [json.loads(l) for l in out.read_text().splitlines()][1]
+        assert record["candidate"] == "cand.json"
+        assert capsys.readouterr().out.startswith("cand.json: tau_b=1.000")
 
     def test_reference_fixture_comparison(self, tmp_path):
         ref = write_scores(tmp_path / "rdl.json", REF["human_metrics"]["rdl"])

@@ -38,7 +38,6 @@ from .errors import (
 )
 
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
-_WORD = re.compile(r"\w")
 # The built-in few-shot examples of llm-mode annotation, as prompts show them.
 _FEW_SHOT = (
     "Utterance: Have you seen Heat? It is a classic crime film.\n"
@@ -86,22 +85,12 @@ def _fallback(allowed: frozenset[str], **extra) -> tuple[DialogueAct, ...]:
     return (DialogueAct(OTHER, extra=extra),) if OTHER in allowed else ()
 
 
-def _find_cue(text: str, cue: str) -> int:
-    """Position of the first occurrence of ``cue`` in ``text`` that no word
-    character (``\\w``) touches on either side, as for titles; -1 if none."""
-    start = text.find(cue)
-    while start >= 0:
-        if not (start and _WORD.match(text, start - 1) or _WORD.match(text, start + len(cue))):
-            return start
-        start = text.find(cue, start + 1)
-    return -1
-
-
 class RuleAnnotator:
     """Deterministic cue-phrase annotator with a catalog title-matching pass.
 
-    Repeat runs over the same inputs are byte-identical. Not a substitute
-    for model-based annotation quality; it exists as an offline oracle.
+    Cues match whole, as titles do, and compile on the first ``annotate``
+    call. Repeat runs over the same inputs are byte-identical. Not a
+    substitute for model-based annotation quality; it exists as an offline oracle.
     """
 
     def __init__(
@@ -117,6 +106,19 @@ class RuleAnnotator:
         }
         self.catalog = catalog
 
+    @functools.cached_property
+    def _cue_patterns(self) -> dict[Speaker, list[tuple[str, re.Pattern]]]:
+        """Per speaker, (intent, pattern) for each allowed intent with cues
+        (an empty alternation matches anywhere); a match is the leftmost cue."""
+        return {
+            speaker: [
+                (intent, re.compile(r"(?<!\w)(?:" + "|".join(map(re.escape, cues)) + r")(?!\w)"))
+                for intent, cues in self.lexicon.items()
+                if cues and intent in self.schema.intents_for(speaker)
+            ]
+            for speaker in Speaker
+        }
+
     def annotate(
         self, utterance: Utterance, context: Sequence[Utterance] = ()
     ) -> tuple[DialogueAct, ...]:
@@ -127,12 +129,10 @@ class RuleAnnotator:
         allowed = self.schema.intents_for(utterance.speaker)
 
         matched: dict[str, int] = {}
-        for intent, cues in self.lexicon.items():
-            if intent not in allowed:
-                continue
-            positions = [p for p in (_find_cue(lowered, c) for c in cues) if p >= 0]
-            if positions:
-                matched[intent] = min(positions)
+        for intent, pattern in self._cue_patterns[utterance.speaker]:
+            match = pattern.search(lowered)
+            if match:
+                matched[intent] = match.start()
 
         found = self.catalog.find_titles(text) if self.catalog is not None else []
         titles = [title for _, title in found]

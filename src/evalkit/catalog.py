@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
 _NON_WORD = re.compile(r"\W")
+# A title's head: its first character and the word characters after it.
+_HEAD = re.compile(r".\w*", re.S)
 # The JSON types an attribute value, or an element of an array value, may
 # have; bool is excluded (``type`` is checked, not ``isinstance``).
 _SCALARS = (str, int, float)
@@ -99,6 +101,8 @@ class ItemCatalog:
         overlap. Each title is reported once, at its first match, and the
         pairs are ordered by (position, title). Positions index
         ``text.lower()``; titles that differ only in case match together.
+        The index, built on first use, maps each title's head to its longest
+        title's length: only starts of a head are tried, up to that length.
         """
         if self._title_index is None:
             # Racing threads build equal indexes; either may be kept.
@@ -106,19 +110,27 @@ class ItemCatalog:
             for title in self._ids:
                 key = title.lower()
                 by_text[key] = by_text.get(key, ()) + (title,)
-            self._title_index = (by_text, max(map(len, by_text)))
-        by_text, longest = self._title_index
+            # Each head maps to the length of its longest key, which comes last.
+            keys = sorted(by_text, key=len)
+            heads = dict(zip([_HEAD.match(key)[0] for key in keys], map(len, keys)))
+            self._title_index = (by_text, heads)
+        by_text, heads = self._title_index
         lowered = text.lower()
         breaks = [match.start() for match in _NON_WORD.finditer(lowered)]
         # A match starts after a non-word character or at the start of the
-        # text, and ends before one or at the end.
+        # text, and ends before one or at the end. It begins with the text's
+        # head at that start, so a start whose head begins no title, or that
+        # is the end of the text, is skipped.
         ends = breaks + [len(lowered)]
         found: dict[str, int] = {}
         free = 0
         for start in [0] + [b + 1 for b in breaks]:
-            if start < free:
+            if start < free or start == ends[-1]:
                 continue
             first = bisect_right(ends, start)
+            longest = heads.get(lowered[start : ends[first]])
+            if longest is None:
+                continue
             last = bisect_right(ends, start + longest)
             for end in reversed(ends[first:last]):
                 titles = by_text.get(lowered[start:end])

@@ -106,13 +106,21 @@ def _stamp(settings: Mapping[str, Any]) -> dict[str, Any]:
     return {"seed": settings["seed"], "config_hash": config_hash}
 
 
+def _read_bytes(path: str, what: str) -> bytes:
+    """The bytes of file ``path``; a fault is a configuration error naming ``what``."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_json(path: str, what: str, kind: type = dict) -> Any:
     """The JSON value in file ``path``, which must be a ``kind`` (``dict`` or
     ``list``); any fault is a configuration error naming ``what`` and the file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            value = json.load(handle)
-    except (OSError, ValueError) as exc:
+        value = json.loads(_read_bytes(path, what).decode("utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(value, kind):
         shape = "object" if kind is dict else "array"
@@ -216,8 +224,7 @@ def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
 
 def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
     """Read per-system scores from a plain map or a metric report file."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+    raw = _read_bytes(path, "score file")
     try:
         whole = json.loads(raw)
     except ValueError:
@@ -381,10 +388,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     slots = catalog.slots()
-    goal_config = GoalConfig(
-        constraint_slots=_names(args.constraint_slots, slots),
-        request_slots=_names(args.request_slots, slots),
-    )
+    try:
+        goal_config = GoalConfig(
+            constraint_slots=_names(args.constraint_slots, slots),
+            request_slots=_names(args.request_slots, slots),
+        )
+        goal_config.check(catalog)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     limits = RunLimits(
         max_utterances=max_utterances,
         per_call_timeout=timeout,

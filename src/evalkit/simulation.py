@@ -190,6 +190,13 @@ class GoalConfig:
         if not self.constraint_slots:
             raise ValueError("goal config needs at least one constraint slot")
 
+    def check(self, catalog: ItemCatalog) -> None:
+        """Raise ValueError naming the first slot that ``catalog`` lacks."""
+        catalog_slots = set(catalog.slots())
+        for slot in self.constraint_slots + self.request_slots:
+            if slot not in catalog_slots:
+                raise ValueError(f"slot {slot!r} is not present in the catalog")
+
 
 def sample_goal(catalog: ItemCatalog, config: GoalConfig, seed: int) -> UserGoal:
     """Draw a satisfiable goal: constraints anchored to one catalog item.
@@ -201,10 +208,7 @@ def sample_goal(catalog: ItemCatalog, config: GoalConfig, seed: int) -> UserGoal
     slots within the attempt budget.
     """
     rng = random.Random(seed)
-    catalog_slots = set(catalog.slots())
-    for slot in config.constraint_slots + config.request_slots:
-        if slot not in catalog_slots:
-            raise ValueError(f"slot {slot!r} is not present in the catalog")
+    config.check(catalog)
 
     for _ in range(_GOAL_ATTEMPTS):
         count = rng.randint(*_CONSTRAINT_COUNTS)

@@ -196,6 +196,25 @@ def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:
     return sorted((p, t) for t, p in found.items())
 
 
+def oracle_cue_intents(text: str, lexicon, allowed) -> list[str]:
+    """The ``allowed`` intents of ``lexicon`` with a cue in ``text.lower()``,
+    ordered by (position of the intent's leftmost cue, intent).
+
+    Each cue is searched for on its own, lowered, with a word-boundary
+    regex: no word character may touch it on either side.
+    """
+    lowered = text.lower()
+    first: dict[str, int] = {}
+    for intent, cues in lexicon.items():
+        if intent not in allowed:
+            continue
+        for cue in cues:
+            match = re.search(r"(?<!\w)" + re.escape(cue.lower()) + r"(?!\w)", lowered)
+            if match and match.start() < first.get(intent, len(lowered) + 1):
+                first[intent] = match.start()
+    return sorted(first, key=lambda intent: (first[intent], intent))
+
+
 def oracle_sample_goal(records: list[dict], config, seed: int):
     """``sample_goal``'s random draws replayed over plain catalog records
     in file order: ``(constraints, requests)``, or None when no drawn

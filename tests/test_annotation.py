@@ -1,14 +1,12 @@
-import re
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalkit.annotation import (
     LlmAnnotator,
     RuleAnnotator,
-    _find_cue,
     annotate_corpus,
     in_order,
     iter_annotated,
@@ -17,7 +15,13 @@ from evalkit.annotation import (
 )
 from evalkit.catalog import load_catalog
 from evalkit.connectors import MockLlmGateway
-from evalkit.dialogue import IntentSchema, Speaker, default_schema, simulation_schema
+from evalkit.dialogue import (
+    DialogueAct,
+    IntentSchema,
+    Speaker,
+    default_schema,
+    simulation_schema,
+)
 from evalkit.errors import (
     AnnotationBatchError,
     AnnotationError,
@@ -25,6 +29,7 @@ from evalkit.errors import (
 )
 
 from helpers import act, corpus, dlg, utt
+from oracle import oracle_cue_intents
 
 SCHEMA = default_schema()
 # A schema without Other for either speaker.
@@ -32,6 +37,33 @@ NO_OTHER = IntentSchema(
     user_intents=frozenset({"Accept", "Reject", "Disclose"}),
     system_intents=frozenset({"Recommend", "Respond"}),
 )
+
+# Regex metacharacters, an underscore (a word character), case and spaces,
+# so cues must be escaped and matched whole.
+CUE_ALPHABET = "aAb .?+(|_"
+# Recommend is a system intent only, Accept and Reject user intents only.
+CUE_INTENTS = ("Accept", "Reject", "Recommend", "Inquire", "Bye")
+
+
+@st.composite
+def lexicons_and_texts(draw):
+    """A lexicon, the optional intents a schema allows, and a text.
+
+    The cues come from a small pool and its prefixes, shared between
+    intents, so one intent's cues often prefix or overlap another's; one
+    intent always has no cues. Texts are made of cues and free fragments.
+    """
+    pool = draw(st.lists(st.text(CUE_ALPHABET, min_size=1, max_size=4), min_size=1, max_size=5))
+    shared = pool + [cue[:end] for cue in pool for end in range(1, len(cue))]
+    lexicon = {
+        intent: tuple(draw(st.lists(st.sampled_from(shared), max_size=3)))
+        for intent in CUE_INTENTS
+    }
+    lexicon[draw(st.sampled_from(CUE_INTENTS))] = ()
+    optional = draw(st.frozensets(st.sampled_from(("Inquire", "Bye", "Other"))))
+    fragment = st.one_of(st.sampled_from(shared), st.text(CUE_ALPHABET, max_size=3))
+    return lexicon, optional, "".join(draw(st.lists(fragment, max_size=6)))
+
 
 class CallbackGateway:
     """A gateway that answers each call with ``reply(messages)``; unlike
@@ -105,10 +137,20 @@ class TestRuleAnnotator:
         acts = annotator.annotate(utt(0, "USER", text=text))
         assert [a.intent for a in acts] == expected
 
-    @given(st.text("ab _-1", max_size=12), st.text("ab _-1", min_size=1, max_size=3))
-    def test_cue_search_matches_a_word_boundary_regex(self, text, cue):
-        first = re.search(r"(?<!\w)" + re.escape(cue) + r"(?!\w)", text)
-        assert _find_cue(text, cue) == (first.start() if first else -1)
+    @settings(max_examples=400)
+    @given(lexicons_and_texts(), st.sampled_from(Speaker))
+    def test_cue_intents_match_a_search_per_cue(self, case, speaker):
+        lexicon, optional, text = case
+        schema = IntentSchema(
+            user_intents=frozenset({"Accept", "Reject"}) | optional,
+            system_intents=frozenset({"Recommend"}) | optional,
+        )
+        allowed = schema.intents_for(speaker)
+        expected = oracle_cue_intents(text.strip(), lexicon, allowed)
+        if not expected and text.strip() and "Other" in allowed:
+            expected = ["Other"]
+        acts = RuleAnnotator(schema, lexicon).annotate(utt(0, speaker.value, text=text))
+        assert acts == tuple(map(DialogueAct, expected))
 
     def test_recommendation_with_two_titles(self, title_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=title_catalog)

@@ -11,8 +11,11 @@ from evalkit.cli import main
 from oracle import oracle_find_titles, oracle_get, oracle_slots
 
 # Few letters, so titles often nest in and overlap one another; case,
-# digits and punctuation probe the word-boundary rule.
-TITLE_ALPHABET = "abAB1 -!'"
+# digits and punctuation probe the word-boundary rule. "İ" lowers to two
+# code points and "_" is a word character, so a title's head (its first
+# character and the word characters after it) may change length on
+# lowering or run through an underscore.
+TITLE_ALPHABET = "abAB1 -!'İ_"
 SLOT_NAMES = ("genre", "year", "actor", "plot")
 
 titles = st.text(TITLE_ALPHABET, min_size=1, max_size=6)
@@ -153,6 +156,19 @@ class TestFindTitles:
             (11, "Heat Wave"),
             (27, "Heat"),
         ]
+
+    def test_titles_sharing_a_head(self):
+        titles = ("Heat", "Heat Wave", "Heat: Reloaded")
+        catalog = load_catalog([{"title": title} for title in titles])
+        assert catalog.find_titles("heat: reloaded, then heat wave") == [
+            (0, "Heat: Reloaded"),
+            (21, "Heat Wave"),
+        ]
+
+    def test_a_title_starting_with_a_non_word_character(self):
+        catalog = load_catalog([{"title": "'71"}, {"title": "71"}])
+        assert catalog.find_titles("'71, not x'71") == [(0, "'71"), (11, "71")]
+        assert catalog.find_titles("x'71") == [(2, "71")]
 
     def test_titles_differing_in_case_match_together(self):
         catalog = load_catalog([{"title": "Heat"}, {"title": "HEAT"}])

@@ -738,6 +738,29 @@ class TestSimulate:
             assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--constraint-slots", "nosuch", "slot 'nosuch' is not present in the catalog"),
+            ("--request-slots", "genre,nosuch", "slot 'nosuch' is not present in the catalog"),
+            ("--constraint-slots", ",", "goal config needs at least one constraint slot"),
+        ],
+    )
+    def test_unusable_slot_flag_is_a_config_error(
+        self, tmp_path, catalog_file, capsys, flag, value, message
+    ):
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + [flag, value, "--output", str(out)]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_request_slots_may_name_none(self, tmp_path, catalog_file):
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + ["-n", "3", "--request-slots", ",", "--output", str(out)]) == 0
+        assert all(not d.goal.requests for d in read_corpus(out, simulation_schema()).dialogues)
+
     def test_interaction_model_file(self, tmp_path, catalog_file):
         # Once the goal's planned disclosures and questions are out, every
         # system intent is answered with Inquire, so no one says Bye (the
@@ -892,6 +915,20 @@ class TestCompare:
         argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
         assert main(argv) == 2
         assert detail.format(report) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["--reference", "--satisfaction", "--candidate"])
+    def test_missing_score_file_is_a_config_error(self, tmp_path, capsys, role):
+        paths = {
+            flag: write_scores(tmp_path / f"{flag[2:]}.json", {"A": 0.3, "B": 0.1})
+            for flag in ("--reference", "--satisfaction", "--candidate")
+        }
+        paths[role] = str(tmp_path / "missing.json")
+        argv = ["compare", "--output", str(tmp_path / "rel")]
+        argv += [part for flag, path in paths.items() for part in (flag, path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot read score file {paths[role]}: " in err
+        assert "No such file or directory" in err
 
     def test_candidate_without_a_name_is_named_by_its_file(self, tmp_path, capsys):
         ref = write_scores(tmp_path / "ref.json", {"A": 0.3, "B": 0.1})

@@ -35,6 +35,7 @@ from .connectors import (
     make_stub,
 )
 from .corpus_io import (
+    CorpusFiles,
     dialogue_record,
     iter_corpus,
     iter_records,
@@ -259,8 +260,8 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
     return dict(reports[0].per_system)
 
 
-def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
-    mapping: dict[tuple[str, int], set[str]] = {}
+def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
+    mapping: dict[tuple[str, int], tuple[str, ...]] = {}
     for dialogue_id, per_turn in _read_json(path, "ground truth").items():
         if not isinstance(per_turn, dict):
             raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
@@ -274,27 +275,18 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], set[str]]:
                 raise ConfigError(
                     f"ground truth {path}: ({dialogue_id}, {index}) must be an array of item ids"
                 )
-            mapping[(dialogue_id, int(index))] = set(items)
+            mapping[(dialogue_id, int(index))] = tuple(items)
     return mapping
 
 
-def _stream_inputs(paths: Sequence[str], schema: IntentSchema, header: dict[str, Any]):
-    """Each file's dialogues in turn, ids unique across files; ``header``
-    ends as the last file's header, and format errors name the file."""
-    seen_ids: set[str] = set()
-    for path in paths:
-        header.clear()
-        with open(path, "rb") as handle:
-            try:
-                yield from iter_corpus(handle, schema, header, seen_ids)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(exc.line_number, f"{exc.reason} in {path}") from exc
+def _count_systems(dialogues) -> Counter:
+    """Dialogues per system: ingest's fold."""
+    return Counter(dialogue.crs_id for dialogue in dialogues)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    with open(args.input, "rb") as handle:
-        counts = Counter(dialogue.crs_id for dialogue in iter_corpus(handle, schema))
+    counts = sum(CorpusFiles([args.input], schema).fold(_count_systems), Counter())
     width = max([len(c) for c in counts] + [len("total")])
     print(f"{'system'.ljust(width)}  dialogues")
     for crs_id in sorted(counts):
@@ -345,16 +337,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("metric recall needs --ground-truth")
     schema = _load_schema(args.schema)
 
-    input_header: dict[str, Any] = {}
-    dialogues = _stream_inputs(args.input, schema, input_header)
-    reports = evaluate_system(dialogues, metrics, ground_truth=ground_truth, n=args.n)
+    inputs = CorpusFiles(args.input, schema)
+    reports = evaluate_system(inputs, metrics, ground_truth=ground_truth, n=args.n)
     settings = {
         "command": "evaluate",
         "metrics": metrics,
         "n": args.n,
         "seed": args.seed,
     }
-    version = str(input_header.get("schema_version", "1"))
+    version = str(inputs.header.get("schema_version", "1"))
     header = {"schema_version": version, **_stamp(settings)}
     write_records(args.output, header, [r.to_record() for r in reports])
     for report in reports:

@@ -7,6 +7,13 @@ every level are preserved as opaque metadata, so
 ``parse_corpus(serialize_corpus(c)) == c`` for any valid corpus. Metric
 and reliability reports use the same framing. ``iter_records`` is the one
 reader of that framing and ``write_records`` the one writer.
+
+``CorpusFiles`` reads corpus files as one stream of dialogues. Its
+``fold`` cuts large files at line ends into byte ranges and parses and
+folds each range in a worker process, one per CPU and per
+``_BYTES_PER_WORKER`` of input; any fault in a range reruns the whole
+fold in-process, so errors and their line numbers are those of the
+one-stream read.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 import os
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .dialogue import (
     Corpus,
@@ -30,6 +37,11 @@ from .dialogue import (
     default_schema,
 )
 from .errors import CorpusFormatError, SchemaViolationError
+
+# Input bytes per worker process: below two workers' worth, a fold runs
+# in-process, as starting workers and merging their results would cost
+# more than they save.
+_BYTES_PER_WORKER = 4 << 20
 
 _DIALOGUE_KEYS = {
     "dialogue_id",
@@ -47,6 +59,25 @@ _SPEAKERS = {speaker.value: speaker for speaker in Speaker}
 _slot_pair = itemgetter("slot", "value")
 # The ``extra`` of every parsed object without unknown keys.
 _NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
+_JSON_TYPES = {
+    str: "a string", int: "a number", float: "a number", bool: "a boolean",
+    list: "an array", dict: "an object", type(None): "null",
+}
+
+
+def _fault(key: str, wanted: str, value: Any) -> TypeError:
+    return TypeError(f"{key!r} must be {wanted}, not {_JSON_TYPES[type(value)]}")
+
+
+def _name(record: Mapping[str, Any], key: str) -> str:
+    """Field ``key`` of ``record`` as a string: a string as it is, and a
+    number that is not a boolean through ``str``."""
+    value = record[key]
+    if type(value) is str:
+        return value
+    if type(value) is int or type(value) is float:
+        return str(value)
+    raise _fault(key, "a string", value)
 
 
 def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
@@ -80,13 +111,14 @@ def _parse_utterance(record: Mapping[str, Any], schema: IntentSchema) -> Utteran
     for act in acts:
         if act.intent not in intents:
             schema.validate_act(act, speaker)
+    text = record.get("text", "")
+    if type(text) is not str:
+        raise _fault("text", "a string", text)
+    items = record.get("items", [])
+    if type(items) is not list:
+        raise _fault("items", "an array", items)
     return Utterance(
-        record["index"],
-        speaker,
-        record.get("text", ""),
-        acts,
-        tuple(record.get("items", ())),
-        _extras(record, _UTTERANCE_KEYS),
+        record["index"], speaker, text, acts, tuple(items), _extras(record, _UTTERANCE_KEYS)
     )
 
 
@@ -94,8 +126,8 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
     goal = _parse_goal(record["goal"]) if record.get("goal") is not None else None
     utterances = tuple([_parse_utterance(u, schema) for u in record.get("utterances", ())])
     return Dialogue(
-        dialogue_id=record["dialogue_id"],
-        crs_id=record["crs_id"],
+        dialogue_id=_name(record, "dialogue_id"),
+        crs_id=_name(record, "crs_id"),
         utterances=utterances,
         satisfaction=record.get("satisfaction"),
         goal=goal,
@@ -105,13 +137,14 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
     )
 
 
-def iter_records(raw: bytes | str | BinaryIO) -> Iterator[tuple[int, dict[str, Any]]]:
+def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield ``(line_number, record)`` per non-blank line of an NDJSON stream.
 
-    ``raw`` may be bytes, text, or a binary file, read a line at a time.
-    Records end at ``"\n"`` only, so U+2028, U+2029 and U+0085 stay inside
-    their record. A line that is not UTF-8, not JSON or not a JSON object
-    raises CorpusFormatError with its 1-based line number.
+    ``raw`` may be bytes, text, or a binary file (or any iterable of its
+    lines), read a line at a time. Records end at ``"\n"`` only, so U+2028,
+    U+2029 and U+0085 stay inside their record. A line that is not UTF-8,
+    not JSON or not a JSON object raises CorpusFormatError with its 1-based
+    line number.
     """
     if isinstance(raw, str):
         raw = raw.encode("utf-8", "surrogatepass")
@@ -132,6 +165,35 @@ def iter_records(raw: bytes | str | BinaryIO) -> Iterator[tuple[int, dict[str, A
         yield line_number, record
 
 
+def _read_header(records: Iterator[tuple[int, dict[str, Any]]], header: dict[str, Any] | None) -> None:
+    """Read the first of ``records``, which must be the schema_version
+    header, into ``header``; a stream without records has no header."""
+    for line_number, record in records:
+        if "schema_version" not in record:
+            raise CorpusFormatError(line_number, "first record must be a schema_version header")
+        if header is not None:
+            header.update(record)
+        break
+
+
+def _parse_body(
+    records: Iterable[tuple[int, dict[str, Any]]], schema: IntentSchema, seen_ids: set[str]
+) -> Iterator[Dialogue]:
+    """The dialogues of the records after a header; ``seen_ids`` gains their ids."""
+    for line_number, record in records:
+        try:
+            dialogue = _parse_dialogue(record, schema)
+        except (SchemaViolationError, KeyError, TypeError, ValueError) as exc:
+            detail = str(exc) or exc.__class__.__name__
+            if isinstance(exc, KeyError):
+                detail = f"missing required field {detail}"
+            raise CorpusFormatError(line_number, detail) from exc
+        if dialogue.dialogue_id in seen_ids:
+            raise CorpusFormatError(line_number, f"duplicate dialogue_id {dialogue.dialogue_id!r}")
+        seen_ids.add(dialogue.dialogue_id)
+        yield dialogue
+
+
 def iter_corpus(
     raw: bytes | str | BinaryIO,
     schema: IntentSchema | None = None,
@@ -146,29 +208,147 @@ def iter_corpus(
     fields once the first record is read; ``seen_ids`` holds ids read from
     earlier streams, and gains this stream's.
     """
-    if schema is None:
-        schema = default_schema()
-    seen_ids = set() if seen_ids is None else seen_ids
     records = iter_records(raw)
-    for line_number, record in records:
-        if "schema_version" not in record:
-            raise CorpusFormatError(line_number, "first record must be a schema_version header")
-        if header is not None:
-            header.update(record)
-        break
+    _read_header(records, header)
+    yield from _parse_body(
+        records,
+        default_schema() if schema is None else schema,
+        set() if seen_ids is None else seen_ids,
+    )
 
-    for line_number, record in records:
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# What the pool initializer hands a worker process: (schema, fold, args).
+_worker_task: tuple = ()
+
+
+def _start_worker(schema: IntentSchema, fold: Callable, args: tuple) -> None:
+    global _worker_task
+    _worker_task = (schema, fold, args)
+
+
+def _range_lines(handle: BinaryIO, size: int) -> Iterator[bytes]:
+    """The lines of the next ``size`` bytes of ``handle``, which end at a line end."""
+    for line in handle:
+        yield line
+        size -= len(line)
+        if size <= 0:
+            return
+
+
+def _fold_range(path: str, start: int, end: int) -> tuple[set[str], Any]:
+    """A worker's fold over the dialogues in bytes [start, end) of ``path``,
+    with their ids. Line numbers count from the range's start: a fault is
+    reported by the in-process rerun, not from here."""
+    schema, fold, args = _worker_task
+    seen_ids: set[str] = set()
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        records = iter_records(_range_lines(handle, end - start))
+        result = fold(_parse_body(records, schema, seen_ids), *args)
+    return seen_ids, result
+
+
+class CorpusFiles:
+    """Corpus files read as one stream of dialogues, ids unique across files.
+
+    Iterating reads the files in turn; ``header`` then holds the last
+    file's header record, and a format error names its file.
+    """
+
+    def __init__(self, paths: Iterable[str], schema: IntentSchema | None = None):
+        self.paths = tuple(paths)
+        self.schema = default_schema() if schema is None else schema
+        self.header: dict[str, Any] = {}
+
+    def __iter__(self) -> Iterator[Dialogue]:
+        seen_ids: set[str] = set()
+        for path in self.paths:
+            self.header.clear()
+            with open(path, "rb") as handle:
+                try:
+                    yield from iter_corpus(handle, self.schema, self.header, seen_ids)
+                except CorpusFormatError as exc:
+                    raise CorpusFormatError(exc.line_number, f"{exc.reason} in {path}") from exc
+
+    def fold(self, fold: Callable[..., Any], *args: Any) -> list[Any]:
+        """``fold(dialogues, *args)`` over consecutive runs of the stream's
+        dialogues that together hold each once, in stream order.
+
+        Below two workers' worth of input (see ``_worker_count``) that is one
+        run, the whole stream, folded in this process. Otherwise each run is
+        a line-aligned byte range of one file, folded in a worker process;
+        ``fold`` and ``args`` must then pickle. If any range faults or two
+        ranges hold one id, the in-process fold runs instead and raises the
+        error of the one-stream read.
+        """
+        results = self._fold_in_workers(fold, args)
+        return [fold(iter(self), *args)] if results is None else results
+
+    def _worker_count(self) -> int:
+        """One worker per ``_BYTES_PER_WORKER`` input bytes, at most one per CPU."""
         try:
-            dialogue = _parse_dialogue(record, schema)
-        except (SchemaViolationError, KeyError, TypeError, ValueError) as exc:
-            detail = str(exc) or exc.__class__.__name__
-            if isinstance(exc, KeyError):
-                detail = f"missing required field {detail}"
-            raise CorpusFormatError(line_number, detail) from exc
-        if dialogue.dialogue_id in seen_ids:
-            raise CorpusFormatError(line_number, f"duplicate dialogue_id {dialogue.dialogue_id!r}")
-        seen_ids.add(dialogue.dialogue_id)
-        yield dialogue
+            total = sum(map(os.path.getsize, self.paths))
+        except OSError:  # the in-process read reports it
+            return 0
+        return min(_cpu_count(), total // _BYTES_PER_WORKER)
+
+    def _ranges(self, count: int) -> tuple[list[tuple[str, int, int]], dict[str, Any]]:
+        """About ``count`` line-aligned byte ranges covering every file's
+        records after its header, and the last file's header."""
+        bodies = []
+        header: dict[str, Any] = {}
+        for path in self.paths:
+            header = {}
+            with open(path, "rb") as handle:
+                _read_header(iter_records(handle), header)
+                bodies.append((path, handle.tell(), os.fstat(handle.fileno()).st_size))
+        step = -(-sum(end - start for _, start, end in bodies) // count)
+        ranges = []
+        for path, start, end in bodies:
+            with open(path, "rb") as handle:
+                while start < end:
+                    cut = start + step
+                    if cut < end:
+                        # The first line end at or after the target byte.
+                        handle.seek(cut - 1)
+                        handle.readline()
+                        cut = handle.tell()
+                    cut = min(cut, end)
+                    ranges.append((path, start, cut))
+                    start = cut
+        return ranges, header
+
+    def _fold_in_workers(self, fold: Callable[..., Any], args: tuple) -> list[Any] | None:
+        """The per-range results, or None when fewer than two workers are
+        due or any range faults."""
+        workers = self._worker_count()
+        if workers < 2:
+            return None
+        from concurrent.futures import ProcessPoolExecutor  # only large inputs start workers
+
+        try:
+            ranges, header = self._ranges(workers)
+            with ProcessPoolExecutor(
+                min(workers, len(ranges)),
+                initializer=_start_worker,
+                initargs=(self.schema, fold, args),
+            ) as pool:
+                parts = list(pool.map(_fold_range, *zip(*ranges)))
+        except Exception:  # any fault: the in-process rerun raises it with its line and file
+            return None
+        ids = [part_ids for part_ids, _ in parts]
+        if sum(map(len, ids)) != len(set().union(*ids)):
+            return None  # an id in two ranges: the rerun names its second line
+        self.header = header
+        return [result for _, result in parts]
 
 
 def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:

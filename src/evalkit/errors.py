@@ -23,6 +23,10 @@ class CorpusFormatError(EvalkitError):
         self.line_number = line_number
         self.reason = reason
 
+    def __reduce__(self):
+        # Rebuilt from both arguments, so it crosses a process boundary.
+        return type(self), (self.line_number, self.reason)
+
 
 class AnnotationError(EvalkitError):
     """A single utterance could not be annotated."""

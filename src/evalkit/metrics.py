@@ -16,7 +16,11 @@ factor on each side:
   divides hits by N per turn, then by the system's utterance count.
 
 SR, SRRR, and RDL are macro-averaged: each dialogue is scored first, then
-dialogue scores are averaged per system, all in one pass over the corpus.
+dialogue scores are averaged per system. ``evaluate_system`` folds the
+dialogues into per-system tallies in one pass, merges the tallies of
+consecutive runs of dialogues in order, and reports from the merged
+tallies; given ``CorpusFiles``, the runs are byte ranges of large files
+folded in worker processes, with the same bytes out as one pass.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .corpus_io import CorpusFiles
 from .dialogue import (
     ACCEPT,
     Dialogue,
@@ -361,35 +366,31 @@ class _SystemTally:
     rec_turns: int = 0
     utterance_total: int = 0
 
+    def absorb(self, later: _SystemTally) -> None:
+        """Add the tally of dialogues that come after this one's."""
+        self.rows += later.rows
+        self.warnings += later.warnings
+        self.hits += later.hits
+        self.truth_total += later.truth_total
+        self.rec_turns += later.rec_turns
+        self.utterance_total += later.utterance_total
 
-def evaluate_system(
+
+def _macro_specs(requested: Sequence[str]):
+    """(name, report name, rewards, costs) per requested macro metric, in
+    ``_MACRO_METRICS`` order."""
+    return [(name, *_MACRO_METRICS[name]) for name in _MACRO_METRICS if name in requested]
+
+
+def _tally_systems(
     dialogues: Iterable[Dialogue],
-    metrics: Sequence[str],
-    ground_truth: Mapping[tuple[str, int], Any] | None = None,
-    n: int = 1,
-) -> list[MetricReport]:
-    """Compute the requested metrics over dialogues, one report per metric.
-
-    Metric names: ``sr``, ``srrr``, ``rdl``, ``recall`` (case-insensitive).
-    Requesting ``recall`` requires ``ground_truth``, which maps
-    (dialogue_id, utterance index) to that turn's target items, and yields
-    two micro-averaged reports over recommendation turns, each truncated
-    to its first ``n`` items: ``standard`` (hits over target items) and
-    ``length_normalized`` (hits over N per turn, then over the system's
-    total utterance count). ``dialogues`` (a ``Corpus``, the output
-    of ``iter_corpus``, or any iterable; ids must be unique) is read once:
-    every metric is scored in that one pass into per-system tallies.
-    Systems are reported in first-appearance order, and per-dialogue
-    scores grouped by system.
-    """
-    requested = check_metric_names(metrics)
+    requested: Sequence[str],
+    ground_truth: Mapping[tuple[str, int], Any] | None,
+    n: int,
+) -> dict[str, _SystemTally]:
+    """Fold ``dialogues`` into one tally per system, in first-appearance order."""
+    specs = _macro_specs(requested)
     recall = "recall" in requested
-    if recall and ground_truth is None:
-        raise ValueError("recall requires ground-truth target items")
-    if recall and n <= 0:
-        raise ValueError("n must be a positive integer")
-    specs = [(name, *_MACRO_METRICS[name]) for name in _MACRO_METRICS if name in requested]
-
     tallies: defaultdict[str, _SystemTally] = defaultdict(_SystemTally)
     seen_ids: set[str] = set()
     for dialogue in dialogues:
@@ -414,18 +415,36 @@ def evaluate_system(
                 tally.hits += len(targets & set(recommended[:n]))
                 tally.truth_total += len(targets)
                 tally.rec_turns += 1
+    return dict(tallies)
+
+
+def _merge_tallies(parts: Sequence[dict[str, _SystemTally]]) -> dict[str, _SystemTally]:
+    """The tallies of consecutive runs of dialogues, merged in run order."""
+    merged: dict[str, _SystemTally] = {}
+    for part in parts:
+        for crs_id, tally in part.items():
+            if crs_id in merged:
+                merged[crs_id].absorb(tally)
+            else:
+                merged[crs_id] = tally
+    return merged
+
+
+def _reports(
+    tallies: Mapping[str, _SystemTally], requested: Sequence[str], n: int
+) -> list[MetricReport]:
+    """The requested metrics' reports from merged per-system tallies."""
     if requested and not tallies:
         raise ValueError("corpus has no dialogues")
-
     reports: dict[str, list[MetricReport]] = {}
-    for position, (name, metric, _, _) in enumerate(specs):
+    for position, (name, metric, _, _) in enumerate(_macro_specs(requested)):
         per_system = {
             crs_id: sum(scores[position] for _, scores in t.rows) / len(t.rows)
             for crs_id, t in tallies.items()
         }
         per_dialogue = {d: scores[position] for t in tallies.values() for d, scores in t.rows}
         reports[name] = [MetricReport(metric, MACRO, per_system, per_dialogue)]
-    if recall:
+    if "recall" in requested:
         standard = {
             c: t.hits / t.truth_total if t.truth_total else 0.0 for c, t in tallies.items()
         }
@@ -445,3 +464,39 @@ def evaluate_system(
             )
         ]
     return [report for name in requested for report in reports[name]]
+
+
+def evaluate_system(
+    dialogues: Iterable[Dialogue] | CorpusFiles,
+    metrics: Sequence[str],
+    ground_truth: Mapping[tuple[str, int], Any] | None = None,
+    n: int = 1,
+) -> list[MetricReport]:
+    """Compute the requested metrics over dialogues, one report per metric.
+
+    Metric names: ``sr``, ``srrr``, ``rdl``, ``recall`` (case-insensitive).
+    Requesting ``recall`` requires ``ground_truth``, which maps
+    (dialogue_id, utterance index) to that turn's target items, and yields
+    two micro-averaged reports over recommendation turns, each truncated
+    to its first ``n`` items: ``standard`` (hits over target items) and
+    ``length_normalized`` (hits over N per turn, then over the system's
+    total utterance count). ``dialogues`` (a ``Corpus``, the output
+    of ``iter_corpus``, or any iterable; ids must be unique) is read once:
+    every metric is scored in that one pass into per-system tallies.
+    ``CorpusFiles`` are folded through ``CorpusFiles.fold``, in worker
+    processes when large, and their tallies merged in file order.
+    Systems are reported in first-appearance order, and per-dialogue
+    scores grouped by system.
+    """
+    requested = check_metric_names(metrics)
+    if "recall" in requested:
+        if ground_truth is None:
+            raise ValueError("recall requires ground-truth target items")
+        if n <= 0:
+            raise ValueError("n must be a positive integer")
+    args = (requested, ground_truth, n)
+    if isinstance(dialogues, CorpusFiles):
+        parts = dialogues.fold(_tally_systems, *args)
+    else:
+        parts = [_tally_systems(dialogues, *args)]
+    return _reports(_merge_tallies(parts), requested, n)

@@ -14,7 +14,7 @@ from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, annotate_corpus
 from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
 from evalkit.connectors import HttpLlmGateway, MockLlmGateway
-from evalkit.corpus_io import read_corpus, serialize_corpus, write_corpus
+from evalkit.corpus_io import dialogue_record, read_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 
 from conftest import MOVIES
@@ -533,6 +533,17 @@ class TestEvaluate:
         assert main(argv + ["--metrics", "recall", "--ground-truth", truth_path]) == 2
         assert truth_path in capsys.readouterr().err
 
+    def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth = {"d1": {"1": ["Alpha", "Alpha", "Beta"]}}
+        truth_path = write_scores(tmp_path / "truth.json", truth)
+        out = tmp_path / "report.ndjson"
+        argv = ["evaluate", "--input", str(path), "--output", str(out), "--metrics", "recall"]
+        assert main(argv + ["--ground-truth", truth_path]) == 0
+        standard = json.loads(out.read_text().splitlines()[1])
+        assert standard["per_system"]["sysA"] == 0.5
+
     def test_duplicate_id_across_inputs_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "a.ndjson"
         write_corpus(small_corpus(), path)
@@ -563,6 +574,39 @@ class TestStreaming:
         out = tmp_path / "annotated.ndjson"
         assert main(["annotate", "--input", str(path), "--output", str(out)]) == 0
         assert main(["annotate", "--input", str(out), "--output", str(out), "--jobs", "2"]) == 0
+
+
+def one_dialogue_file(path, **fields) -> str:
+    """A corpus file of small_corpus()'s first dialogue with ``fields`` set."""
+    record = {**dialogue_record(small_corpus().dialogues[0]), **fields}
+    path.write_text('{"schema_version":"1"}\n' + json.dumps(record) + "\n")
+    return str(path)
+
+
+class TestCorpusFieldTypes:
+    def test_a_numeric_crs_id_is_counted_as_its_string(self, tmp_path, capsys):
+        path = one_dialogue_file(tmp_path / "corpus.ndjson", crs_id=5)
+        assert main(["ingest", "--input", path]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["5", "1"]
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_an_array_crs_id_is_a_format_error(self, command, tmp_path, capsys):
+        path = one_dialogue_file(tmp_path / "corpus.ndjson", crs_id=["a"])
+        argv = [command, "--input", path]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "report.ndjson")]
+        assert main(argv) == 1
+        assert "line 2: 'crs_id' must be a string, not an array" in capsys.readouterr().err
+
+    def test_a_numeric_text_is_a_format_error_in_annotate(self, tmp_path, capsys):
+        record = dialogue_record(small_corpus().dialogues[0])
+        # Unannotated, so that annotate reads the text.
+        record["utterances"][0].update(text=5, acts=[])
+        path = one_dialogue_file(tmp_path / "corpus.ndjson", utterances=record["utterances"])
+        out = tmp_path / "annotated.ndjson"
+        assert main(["annotate", "--input", path, "--output", str(out)]) == 1
+        assert "line 2: 'text' must be a string, not a number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

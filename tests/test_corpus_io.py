@@ -128,6 +128,10 @@ class TestParseCorpus:
                 {"acts": [{"intent": "Accept"}]},
                 "intent 'Accept' is not a SYSTEM intent in the configured schema",
             ),
+            ({"text": 5}, "'text' must be a string, not a number"),
+            ({"text": None}, "'text' must be a string, not null"),
+            ({"items": "Up"}, "'items' must be an array, not a string"),
+            ({"items": {"Up": 1}}, "'items' must be an array, not an object"),
         ],
     )
     def test_invalid_utterance_names_reason_and_line(self, fields, reason):
@@ -144,6 +148,26 @@ class TestParseCorpus:
         utterance = parse_corpus(stream(record)).dialogues[0].utterances[1]
         assert utterance.items == ("1",)
         assert utterance.acts[0].slots == (("7", "1"),)
+
+    def test_numeric_ids_become_strings(self):
+        record = dict(FIXTURE_RECORD, dialogue_id=7, crs_id=2.5)
+        dialogue = parse_corpus(stream(record)).dialogues[0]
+        assert (dialogue.dialogue_id, dialogue.crs_id) == ("7", "2.5")
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"crs_id": ["a"]}, "'crs_id' must be a string, not an array"),
+            ({"crs_id": True}, "'crs_id' must be a string, not a boolean"),
+            ({"dialogue_id": None}, "'dialogue_id' must be a string, not null"),
+            ({"dialogue_id": {"n": 1}}, "'dialogue_id' must be a string, not an object"),
+        ],
+    )
+    def test_ids_that_are_not_strings_or_numbers_name_the_field_and_line(self, fields, reason):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(stream(FIXTURE_RECORD, {**FIXTURE_RECORD, "dialogue_id": "d2", **fields}))
+        assert excinfo.value.reason == reason
+        assert excinfo.value.line_number == 3
 
     def test_records_without_unknown_keys_share_a_read_only_empty_extra(self):
         dialogue = parse_corpus(stream(FIXTURE_RECORD)).dialogues[0]

@@ -87,14 +87,20 @@ def test_only_corpus_io_write_records_opens_files_for_writing():
     assert _callers(_opens_for_writing) == ["corpus_io.write_records"]
 
 
-def _starts_thread_pool(call: ast.Call) -> bool:
-    func = call.func
-    return getattr(func, "id", getattr(func, "attr", None)) == "ThreadPoolExecutor"
+def _calls(name: str):
+    """Whether a call is to ``name``, as a bare or an attribute name."""
+    return lambda call: getattr(call.func, "id", getattr(call.func, "attr", None)) == name
 
 
 def test_only_annotation_in_order_starts_a_thread_pool():
     # simulate and annotate share one bounded, ordered worker map.
-    assert _callers(_starts_thread_pool) == ["annotation.in_order"]
+    assert _callers(_calls("ThreadPoolExecutor")) == ["annotation.in_order"]
+
+
+def test_only_corpus_files_starts_a_process_pool():
+    # ingest and evaluate share one fold over line-aligned byte ranges.
+    assert _callers(_calls("ProcessPoolExecutor")) == ["corpus_io.CorpusFiles"]
+    assert _callers(_calls("Process")) == []
 
 
 # Run in a fresh interpreter: which modules an import and offline commands load.

@@ -123,7 +123,7 @@ class ReliabilityReport:
             if diff < 0:
                 raise ValueError(f"negative diff for {crs_id}")
         if self.per_system_abs_diff:
-            mean = sum(self.per_system_abs_diff.values()) / len(self.per_system_abs_diff)
+            mean = math.fsum(self.per_system_abs_diff.values()) / len(self.per_system_abs_diff)
             if abs(mean - self.average_abs_diff) > 1e-12:
                 raise ValueError("average_abs_diff must equal the mean per-system diff")
 
@@ -187,7 +187,7 @@ def reliability_report(
         candidate_name=candidate_name,
         tau_b_vs_satisfaction=tau,
         per_system_abs_diff=diffs,
-        average_abs_diff=sum(diffs.values()) / len(diffs),
+        average_abs_diff=math.fsum(diffs.values()) / len(diffs),
         systems_compared=tuple(common),
         systems_dropped=tuple(dropped),
     )

@@ -25,6 +25,7 @@ folded in worker processes, with the same bytes out as one pass.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -439,7 +440,7 @@ def _reports(
     reports: dict[str, list[MetricReport]] = {}
     for position, (name, metric, _, _) in enumerate(_macro_specs(requested)):
         per_system = {
-            crs_id: sum(scores[position] for _, scores in t.rows) / len(t.rows)
+            crs_id: math.fsum(scores[position] for _, scores in t.rows) / len(t.rows)
             for crs_id, t in tallies.items()
         }
         per_dialogue = {d: scores[position] for t in tallies.values() for d, scores in t.rows}

@@ -168,6 +168,16 @@ class TestReliabilityReport:
         assert report.per_system_abs_diff == again.per_system_abs_diff
         assert report.average_abs_diff == again.average_abs_diff
 
+    def test_mean_diff_is_correctly_rounded(self):
+        # Ten diffs of exactly 0.1; an uncompensated sum gives 0.0999...
+        systems = [f"s{i}" for i in range(10)]
+        reference = {s: 0.1 for s in systems}
+        candidate = {s: 0.2 * (i % 2) for i, s in enumerate(systems)}
+        satisfaction = {s: i / 10 for i, s in enumerate(systems)}
+        report = reliability_report(reference, candidate, satisfaction)
+        assert set(report.per_system_abs_diff.values()) == {0.1}
+        assert report.average_abs_diff == 0.1
+
     def test_record_round_trip(self):
         report = reliability_report(
             REF["human_metrics"]["rdl"],

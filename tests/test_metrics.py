@@ -208,6 +208,16 @@ class TestRdl:
         assert dialogue_rdl(d) == pytest.approx(0.2)
         assert rdl(corpus(d)).per_system["sysA"] == pytest.approx(0.2)
 
+    def test_mean_of_ten_tenths_is_exactly_a_tenth(self):
+        # Correctly rounded on every Python: 3.10 and 3.11 sum floats
+        # without compensation, and sum([0.1] * 10) / 10 is 0.0999...
+        specs = [("SYSTEM", ["Recommend"]) if i % 2 else ("USER", ["Inquire"]) for i in range(10)]
+        utterances = list(turns(*specs))
+        utterances[2] = utt(2, "USER", [act("Accept", ("TITLE", "Alpha"))])
+        dialogues = [dlg(f"d{n}", "sysA", utterances) for n in range(10)]
+        assert dialogue_rdl(dialogues[0]) == 0.1
+        assert rdl(corpus(*dialogues)).per_system["sysA"] == 0.1
+
     def test_no_accept_scores_zero(self):
         d = dlg("none", "sysA", turns(("USER", ["Inquire"]), ("SYSTEM", ["Respond"])))
         assert rdl(corpus(d)).per_system["sysA"] == 0.0

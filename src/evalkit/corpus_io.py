@@ -10,9 +10,9 @@ reader of that framing and ``write_records`` the one writer.
 
 ``CorpusFiles`` reads corpus files as one stream of dialogues. Its
 ``fold`` cuts large files at line ends into byte ranges and parses and
-folds each range in a worker process, one per CPU and per
-``_BYTES_PER_WORKER`` of input; any fault in a range reruns the whole
-fold in-process, so errors and their line numbers are those of the
+folds each range in a worker process (``parallel.py``), one per CPU and
+per ``_BYTES_PER_WORKER`` of input; any fault in a range reruns the
+whole fold in-process, so errors and their line numbers are those of the
 one-stream read.
 """
 
@@ -69,7 +69,7 @@ def _fault(key: str, wanted: str, value: Any) -> TypeError:
     return TypeError(f"{key!r} must be {wanted}, not {_JSON_TYPES[type(value)]}")
 
 
-def _name(record: Mapping[str, Any], key: str) -> str:
+def _id_field(record: Mapping[str, Any], key: str) -> str:
     """Field ``key`` of ``record`` as a string: a string as it is, and a
     number that is not a boolean through ``str``."""
     value = record[key]
@@ -126,8 +126,8 @@ def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue
     goal = _parse_goal(record["goal"]) if record.get("goal") is not None else None
     utterances = tuple([_parse_utterance(u, schema) for u in record.get("utterances", ())])
     return Dialogue(
-        dialogue_id=_name(record, "dialogue_id"),
-        crs_id=_name(record, "crs_id"),
+        dialogue_id=_id_field(record, "dialogue_id"),
+        crs_id=_id_field(record, "crs_id"),
         utterances=utterances,
         satisfaction=record.get("satisfaction"),
         goal=goal,
@@ -165,7 +165,9 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
         yield line_number, record
 
 
-def _read_header(records: Iterator[tuple[int, dict[str, Any]]], header: dict[str, Any] | None) -> None:
+def _read_header(
+    records: Iterator[tuple[int, dict[str, Any]]], header: dict[str, Any] | None
+) -> None:
     """Read the first of ``records``, which must be the schema_version
     header, into ``header``; a stream without records has no header."""
     for line_number, record in records:
@@ -225,37 +227,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# What the pool initializer hands a worker process: (schema, fold, args).
-_worker_task: tuple = ()
-
-
-def _start_worker(schema: IntentSchema, fold: Callable, args: tuple) -> None:
-    global _worker_task
-    _worker_task = (schema, fold, args)
-
-
-def _range_lines(handle: BinaryIO, size: int) -> Iterator[bytes]:
-    """The lines of the next ``size`` bytes of ``handle``, which end at a line end."""
-    for line in handle:
-        yield line
-        size -= len(line)
-        if size <= 0:
-            return
-
-
-def _fold_range(path: str, start: int, end: int) -> tuple[set[str], Any]:
-    """A worker's fold over the dialogues in bytes [start, end) of ``path``,
-    with their ids. Line numbers count from the range's start: a fault is
-    reported by the in-process rerun, not from here."""
-    schema, fold, args = _worker_task
-    seen_ids: set[str] = set()
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        records = iter_records(_range_lines(handle, end - start))
-        result = fold(_parse_body(records, schema, seen_ids), *args)
-    return seen_ids, result
-
-
 class CorpusFiles:
     """Corpus files read as one stream of dialogues, ids unique across files.
 
@@ -282,15 +253,22 @@ class CorpusFiles:
         """``fold(dialogues, *args)`` over consecutive runs of the stream's
         dialogues that together hold each once, in stream order.
 
-        Below two workers' worth of input (see ``_worker_count``) that is one
-        run, the whole stream, folded in this process. Otherwise each run is
-        a line-aligned byte range of one file, folded in a worker process;
-        ``fold`` and ``args`` must then pickle. If any range faults or two
-        ranges hold one id, the in-process fold runs instead and raises the
-        error of the one-stream read.
+        With fewer than two workers due (``_worker_count``) that is one run,
+        the whole stream, folded in this process. Otherwise each run is a
+        line-aligned byte range of one file, folded in a worker process by
+        ``parallel.fold_in_workers``; ``fold`` and ``args`` must then pickle.
+        If any range faults or two ranges hold one id, the in-process fold
+        runs instead and raises the error of the one-stream read.
         """
-        results = self._fold_in_workers(fold, args)
-        return [fold(iter(self), *args)] if results is None else results
+        workers = self._worker_count()
+        if workers >= 2:
+            from .parallel import fold_in_workers  # loaded only for inputs that use workers
+
+            done = fold_in_workers(self.paths, self.schema, workers, fold, args)
+            if done is not None:
+                results, self.header = done
+                return results
+        return [fold(iter(self), *args)]
 
     def _worker_count(self) -> int:
         """One worker per ``_BYTES_PER_WORKER`` input bytes, at most one per CPU."""
@@ -299,56 +277,6 @@ class CorpusFiles:
         except OSError:  # the in-process read reports it
             return 0
         return min(_cpu_count(), total // _BYTES_PER_WORKER)
-
-    def _ranges(self, count: int) -> tuple[list[tuple[str, int, int]], dict[str, Any]]:
-        """About ``count`` line-aligned byte ranges covering every file's
-        records after its header, and the last file's header."""
-        bodies = []
-        header: dict[str, Any] = {}
-        for path in self.paths:
-            header = {}
-            with open(path, "rb") as handle:
-                _read_header(iter_records(handle), header)
-                bodies.append((path, handle.tell(), os.fstat(handle.fileno()).st_size))
-        step = -(-sum(end - start for _, start, end in bodies) // count)
-        ranges = []
-        for path, start, end in bodies:
-            with open(path, "rb") as handle:
-                while start < end:
-                    cut = start + step
-                    if cut < end:
-                        # The first line end at or after the target byte.
-                        handle.seek(cut - 1)
-                        handle.readline()
-                        cut = handle.tell()
-                    cut = min(cut, end)
-                    ranges.append((path, start, cut))
-                    start = cut
-        return ranges, header
-
-    def _fold_in_workers(self, fold: Callable[..., Any], args: tuple) -> list[Any] | None:
-        """The per-range results, or None when fewer than two workers are
-        due or any range faults."""
-        workers = self._worker_count()
-        if workers < 2:
-            return None
-        from concurrent.futures import ProcessPoolExecutor  # only large inputs start workers
-
-        try:
-            ranges, header = self._ranges(workers)
-            with ProcessPoolExecutor(
-                min(workers, len(ranges)),
-                initializer=_start_worker,
-                initargs=(self.schema, fold, args),
-            ) as pool:
-                parts = list(pool.map(_fold_range, *zip(*ranges)))
-        except Exception:  # any fault: the in-process rerun raises it with its line and file
-            return None
-        ids = [part_ids for part_ids, _ in parts]
-        if sum(map(len, ids)) != len(set().union(*ids)):
-            return None  # an id in two ranges: the rerun names its second line
-        self.header = header
-        return [result for _, result in parts]
 
 
 def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:

@@ -1,6 +1,6 @@
-"""The worker-process path of ``CorpusFiles.fold``, which ``ingest`` and
-``evaluate`` take on large inputs. Tests force it on small files by
-shrinking the bytes per worker and setting the CPU count."""
+"""The worker-process path of ``CorpusFiles.fold`` (``evalkit.parallel``),
+which ``ingest`` and ``evaluate`` take on large inputs. Tests force it on
+small files by shrinking the bytes per worker and setting the CPU count."""
 
 import json
 import multiprocessing
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evalkit import corpus_io
+from evalkit import corpus_io, parallel
 from evalkit.cli import main
 from evalkit.corpus_io import CorpusFiles, dialogue_record, serialize_corpus
 
@@ -20,20 +20,20 @@ from test_metrics import corpora_with_truth
 
 class Runs:
     """Runs commands in-process or on a forced number of workers, and
-    records whether each fold ran in workers."""
+    records, for each fold that tried workers, whether they ran it."""
 
     def __init__(self, monkeypatch, capsys):
         self.monkeypatch = monkeypatch
         self.capsys = capsys
         self.in_workers: list[bool] = []
-        fold_in_workers = CorpusFiles._fold_in_workers
+        fold_in_workers = parallel.fold_in_workers
 
-        def spy(files, fold, args):
-            results = fold_in_workers(files, fold, args)
-            self.in_workers.append(results is not None)
-            return results
+        def spy(*args):
+            done = fold_in_workers(*args)
+            self.in_workers.append(done is not None)
+            return done
 
-        monkeypatch.setattr(CorpusFiles, "_fold_in_workers", spy)
+        monkeypatch.setattr(parallel, "fold_in_workers", spy)
 
     def force(self, workers: int | None) -> None:
         """``workers`` CPUs and a byte per worker; None: one worker's worth
@@ -137,7 +137,7 @@ class TestSameBytesAtAnyWorkerCount:
             del runs.in_workers[:]
             ingest = runs.run(workers, ["ingest", "--input", str(whole)])
             evaluated = runs.run(workers, evaluate)
-            assert runs.in_workers == [workers is not None] * 2
+            assert runs.in_workers == ([True, True] if workers else [])
             outputs[workers] = (ingest, evaluated, report.read_bytes())
         assert outputs[None][0][0] == outputs[None][1][0] == 0
         assert outputs[2] == outputs[None]
@@ -157,7 +157,7 @@ def test_ranges_cover_each_body_at_line_starts(tmp_path_factory, count, lines):
         path = directory / f"{number}.ndjson"
         path.write_bytes(("\n" + HEADER + "\n" + "\n".join(lines[number:])).encode("utf-8"))
         paths.append(str(path))
-    ranges, header = CorpusFiles(paths)._ranges(count)
+    ranges, header = parallel.line_ranges(paths, count)
     assert header == {"schema_version": "1"}
     for path in paths:
         data = open(path, "rb").read()
@@ -249,7 +249,7 @@ def test_spawned_workers_give_the_in_process_bytes(runs, tmp_path):
         assert (runs.run(2, argv), report.read_bytes()) == expected
     finally:
         multiprocessing.set_start_method(method, force=True)
-    assert runs.in_workers == [False, True]
+    assert runs.in_workers == [True]
 
 
 def test_worker_count_follows_input_size_and_cpus(tmp_path, monkeypatch):

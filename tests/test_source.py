@@ -99,7 +99,7 @@ def test_only_annotation_in_order_starts_a_thread_pool():
 
 def test_only_corpus_files_starts_a_process_pool():
     # ingest and evaluate share one fold over line-aligned byte ranges.
-    assert _callers(_calls("ProcessPoolExecutor")) == ["corpus_io.CorpusFiles"]
+    assert _callers(_calls("ProcessPoolExecutor")) == ["parallel.fold_in_workers"]
     assert _callers(_calls("Process")) == []
 
 

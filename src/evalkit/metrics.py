@@ -416,18 +416,15 @@ def _tally_systems(
                 tally.hits += len(targets & set(recommended[:n]))
                 tally.truth_total += len(targets)
                 tally.rec_turns += 1
-    return dict(tallies)
+    return tallies
 
 
 def _merge_tallies(parts: Sequence[dict[str, _SystemTally]]) -> dict[str, _SystemTally]:
     """The tallies of consecutive runs of dialogues, merged in run order."""
-    merged: dict[str, _SystemTally] = {}
+    merged: defaultdict[str, _SystemTally] = defaultdict(_SystemTally)
     for part in parts:
         for crs_id, tally in part.items():
-            if crs_id in merged:
-                merged[crs_id].absorb(tally)
-            else:
-                merged[crs_id] = tally
+            merged[crs_id].absorb(tally)
     return merged
 
 

@@ -152,16 +152,16 @@ class TestSameBytesAtAnyWorkerCount:
 )
 def test_ranges_cover_each_body_at_line_starts(tmp_path_factory, count, lines):
     directory = tmp_path_factory.mktemp("ranges")
-    paths = []
+    files = {}
     for number in range(2):
-        path = directory / f"{number}.ndjson"
-        path.write_bytes(("\n" + HEADER + "\n" + "\n".join(lines[number:])).encode("utf-8"))
-        paths.append(str(path))
-    ranges, header = parallel.line_ranges(paths, count)
+        path = str(directory / f"{number}.ndjson")
+        files[path] = ("\n" + HEADER + "\n" + "\n".join(lines[number:])).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(files[path])
+    ranges, header = parallel.line_ranges(list(files), count)
     assert header == {"schema_version": "1"}
-    for path in paths:
-        data = open(path, "rb").read()
-        body_start = len(HEADER) + 2
+    body_start = len(HEADER) + 2
+    for path, data in files.items():
         starts = [start for p, start, _ in ranges if p == path]
         ends = [end for p, _, end in ranges if p == path]
         # Consecutive, non-empty, each starting a line, and covering the body.

@@ -19,7 +19,6 @@ from .analysis import (
 from .annotation import (
     LlmAnnotator,
     RuleAnnotator,
-    annotate_corpus,
     iter_annotated,
 )
 from .catalog import CatalogItem, ItemCatalog, load_catalog
@@ -38,7 +37,6 @@ from .connectors import (
 from .corpus_io import (
     iter_corpus,
     parse_corpus,
-    read_corpus,
     serialize_corpus,
     write_corpus,
 )

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .catalog import ItemCatalog
 from .connectors import LlmGateway, MockLlmGateway
 from .dialogue import (
-    Corpus,
     Dialogue,
     DialogueAct,
     ITEM_SLOT,
@@ -300,13 +299,3 @@ def iter_annotated(
     if failures:
         raise AnnotationBatchError(sorted(failures))
 
-
-def annotate_corpus(
-    corpus: Corpus,
-    annotator: RuleAnnotator | LlmAnnotator,
-    overwrite: bool = False,
-    jobs: int = 1,
-) -> Corpus:
-    """Collect ``iter_annotated`` over a corpus into one with its header."""
-    dialogues = tuple(iter_annotated(corpus.dialogues, annotator, overwrite, jobs))
-    return Corpus(dialogues, corpus.schema_version, corpus.extra)

@@ -65,19 +65,40 @@ _JSON_TYPES = {
 }
 
 
-def _fault(key: str, wanted: str, value: Any) -> TypeError:
-    return TypeError(f"{key!r} must be {wanted}, not {_JSON_TYPES[type(value)]}")
+def _fault(field: str, wanted: str, value: Any) -> TypeError:
+    return TypeError(f"{field} must be {wanted}, not {_JSON_TYPES[type(value)]}")
 
 
-def _id_field(record: Mapping[str, Any], key: str) -> str:
-    """Field ``key`` of ``record`` as a string: a string as it is, and a
-    number that is not a boolean through ``str``."""
-    value = record[key]
+def _text(value: Any, field: str) -> str:
+    """``value`` as a string: a string as it is, and a number that is not a
+    boolean through ``str``; TypeError naming ``field`` otherwise."""
     if type(value) is str:
         return value
     if type(value) is int or type(value) is float:
         return str(value)
-    raise _fault(key, "a string", value)
+    raise _fault(field, "a string", value)
+
+
+def _texts(record: Mapping[str, Any], key: str) -> tuple[str, ...]:
+    """Field ``key`` of ``record``, an array, as a tuple of ``_text`` values."""
+    values = record.get(key, [])
+    if type(values) is not list:
+        raise _fault(repr(key), "an array", values)
+    for value in values:
+        if type(value) is not str:
+            entry = f"an entry of {key!r}"
+            return tuple([_text(v, entry) for v in values])
+    return tuple(values)
+
+
+def _slot_pairs(record: Mapping[str, Any], key: str) -> tuple[tuple[str, str], ...]:
+    """Field ``key`` of ``record``, an array of slot-value objects, as
+    (slot, value) pairs of ``_text`` values."""
+    pairs = tuple(map(_slot_pair, record.get(key, ())))
+    for name, value in pairs:
+        if type(name) is not str or type(value) is not str:
+            return tuple([(_text(name, "'slot'"), _text(value, "'value'")) for name, value in pairs])
+    return pairs
 
 
 def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
@@ -89,50 +110,57 @@ def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
 # Acts and utterances are built with positional arguments: matching
 # keywords would cost a sizeable share of a small record's parse.
 def _parse_act(record: Mapping[str, Any]) -> DialogueAct:
-    slots = tuple(map(_slot_pair, record.get("slots", ())))
-    return DialogueAct(record["intent"], slots, _extras(record, _ACT_KEYS))
+    if type(record) is not dict:
+        raise _fault("an entry of 'acts'", "an object", record)
+    return DialogueAct(record["intent"], _slot_pairs(record, "slots"), _extras(record, _ACT_KEYS))
 
 
 def _parse_goal(record: Mapping[str, Any]) -> UserGoal:
+    if type(record) is not dict:
+        raise _fault("'goal'", "an object", record)
     return UserGoal(
-        constraints=tuple(map(_slot_pair, record.get("constraints", ()))),
-        requests=tuple(record.get("requests", ())),
+        constraints=_slot_pairs(record, "constraints"),
+        requests=_texts(record, "requests"),
         extra=_extras(record, _GOAL_KEYS),
     )
 
 
 def _parse_utterance(record: Mapping[str, Any], schema: IntentSchema) -> Utterance:
+    index = record["index"]
+    if type(index) is not int:
+        raise _fault("'index'", "an integer", index)
     try:
         speaker = _SPEAKERS[record["speaker"]]
     except (KeyError, TypeError):
         speaker = Speaker(record["speaker"])  # raises the error naming the field or value
-    acts = tuple(map(_parse_act, record.get("acts", ())))
+    acts = record.get("acts", [])
+    if type(acts) is not list:
+        raise _fault("'acts'", "an array", acts)
+    acts = tuple(map(_parse_act, acts))
     intents = schema.intents_for(speaker)
     for act in acts:
         if act.intent not in intents:
             schema.validate_act(act, speaker)
     text = record.get("text", "")
     if type(text) is not str:
-        raise _fault("text", "a string", text)
-    items = record.get("items", [])
-    if type(items) is not list:
-        raise _fault("items", "an array", items)
+        raise _fault("'text'", "a string", text)
     return Utterance(
-        record["index"], speaker, text, acts, tuple(items), _extras(record, _UTTERANCE_KEYS)
+        index, speaker, text, acts, _texts(record, "items"), _extras(record, _UTTERANCE_KEYS)
     )
 
 
 def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue:
     goal = _parse_goal(record["goal"]) if record.get("goal") is not None else None
     utterances = tuple([_parse_utterance(u, schema) for u in record.get("utterances", ())])
+    simulator_id = record.get("simulator_id")
     return Dialogue(
-        dialogue_id=_id_field(record, "dialogue_id"),
-        crs_id=_id_field(record, "crs_id"),
+        dialogue_id=_text(record["dialogue_id"], "'dialogue_id'"),
+        crs_id=_text(record["crs_id"], "'crs_id'"),
         utterances=utterances,
         satisfaction=record.get("satisfaction"),
         goal=goal,
         provenance=record.get("provenance", PROVENANCE_HUMAN),
-        simulator_id=record.get("simulator_id"),
+        simulator_id=None if simulator_id is None else _text(simulator_id, "'simulator_id'"),
         extra=_extras(record, _DIALOGUE_KEYS),
     )
 
@@ -382,7 +410,3 @@ def write_records(path, header: Mapping[str, Any], records: Iterable[Mapping[str
 def write_corpus(corpus: Corpus, path) -> None:
     write_records(path, _header(corpus), map(dialogue_record, corpus.dialogues))
 
-
-def read_corpus(path, schema: IntentSchema | None = None) -> Corpus:
-    with open(path, "rb") as handle:
-        return parse_corpus(handle, schema)

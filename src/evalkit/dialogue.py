@@ -1,10 +1,16 @@
 """Core domain types for annotated recommendation dialogues.
 
-All types are immutable after construction and safe to share across
-threads. Sequences are stored as tuples; unknown fields from external
-records are carried in ``extra`` mappings so they survive a round-trip.
-A parsed object without unknown fields shares one read-only empty
-``extra`` mapping.
+All types are frozen dataclasses, immutable after construction and safe
+to share across threads. The four built per parsed record (``Dialogue``,
+``Utterance``, ``DialogueAct``, ``UserGoal``) have a hand-written
+``__init__`` that checks and normalizes its arguments once and stores
+the results straight into the instance ``__dict__``; assignment still
+raises ``FrozenInstanceError``. Sequences are stored as tuples, and item
+ids, slot names and values and request names must be strings (the
+corpus parser turns JSON numbers into strings first). Unknown fields
+from external records are carried in ``extra`` mappings so they survive
+a round-trip. An omitted ``extra`` is a new empty dict; a parsed object
+without unknown fields shares one read-only empty ``extra`` mapping.
 """
 
 from __future__ import annotations
@@ -53,15 +59,20 @@ def _bundled_text(name: str) -> str:
     return resources.files("evalkit").joinpath(f"data/{name}").read_text("utf-8")
 
 
-def _as_strings(values: Iterable) -> tuple[str, ...]:
-    """``values`` as a tuple of str; a tuple of str is returned as it is."""
-    if type(values) is tuple and all(type(value) is str for value in values):
-        return values
-    return tuple(map(str, values))
+def _as_strings(values: Iterable[str], what: str) -> tuple[str, ...]:
+    """``values`` as a tuple; a tuple is returned as it is. TypeError names
+    ``what`` if a value is not a string."""
+    if type(values) is not tuple:
+        values = tuple(values)
+    for value in values:
+        if not isinstance(value, str):
+            raise TypeError(f"{what} must be strings, not {type(value).__name__}")
+    return values
 
 
-def _as_slot_pairs(slots: Iterable) -> tuple[tuple[str, str], ...]:
-    """``slots`` as a tuple of (str, str) pairs; such a tuple is returned as it is."""
+def _as_slot_pairs(slots: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """``slots`` as a tuple of (name, value) tuples; such a tuple is returned
+    as it is. TypeError if a name or value is not a string."""
     if type(slots) is tuple:
         for pair in slots:
             if not (
@@ -71,7 +82,12 @@ def _as_slot_pairs(slots: Iterable) -> tuple[tuple[str, str], ...]:
                 break
         else:
             return slots
-    return tuple([(str(name), str(value)) for name, value in slots])
+    pairs = tuple([(name, value) for name, value in slots])
+    for name, value in pairs:
+        if not (isinstance(name, str) and isinstance(value, str)):
+            wrong = value if isinstance(name, str) else name
+            raise TypeError(f"slot names and values must be strings, not {type(wrong).__name__}")
+    return pairs
 
 
 def _slot_fault(pairs: tuple[tuple[str, str], ...]) -> tuple[str, str] | None:
@@ -158,7 +174,7 @@ def simulation_schema() -> IntentSchema:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DialogueAct:
     """An intent with ordered slot-value pairs, e.g. Recommend(TITLE=...)."""
 
@@ -166,16 +182,25 @@ class DialogueAct:
     slots: tuple[tuple[str, str], ...] = ()
     extra: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.intent:
+    def __init__(
+        self,
+        intent: str,
+        slots: Iterable[tuple[str, str]] = (),
+        extra: Mapping[str, Any] | None = None,
+    ):
+        if not intent:
             raise ValueError("act intent must be non-empty")
-        object.__setattr__(self, "slots", _as_slot_pairs(self.slots))
-        fault = _slot_fault(self.slots)
+        slots = _as_slot_pairs(slots)
+        fault = _slot_fault(slots)
         if fault is not None:
             name, value = fault
             if not name:
-                raise ValueError(f"slot name must be non-empty in {self.intent} act")
-            raise ValueError(f"duplicate slot pair ({name}={value}) in {self.intent} act")
+                raise ValueError(f"slot name must be non-empty in {intent} act")
+            raise ValueError(f"duplicate slot pair ({name}={value}) in {intent} act")
+        fields = self.__dict__
+        fields["intent"] = intent
+        fields["slots"] = slots
+        fields["extra"] = {} if extra is None else extra
 
     def slot_values(self, name: str) -> tuple[str, ...]:
         """All values carried for slot ``name``, in order."""
@@ -188,7 +213,7 @@ class DialogueAct:
         return f"{self.intent}({inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Utterance:
     """One turn: a speaker, its text, and optional acts and item mentions."""
 
@@ -199,22 +224,37 @@ class Utterance:
     items: tuple[str, ...] = ()
     extra: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(
+        self,
+        index: int,
+        speaker: Speaker | str,
+        text: str,
+        acts: Iterable[DialogueAct] = (),
+        items: Iterable[str] = (),
+        extra: Mapping[str, Any] | None = None,
+    ):
+        if index < 0:
             raise ValueError("utterance index must be >= 0")
-        if not isinstance(self.speaker, Speaker):
-            object.__setattr__(self, "speaker", Speaker(self.speaker))
-        if type(self.acts) is not tuple:
-            object.__setattr__(self, "acts", tuple(self.acts))
-        object.__setattr__(self, "items", _as_strings(self.items))
-        if "" in self.items:
-            raise ValueError(f"utterance {self.index}: item identifiers must be non-empty")
+        if not isinstance(speaker, Speaker):
+            speaker = Speaker(speaker)
+        if type(acts) is not tuple:
+            acts = tuple(acts)
+        items = _as_strings(items, "item identifiers")
+        if "" in items:
+            raise ValueError(f"utterance {index}: item identifiers must be non-empty")
+        fields = self.__dict__
+        fields["index"] = index
+        fields["speaker"] = speaker
+        fields["text"] = text
+        fields["acts"] = acts
+        fields["items"] = items
+        fields["extra"] = {} if extra is None else extra
 
     def has_intent(self, label: str) -> bool:
         return any(act.intent == label for act in self.acts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UserGoal:
     """Constraints the sought item must satisfy plus attributes to ask about."""
 
@@ -222,22 +262,31 @@ class UserGoal:
     requests: tuple[str, ...] = ()
     extra: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", _as_slot_pairs(self.constraints))
-        object.__setattr__(self, "requests", _as_strings(self.requests))
-        if not self.constraints:
+    def __init__(
+        self,
+        constraints: Iterable[tuple[str, str]],
+        requests: Iterable[str] = (),
+        extra: Mapping[str, Any] | None = None,
+    ):
+        constraints = _as_slot_pairs(constraints)
+        requests = _as_strings(requests, "request attribute names")
+        if not constraints:
             raise ValueError("a goal needs at least one constraint")
-        fault = _slot_fault(self.constraints)
+        fault = _slot_fault(constraints)
         if fault is not None:
             name, value = fault
             if not name:
                 raise ValueError("constraint slot names must be non-empty")
             raise ValueError(f"duplicate constraint ({name}={value})")
-        if "" in self.requests:
+        if "" in requests:
             raise ValueError("request attribute names must be non-empty")
+        fields = self.__dict__
+        fields["constraints"] = constraints
+        fields["requests"] = requests
+        fields["extra"] = {} if extra is None else extra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dialogue:
     """A full conversation between one user and one CRS."""
 
@@ -250,35 +299,55 @@ class Dialogue:
     simulator_id: str | None = None
     extra: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.dialogue_id:
+    def __init__(
+        self,
+        dialogue_id: str,
+        crs_id: str,
+        utterances: Iterable[Utterance],
+        satisfaction: str | None = None,
+        goal: UserGoal | None = None,
+        provenance: str = PROVENANCE_HUMAN,
+        simulator_id: str | None = None,
+        extra: Mapping[str, Any] | None = None,
+    ):
+        if not dialogue_id:
             raise ValueError("dialogue_id must be non-empty")
-        if not self.crs_id:
+        if not crs_id:
             raise ValueError("crs_id must be non-empty")
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        if not self.utterances:
-            raise ValueError(f"dialogue {self.dialogue_id}: no utterances")
-        for position, utterance in enumerate(self.utterances):
+        if type(utterances) is not tuple:
+            utterances = tuple(utterances)
+        if not utterances:
+            raise ValueError(f"dialogue {dialogue_id}: no utterances")
+        for position, utterance in enumerate(utterances):
             if utterance.index != position:
                 raise ValueError(
-                    f"dialogue {self.dialogue_id}: utterance indexes must be "
+                    f"dialogue {dialogue_id}: utterance indexes must be "
                     f"consecutive from 0 (found {utterance.index} at {position})"
                 )
-        if self.satisfaction is not None and self.satisfaction not in SATISFACTION_LABELS:
+        if satisfaction is not None and satisfaction not in SATISFACTION_LABELS:
             raise ValueError(
-                f"dialogue {self.dialogue_id}: satisfaction must be one of "
-                f"{SATISFACTION_LABELS}, got {self.satisfaction!r}"
+                f"dialogue {dialogue_id}: satisfaction must be one of "
+                f"{SATISFACTION_LABELS}, got {satisfaction!r}"
             )
-        if self.provenance not in PROVENANCES:
+        if provenance not in PROVENANCES:
             raise ValueError(
-                f"dialogue {self.dialogue_id}: provenance must be one of {PROVENANCES}"
+                f"dialogue {dialogue_id}: provenance must be one of {PROVENANCES}"
             )
-        if self.provenance == PROVENANCE_SIMULATED:
-            if self.simulator_id is None or self.goal is None:
+        if provenance == PROVENANCE_SIMULATED:
+            if simulator_id is None or goal is None:
                 raise ValueError(
-                    f"dialogue {self.dialogue_id}: simulated dialogues need "
+                    f"dialogue {dialogue_id}: simulated dialogues need "
                     f"simulator_id and goal"
                 )
+        fields = self.__dict__
+        fields["dialogue_id"] = dialogue_id
+        fields["crs_id"] = crs_id
+        fields["utterances"] = utterances
+        fields["satisfaction"] = satisfaction
+        fields["goal"] = goal
+        fields["provenance"] = provenance
+        fields["simulator_id"] = simulator_id
+        fields["extra"] = {} if extra is None else extra
 
     def __len__(self) -> int:
         """Turn count: utterances from both participants."""

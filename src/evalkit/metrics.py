@@ -87,7 +87,7 @@ class CostFactor:
             raise ValueError(f"cost weight for {self.name!r} must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RecommendationRound:
     """Span from a system Recommend to the user's Accept/Reject decision."""
 
@@ -96,13 +96,18 @@ class RecommendationRound:
     outcome: str
     items: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_UNRESOLVED):
-            raise ValueError(f"unknown round outcome {self.outcome!r}")
-        if not self.start_index < self.end_index:
+    def __init__(self, start_index: int, end_index: int, outcome: str, items: Iterable[str] = ()):
+        if outcome not in (OUTCOME_ACCEPTED, OUTCOME_REJECTED, OUTCOME_UNRESOLVED):
+            raise ValueError(f"unknown round outcome {outcome!r}")
+        if not start_index < end_index:
             raise ValueError("round must satisfy start_index < end_index")
-        if type(self.items) is not tuple:
-            object.__setattr__(self, "items", tuple(self.items))
+        if type(items) is not tuple:
+            items = tuple(items)
+        fields = self.__dict__
+        fields["start_index"] = start_index
+        fields["end_index"] = end_index
+        fields["outcome"] = outcome
+        fields["items"] = items
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def accepted_item_count(dialogue: Dialogue) -> int:
     return len(named) + bare
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DialogueFacts:
     """The facts reward and cost factors read off one dialogue. Built once
     per dialogue, so all metrics share one round segmentation; custom
@@ -231,6 +236,14 @@ class DialogueFacts:
     dialogue: Dialogue
     rounds: tuple[RecommendationRound, ...]
     accepted_items: int
+
+    def __init__(
+        self, dialogue: Dialogue, rounds: tuple[RecommendationRound, ...], accepted_items: int
+    ):
+        fields = self.__dict__
+        fields["dialogue"] = dialogue
+        fields["rounds"] = rounds
+        fields["accepted_items"] = accepted_items
 
     @classmethod
     def of(cls, dialogue: Dialogue) -> DialogueFacts:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import current_process
 from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from .corpus_io import _parse_body, _read_header, iter_records
@@ -78,7 +79,8 @@ def fold_in_workers(
 ) -> tuple[list[Any], dict] | None:
     """``fold(dialogues, *args)`` per byte range of ``paths`` on up to
     ``workers`` processes, in file order, with the last file's header; None
-    if any range faults or two ranges hold one id."""
+    if any range faults or two ranges hold one id. In a child process that
+    is still starting up, a failure to start workers is raised."""
     try:
         ranges, header = line_ranges(paths, workers)
         with ProcessPoolExecutor(
@@ -87,6 +89,12 @@ def fold_in_workers(
             futures = [pool.submit(_fold_range, *part) for part in ranges]
             parts = [future.result() for future in futures]
     except Exception:  # any fault: the caller's in-process rerun reports it
+        if getattr(current_process(), "_inheriting", False):
+            # multiprocessing's flag for a spawn or forkserver child still
+            # importing the main module: one that runs a command without a
+            # ``__main__`` guard. Python's own error says so, and the parent,
+            # which sees the child fail, reruns in-process.
+            raise
         return None
     ids = [part_ids for part_ids, _ in parts]
     if sum(map(len, ids)) != len(set().union(*ids)):

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from evalkit.annotation import (
     LlmAnnotator,
     RuleAnnotator,
-    annotate_corpus,
     in_order,
     iter_annotated,
     load_rule_lexicon,
@@ -32,6 +32,13 @@ from helpers import act, corpus, dlg, utt
 from oracle import oracle_cue_intents
 
 SCHEMA = default_schema()
+
+
+def annotate_corpus(c, annotator, overwrite=False, jobs=1):
+    """``iter_annotated`` over a corpus, collected with its header."""
+    return replace(c, dialogues=tuple(iter_annotated(c, annotator, overwrite, jobs)))
+
+
 # A schema without Other for either speaker.
 NO_OTHER = IntentSchema(
     user_intents=frozenset({"Accept", "Reject", "Disclose"}),

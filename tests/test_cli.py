@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
-from evalkit.annotation import RuleAnnotator, annotate_corpus
+from evalkit.annotation import RuleAnnotator, iter_annotated
 from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
 from evalkit.connectors import HttpLlmGateway, MockLlmGateway
-from evalkit.corpus_io import dialogue_record, read_corpus, serialize_corpus, write_corpus
+from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 
 from conftest import MOVIES
@@ -171,7 +171,7 @@ class TestAnnotate:
             )
             == 0
         )
-        annotated = read_corpus(out)
+        annotated = parse_corpus(out.read_bytes())
         intents = [
             [a.intent for a in u.acts] for u in annotated.dialogues[0].utterances
         ]
@@ -264,7 +264,7 @@ class TestAnnotate:
             ]
         )
         assert code == 0
-        annotated = read_corpus(out)
+        annotated = parse_corpus(out.read_bytes())
         assert annotated.dialogues[0].utterances[0].acts[0].intent == "Accept"
 
     def test_endpoint_from_environment(self, tmp_path, monkeypatch):
@@ -278,7 +278,7 @@ class TestAnnotate:
             ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
         )
         assert code == 0
-        annotated = read_corpus(out)
+        annotated = parse_corpus(out.read_bytes())
         assert annotated.dialogues[0].utterances[0].acts[0].intent == "Accept"
 
     def test_flag_beats_config_file_beats_environment(self, tmp_path, monkeypatch):
@@ -301,7 +301,7 @@ class TestAnnotate:
                 + extra
             )
             assert code == 0
-            return read_corpus(out).dialogues[0].utterances[0].acts[0].intent
+            return parse_corpus(out.read_bytes()).dialogues[0].utterances[0].acts[0].intent
 
         assert annotate_with(["--config", str(config_file), "--llm-endpoint", f"mock:{flag_script}"]) == "Accept"
         assert annotate_with(["--config", str(config_file)]) == "Reject"
@@ -322,7 +322,7 @@ class TestAnnotate:
         out = tmp_path / "annotated.ndjson"
         argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
         assert main(argv + ["--schema", str(schema), "--llm-endpoint", f"mock:{script}"]) == 0
-        annotated = read_corpus(out, IntentSchema.from_record(record))
+        annotated = parse_corpus(out.read_bytes(), IntentSchema.from_record(record))
         assert [u.acts for u in annotated.dialogues[0].utterances] == [(), ()]
 
     def test_llm_mode_reads_no_rule_files(self, tmp_path):
@@ -360,7 +360,7 @@ class TestAnnotate:
             assert main(argv + ["--llm-endpoint", f"mock:{script}", "--jobs", jobs]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        annotated = read_corpus(tmp_path / "jobs1.ndjson")
+        annotated = parse_corpus((tmp_path / "jobs1.ndjson").read_bytes())
         intents = [u.acts[0].intent for d in annotated.dialogues for u in d.utterances]
         assert intents == ["Accept", "Reject", "Disclose", "Inquire"] * 2
 
@@ -411,7 +411,9 @@ class TestAnnotate:
         argv = ["annotate", "--input", str(src), "--output", str(out), "--seed", "3"]
         assert main(argv + ["--jobs", jobs]) == 0
 
-        annotated = annotate_corpus(read_corpus(src), RuleAnnotator(default_schema()))
+        source = parse_corpus(src.read_bytes())
+        dialogues = tuple(iter_annotated(source, RuleAnnotator(default_schema())))
+        annotated = replace(source, dialogues=dialogues)
         settings = {"command": "annotate", "mode": "rule", "overwrite": False, "seed": 3}
         extra = {**annotated.extra, **_stamp(settings)}
         assert out.read_bytes() == serialize_corpus(replace(annotated, extra=extra))
@@ -629,7 +631,7 @@ class TestSimulate:
         assert main(args + ["--output", str(first)]) == 0
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
-        generated = read_corpus(first, simulation_schema())
+        generated = parse_corpus(first.read_bytes(), simulation_schema())
         assert len(generated) == 3
         assert all(d.provenance == "simulated" for d in generated.dialogues)
 
@@ -665,7 +667,7 @@ class TestSimulate:
         assert main(args + ["--output", str(first)]) == 0
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
-        generated = read_corpus(first, simulation_schema())
+        generated = parse_corpus(first.read_bytes(), simulation_schema())
         assert len(generated) == 2
         assert all(d.simulator_id == "llm-us" for d in generated.dialogues)
 
@@ -685,7 +687,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        assert len(read_corpus(out, simulation_schema())) == 200
+        assert len(parse_corpus(out.read_bytes(), simulation_schema())) == 200
 
     def test_limits_from_config_file(self, tmp_path, catalog_file):
         config = tmp_path / "run.json"
@@ -707,7 +709,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        generated = read_corpus(out, simulation_schema())
+        generated = parse_corpus(out.read_bytes(), simulation_schema())
         assert len(generated) == 2
         assert all(len(d) <= 4 for d in generated.dialogues)
         assert generated.extra["seed"] == 33
@@ -733,7 +735,7 @@ class TestSimulate:
             )
             == 0
         )
-        assert len(read_corpus(out2, simulation_schema())) == 1
+        assert len(parse_corpus(out2.read_bytes(), simulation_schema())) == 1
 
     @pytest.mark.parametrize(
         "key, value, kind",
@@ -803,7 +805,7 @@ class TestSimulate:
         out = tmp_path / "sim.ndjson"
         argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
         assert main(argv + ["-n", "3", "--request-slots", ",", "--output", str(out)]) == 0
-        assert all(not d.goal.requests for d in read_corpus(out, simulation_schema()).dialogues)
+        assert all(not d.goal.requests for d in parse_corpus(out.read_bytes(), simulation_schema()).dialogues)
 
     def test_interaction_model_file(self, tmp_path, catalog_file):
         # Once the goal's planned disclosures and questions are out, every
@@ -818,7 +820,7 @@ class TestSimulate:
         argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
         argv += ["-n", "5", "--interaction-model", str(model), "--output", str(out)]
         assert main(argv) == 0
-        generated = read_corpus(out, simulation_schema())
+        generated = parse_corpus(out.read_bytes(), simulation_schema())
         assert all(d.extra["termination_reason"] != "simulator-stop" for d in generated.dialogues)
         user_intents = {
             a.intent for d in generated.dialogues for u in d.utterances for a in u.acts

@@ -132,6 +132,20 @@ class TestParseCorpus:
             ({"text": None}, "'text' must be a string, not null"),
             ({"items": "Up"}, "'items' must be an array, not a string"),
             ({"items": {"Up": 1}}, "'items' must be an array, not an object"),
+            ({"items": ["Up", True]}, "an entry of 'items' must be a string, not a boolean"),
+            ({"items": [{"id": "Up"}]}, "an entry of 'items' must be a string, not an object"),
+            (
+                {"acts": [{"intent": "Recommend", "slots": [{"slot": "TITLE", "value": None}]}]},
+                "'value' must be a string, not null",
+            ),
+            (
+                {"acts": [{"intent": "Recommend", "slots": [{"slot": ["TITLE"], "value": "Up"}]}]},
+                "'slot' must be a string, not an array",
+            ),
+            ({"acts": ["Recommend"]}, "an entry of 'acts' must be an object, not a string"),
+            ({"acts": {"intent": "Recommend"}}, "'acts' must be an array, not an object"),
+            ({"index": False}, "'index' must be an integer, not a boolean"),
+            ({"index": 1.0}, "'index' must be an integer, not a number"),
         ],
     )
     def test_invalid_utterance_names_reason_and_line(self, fields, reason):
@@ -149,6 +163,32 @@ class TestParseCorpus:
         assert utterance.items == ("1",)
         assert utterance.acts[0].slots == (("7", "1"),)
 
+    def test_numbers_in_a_goal_become_strings(self):
+        goal = {"constraints": [{"slot": "year", "value": 2016}], "requests": [7]}
+        dialogue = parse_corpus(stream(dict(FIXTURE_RECORD, goal=goal))).dialogues[0]
+        assert dialogue.goal == UserGoal((("year", "2016"),), ("7",))
+
+    @pytest.mark.parametrize(
+        "goal, reason",
+        [
+            ("comedy", "'goal' must be an object, not a string"),
+            ({"constraints": [{"slot": "genre", "value": None}]}, "'value' must be a string, not null"),
+            (
+                {"constraints": [{"slot": "genre", "value": "comedy"}], "requests": [None]},
+                "an entry of 'requests' must be a string, not null",
+            ),
+            (
+                {"constraints": [{"slot": "genre", "value": "comedy"}], "requests": "year"},
+                "'requests' must be an array, not a string",
+            ),
+        ],
+    )
+    def test_invalid_goal_names_the_field_and_line(self, goal, reason):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(stream(FIXTURE_RECORD, dict(FIXTURE_RECORD, dialogue_id="d2", goal=goal)))
+        assert excinfo.value.reason == reason
+        assert excinfo.value.line_number == 3
+
     def test_numeric_ids_become_strings(self):
         record = dict(FIXTURE_RECORD, dialogue_id=7, crs_id=2.5)
         dialogue = parse_corpus(stream(record)).dialogues[0]
@@ -161,6 +201,7 @@ class TestParseCorpus:
             ({"crs_id": True}, "'crs_id' must be a string, not a boolean"),
             ({"dialogue_id": None}, "'dialogue_id' must be a string, not null"),
             ({"dialogue_id": {"n": 1}}, "'dialogue_id' must be a string, not an object"),
+            ({"simulator_id": ["abus"]}, "'simulator_id' must be a string, not an array"),
         ],
     )
     def test_ids_that_are_not_strings_or_numbers_name_the_field_and_line(self, fields, reason):

@@ -1,3 +1,8 @@
+import dataclasses
+import inspect
+import pickle
+import re
+
 import pytest
 
 from evalkit.dialogue import (
@@ -12,6 +17,7 @@ from evalkit.dialogue import (
     simulation_schema,
 )
 from evalkit.errors import SchemaViolationError
+from evalkit.metrics import DialogueFacts, RecommendationRound
 
 from helpers import act, dlg, utt
 
@@ -154,3 +160,147 @@ class TestIntentSchema:
             "system_intents": sorted(schema.system_intents),
         }
         assert IntentSchema.from_record(record) == schema
+
+
+USER = Speaker.USER
+GOAL = UserGoal((("genre", "comedy"),), ("year",))
+UTTERANCES = (utt(0, "USER", ["Disclose"]), utt(1, "SYSTEM", ["Recommend"], ["Up"]))
+ROUND = RecommendationRound(1, 2, "accepted", ("Up",))
+
+# One object per class with a hand-written ``__init__``, each field set,
+# and the same class's required arguments only.
+BUILT = [
+    (DialogueAct("Recommend", (("TITLE", "Up"),), {"why": "popular"}), ("Other",)),
+    (Utterance(1, USER, "hi", (act("Other"),), ("Up",), {"mood": "sunny"}), (0, USER, "x")),
+    (UserGoal((("genre", "comedy"),), ("year",), {"seed": 3}), ((("genre", "comedy"),),)),
+    (
+        Dialogue("d1", "sysA", UTTERANCES, "satisfied", GOAL, "simulated", "abus", {"k": 1}),
+        ("d1", "sysA", UTTERANCES),
+    ),
+    (ROUND, (1, 2, "rejected")),
+    (DialogueFacts(dlg("d1", "sysA", UTTERANCES), (ROUND,), 1), (None, (), 0)),
+]
+CLASSES = [type(built) for built, _ in BUILT]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_signature_lists_the_fields_in_order_with_their_defaults(cls):
+    parameters = list(inspect.signature(cls).parameters.values())
+    fields = dataclasses.fields(cls)
+    assert [p.name for p in parameters] == [f.name for f in fields]
+    for parameter, f in zip(parameters, fields):
+        if f.default_factory is not dataclasses.MISSING:
+            # None stands for a new value from the field's default factory.
+            assert parameter.default is None
+        elif f.default is dataclasses.MISSING:
+            assert parameter.default is inspect.Parameter.empty
+        else:
+            assert parameter.default == f.default
+
+
+@pytest.mark.parametrize(
+    "built, required", [(b, r) for b, r in BUILT if hasattr(b, "extra")], ids=lambda v: type(v).__name__
+)
+def test_default_extras_are_new_dicts(built, required):
+    first, second = type(built)(*required), type(built)(*required)
+    assert first.extra == {} and type(first.extra) is dict
+    assert first.extra is not second.extra
+
+
+@pytest.mark.parametrize("built", [b for b, _ in BUILT], ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned_or_deleted(built):
+    for f in dataclasses.fields(built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, f.name, getattr(built, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, f.name)
+
+
+@pytest.mark.parametrize("built", [b for b, _ in BUILT], ids=lambda v: type(v).__name__)
+def test_replace_and_pickle_give_equal_objects(built):
+    # Worker processes send parsed objects and their tallies by pickle.
+    assert dataclasses.replace(built) == built
+    assert pickle.loads(pickle.dumps(built)) == built
+    assert repr(pickle.loads(pickle.dumps(built))) == repr(built)
+
+
+def test_replace_runs_the_checks_and_normalizes():
+    with pytest.raises(ValueError, match="act intent must be non-empty"):
+        dataclasses.replace(act("Other"), intent="")
+    moved = dataclasses.replace(UTTERANCES[1], speaker="USER", items=["Up", "Heat"])
+    assert moved.speaker is Speaker.USER and moved.items == ("Up", "Heat")
+    assert dataclasses.replace(ROUND, items=["Heat"]).items == ("Heat",)
+    assert hash(dataclasses.replace(ROUND)) == hash(ROUND)
+
+
+def simulated(**fields):
+    return Dialogue("d", "s", UTTERANCES, **fields)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DialogueAct(""), "act intent must be non-empty"),
+        (lambda: act("Disclose", ("", "x")), "slot name must be non-empty in Disclose act"),
+        (
+            lambda: act("Recommend", ("TITLE", "Up"), ("TITLE", "Up")),
+            "duplicate slot pair (TITLE=Up) in Recommend act",
+        ),
+        (lambda: Utterance(-1, USER, "x"), "utterance index must be >= 0"),
+        (lambda: Utterance(0, "ROBOT", "x"), "'ROBOT' is not a valid Speaker"),
+        (lambda: Utterance(2, USER, "x", items=("",)), "utterance 2: item identifiers must be non-empty"),
+        (lambda: UserGoal(()), "a goal needs at least one constraint"),
+        (lambda: UserGoal((("", "x"),)), "constraint slot names must be non-empty"),
+        (lambda: UserGoal((("a", "b"), ("a", "b"))), "duplicate constraint (a=b)"),
+        (lambda: UserGoal((("a", "b"),), ("",)), "request attribute names must be non-empty"),
+        (lambda: Dialogue("", "s", UTTERANCES), "dialogue_id must be non-empty"),
+        (lambda: Dialogue("d", "", UTTERANCES), "crs_id must be non-empty"),
+        (lambda: Dialogue("d", "s", ()), "dialogue d: no utterances"),
+        (
+            lambda: Dialogue("d", "s", UTTERANCES[1:]),
+            "dialogue d: utterance indexes must be consecutive from 0 (found 1 at 0)",
+        ),
+        (
+            lambda: simulated(satisfaction="meh"),
+            "dialogue d: satisfaction must be one of ('satisfied', 'frustrated'), got 'meh'",
+        ),
+        (
+            lambda: simulated(provenance="found"),
+            "dialogue d: provenance must be one of ('human', 'simulated')",
+        ),
+        (
+            lambda: simulated(provenance="simulated", goal=GOAL),
+            "dialogue d: simulated dialogues need simulator_id and goal",
+        ),
+        (lambda: RecommendationRound(0, 1, "maybe"), "unknown round outcome 'maybe'"),
+        (
+            lambda: RecommendationRound(1, 1, "accepted"),
+            "round must satisfy start_index < end_index",
+        ),
+    ],
+)
+def test_constructor_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Utterance(0, USER, "x", items=(1,)), "item identifiers must be strings, not int"),
+        (lambda: act("Disclose", ("genre", None)), "slot names and values must be strings, not NoneType"),
+        (lambda: UserGoal([[7, "x"]]), "slot names and values must be strings, not int"),
+        (lambda: UserGoal((("a", "b"),), [True]), "request attribute names must be strings, not bool"),
+    ],
+)
+def test_non_strings_are_rejected_not_coerced(build, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_iterables_become_tuples():
+    built = Utterance(0, "USER", "x", [act("Other")], ["Up"])
+    assert (built.acts, built.items) == ((act("Other"),), ("Up",))
+    assert act("Other", ["TITLE", "Up"]).slots == (("TITLE", "Up"),)
+    assert UserGoal([["genre", "comedy"]], ["year"]) == GOAL
+    assert Dialogue("d", "s", list(UTTERANCES)).utterances == UTTERANCES

@@ -5,6 +5,9 @@ small files by shrinking the bytes per worker and setting the CPU count."""
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -250,6 +253,41 @@ def test_spawned_workers_give_the_in_process_bytes(runs, tmp_path):
     finally:
         multiprocessing.set_start_method(method, force=True)
     assert runs.in_workers == [True]
+
+
+# A program that runs a command at module top level, without a
+# ``__main__`` guard, on two workers started by spawn.
+GUARDLESS = """
+import multiprocessing, sys
+from evalkit import cli, corpus_io
+multiprocessing.set_start_method("spawn", force=True)
+corpus_io._BYTES_PER_WORKER = 1
+corpus_io._cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_guardless_main_under_spawn_fails_its_workers_and_reruns_in_process(runs, tmp_path):
+    # Each spawned worker imports the main module and so runs the command
+    # again; it must fail with Python's bootstrapping error rather than
+    # fold the whole corpus itself. The parent then reruns in-process.
+    dialogues = [annotated(f"d{i}", crs_id=f"sys{i % 3}") for i in range(9)]
+    path = write_lines(tmp_path / "c.ndjson", [HEADER, *dialogue_lines(*dialogues)])
+    report = tmp_path / "r.ndjson"
+    assert runs.run(None, evaluate_argv([path], report))[0] == 0
+    expected = report.read_bytes()
+    report.unlink()
+    script = tmp_path / "guardless.py"
+    script.write_text(GUARDLESS, encoding="utf-8")
+    source_root = str(Path(corpus_io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    result = subprocess.run(
+        [sys.executable, str(script), *evaluate_argv([path], report)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert report.read_bytes() == expected
+    assert "bootstrapping phase" in result.stderr
 
 
 def test_worker_count_follows_input_size_and_cpus(tmp_path, monkeypatch):

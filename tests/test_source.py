@@ -42,6 +42,48 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_code_that_optimized_mode_strips():
+    # ``python -O`` also drops ``if __debug__:`` blocks.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert found == []
+
+
+# Run under ``python -O``: constructors still check their arguments.
+OPTIMIZED_RUN = """
+from evalkit.dialogue import Dialogue, DialogueAct, Speaker, UserGoal, Utterance
+from evalkit.metrics import RecommendationRound
+
+builds = [
+    lambda: DialogueAct(""),
+    lambda: Utterance(-1, Speaker.USER, "x"),
+    lambda: UserGoal(()),
+    lambda: Dialogue("d", "s", ()),
+    lambda: RecommendationRound(1, 1, "accepted"),
+]
+raised = 0
+for build in builds:
+    try:
+        build()
+    except ValueError:
+        raised += 1
+print(__debug__, raised, len(builds))
+"""
+
+
+def test_constructor_checks_run_under_optimized_mode():
+    source_root = str(Path(evalkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "5", "5"]
+
+
 def test_public_names_are_the_readme_library_api():
     # A name added to or dropped from the package must be added to or
     # dropped from the README's list too.

@@ -56,9 +56,13 @@ _UTTERANCE_KEYS = {"index", "speaker", "text", "acts", "items"}
 _ACT_KEYS = {"intent", "slots"}
 _GOAL_KEYS = {"constraints", "requests"}
 _SPEAKERS = {speaker.value: speaker for speaker in Speaker}
+# ``Speaker.USER`` itself costs about 0.12 µs a lookup on 3.10 and 3.11.
+_USER = Speaker.USER
 _slot_pair = itemgetter("slot", "value")
 # The ``extra`` of every parsed object without unknown keys.
 _NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
+# The value of an absent array field; never changed.
+_ABSENT_ARRAY: list[Any] = []
 _JSON_TYPES = {
     str: "a string", int: "a number", float: "a number", bool: "a boolean",
     list: "an array", dict: "an object", type(None): "null",
@@ -79,40 +83,38 @@ def _text(value: Any, field: str) -> str:
     raise _fault(field, "a string", value)
 
 
-def _texts(record: Mapping[str, Any], key: str) -> tuple[str, ...]:
-    """Field ``key`` of ``record``, an array, as a tuple of ``_text`` values."""
-    values = record.get(key, [])
+def _array(record: Mapping[str, Any], key: str) -> list[Any]:
+    """Field ``key`` of ``record``, which must be an array; absent, it is empty."""
+    values = record.get(key, _ABSENT_ARRAY)
     if type(values) is not list:
         raise _fault(repr(key), "an array", values)
-    for value in values:
-        if type(value) is not str:
-            entry = f"an entry of {key!r}"
-            return tuple([_text(v, entry) for v in values])
-    return tuple(values)
+    return values
+
+
+def _texts(record: Mapping[str, Any], key: str) -> tuple[str, ...]:
+    """Field ``key`` of ``record``, an array, as a tuple of ``_text`` values."""
+    entry = f"an entry of {key!r}"
+    return tuple([_text(value, entry) for value in _array(record, key)])
 
 
 def _slot_pairs(record: Mapping[str, Any], key: str) -> tuple[tuple[str, str], ...]:
     """Field ``key`` of ``record``, an array of slot-value objects, as
     (slot, value) pairs of ``_text`` values."""
-    pairs = tuple(map(_slot_pair, record.get(key, ())))
-    for name, value in pairs:
-        if type(name) is not str or type(value) is not str:
-            return tuple([(_text(name, "'slot'"), _text(value, "'value'")) for name, value in pairs])
-    return pairs
+    pairs = []
+    for entry in _array(record, key):
+        if type(entry) is not dict:
+            raise _fault(f"an entry of {key!r}", "an object", entry)
+        name, value = _slot_pair(entry)
+        pairs.append((_text(name, "'slot'"), _text(value, "'value'")))
+    return tuple(pairs)
 
 
 def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
+    """The fields of ``record`` not in ``known``; the parse of acts,
+    utterances and dialogues tests ``record.keys() <= known`` inline first."""
     if record.keys() <= known:
         return _NO_EXTRAS
     return {k: v for k, v in record.items() if k not in known}
-
-
-# Acts and utterances are built with positional arguments: matching
-# keywords would cost a sizeable share of a small record's parse.
-def _parse_act(record: Mapping[str, Any]) -> DialogueAct:
-    if type(record) is not dict:
-        raise _fault("an entry of 'acts'", "an object", record)
-    return DialogueAct(record["intent"], _slot_pairs(record, "slots"), _extras(record, _ACT_KEYS))
 
 
 def _parse_goal(record: Mapping[str, Any]) -> UserGoal:
@@ -125,43 +127,91 @@ def _parse_goal(record: Mapping[str, Any]) -> UserGoal:
     )
 
 
-def _parse_utterance(record: Mapping[str, Any], schema: IntentSchema) -> Utterance:
-    index = record["index"]
+def _parse_act(record: Any, speaker: Speaker, schema: IntentSchema) -> DialogueAct:
+    """The act of an entry of 'acts' whose build in ``_parse_utterance``
+    failed: raises the fault, naming the field of a structural one, or
+    builds the act with numbers in its slots turned into strings."""
+    if type(record) is not dict:
+        raise _fault("an entry of 'acts'", "an object", record)
+    intent = record["intent"]
+    if type(intent) is list or type(intent) is dict:
+        raise _fault("'intent'", "a string", intent)
+    act = DialogueAct(intent, _slot_pairs(record, "slots"), _extras(record, _ACT_KEYS))
+    schema.validate_act(act, speaker)
+    return act
+
+
+# Acts, utterances and dialogues are built with positional arguments:
+# matching keywords would cost a sizeable share of a small record's parse.
+def _parse_utterance(record: Any, schema: IntentSchema) -> Utterance:
+    """The utterance of an entry of 'utterances'.
+
+    Each act is built from its record's values as they are, and checked
+    against ``schema``, in one loop; the constructors check the strings.
+    Only a build that fails goes to ``_parse_act``, or for the items to
+    ``_texts``: they name the field of a structural fault, or apply the
+    number rule and build again."""
+    try:
+        index = record["index"]
+    except TypeError:
+        raise _fault("an entry of 'utterances'", "an object", record) from None
     if type(index) is not int:
         raise _fault("'index'", "an integer", index)
     try:
         speaker = _SPEAKERS[record["speaker"]]
     except (KeyError, TypeError):
         speaker = Speaker(record["speaker"])  # raises the error naming the field or value
-    acts = record.get("acts", [])
+    intents = schema.user_intents if speaker is _USER else schema.system_intents
+    acts = record.get("acts", _ABSENT_ARRAY)
     if type(acts) is not list:
         raise _fault("'acts'", "an array", acts)
-    acts = tuple(map(_parse_act, acts))
-    intents = schema.intents_for(speaker)
-    for act in acts:
-        if act.intent not in intents:
-            schema.validate_act(act, speaker)
+    built = []
+    for entry in acts:
+        try:
+            slots = entry.get("slots", _ABSENT_ARRAY)
+            if type(slots) is not list:
+                raise TypeError
+            intent = entry["intent"]
+            act = DialogueAct(
+                intent,
+                tuple(map(_slot_pair, slots)),
+                _NO_EXTRAS if entry.keys() <= _ACT_KEYS else _extras(entry, _ACT_KEYS),
+            )
+            if intent not in intents:
+                schema.validate_act(act, speaker)
+        except (AttributeError, TypeError, ValueError):
+            # An entry that is not an object, a structural fault, a number
+            # for a string or an empty intent: _parse_act does it again with
+            # every check, raising the fault or applying the number rule.
+            act = _parse_act(entry, speaker, schema)
+        built.append(act)
     text = record.get("text", "")
     if type(text) is not str:
         raise _fault("'text'", "a string", text)
-    return Utterance(
-        index, speaker, text, acts, _texts(record, "items"), _extras(record, _UTTERANCE_KEYS)
-    )
+    items = record.get("items", _ABSENT_ARRAY)
+    if type(items) is not list:
+        raise _fault("'items'", "an array", items)
+    extra = _NO_EXTRAS if record.keys() <= _UTTERANCE_KEYS else _extras(record, _UTTERANCE_KEYS)
+    try:
+        return Utterance(index, speaker, text, built, items, extra)
+    except TypeError:
+        return Utterance(index, speaker, text, built, _texts(record, "items"), extra)
 
 
 def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue:
-    goal = _parse_goal(record["goal"]) if record.get("goal") is not None else None
-    utterances = tuple([_parse_utterance(u, schema) for u in record.get("utterances", ())])
+    goal = record.get("goal")
+    goal = None if goal is None else _parse_goal(goal)
+    utterances = tuple([_parse_utterance(u, schema) for u in _array(record, "utterances")])
     simulator_id = record.get("simulator_id")
     return Dialogue(
-        dialogue_id=_text(record["dialogue_id"], "'dialogue_id'"),
-        crs_id=_text(record["crs_id"], "'crs_id'"),
-        utterances=utterances,
-        satisfaction=record.get("satisfaction"),
-        goal=goal,
-        provenance=record.get("provenance", PROVENANCE_HUMAN),
-        simulator_id=None if simulator_id is None else _text(simulator_id, "'simulator_id'"),
-        extra=_extras(record, _DIALOGUE_KEYS),
+        _text(record["dialogue_id"], "'dialogue_id'"),
+        _text(record["crs_id"], "'crs_id'"),
+        utterances,
+        record.get("satisfaction"),
+        goal,
+        record.get("provenance", PROVENANCE_HUMAN),
+        None if simulator_id is None else _text(simulator_id, "'simulator_id'"),
+        _NO_EXTRAS if record.keys() <= _DIALOGUE_KEYS else _extras(record, _DIALOGUE_KEYS),
     )
 
 
@@ -182,7 +232,7 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(line_number, f"invalid UTF-8 at byte {exc.start}") from exc
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
             record = json.loads(line)

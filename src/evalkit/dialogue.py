@@ -190,13 +190,28 @@ class DialogueAct:
     ):
         if not intent:
             raise ValueError("act intent must be non-empty")
-        slots = _as_slot_pairs(slots)
-        fault = _slot_fault(slots)
-        if fault is not None:
-            name, value = fault
-            if not name:
-                raise ValueError(f"slot name must be non-empty in {intent} act")
-            raise ValueError(f"duplicate slot pair ({name}={value}) in {intent} act")
+        # The usual shape, a tuple of distinct (name, value) string tuples
+        # with non-empty names, is checked inline; any other shape takes the
+        # general checks, which give each fault its message.
+        general = type(slots) is not tuple
+        if not general:
+            for pair in slots:
+                if not (
+                    type(pair) is tuple and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str and pair[0]
+                ):
+                    general = True
+                    break
+            else:
+                general = len(slots) > 1 and len(set(slots)) != len(slots)
+        if general:
+            slots = _as_slot_pairs(slots)
+            fault = _slot_fault(slots)
+            if fault is not None:
+                name, value = fault
+                if not name:
+                    raise ValueError(f"slot name must be non-empty in {intent} act")
+                raise ValueError(f"duplicate slot pair ({name}={value}) in {intent} act")
         fields = self.__dict__
         fields["intent"] = intent
         fields["slots"] = slots
@@ -235,13 +250,20 @@ class Utterance:
     ):
         if index < 0:
             raise ValueError("utterance index must be >= 0")
-        if not isinstance(speaker, Speaker):
+        if type(speaker) is not Speaker:
             speaker = Speaker(speaker)
         if type(acts) is not tuple:
             acts = tuple(acts)
-        items = _as_strings(items, "item identifiers")
-        if "" in items:
-            raise ValueError(f"utterance {index}: item identifiers must be non-empty")
+        if type(items) is not tuple:
+            items = tuple(items)
+        # Non-empty exact strings are checked inline; any other item takes
+        # the general checks, which give each fault its message.
+        for item in items:
+            if type(item) is not str or not item:
+                items = _as_strings(items, "item identifiers")
+                if "" in items:
+                    raise ValueError(f"utterance {index}: item identifiers must be non-empty")
+                break
         fields = self.__dict__
         fields["index"] = index
         fields["speaker"] = speaker

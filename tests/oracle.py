@@ -1,11 +1,12 @@
-"""Independent brute-force metric evaluator and catalog lookups.
+"""Independent brute-force metric evaluator, record checker and catalog lookups.
 
 Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
-accept counting. The catalog references scan every item or try every
-title at every position, and goal sampling replays its draws over the
-plain catalog records. Kept deliberately naive so it can serve as an
-oracle.
+accept counting. The record checker walks each decoded dialogue record
+against the corpus format's rules on its own. The catalog references
+scan every item or try every title at every position, and goal sampling
+replays its draws over the plain catalog records. Kept deliberately
+naive so it can serve as an oracle.
 """
 
 from __future__ import annotations
@@ -248,3 +249,177 @@ def oracle_sample_goal(records: list[dict], config, seed: int):
         requests = tuple(rng.sample(list(config.request_slots), request_count)) if request_count else ()
         return constraints, requests
     return None
+
+
+# The default annotation schema's intents, written out here so that a
+# change to evalkit's schema fails the property test.
+ORACLE_INTENTS = {
+    "USER": {"Disclose", "Refine", "Inquire", "Accept", "Reject", "Other"},
+    "SYSTEM": {"Recommend", "Explain", "Request", "Respond", "Other"},
+}
+
+_ABSENT = object()
+
+
+class Rejected(Exception):
+    """A record breaks the corpus format's rules."""
+
+
+def _string(value) -> str:
+    """A string as it is, a number that is not a boolean as its ``str``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise Rejected(f"not a string or number: {value!r}")
+
+
+def _array(record: dict, key: str) -> list:
+    """Field ``key`` of ``record``, an array; an absent field is empty."""
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise Rejected(f"{key} is not an array")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise Rejected(f"not an object: {value!r}")
+    return value
+
+
+def _unknown(record: dict, known: set) -> dict:
+    return {key: value for key, value in record.items() if key not in known}
+
+
+def _slot_list(record: dict, key: str) -> list:
+    """The slot objects of field ``key``, numbers made strings; names must
+    be non-empty and no pair may repeat."""
+    pairs = []
+    for entry in _array(record, key):
+        entry = _object(entry)
+        if "slot" not in entry or "value" not in entry:
+            raise Rejected("slot entry without slot or value")
+        pair = (_string(entry["slot"]), _string(entry["value"]))
+        if pair[0] == "" or pair in pairs:
+            raise Rejected(f"empty or repeated slot pair {pair}")
+        pairs.append(pair)
+    return [{"slot": name, "value": value} for name, value in pairs]
+
+
+def _strings(record: dict, key: str) -> list:
+    values = [_string(value) for value in _array(record, key)]
+    if "" in values:
+        raise Rejected(f"an empty entry of {key}")
+    return values
+
+
+def _checked_goal(goal: dict) -> dict:
+    constraints = _slot_list(goal, "constraints")
+    if not constraints:
+        raise Rejected("a goal without constraints")
+    known = {"constraints", "requests"}
+    return {"constraints": constraints, "requests": _strings(goal, "requests"), **_unknown(goal, known)}
+
+
+def _checked_act(act: dict, speaker: str) -> dict:
+    if "intent" not in act:
+        raise Rejected("an act without intent")
+    intent = act["intent"]
+    if not isinstance(intent, str) or intent not in ORACLE_INTENTS[speaker]:
+        raise Rejected(f"intent {intent!r} is not a {speaker} intent")
+    checked = {"intent": intent}
+    slots = _slot_list(act, "slots")
+    if slots:
+        checked["slots"] = slots
+    checked.update(_unknown(act, {"intent", "slots"}))
+    return checked
+
+
+def _checked_utterance(utterance: dict, position: int) -> dict:
+    index = utterance.get("index", _ABSENT)
+    if type(index) is not int or index != position:
+        raise Rejected(f"index {index!r} at position {position}")
+    speaker = utterance.get("speaker", _ABSENT)
+    if speaker not in ("USER", "SYSTEM"):
+        raise Rejected(f"speaker {speaker!r}")
+    text = utterance.get("text", "")
+    if not isinstance(text, str):
+        raise Rejected("text is not a string")
+    return {
+        "index": index,
+        "speaker": speaker,
+        "text": text,
+        "acts": [_checked_act(_object(act), speaker) for act in _array(utterance, "acts")],
+        "items": _strings(utterance, "items"),
+        **_unknown(utterance, {"index", "speaker", "text", "acts", "items"}),
+    }
+
+
+def oracle_checked_record(record: dict) -> dict:
+    """``record`` as the parser should read it back: numbers in id, slot,
+    item and request fields become strings, defaults fill absent fields and
+    null optional fields are dropped. Rejected if it breaks a rule."""
+    checked = {}
+    for key in ("dialogue_id", "crs_id"):
+        if key not in record:
+            raise Rejected(f"no {key}")
+        checked[key] = _string(record[key])
+        if checked[key] == "":
+            raise Rejected(f"empty {key}")
+    provenance = record.get("provenance", "human")
+    if provenance not in ("human", "simulated"):
+        raise Rejected(f"provenance {provenance!r}")
+    checked["provenance"] = provenance
+    satisfaction = record.get("satisfaction")
+    if satisfaction is not None:
+        if satisfaction not in ("satisfied", "frustrated"):
+            raise Rejected(f"satisfaction {satisfaction!r}")
+        checked["satisfaction"] = satisfaction
+    if record.get("simulator_id") is not None:
+        checked["simulator_id"] = _string(record["simulator_id"])
+    if record.get("goal") is not None:
+        checked["goal"] = _checked_goal(_object(record["goal"]))
+    if provenance == "simulated" and ("simulator_id" not in checked or "goal" not in checked):
+        raise Rejected("a simulated dialogue without simulator_id or goal")
+    utterances = _array(record, "utterances")
+    if not utterances:
+        raise Rejected("no utterances")
+    checked["utterances"] = [
+        _checked_utterance(_object(utterance), position)
+        for position, utterance in enumerate(utterances)
+    ]
+    known = {
+        "dialogue_id", "crs_id", "provenance", "satisfaction", "simulator_id", "goal", "utterances"
+    }
+    checked.update(_unknown(record, known))
+    return checked
+
+
+def oracle_check_stream(stream: bytes) -> tuple[list[dict], int | None]:
+    """The checked dialogue records of a corpus stream up to its first bad
+    line, and that line's 1-based number (None if every line is good).
+
+    Blank lines are skipped; the first other line is the schema_version
+    header; dialogue ids must be unique across the stream."""
+    checked: list[dict] = []
+    seen: set = set()
+    header = True
+    for number, line in enumerate(stream.decode("utf-8").split("\n"), start=1):
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if header:
+            header = False
+            if "schema_version" not in record:
+                return checked, number
+            continue
+        try:
+            dialogue = oracle_checked_record(record)
+        except Rejected:
+            return checked, number
+        if dialogue["dialogue_id"] in seen:
+            return checked, number
+        seen.add(dialogue["dialogue_id"])
+        checked.append(dialogue)
+    return checked, None

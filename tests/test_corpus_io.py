@@ -4,7 +4,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalkit.analysis import load_reference_scores
@@ -32,6 +32,7 @@ from evalkit.dialogue import (
 from evalkit.errors import CorpusFormatError
 
 from helpers import act, corpus, dlg, random_corpus, utt
+from oracle import oracle_check_stream
 
 HEADER = '{"schema_version":"1"}'
 
@@ -186,6 +187,53 @@ class TestParseCorpus:
     def test_invalid_goal_names_the_field_and_line(self, goal, reason):
         with pytest.raises(CorpusFormatError) as excinfo:
             parse_corpus(stream(FIXTURE_RECORD, dict(FIXTURE_RECORD, dialogue_id="d2", goal=goal)))
+        assert excinfo.value.reason == reason
+        assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"utterances": "hi"}, "'utterances' must be an array, not a string"),
+            ({"utterances": None}, "'utterances' must be an array, not null"),
+            ({"utterances": {"index": 0}}, "'utterances' must be an array, not an object"),
+            ({"utterances": ["hi"]}, "an entry of 'utterances' must be an object, not a string"),
+            ({"utterances": [None]}, "an entry of 'utterances' must be an object, not null"),
+            ({"utterances": [[0]]}, "an entry of 'utterances' must be an object, not an array"),
+            ({"goal": {"constraints": "genre"}}, "'constraints' must be an array, not a string"),
+            ({"goal": {"constraints": None}}, "'constraints' must be an array, not null"),
+            ({"goal": {"constraints": [7]}}, "an entry of 'constraints' must be an object, not a number"),
+        ],
+    )
+    def test_structural_dialogue_faults_name_the_field_and_line(self, fields, reason):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(stream(FIXTURE_RECORD, {**FIXTURE_RECORD, "dialogue_id": "d2", **fields}))
+        assert excinfo.value.reason == reason
+        assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "act_record, reason",
+        [
+            ({"intent": "Recommend", "slots": "TITLE"}, "'slots' must be an array, not a string"),
+            ({"intent": "Recommend", "slots": ""}, "'slots' must be an array, not a string"),
+            ({"intent": "Recommend", "slots": None}, "'slots' must be an array, not null"),
+            ({"intent": "Recommend", "slots": {}}, "'slots' must be an array, not an object"),
+            ({"intent": "Recommend", "slots": TITLE_UP}, "'slots' must be an array, not an object"),
+            ({"intent": "Recommend", "slots": 3}, "'slots' must be an array, not a number"),
+            ({"intent": "Recommend", "slots": ["Up"]}, "an entry of 'slots' must be an object, not a string"),
+            ({"intent": "Recommend", "slots": [None]}, "an entry of 'slots' must be an object, not null"),
+            (
+                {"intent": "Recommend", "slots": [TITLE_UP, ["TITLE", "Up"]]},
+                "an entry of 'slots' must be an object, not an array",
+            ),
+            ({"intent": ["Recommend"]}, "'intent' must be a string, not an array"),
+            ({"intent": []}, "'intent' must be a string, not an array"),
+            ({"intent": {"name": "Recommend"}}, "'intent' must be a string, not an object"),
+        ],
+    )
+    def test_structural_act_faults_name_the_field_and_line(self, act_record, reason):
+        first = dict(FIXTURE_RECORD, dialogue_id="d0")
+        with pytest.raises(CorpusFormatError) as excinfo:
+            parse_corpus(stream(first, with_second_utterance(acts=[act_record])))
         assert excinfo.value.reason == reason
         assert excinfo.value.line_number == 3
 
@@ -443,6 +491,96 @@ class TestRoundTripProperty:
         assert parse_corpus(data) == c
         assert parse_corpus(data.decode("utf-8")) == c
         assert parse_corpus(io.BytesIO(data)) == c
+
+
+# Valid records whose fields the property test below replaces one at a time.
+SIMULATED_RECORD = {
+    "dialogue_id": "s1",
+    "crs_id": "sysB",
+    "provenance": "simulated",
+    "simulator_id": "abus",
+    "goal": {"constraints": [{"slot": "genre", "value": "comedy"}], "requests": ["year"]},
+    "utterances": [
+        {
+            "index": 0,
+            "speaker": "USER",
+            "text": "A comedy?",
+            "acts": [
+                {"intent": "Disclose", "slots": [{"slot": "genre", "value": "comedy"}]},
+                {"intent": "Inquire"},
+            ],
+        },
+        {
+            "index": 1,
+            "speaker": "SYSTEM",
+            "acts": [{"intent": "Recommend", "slots": [TITLE_UP, {"slot": "TITLE", "value": 7}]}],
+            "items": ["Up", 7],
+            "mood": "sunny",
+        },
+    ],
+}
+
+
+def field_paths(value, path=()):
+    """The path of every field and array entry inside ``value``."""
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def replaced(record, path, value):
+    """A deep copy of ``record`` with the field at ``path`` set to ``value``."""
+    record = json.loads(json.dumps(record))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return record
+
+
+BASE_FIELDS = [(base, path) for base in (FIXTURE_RECORD, SIMULATED_RECORD) for path in field_paths(base)]
+# A value of each JSON type; strings and containers that are valid somewhere.
+json_replacements = st.one_of(
+    st.sampled_from(["Up", "USER", "SYSTEM", "Accept", "Recommend", "simulated", "TITLE"]),
+    st.just(""),
+    st.integers(-2, 3) | st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([[], ["Up"], [7], [TITLE_UP], [{"intent": "Other"}], [{"index": 0, "speaker": "USER"}]]),
+    st.sampled_from([{}, TITLE_UP, {"slot": "TITLE", "value": 7}, {"intent": "Other"}, {"constraints": [TITLE_UP]}]),
+)
+
+
+def field_id(base_field) -> str:
+    base, path = base_field
+    return ".".join([base["dialogue_id"], *map(str, path)])
+
+
+class TestParserAgainstTheOracleChecker:
+    @pytest.mark.parametrize("base_field", BASE_FIELDS, ids=map(field_id, BASE_FIELDS))
+    @settings(max_examples=24)
+    @given(value=json_replacements)
+    def test_one_replaced_field(self, base_field, value):
+        base, path = base_field
+        data = stream(dict(FIXTURE_RECORD, dialogue_id="d0"), replaced(base, path, value))
+        expected, bad_line = oracle_check_stream(data)
+        if bad_line is None:
+            assert [dialogue_record(d) for d in parse_corpus(data)] == expected
+        else:
+            with pytest.raises(CorpusFormatError) as excinfo:
+                parse_corpus(data)
+            assert excinfo.value.line_number == bad_line
+
+    def test_the_base_records_are_valid(self):
+        data = stream(FIXTURE_RECORD, SIMULATED_RECORD)
+        expected, bad_line = oracle_check_stream(data)
+        assert bad_line is None and len(expected) == 2
+        assert [dialogue_record(d) for d in parse_corpus(data)] == expected
 
 
 class TestSerializeCorpus:

@@ -304,3 +304,62 @@ def test_iterables_become_tuples():
     assert act("Other", ["TITLE", "Up"]).slots == (("TITLE", "Up"),)
     assert UserGoal([["genre", "comedy"]], ["year"]) == GOAL
     assert Dialogue("d", "s", list(UTTERANCES)).utterances == UTTERANCES
+
+
+class Text(str):
+    """A str subclass: the constructors accept it and keep it as it is."""
+
+
+def recommend(*slots):
+    return DialogueAct("Recommend", slots)
+
+
+# Each shape the constructors' fast paths see, and the shapes next to them
+# that must fall through to the general checks with the same outcome.
+@pytest.mark.parametrize(
+    "build, error, outcome",
+    [
+        (lambda: recommend(("", "x")), ValueError, "slot name must be non-empty in Recommend act"),
+        (lambda: recommend(("genre", 5)), TypeError, "slot names and values must be strings, not int"),
+        (lambda: DialogueAct("Recommend", [("TITLE", "Up")]).slots, None, (("TITLE", "Up"),)),
+        (lambda: recommend(["TITLE", "Up"]).slots, None, (("TITLE", "Up"),)),
+        (
+            lambda: recommend(("TITLE", "x"), ("TITLE", "x")),
+            ValueError,
+            "duplicate slot pair (TITLE=x) in Recommend act",
+        ),
+        (
+            lambda: recommend(("TITLE", "x"), ("TITLE", "y"), ("TITLE", "x")),
+            ValueError,
+            "duplicate slot pair (TITLE=x) in Recommend act",
+        ),
+        (
+            lambda: recommend(("TITLE", "x"), ("", "y")),
+            ValueError,
+            "slot name must be non-empty in Recommend act",
+        ),
+        (lambda: recommend(("TITLE",)), ValueError, "not enough values to unpack (expected 2, got 1)"),
+        (lambda: type(recommend((Text("TITLE"), Text("x"))).slots[0][1]), None, Text),
+        (
+            lambda: Utterance(0, USER, "t", items=("",)),
+            ValueError,
+            "utterance 0: item identifiers must be non-empty",
+        ),
+        (lambda: Utterance(0, USER, "t", items=(5,)), TypeError, "item identifiers must be strings, not int"),
+        (lambda: Utterance(0, USER, "t", items=["x"]).items, None, ("x",)),
+        (
+            lambda: Utterance(3, USER, "t", items=("a", "")),
+            ValueError,
+            "utterance 3: item identifiers must be non-empty",
+        ),
+        (lambda: Utterance(3, USER, "t", items=("", 5)), TypeError, "item identifiers must be strings, not int"),
+        (lambda: type(Utterance(0, USER, "t", items=(Text("x"),)).items[0]), None, Text),
+        (lambda: Utterance(0, "USER", "t").speaker, None, USER),
+    ],
+)
+def test_constructor_fast_paths_match_the_general_checks(build, error, outcome):
+    if error is None:
+        assert build() == outcome
+    else:
+        with pytest.raises(error, match=f"^{re.escape(outcome)}$"):
+            build()

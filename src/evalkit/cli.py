@@ -332,6 +332,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         metrics = check_metric_names(_names(args.metrics))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if args.n < 1:
+        raise ConfigError(f"n must be at least 1, not {args.n}")
     ground_truth = _load_ground_truth(args.ground_truth) if args.ground_truth else None
     if "recall" in metrics and ground_truth is None:
         raise ConfigError("metric recall needs --ground-truth")

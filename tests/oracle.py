@@ -123,6 +123,30 @@ def oracle_reports(stream: bytes) -> dict[str, dict[str, float]]:
     }
 
 
+def _judged_turns(record: dict, ground_truth: dict[tuple[str, int], set[str]]):
+    """(targets, recommended items) per SYSTEM utterance of one dialogue
+    record that recommends and has ground truth. An utterance recommends
+    its items, or with none, the TITLE values of its Recommend acts."""
+    for utterance in record["utterances"]:
+        if utterance["speaker"] != "SYSTEM":
+            continue
+        intents = [act["intent"] for act in utterance.get("acts", [])]
+        recommended = list(utterance.get("items", []))
+        if not recommended and "Recommend" in intents:
+            for act in utterance.get("acts", []):
+                if act["intent"] == "Recommend":
+                    recommended.extend(
+                        pair["value"]
+                        for pair in act.get("slots", [])
+                        if pair["slot"] == "TITLE"
+                    )
+        if not recommended and "Recommend" not in intents:
+            continue
+        key = (record["dialogue_id"], utterance["index"])
+        if key in ground_truth:
+            yield ground_truth[key], recommended
+
+
 def oracle_recall(
     stream: bytes, ground_truth: dict[tuple[str, int], set[str]], n: int
 ) -> dict[str, float]:
@@ -133,29 +157,34 @@ def oracle_recall(
         crs_id = record["crs_id"]
         hits.setdefault(crs_id, 0)
         truth.setdefault(crs_id, 0)
-        for utterance in record["utterances"]:
-            if utterance["speaker"] != "SYSTEM":
-                continue
-            intents = [act["intent"] for act in utterance.get("acts", [])]
-            recommended = list(utterance.get("items", []))
-            if not recommended and "Recommend" in intents:
-                for act in utterance.get("acts", []):
-                    if act["intent"] == "Recommend":
-                        recommended.extend(
-                            pair["value"]
-                            for pair in act.get("slots", [])
-                            if pair["slot"] == "TITLE"
-                        )
-            if not recommended and "Recommend" not in intents:
-                continue
-            key = (record["dialogue_id"], utterance["index"])
-            if key not in ground_truth:
-                continue
-            targets = ground_truth[key]
+        for targets, recommended in _judged_turns(record, ground_truth):
             hits[crs_id] += len(targets & set(recommended[:n]))
             truth[crs_id] += len(targets)
     return {
         crs_id: hits[crs_id] / truth[crs_id] if truth[crs_id] else 0.0
+        for crs_id in hits
+    }
+
+
+def oracle_length_normalized_recall(
+    stream: bytes, ground_truth: dict[tuple[str, int], set[str]], n: int
+) -> dict[str, float]:
+    """The published recall@n per system: hits over n per judged turn, then
+    over the system's total utterance count, straight off the record stream."""
+    hits: dict[str, int] = {}
+    judged: dict[str, int] = {}
+    utterances: dict[str, int] = {}
+    for record in _records(stream):
+        crs_id = record["crs_id"]
+        utterances[crs_id] = utterances.get(crs_id, 0) + len(record["utterances"])
+        hits.setdefault(crs_id, 0)
+        judged.setdefault(crs_id, 0)
+        for targets, recommended in _judged_turns(record, ground_truth):
+            hits[crs_id] += len(targets & set(recommended[:n]))
+            judged[crs_id] += 1
+    return {
+        crs_id: (hits[crs_id] / (n * judged[crs_id]) if judged[crs_id] else 0.0)
+        / utterances[crs_id]
         for crs_id in hits
     }
 

@@ -546,6 +546,16 @@ class TestEvaluate:
         standard = json.loads(out.read_text().splitlines()[1])
         assert standard["per_system"]["sysA"] == 0.5
 
+    @pytest.mark.parametrize("metrics", ["sr", "recall"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_fails_before_reading_input(self, tmp_path, capsys, metrics, n):
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(tmp_path / "missing.ndjson"), "--output", str(out)]
+        argv += ["--ground-truth", str(tmp_path / "missing.json")]
+        assert main(argv + ["--metrics", metrics, "--n", str(n)]) == 2
+        assert f"configuration error: n must be at least 1, not {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_id_across_inputs_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "a.ndjson"
         write_corpus(small_corpus(), path)
@@ -1137,6 +1147,26 @@ class TestReadmeWalkthrough:
             pytest.skip("EVALKIT_TEST_PYTHONS lists no interpreters")
         expected = walkthrough_hashes(sys.executable, tmp_path / "current")
         assert walkthrough_hashes(python, tmp_path / "listed") == expected
+
+    def test_bytes_equal_the_pinned_hashes(self, tmp_path):
+        # Offline re-runs are byte-identical across commits too: a change
+        # that moves any of these must say why and pin the new values.
+        assert walkthrough_hashes(sys.executable, tmp_path / "run") == WALKTHROUGH_HASHES
+
+
+# SHA-256 of every file the README walkthrough leaves, and of its stdout.
+WALKTHROUGH_HASHES = {
+    "annotated.ndjson": "209664bccb19a77492ad848641ce071bb6b4661a4fa5a04cb5d0acf8f2bab19f",
+    "annotated_echo.ndjson": "a32850e6141349cc56de0d4be1e06ea887f0b53c13e6f825a08d67c8dd483224",
+    "catalog.json": "9057522d2c7bb27fddd9b2975ea532ffbf1c59bdf00cab737d9ac7cfd4ef2746",
+    "human_rdl.json": "a794b7105a91ca5d62a4e146baffbd8124a1c3420a38bb9b17f726281cf8c5e9",
+    "reliability.ndjson": "d9eaaa4f41a7cf7d6505123bd42da7bf9b78aad82a0af354ebe5c51bef5f537a",
+    "report.ndjson": "c00bec2be71eb3b95ec53ff8fb62a7f547d6ed35f77d60a86403aa25651def3f",
+    "satisfaction.json": "2a491de97f9a4dbb5cc3d4c714f50370ef13cbbada555a009202c6dfcaf3239c",
+    "sim.ndjson": "08fe9c18d286659e6fff99fdc59ad0de616603e76693177157545cec3bd7560e",
+    "sim_echo.ndjson": "b3640469f738f1221090ebd3e29f41c8455e679888e16a260fb25cf5b7768191",
+    "stdout": "8760cceda4424434d374fbad8c3bf2732dc52602f7770d6904e90cf803ba18e2",
+}
 
 
 def walkthrough_hashes(python: str, directory: Path) -> dict[str, str]:

@@ -178,7 +178,7 @@ BUILT = [
         ("d1", "sysA", UTTERANCES),
     ),
     (ROUND, (1, 2, "rejected")),
-    (DialogueFacts(dlg("d1", "sysA", UTTERANCES), (ROUND,), 1), (None, (), 0)),
+    (DialogueFacts(dlg("d1", "sysA", UTTERANCES), (ROUND,), 1, ((1, ("Up",)),)), (None, (), 0, ())),
 ]
 CLASSES = [type(built) for built, _ in BUILT]
 

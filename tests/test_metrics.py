@@ -13,9 +13,9 @@ from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
     CostFactor,
+    DialogueFacts,
     MetricReport,
     RewardFactor,
-    accepted_item_count,
     accepted_items_reward,
     accepted_rounds_reward,
     constant_cost,
@@ -42,7 +42,13 @@ from helpers import (
     turns,
     utt,
 )
-from oracle import oracle_accepted_items, oracle_recall, oracle_reports, oracle_rounds
+from oracle import (
+    oracle_accepted_items,
+    oracle_length_normalized_recall,
+    oracle_recall,
+    oracle_reports,
+    oracle_rounds,
+)
 
 
 def one_round_accepted():
@@ -228,7 +234,7 @@ class TestRdl:
             "sysA",
             turns(("SYSTEM", ["Recommend"]), ("USER", ["Accept"])),
         )
-        assert accepted_item_count(d) == 1
+        assert DialogueFacts.of(d).accepted_items == 1
         assert dialogue_rdl(d) == 0.5
 
     def test_repeated_item_counted_once(self):
@@ -242,7 +248,7 @@ class TestRdl:
                 ("USER", [act("Accept", ("TITLE", "Alpha"))]),
             ),
         )
-        assert accepted_item_count(d) == 1
+        assert DialogueFacts.of(d).accepted_items == 1
 
     def test_mixed_named_and_bare_accepts(self):
         d = dlg(
@@ -255,7 +261,7 @@ class TestRdl:
                 ("USER", ["Accept"]),
             ),
         )
-        assert accepted_item_count(d) == 2
+        assert DialogueFacts.of(d).accepted_items == 2
 
 
 class TestRecallAtN:
@@ -328,6 +334,15 @@ class TestRecallAtN:
         )
         report = evaluate_system(corpus(d), ["recall"], {("slots", 1): {"Alpha"}}, 1)[0]
         assert report.per_system["sysA"] == 1.0
+
+    def test_recall_alone_scores_an_unannotated_dialogue_from_its_items(self):
+        # Recall reads only what each system turn recommended, so a
+        # recall-only request does not ask for act annotation.
+        d = dlg("bare", "sysA", [utt(0, "USER"), utt(1, "SYSTEM", items=["Alpha", "Beta"])])
+        standard, normalized = evaluate_system(corpus(d), ["recall"], {("bare", 1): {"Beta"}}, 2)
+        assert standard.per_system == {"sysA": 1.0}
+        # 1 hit over (n=2 * 1 judged turn), then over 2 utterances.
+        assert normalized.per_system == {"sysA": 0.25}
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -701,7 +716,7 @@ class TestFoldAgainstOracle:
         assert [(r.start_index, r.end_index, r.outcome, list(r.items)) for r in rounds] == (
             oracle_rounds(utterances)
         )
-        assert accepted_item_count(dialogue) == oracle_accepted_items(utterances)
+        assert DialogueFacts.of(dialogue).accepted_items == oracle_accepted_items(utterances)
 
 
 class TestOnePassEngine:
@@ -715,6 +730,9 @@ class TestOnePassEngine:
         for metric in ("SR", "SRRR", "RDL"):
             assert by_metric[metric] == expected[metric]
         assert by_metric[f"Recall@{n}[standard]"] == oracle_recall(stream, truth, n)
+        assert by_metric[f"Recall@{n}[length_normalized]"] == (
+            oracle_length_normalized_recall(stream, truth, n)
+        )
 
     @given(corpora_with_truth())
     def test_recall_reports_equal_separate_calls(self, case):
@@ -765,13 +783,15 @@ class TestOnePassEngine:
             evaluate_system([one_round_accepted(), one_round_accepted()], ["recall"], {})
 
     def test_rounds_are_segmented_once_per_dialogue(self, monkeypatch):
+        # One walk per dialogue gathers what every requested metric reads.
         calls = []
+        walk = metrics._walk
 
         def counting(dialogue):
             calls.append(dialogue.dialogue_id)
-            return segment_rounds(dialogue)
+            return walk(dialogue)
 
-        monkeypatch.setattr(metrics, "segment_rounds", counting)
+        monkeypatch.setattr(metrics, "_walk", counting)
         c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
-        evaluate_system(c, ["sr", "srrr", "rdl"])
-        assert sorted(calls) == sorted(d.dialogue_id for d in c.dialogues)
+        evaluate_system(c, ["sr", "srrr", "rdl", "recall"], {}, 2)
+        assert calls == [d.dialogue_id for d in c.dialogues]

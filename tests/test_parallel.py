@@ -239,12 +239,21 @@ class TestErrorsMatchTheInProcessRun:
         )
 
 
-def test_spawned_workers_give_the_in_process_bytes(runs, tmp_path):
-    # Workers rebuild their state from what the pool initializer pickles.
+@pytest.mark.parametrize("recall", [False, True], ids=["default-metrics", "with-recall"])
+def test_spawned_workers_give_the_in_process_bytes(runs, tmp_path, recall):
+    # Workers rebuild their state from what the pool initializer pickles,
+    # and send their tallies back pickled; with recall, the ground truth
+    # goes out and the micro sums and skipped-turn warnings come back.
     dialogues = [annotated(f"d{i}", crs_id=f"sys{i % 3}") for i in range(9)]
     path = write_lines(tmp_path / "c.ndjson", [HEADER, *dialogue_lines(*dialogues)])
     report = tmp_path / "r.ndjson"
     argv = evaluate_argv([path], report)
+    if recall:
+        truth = {f"d{i}": {"1": ["Alpha" if i % 2 else "Beta"]} for i in range(7)}
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(truth))
+        argv = evaluate_argv([path], report, "sr,srrr,rdl,recall")
+        argv += ["--ground-truth", str(truth_path), "--n", "2"]
     expected = runs.run(None, argv), report.read_bytes()
     method = multiprocessing.get_start_method(allow_none=True)
     multiprocessing.set_start_method("spawn", force=True)

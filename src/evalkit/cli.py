@@ -14,36 +14,10 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-from collections import Counter
-from dataclasses import replace
-from itertools import chain, islice
-from typing import Any, Mapping, Sequence
 
-from .analysis import reliability_report
-from .annotation import LlmAnnotator, RuleAnnotator, iter_annotated, load_rule_lexicon
-from .catalog import ItemCatalog, load_catalog
-from .connectors import (
-    CrsEndpoint,
-    GatewayOptions,
-    HttpCrsConnector,
-    HttpLlmGateway,
-    MockLlmGateway,
-    make_stub,
-)
-from .corpus_io import (
-    CorpusFiles,
-    dialogue_record,
-    iter_corpus,
-    iter_records,
-    serialize_corpus,  # noqa: F401  (unused; a patch point of bench/spans.py)
-    write_corpus,
-    write_records,
-)
-from .dialogue import IntentSchema, default_schema, simulation_schema
 from .errors import (
     ConnectorError,
     CorpusFormatError,
@@ -52,15 +26,21 @@ from .errors import (
     SchemaViolationError,
     SimulationError,
 )
-from .metrics import MetricReport, check_metric_names, evaluate_system
-from .simulation import (
-    AgendaSimulator,
-    GoalConfig,
-    LlmSimulator,
-    RunLimits,
-    generate_corpus,
-    load_interaction_model,
-)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing at run time
+if TYPE_CHECKING:
+    from typing import Any, Mapping, Sequence
+
+    from .catalog import ItemCatalog
+    from .dialogue import IntentSchema
+
+# Each command imports the evalkit modules it runs, so a cold start pays
+# only for those. bench/spans.py wraps these four names on this module for
+# traced runs, so they load through ``__getattr__`` and the commands call
+# them as attributes of ``_CLI``: a wrapped value is the one called.
+# (``serialize_corpus`` is unused here.)
+_PATCH_POINTS = ("load_catalog", "serialize_corpus", "evaluate_system", "reliability_report")
+_CLI = sys.modules[__name__]
 
 ENV_LLM_ENDPOINT = "EVALKIT_LLM_ENDPOINT"
 ENV_LLM_MODEL = "EVALKIT_LLM_MODEL"
@@ -84,13 +64,14 @@ JOBS_HELP = (
 # Every setting a flag or the config file can set, keyed by the flag's dest
 # and the config key: the JSON type the file must give it and that type's
 # name, its default, its lowest allowed value, and the environment variable
-# read after the file (None: no bound, no variable).
+# read after the file (None: no bound, no variable; for the run limits, no
+# default here: cmd_simulate passes RunLimits' own).
 _SETTINGS = {
     "n": (int, "an integer", 200, 1, None),
     "seed": (int, "an integer", 0, None, None),
     "jobs": (int, "an integer", 1, 1, None),
-    "max_utterances": (int, "an integer", RunLimits.max_utterances, 2, None),
-    "timeout": ((int, float), "a number", RunLimits.per_call_timeout, None, None),
+    "max_utterances": (int, "an integer", None, 2, None),
+    "timeout": ((int, float), "a number", None, None, None),
     "llm_endpoint": (str, "a string", None, None, ENV_LLM_ENDPOINT),
     "llm_model": (str, "a string", None, None, ENV_LLM_MODEL),
 }
@@ -100,8 +81,20 @@ class ConfigError(EvalkitError):
     """Bad command-line or file configuration."""
 
 
+def __getattr__(name: str):
+    """Patch point ``name``, loaded through the package's exports on first
+    access and then kept here (PEP 562)."""
+    if name not in _PATCH_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
 def _stamp(settings: Mapping[str, Any]) -> dict[str, Any]:
     """The ``seed`` and ``config_hash`` header fields of every output."""
+    import hashlib
+
     canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
     return {"seed": settings["seed"], "config_hash": config_hash}
@@ -156,19 +149,22 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return config
 
 
-def _setting(key: str, args: argparse.Namespace, config: Mapping[str, Any]):
+def _setting(key: str, args: argparse.Namespace, config: Mapping[str, Any], default=None):
     """Setting ``key`` from its flag, else the config file, else its
-    environment variable, else its default; a value below its lowest
-    allowed one is a configuration error."""
-    _, _, default, low, env_var = _SETTINGS[key]
-    sources = (getattr(args, key), config.get(key), os.environ.get(env_var) if env_var else None)
-    value = next((v for v in sources if v is not None), default)
+    environment variable, else ``default``, else its own default; a value
+    below its lowest allowed one is a configuration error."""
+    _, _, own_default, low, env_var = _SETTINGS[key]
+    env = os.environ.get(env_var) if env_var else None
+    sources = (getattr(args, key), config.get(key), env, default, own_default)
+    value = next((v for v in sources if v is not None), None)
     if low is not None and value < low:
         raise ConfigError(f"{key} must be at least {low}, not {value}")
     return value
 
 
 def _load_schema(path: str | None, simulation: bool = False) -> IntentSchema:
+    from .dialogue import IntentSchema, default_schema, simulation_schema
+
     if path is None:
         return simulation_schema() if simulation else default_schema()
     record = _read_json(path, "intent schema")
@@ -190,6 +186,8 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
     conversation replays the script from the start, which keeps batch
     generation deterministic.
     """
+    from .connectors import GatewayOptions, HttpLlmGateway, MockLlmGateway
+
     endpoint = _setting("llm_endpoint", args, config)
     model = _setting("llm_model", args, config)
     if not endpoint:
@@ -211,6 +209,8 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
 
 
 def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
+    from .connectors import CrsEndpoint, HttpCrsConnector, make_stub
+
     if spec.startswith("stub:"):
         name = spec[len("stub:"):]
         if name == "always-recommend":
@@ -225,6 +225,9 @@ def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
 
 def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
     """Read per-system scores from a plain map or a metric report file."""
+    from .corpus_io import iter_records
+    from .metrics import MetricReport
+
     raw = _read_bytes(path, "score file")
     try:
         whole = json.loads(raw)
@@ -279,12 +282,18 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
     return mapping
 
 
-def _count_systems(dialogues) -> Counter:
+def _count_systems(dialogues):
     """Dialogues per system: ingest's fold."""
+    from collections import Counter
+
     return Counter(dialogue.crs_id for dialogue in dialogues)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from collections import Counter
+
+    from .corpus_io import CorpusFiles
+
     schema = _load_schema(args.schema)
     counts = sum(CorpusFiles([args.input], schema).fold(_count_systems), Counter())
     width = max([len(c) for c in counts] + [len("total")])
@@ -296,6 +305,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from itertools import chain, islice
+
+    from .annotation import LlmAnnotator, RuleAnnotator, iter_annotated, load_rule_lexicon
+    from .corpus_io import dialogue_record, iter_corpus, write_records
+
     config = _load_config_file(args.config)
     jobs = _setting("jobs", args, config)
     seed = _setting("seed", args, config)
@@ -304,7 +318,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         gateway = _llm_gateway_factory(args, config, "llm mode")()
         annotator = LlmAnnotator(schema, gateway)
     else:
-        catalog = load_catalog(args.catalog) if args.catalog else None
+        catalog = _CLI.load_catalog(args.catalog) if args.catalog else None
         lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
         annotator = RuleAnnotator(schema, lexicon, catalog)
     settings = {
@@ -328,6 +342,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .corpus_io import CorpusFiles, write_records
+    from .metrics import check_metric_names
+
     try:
         metrics = check_metric_names(_names(args.metrics))
     except ValueError as exc:
@@ -340,7 +357,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
 
     inputs = CorpusFiles(args.input, schema)
-    reports = evaluate_system(inputs, metrics, ground_truth=ground_truth, n=args.n)
+    reports = _CLI.evaluate_system(inputs, metrics, ground_truth=ground_truth, n=args.n)
     settings = {
         "command": "evaluate",
         "metrics": metrics,
@@ -358,17 +375,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .annotation import RuleAnnotator
+    from .corpus_io import write_corpus
+    from .simulation import (
+        AgendaSimulator,
+        GoalConfig,
+        LlmSimulator,
+        RunLimits,
+        generate_corpus,
+        load_interaction_model,
+    )
+
     config = _load_config_file(args.config)
     n = _setting("n", args, config)
     seed = _setting("seed", args, config)
     jobs = _setting("jobs", args, config)
-    max_utterances = _setting("max_utterances", args, config)
-    timeout = float(_setting("timeout", args, config))
+    max_utterances = _setting("max_utterances", args, config, RunLimits.max_utterances)
+    timeout = float(_setting("timeout", args, config, RunLimits.per_call_timeout))
     if not timeout > 0:  # also rejects NaN
         raise ConfigError(f"timeout must be positive, not {timeout}")
 
     schema = _load_schema(args.schema, simulation=True)
-    catalog = load_catalog(args.catalog)
+    catalog = _CLI.load_catalog(args.catalog)
     connector = _build_connector(args.crs, catalog, args.stub_item)
 
     if args.simulator == "abus":
@@ -421,6 +451,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .corpus_io import write_records
+
     reference = _read_score_map(args.reference, args.metric)
     satisfaction = _read_score_map(args.satisfaction, None)
     records = []
@@ -429,7 +461,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not path:
             name, path = os.path.basename(spec), spec
         candidate = _read_score_map(path, args.metric)
-        report = reliability_report(
+        report = _CLI.reliability_report(
             reference,
             candidate,
             satisfaction,

@@ -334,7 +334,7 @@ def rdl(corpus: Iterable[Dialogue]) -> MetricReport:
 
 
 def check_metric_names(metrics: Sequence[str]) -> list[str]:
-    """The metric names lowercased; ValueError if any is unknown."""
+    """The metric names lowercased; ValueError if any is unknown or repeated."""
     requested = [m.lower() for m in metrics]
     unknown = [m for m in requested if m not in VALID_METRICS]
     if unknown:
@@ -342,6 +342,9 @@ def check_metric_names(metrics: Sequence[str]) -> list[str]:
             f"unknown metric(s) {', '.join(sorted(unknown))}; "
             f"valid names: {', '.join(VALID_METRICS)}"
         )
+    repeated = next((m for i, m in enumerate(requested) if m in requested[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"repeated metric {repeated!r}")
     return requested
 
 

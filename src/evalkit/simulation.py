@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .annotation import RuleAnnotator, in_order, load_prompt_template
 from .catalog import ItemCatalog
-from .connectors import CrsConnector, LlmGateway
 from .dialogue import (
     ACCEPT,
     BYE,
@@ -50,6 +49,9 @@ from .errors import (
     SchemaViolationError,
     SimulationError,
 )
+
+if TYPE_CHECKING:
+    from .connectors import CrsConnector, LlmGateway
 
 _START_ROW = "__start__"
 _PROBABILITY_TOLERANCE = 1e-9

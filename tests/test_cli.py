@@ -456,6 +456,13 @@ class TestEvaluate:
         for name in ("sr", "srrr", "rdl", "recall"):
             assert name in err
 
+    def test_repeated_metric_fails_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(tmp_path / "missing.ndjson"), "--output", str(out)]
+        assert main(argv + ["--metrics", "sr,SR"]) == 2
+        assert "configuration error: repeated metric 'sr'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.ndjson"
         path.write_text('{"schema_version":"1"}\n')

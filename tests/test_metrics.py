@@ -454,6 +454,12 @@ class TestEvaluateSystem:
         for name in ("sr", "srrr", "rdl", "recall"):
             assert name in str(excinfo.value)
 
+    def test_a_repeated_metric_is_named(self):
+        # ``sr`` and ``SR`` name one metric: two SR reports would make the
+        # report file ambiguous to ``compare``.
+        with pytest.raises(ValueError, match="repeated metric 'sr'"):
+            evaluate_system(corpus(one_round_accepted()), ["sr", "rdl", "SR"])
+
     def test_recall_requires_ground_truth(self):
         with pytest.raises(ValueError, match="ground-truth"):
             evaluate_system(corpus(one_round_accepted()), ["recall"])

@@ -90,12 +90,15 @@ def test_public_names_are_the_readme_library_api():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"`([A-Za-z_]\w*)`", section))
-    public = {
-        name
-        for name, value in vars(evalkit).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert public == listed
+    assert sorted(evalkit.__all__) == sorted(listed)
+    # Each name loads on first use, so ``dir`` lists it before then, and it
+    # is the very object its defining module holds.
+    assert set(evalkit.__all__) <= set(dir(evalkit))
+    for name in evalkit.__all__:
+        value = getattr(evalkit, name)
+        assert not isinstance(value, ModuleType)
+        assert value.__module__.startswith("evalkit.")
+        assert getattr(sys.modules[value.__module__], name) is value
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -197,6 +200,55 @@ def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
     }
 
 
+# Run in a fresh interpreter: which evalkit modules an import, ingest and
+# evaluate, or the benchmark's evaluation set-up load.
+LAZY_RUN = """
+import json, sys
+import evalkit
+
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+mode, corpus, report, bench = sys.argv[1:]
+found = {"import": sorted(m for m in sys.modules if m.startswith("evalkit."))}
+if mode == "commands":
+    import evalkit.cli
+    unused = ["simulation", "annotation", "catalog", "connectors", "analysis"]
+    unused = ["evalkit." + m for m in unused]
+    for argv in (["ingest"], ["evaluate", "--output", report]):
+        found[argv[0]] = (evalkit.cli.main(argv + ["--input", corpus]), loaded(unused))
+else:
+    sys.path.insert(0, bench)
+    import program
+    program.set_up("evaluate", "-", None, lambda: None)
+    unused = ["evalkit." + m for m in ("metrics", "corpus_io", "analysis", "connectors")]
+    found["set-up"] = loaded([*unused, "hashlib"])
+print(json.dumps(found))
+"""
+
+
+@pytest.mark.parametrize("mode", ["commands", "set-up"])
+def test_imports_load_only_the_modules_a_command_runs(mode, tmp_path):
+    # ``import evalkit`` loads no submodule, ingest and evaluate load no
+    # simulator, annotator, catalog, connector or analysis module, and the
+    # benchmark's ``setup_s`` on its evaluation workload times neither the
+    # metric engine, the corpus reader, the connectors nor hashlib.
+    path = tmp_path / "corpus.ndjson"
+    write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", ["Disclose"], text="hi")])), path)
+    source_root = str(Path(evalkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
+    argv = [mode, str(path), str(tmp_path / "report.ndjson"), str(BENCH)]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAZY_RUN, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    found = json.loads(result.stdout.splitlines()[-1])
+    if mode == "commands":
+        assert found == {"import": [], "ingest": [0, []], "evaluate": [0, []]}
+    else:
+        assert found == {"import": [], "set-up": []}
+
+
 MODULES = {
     "analysis": analysis, "annotation": annotation, "catalog": catalog, "cli": cli,
     "connectors": connectors, "corpus_io": corpus_io, "dialogue": dialogue,
@@ -222,6 +274,42 @@ def test_bench_tracer_patch_points_exist():
     finally:
         tracer.restore()
     assert (cli.serialize_corpus, corpus_io.parse_corpus, cli.evaluate_system) == originals
+
+
+def test_bench_tracer_sees_every_call_the_commands_make_through_cli(tmp_path):
+    # The commands call the patch points through the cli module: a call
+    # that bypassed the wrapper would read 0 in a traced bench run.
+    spans = _bench_spans()
+    catalog_path = tmp_path / "catalog.json"
+    catalog_path.write_text(json.dumps([{"id": "Up", "genre": "comedy"}]))
+    raw, annotated = tmp_path / "raw.ndjson", tmp_path / "annotated.ndjson"
+    accept = "Great, I will watch Up, thanks!"
+    write_corpus(
+        corpus(
+            dlg("d1", "sysA", [utt(0, "SYSTEM", text="Try Up."), utt(1, "USER", text=accept)]),
+            dlg("d2", "sysB", [utt(0, "SYSTEM", text="Hello."), utt(1, "USER", text="Bye.")]),
+        ),
+        raw,
+    )
+    report, scores = tmp_path / "report.ndjson", tmp_path / "scores.json"
+    scores.write_text(json.dumps({"sysA": 0.9, "sysB": 0.2}))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, MODULES)
+        codes = [
+            cli.main(["annotate", "--input", str(raw), "--output", str(annotated),
+                      "--catalog", str(catalog_path)]),
+            cli.main(["evaluate", "--input", str(annotated), "--output", str(report),
+                      "--metrics", "sr"]),
+            cli.main(["compare", "--candidate", f"mine={report}", "--reference", str(scores),
+                      "--satisfaction", str(scores), "--output", str(tmp_path / "rel.ndjson")]),
+        ]
+    finally:
+        tracer.restore()
+    names = [r[spans.NAME] for r in tracer.spans]
+    assert codes == [0, 0, 0]
+    traced = ("catalog.load", "metrics.evaluate", "analysis.compare")
+    assert [names.count(name) for name in traced] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("family", ["abus", "llm-us"])

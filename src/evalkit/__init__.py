@@ -53,10 +53,7 @@ _EXPORTS = {
         "RecommendationRound",
         "RewardFactor",
         "evaluate_system",
-        "rdl",
         "segment_rounds",
-        "srrr",
-        "success_rate",
         "utility",
     ),
     "simulation": (

@@ -235,9 +235,10 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
         whole = None
     if isinstance(whole, dict) and "metric" not in whole and "schema_version" not in whole:
         try:
-            return {str(k): float(v) for k, v in whole.items()}
-        except (TypeError, ValueError) as exc:
+            scores = {str(k): v if type(v) is bool else float(v) for k, v in whole.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path} is not a numeric score map: {exc}") from exc
+        return _finite_scores(path, scores)
 
     # Otherwise treat it as a newline-delimited metric report file.
     try:
@@ -254,13 +255,22 @@ def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
             raise ConfigError(
                 f"metric {metric!r} not in report file {path} (has: {names})"
             )
-        return dict(matches[0].per_system)
+        return _finite_scores(path, matches[0].per_system)
     if len(reports) > 1:
         names = ", ".join(r.metric for r in reports)
         raise ConfigError(
             f"report file {path} holds several metrics ({names}); use --metric"
         )
-    return dict(reports[0].per_system)
+    return _finite_scores(path, reports[0].per_system)
+
+
+def _finite_scores(path: str, scores: Mapping[str, Any]) -> dict[str, float]:
+    """``scores``, each a finite int or float; else ConfigError naming ``path`` and the system."""
+    for name, score in scores.items():
+        # False for NaN, for an infinity and for an int too large for a float.
+        if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+            raise ConfigError(f"{path}: score of {name!r} is not a finite number: {score!r}")
+    return dict(scores)
 
 
 def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:

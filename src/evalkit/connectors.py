@@ -44,7 +44,7 @@ class GatewayOptions:
     auth_token: str | None = None
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
 
 
@@ -180,6 +180,8 @@ class CrsEndpoint:
             raise ValueError("crs_id must be non-empty")
         if self.session_mode not in ("body", "header"):
             raise ValueError("session_mode must be 'body' or 'header'")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be positive")
 
 
 @dataclass(frozen=True)

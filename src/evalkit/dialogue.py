@@ -71,17 +71,8 @@ def _as_strings(values: Iterable[str], what: str) -> tuple[str, ...]:
 
 
 def _as_slot_pairs(slots: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    """``slots`` as a tuple of (name, value) tuples; such a tuple is returned
-    as it is. TypeError if a name or value is not a string."""
-    if type(slots) is tuple:
-        for pair in slots:
-            if not (
-                type(pair) is tuple and len(pair) == 2
-                and type(pair[0]) is str and type(pair[1]) is str
-            ):
-                break
-        else:
-            return slots
+    """``slots`` as a new tuple of (name, value) tuples. TypeError if a name
+    or value is not a string."""
     pairs = tuple([(name, value) for name, value in slots])
     for name, value in pairs:
         if not (isinstance(name, str) and isinstance(value, str)):

@@ -312,27 +312,6 @@ _MACRO_SPECS = (
 )
 
 
-def dialogue_rdl(dialogue: Dialogue) -> float:
-    """Accepted items divided by the dialogue's total utterance count."""
-    return utility(dialogue, [accepted_items_reward()], [dialogue_length_cost()])
-
-
-def success_rate(corpus: Iterable[Dialogue]) -> MetricReport:
-    """Per system: fraction of dialogues containing an accepted recommendation."""
-    return evaluate_system(corpus, ["sr"])[0]
-
-
-def srrr(corpus: Iterable[Dialogue]) -> MetricReport:
-    """Per system: mean per-dialogue fraction of rounds ending in acceptance
-    (0 with no rounds; an unresolved round counts as unsuccessful)."""
-    return evaluate_system(corpus, ["srrr"])[0]
-
-
-def rdl(corpus: Iterable[Dialogue]) -> MetricReport:
-    """Per system: mean accepted items per utterance across dialogues."""
-    return evaluate_system(corpus, ["rdl"])[0]
-
-
 def check_metric_names(metrics: Sequence[str]) -> list[str]:
     """The metric names lowercased; ValueError if any is unknown or repeated."""
     requested = [m.lower() for m in metrics]

@@ -78,7 +78,7 @@ class RunLimits:
     def __post_init__(self):
         if self.max_utterances < 2:
             raise ValueError("max_utterances must be >= 2")
-        if self.per_call_timeout <= 0:
+        if not self.per_call_timeout > 0:
             raise ValueError("per_call_timeout must be positive")
 
 
@@ -225,11 +225,7 @@ def sample_goal(catalog: ItemCatalog, config: GoalConfig, seed: int) -> UserGoal
         request_cap = min(_REQUEST_COUNTS[1], len(config.request_slots))
         request_floor = min(_REQUEST_COUNTS[0], request_cap)
         request_count = rng.randint(request_floor, request_cap) if request_cap else 0
-        requests = (
-            tuple(rng.sample(list(config.request_slots), request_count))
-            if request_count
-            else ()
-        )
+        requests = tuple(rng.sample(config.request_slots, request_count))
         return UserGoal(constraints=constraints, requests=requests)
     raise SimulationError(
         f"no satisfiable goal found after {_GOAL_ATTEMPTS} attempts"
@@ -382,6 +378,14 @@ def _instantiate(
     return DialogueAct(intent)
 
 
+def _user_turn(incoming: Utterance | None, text: str, acts: Sequence[DialogueAct]) -> Utterance:
+    """The simulated user's reply to ``incoming`` (None: the opening turn).
+    Its items are the item-slot values of its Accept and Reject acts."""
+    items = [v for a in acts if a.intent in (ACCEPT, REJECT) for v in a.slot_values(ITEM_SLOT)]
+    index = incoming.index + 1 if incoming is not None else 0
+    return Utterance(index, Speaker.USER, text, acts, items)
+
+
 def abus_next(
     agenda: SimulatorAgenda,
     model: InteractionModel,
@@ -499,12 +503,7 @@ def abus_next(
     )
     if act.intent == BYE:
         return updated, Stop("bye")
-    index = incoming.index + 1 if incoming is not None else 0
-    items = act.slot_values(ITEM_SLOT) if act.intent in (ACCEPT, REJECT) else ()
-    outgoing = Utterance(
-        index=index, speaker=Speaker.USER, text=render_act_text(act), acts=(act,), items=items
-    )
-    return updated, outgoing
+    return updated, _user_turn(incoming, render_act_text(act), (act,))
 
 
 class SimulatorSession(Protocol):
@@ -639,14 +638,7 @@ def llmus_next(
     acts = annotator.annotate(
         Utterance(index=0, speaker=Speaker.USER, text=text)
     ) if annotator is not None else ()
-    items: tuple[str, ...] = ()
-    for act in acts:
-        if act.intent in (ACCEPT, REJECT):
-            items = items + act.slot_values(ITEM_SLOT)
-    index = incoming.index + 1 if incoming is not None else 0
-    outgoing = Utterance(
-        index=index, speaker=Speaker.USER, text=text, acts=tuple(acts), items=items
-    )
+    outgoing = _user_turn(incoming, text, acts)
     return replace(state, history=history + ((outgoing.speaker.value, text),)), outgoing
 
 

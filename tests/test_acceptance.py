@@ -30,11 +30,8 @@ from evalkit.dialogue import Corpus, simulation_schema
 from evalkit.metrics import (
     accepted_items_reward,
     dialogue_length_cost,
-    dialogue_rdl,
-    rdl,
+    evaluate_system,
     segment_rounds,
-    srrr,
-    success_rate,
     utility,
 )
 from evalkit.simulation import (
@@ -133,14 +130,15 @@ def test_criterion_3_metric_oracle_equivalence():
         c = random_corpus(rng, max_dialogues=4)
         stream = serialize_corpus(c)
         expected = oracle_reports(stream)
-        assert success_rate(c).per_system == expected["SR"]
-        assert srrr(c).per_system == expected["SRRR"]
-        assert rdl(c).per_system == expected["RDL"]
+        sr, srrr, rdl = evaluate_system(c, ["sr", "srrr", "rdl"])
+        assert sr.per_system == expected["SR"]
+        assert srrr.per_system == expected["SRRR"]
+        assert rdl.per_system == expected["RDL"]
         for dialogue in c.dialogues:
             engine_value = utility(
                 dialogue, [accepted_items_reward()], [dialogue_length_cost()]
             )
-            assert engine_value == dialogue_rdl(dialogue)
+            assert engine_value == rdl.per_dialogue[dialogue.dialogue_id]
 
 
 @criterion(4, "round segmentation properties hold on randomized act sequences")
@@ -208,8 +206,11 @@ def test_criterion_5_invariance_suite():
             ),
             schema_version=c.schema_version,
         )
-        for metric in (success_rate, srrr, rdl):
-            assert metric(c).per_system == metric(mutated).per_system
+        for metric in ("sr", "srrr", "rdl"):
+            assert (
+                evaluate_system(c, [metric])[0].per_system
+                == evaluate_system(mutated, [metric])[0].per_system
+            )
 
     # Dialogue permutation leaves system scores unchanged.
     for _ in range(15):
@@ -217,9 +218,9 @@ def test_criterion_5_invariance_suite():
         shuffled_dialogues = list(c.dialogues)
         rng.shuffle(shuffled_dialogues)
         shuffled = Corpus(dialogues=tuple(shuffled_dialogues))
-        for metric in (success_rate, srrr, rdl):
-            before = metric(c).per_system
-            after = metric(shuffled).per_system
+        for metric in ("sr", "srrr", "rdl"):
+            before = evaluate_system(c, [metric])[0].per_system
+            after = evaluate_system(shuffled, [metric])[0].per_system
             assert before.keys() == after.keys()
             for crs_id in before:
                 assert before[crs_id] == pytest.approx(after[crs_id], abs=1e-12)

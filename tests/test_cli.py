@@ -1105,6 +1105,44 @@ class TestCompare:
         argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ('{"a": NaN, "b": 0.5, "c": 0.2}', "nan"),
+            ('{"a": Infinity, "b": 0.5, "c": 0.2}', "inf"),
+            ('{"a": -Infinity, "b": 0.5, "c": 0.2}', "-inf"),
+            ('{"a": "1e400", "b": 0.5, "c": 0.2}', "inf"),
+            ('{"a": true, "b": 0.5, "c": 0.2}', "True"),
+            ('{"metric": "RDL", "aggregation": "macro", "per_system": {"a": NaN, "b": 0.5}}', "nan"),
+            ('{"metric": "RDL", "aggregation": "macro", "per_system": {"a": "0.3", "b": 0.5}}', "'0.3'"),
+            ('{"metric": "RDL", "aggregation": "macro", "per_system": {"a": false, "b": 0.5}}', "False"),
+        ],
+        ids=["nan", "infinity", "-infinity", "overflow", "bool", "report-nan", "report-text", "report-bool"],
+    )
+    def test_score_that_is_not_a_finite_number_is_a_config_error(
+        self, tmp_path, capsys, text, value
+    ):
+        ref = write_scores(tmp_path / "ref.json", {"a": 0.3, "b": 0.1, "c": 0.2})
+        sat = write_scores(tmp_path / "sat.json", {"a": 0.9, "b": 0.2, "c": 0.4})
+        cand = tmp_path / "cand.json"
+        cand.write_text(text + "\n")
+        out = tmp_path / "rel.ndjson"
+        argv = ["compare", "--candidate", f"c={cand}", "--reference", ref, "--satisfaction", sat]
+        assert main(argv + ["--output", str(out)]) == 2
+        detail = f"{cand}: score of 'a' is not a finite number: {value}"
+        assert capsys.readouterr().err == f"configuration error: {detail}\n"
+        assert not out.exists()
+
+    def test_numeric_strings_in_a_score_map_are_read_as_numbers(self, tmp_path, capsys):
+        ref = write_scores(tmp_path / "ref.json", {"A": "0.3", "B": " 1e-1 "})
+        sat = write_scores(tmp_path / "sat.json", {"A": 0.9, "B": 0.2})
+        out = tmp_path / "rel.ndjson"
+        argv = ["compare", "--candidate", f"self={ref}", "--reference", ref, "--satisfaction", sat]
+        assert main(argv + ["--output", str(out)]) == 0
+        record = [json.loads(l) for l in out.read_text().splitlines()][1]
+        assert record["per_system_abs_diff"] == {"A": 0.0, "B": 0.0}
+        assert capsys.readouterr().out.startswith("self: tau_b=1.000 avg_abs_diff=0.0000")
+
 
 def readme_walkthrough():
     """The commands of the README's offline walkthrough, in order: each is

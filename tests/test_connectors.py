@@ -219,9 +219,9 @@ class TestGatewayOptions:
         assert names == ["endpoint", "model", "timeout", "auth_token"]
         assert (OPTIONS.timeout, OPTIONS.auth_token) == (30.0, None)
 
-    @pytest.mark.parametrize("timeout", [0, -1.0])
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
     def test_non_positive_timeout_rejected(self, timeout):
-        with pytest.raises(ValueError, match="timeout must be positive"):
+        with pytest.raises(ValueError, match="^timeout must be positive$"):
             GatewayOptions(endpoint="http://x", model="m", timeout=timeout)
 
 
@@ -254,6 +254,11 @@ class TestStubs:
 class TestHttpCrsConnector:
     def _endpoint(self, **kwargs):
         return CrsEndpoint(crs_id="crs-a", endpoint="http://crs.local/chat", **kwargs)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="^timeout must be positive$"):
+            self._endpoint(timeout=timeout)
 
     def test_default_field_mapping(self):
         transport = RecordingTransport(

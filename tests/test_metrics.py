@@ -20,13 +20,9 @@ from evalkit.metrics import (
     accepted_rounds_reward,
     constant_cost,
     dialogue_length_cost,
-    dialogue_rdl,
     evaluate_system,
-    rdl,
     round_count_cost,
     segment_rounds,
-    srrr,
-    success_rate,
     success_reward,
     utility,
 )
@@ -148,10 +144,10 @@ BARE = dlg("bare", "sysA", [utt(0, "USER"), utt(1, "SYSTEM")])
     "score",
     [
         lambda: utility(BARE, [accepted_items_reward()], [constant_cost()]),
-        lambda: dialogue_rdl(BARE),
-        lambda: success_rate(corpus(BARE)),
-        lambda: srrr(corpus(BARE)),
-        lambda: rdl(corpus(BARE)),
+        lambda: utility(BARE, [accepted_items_reward()], [dialogue_length_cost()]),
+        lambda: evaluate_system(corpus(BARE), ["sr"]),
+        lambda: evaluate_system(corpus(BARE), ["srrr"]),
+        lambda: evaluate_system(corpus(BARE), ["rdl"]),
         lambda: evaluate_system([one_round_accepted(), BARE], ["sr", "recall"], {}),
     ],
     ids=["utility", "dialogue_rdl", "success_rate", "srrr", "rdl", "evaluate_system"],
@@ -167,7 +163,7 @@ class TestSuccessRate:
             one_round_accepted(),
             dlg("d2", "sysA", turns(("SYSTEM", ["Recommend"]), ("USER", ["Accept"]))),
         )
-        assert success_rate(c).per_system == {"sysA": 1.0}
+        assert evaluate_system(c, ["sr"])[0].per_system == {"sysA": 1.0}
 
     def test_two_of_three(self):
         c = corpus(
@@ -175,14 +171,14 @@ class TestSuccessRate:
             two_rounds(),
             unresolved_round(),
         )
-        assert success_rate(c).per_system["sysA"] == pytest.approx(2 / 3)
+        assert evaluate_system(c, ["sr"])[0].per_system["sysA"] == pytest.approx(2 / 3)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="no dialogues"):
-            success_rate(corpus())
+            evaluate_system(corpus(), ["sr"])
 
     def test_report_shape(self):
-        report = success_rate(corpus(one_round_accepted()))
+        report = evaluate_system(corpus(one_round_accepted()), ["sr"])[0]
         assert report.metric == "SR"
         assert report.aggregation == "macro"
         assert report.per_dialogue == {"accepted": 1.0}
@@ -190,18 +186,18 @@ class TestSuccessRate:
 
 class TestSrrr:
     def test_single_accepted_round_scores_one(self):
-        assert srrr(corpus(one_round_accepted())).per_system["sysA"] == 1.0
+        assert evaluate_system(corpus(one_round_accepted()), ["srrr"])[0].per_system["sysA"] == 1.0
 
     def test_accepted_and_rejected_rounds(self):
-        assert srrr(corpus(two_rounds())).per_system["sysA"] == 0.5
+        assert evaluate_system(corpus(two_rounds()), ["srrr"])[0].per_system["sysA"] == 0.5
 
     def test_zero_round_dialogue_contributes_zero(self):
         no_rounds = dlg("flat", "sysA", turns(("USER", ["Inquire"]), ("SYSTEM", ["Respond"])))
         c = corpus(one_round_accepted(), no_rounds)
-        assert srrr(c).per_system["sysA"] == 0.5  # mean of 1.0 and 0.0
+        assert evaluate_system(c, ["srrr"])[0].per_system["sysA"] == 0.5  # mean of 1.0 and 0.0
 
     def test_unresolved_rounds_count_as_unsuccessful(self):
-        assert srrr(corpus(unresolved_round())).per_system["sysA"] == 0.0
+        assert evaluate_system(corpus(unresolved_round()), ["srrr"])[0].per_system["sysA"] == 0.0
 
 
 class TestRdl:
@@ -211,8 +207,9 @@ class TestRdl:
         utterances[1] = utt(1, "USER", [act("Accept", ("TITLE", "Alpha"))])
         utterances[5] = utt(5, "USER", [act("Accept", ("TITLE", "Beta"))])
         d = dlg("ten", "sysA", utterances)
-        assert dialogue_rdl(d) == pytest.approx(0.2)
-        assert rdl(corpus(d)).per_system["sysA"] == pytest.approx(0.2)
+        value = utility(d, [accepted_items_reward()], [dialogue_length_cost()])
+        assert value == pytest.approx(0.2)
+        assert evaluate_system(corpus(d), ["rdl"])[0].per_system["sysA"] == pytest.approx(0.2)
 
     def test_mean_of_ten_tenths_is_exactly_a_tenth(self):
         # Correctly rounded on every Python: 3.10 and 3.11 sum floats
@@ -221,12 +218,12 @@ class TestRdl:
         utterances = list(turns(*specs))
         utterances[2] = utt(2, "USER", [act("Accept", ("TITLE", "Alpha"))])
         dialogues = [dlg(f"d{n}", "sysA", utterances) for n in range(10)]
-        assert dialogue_rdl(dialogues[0]) == 0.1
-        assert rdl(corpus(*dialogues)).per_system["sysA"] == 0.1
+        assert utility(dialogues[0], [accepted_items_reward()], [dialogue_length_cost()]) == 0.1
+        assert evaluate_system(corpus(*dialogues), ["rdl"])[0].per_system["sysA"] == 0.1
 
     def test_no_accept_scores_zero(self):
         d = dlg("none", "sysA", turns(("USER", ["Inquire"]), ("SYSTEM", ["Respond"])))
-        assert rdl(corpus(d)).per_system["sysA"] == 0.0
+        assert evaluate_system(corpus(d), ["rdl"])[0].per_system["sysA"] == 0.0
 
     def test_slotless_accept_counts_one(self):
         d = dlg(
@@ -235,7 +232,7 @@ class TestRdl:
             turns(("SYSTEM", ["Recommend"]), ("USER", ["Accept"])),
         )
         assert DialogueFacts.of(d).accepted_items == 1
-        assert dialogue_rdl(d) == 0.5
+        assert utility(d, [accepted_items_reward()], [dialogue_length_cost()]) == 0.5
 
     def test_repeated_item_counted_once(self):
         d = dlg(
@@ -401,7 +398,8 @@ class TestUtilityEngine:
         utterances[5] = utt(5, "USER", [act("Accept", ("TITLE", "Beta"))])
         d = dlg("ten", "sysA", utterances)
         value = utility(d, [accepted_items_reward()], [dialogue_length_cost()])
-        assert value == dialogue_rdl(d) == pytest.approx(0.2)
+        engine = evaluate_system(corpus(d), ["rdl"])[0].per_dialogue["ten"]
+        assert value == engine == pytest.approx(0.2)
 
     def test_srrr_core_instantiation(self):
         d = two_rounds()
@@ -441,9 +439,9 @@ class TestEvaluateSystem:
     def test_composed_metrics_match_individual_ops(self):
         c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
         reports = {r.metric: r for r in evaluate_system(c, ["sr", "srrr", "rdl"])}
-        assert reports["SR"].per_system == success_rate(c).per_system
-        assert reports["SRRR"].per_system == srrr(c).per_system
-        assert reports["RDL"].per_system == rdl(c).per_system
+        assert reports["SR"].per_system == evaluate_system(c, ["sr"])[0].per_system
+        assert reports["SRRR"].per_system == evaluate_system(c, ["srrr"])[0].per_system
+        assert reports["RDL"].per_system == evaluate_system(c, ["rdl"])[0].per_system
 
     def test_empty_metric_set(self):
         assert evaluate_system(corpus(one_round_accepted()), []) == []
@@ -479,7 +477,7 @@ class TestEvaluateSystem:
         ]
 
     def test_report_record_round_trip(self):
-        report = success_rate(corpus(one_round_accepted()))
+        report = evaluate_system(corpus(one_round_accepted()), ["sr"])[0]
         assert MetricReport.from_record(report.to_record()) == report
 
 
@@ -488,9 +486,10 @@ class TestInvariants:
         rng = random.Random(11)
         for _ in range(25):
             c = random_corpus(rng)
-            sr_values = success_rate(c).per_system.values()
-            srrr_values = srrr(c).per_system.values()
-            rdl_values = rdl(c).per_system.values()
+            sr, srrr, rdl = evaluate_system(c, ["sr", "srrr", "rdl"])
+            sr_values = sr.per_system.values()
+            srrr_values = srrr.per_system.values()
+            rdl_values = rdl.per_system.values()
             assert all(0.0 <= v <= 1.0 for v in sr_values)
             assert all(0.0 <= v <= 1.0 for v in srrr_values)
             assert all(v >= 0.0 for v in rdl_values)
@@ -512,8 +511,11 @@ class TestInvariants:
                 ),
                 schema_version=c.schema_version,
             )
-            for metric in (success_rate, srrr, rdl):
-                assert metric(c).per_system == metric(mutated).per_system
+            for metric in ("sr", "srrr", "rdl"):
+                assert (
+                    evaluate_system(c, [metric])[0].per_system
+                    == evaluate_system(mutated, [metric])[0].per_system
+                )
 
     def test_dialogue_permutation_leaves_system_scores_unchanged(self):
         rng = random.Random(13)
@@ -522,9 +524,9 @@ class TestInvariants:
             shuffled_list = list(c.dialogues)
             rng.shuffle(shuffled_list)
             shuffled = Corpus(dialogues=tuple(shuffled_list))
-            for metric in (success_rate, srrr, rdl):
-                before = metric(c).per_system
-                after = metric(shuffled).per_system
+            for metric in ("sr", "srrr", "rdl"):
+                before = evaluate_system(c, [metric])[0].per_system
+                after = evaluate_system(shuffled, [metric])[0].per_system
                 assert before.keys() == after.keys()
                 for crs_id in before:
                     assert before[crs_id] == pytest.approx(after[crs_id], abs=1e-12)
@@ -547,7 +549,8 @@ class TestInvariants:
             ),
         )
         c = corpus(accepted, rejected, also_accepted)
-        assert success_rate(c).per_system == srrr(c).per_system
+        sr, srrr = evaluate_system(c, ["sr", "srrr"])
+        assert sr.per_system == srrr.per_system
 
     def test_weight_scaling_preserves_ranking(self):
         rng = random.Random(14)
@@ -599,7 +602,7 @@ class TestInvariants:
         for _ in range(10):
             c = random_corpus(rng)
             d = c.dialogues[0]
-            before = dialogue_rdl(d)
+            before = utility(d, [accepted_items_reward()], [dialogue_length_cost()])
             user_positions = [
                 u.index for u in d.utterances if u.speaker.value == "USER"
             ]
@@ -618,16 +621,17 @@ class TestInvariants:
                 )
                 + d.utterances[position + 1 :],
             )
-            assert dialogue_rdl(boosted) >= before
+            assert utility(boosted, [accepted_items_reward()], [dialogue_length_cost()]) >= before
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(17)
         for _ in range(25):
             c = random_corpus(rng)
             expected = oracle_reports(serialize_corpus(c))
-            assert success_rate(c).per_system == expected["SR"]
-            assert srrr(c).per_system == expected["SRRR"]
-            assert rdl(c).per_system == expected["RDL"]
+            sr, srrr, rdl = evaluate_system(c, ["sr", "srrr", "rdl"])
+            assert sr.per_system == expected["SR"]
+            assert srrr.per_system == expected["SRRR"]
+            assert rdl.per_system == expected["RDL"]
 
 
 item = st.sampled_from(ITEMS)

@@ -44,7 +44,7 @@ from evalkit.simulation import (
     sample_goal,
 )
 
-from helpers import utt
+from helpers import act, utt
 from oracle import oracle_sample_goal
 
 SCHEMA = simulation_schema()
@@ -375,6 +375,67 @@ class TestAbusNext:
             agenda, model, incoming, annotator, rng, catalog=movie_catalog
         )
         assert outcome == Stop("bye")
+
+
+class _FixedActs:
+    """An annotator that tags every utterance with the same acts."""
+
+    def __init__(self, *acts):
+        self.acts = acts
+
+    def annotate(self, utterance):
+        return self.acts
+
+
+def _abus_turn(incoming, catalog):
+    annotator = RuleAnnotator(SCHEMA, catalog=catalog)
+    agenda = new_agenda(simple_goal())
+    _, outgoing = abus_next(agenda, TWO_ROW_MODEL, incoming, annotator, random.Random(0), catalog)
+    return outgoing
+
+
+def _llmus_turn(incoming, *acts):
+    gateway = MockLlmGateway(replies=["continue", "my turn"] if incoming else ["my turn"])
+    state = ConversationState(goal=simple_goal())
+    _, outgoing = llmus_next(state, incoming, gateway, _FixedActs(*acts))
+    return outgoing
+
+
+MIDNIGHT_RUN = utt(1, "SYSTEM", text="Have you seen Midnight Run?", items=["Midnight Run"])
+PAPER_MOON = utt(3, "SYSTEM", text="Have you seen Paper Moon?", items=["Paper Moon"])
+
+
+# Both simulators' outgoing turn: the index after the incoming turn's (0 when
+# opening), the user as speaker, and as items the item-slot values of its
+# Accept and Reject acts, in act order.
+@pytest.mark.parametrize(
+    "turn, index, intents, items",
+    [
+        (lambda c: _abus_turn(None, c), 0, ["Disclose"], ()),
+        (lambda c: _abus_turn(MIDNIGHT_RUN, c), 2, ["Accept"], ("Midnight Run",)),
+        (lambda c: _abus_turn(PAPER_MOON, c), 4, ["Reject"], ("Paper Moon",)),
+        (lambda c: _llmus_turn(None, act("Accept", ("TITLE", "Up"))), 0, ["Accept"], ("Up",)),
+        (
+            lambda c: _llmus_turn(
+                PAPER_MOON,
+                act("Reject", ("TITLE", "Paper Moon"), ("genre", "drama")),
+                act("Disclose", ("TITLE", "Heat")),
+                act("Accept", ("TITLE", "Up"), ("TITLE", "Big")),
+            ),
+            4,
+            ["Reject", "Disclose", "Accept"],
+            ("Paper Moon", "Up", "Big"),
+        ),
+        (lambda c: _llmus_turn(MIDNIGHT_RUN), 2, [], ()),
+    ],
+    ids=["abus-opening", "abus-accept", "abus-reject", "llmus-opening", "llmus-acts", "llmus-no-acts"],
+)
+def test_user_turn_index_speaker_and_items(movie_catalog, turn, index, intents, items):
+    outgoing = turn(movie_catalog)
+    assert outgoing.index == index
+    assert outgoing.speaker is Speaker.USER
+    assert [a.intent for a in outgoing.acts] == intents
+    assert outgoing.items == items
 
 
 class TestLlmUsNext:
@@ -718,6 +779,11 @@ class TestGenerateCorpus:
             RunLimits(max_utterances=1)
         with pytest.raises(ValueError, match="timeout"):
             RunLimits(per_call_timeout=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_per_call_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="^per_call_timeout must be positive$"):
+            RunLimits(per_call_timeout=timeout)
 
     def test_scripted_llmus_batch_deterministic(self, movie_catalog):
         script = [

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
+from .corpus_io import _text
 from .errors import (
     ConnectorError,
     ConnectorTimeout,
@@ -79,16 +80,22 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         ) from exc
 
 
-def _extract_text(body: Mapping[str, Any]) -> str:
-    # Accept the common reply shapes: {"text": ...}, {"response": ...},
-    # and chat-style {"message": {"content": ...}}.
-    if "text" in body:
-        return str(body["text"])
-    if "response" in body:
-        return str(body["response"])
+def _extract_text(body: Any) -> str:
+    """The text of an LLM reply: a string as it is, a number through ``str``.
+
+    Accepts the common reply shapes: {"text": ...}, {"response": ...} and
+    chat-style {"message": {"content": ...}}. Any other body, or a text of
+    any other type, is a permanent ``GatewayError``.
+    """
+    if not isinstance(body, Mapping):
+        raise GatewayError("gateway reply is not an object")
     message = body.get("message")
-    if isinstance(message, Mapping) and "content" in message:
-        return str(message["content"])
+    for holder, key in ((body, "text"), (body, "response"), (message, "content")):
+        if isinstance(holder, Mapping) and key in holder:
+            try:
+                return _text(holder[key], f"gateway reply field {key!r}")
+            except TypeError as exc:
+                raise GatewayError(str(exc)) from None
     raise GatewayError(f"gateway reply has no text field: {json.dumps(body)[:200]}")
 
 
@@ -232,24 +239,27 @@ class HttpCrsConnector:
             ) from exc
         return self._parse_reply(body)
 
-    def _parse_reply(self, body: Mapping[str, Any]) -> CrsReply:
+    def _parse_reply(self, body: Any) -> CrsReply:
+        """A reply's text and items by the corpus rule: a string as it is, a
+        number through ``str``. Any other value, an empty item or a body
+        that is not an object is a ``ConnectorError``."""
         fields = self.endpoint.response_fields
-        if fields["reply"] not in body:
-            raise ConnectorError(
-                f"CRS {self.crs_id} reply lacks field {fields['reply']!r}",
-                raw_body=json.dumps(body),
-            )
-        items = body.get(fields["items"], ())
-        if not isinstance(items, (list, tuple)):
-            raise ConnectorError(
-                f"CRS {self.crs_id} item field is not a list",
-                raw_body=json.dumps(body),
-            )
-        return CrsReply(
-            text=str(body[fields["reply"]]),
-            items=tuple(str(i) for i in items),
-            end=bool(body.get(fields["end"], False)),
-        )
+        try:
+            if not isinstance(body, Mapping):
+                raise TypeError("reply is not an object")
+            if fields["reply"] not in body:
+                raise TypeError(f"reply lacks field {fields['reply']!r}")
+            items = body.get(fields["items"], ())
+            if not isinstance(items, (list, tuple)):
+                raise TypeError("item field is not a list")
+            entry = f"an entry of {fields['items']!r}"
+            items = tuple([_text(item, entry) for item in items])
+            if "" in items:
+                raise TypeError(f"{entry} is empty")
+            text = _text(body[fields["reply"]], f"field {fields['reply']!r}")
+        except TypeError as exc:
+            raise ConnectorError(f"CRS {self.crs_id} {exc}", raw_body=json.dumps(body)) from None
+        return CrsReply(text=text, items=items, end=bool(body.get(fields["end"], False)))
 
 
 class AlwaysRecommendStub:

@@ -105,10 +105,10 @@ class InteractionModel:
 
     def __post_init__(self):
         for name, row in list(self.transitions.items()) + [(_START_ROW, self.initial)]:
-            if any(p < 0 for p in row.values()):
+            if any(not p >= 0 for p in row.values()):
                 raise ValueError(f"row {name!r} has negative probabilities")
             total = sum(row.values())
-            if abs(total - 1.0) > _PROBABILITY_TOLERANCE:
+            if not abs(total - 1.0) <= _PROBABILITY_TOLERANCE:
                 raise ValueError(f"row {name!r} sums to {total!r}, expected 1")
 
     def row_for(self, system_intent: str | None) -> tuple[Mapping[str, float], bool]:
@@ -293,88 +293,55 @@ def render_act_text(act: DialogueAct) -> str:
     return "Okay."
 
 
-def _is_stale(act: DialogueAct, agenda: SimulatorAgenda) -> bool:
+def _is_stale(act: DialogueAct, fulfilled: set[tuple[str, str]], answered: set[str]) -> bool:
     if act.intent == DISCLOSE and act.slots:
-        return act.slots[0] in agenda.fulfilled_constraints
+        return act.slots[0] in fulfilled
     if act.intent == INQUIRE and act.slots and act.slots[0][0]:
-        return act.slots[0][0] in agenda.fulfilled_requests
+        return act.slots[0][0] in answered
     return False
 
 
-def _acceptable(items, agenda: SimulatorAgenda, catalog: ItemCatalog) -> list[str]:
-    """The items that satisfy the goal and were not accepted before.
-
-    Accepted items are skipped before any catalog lookup.
-    """
-    accepted = set(agenda.accepted_items)
+def _acceptable(items, accepted, goal: UserGoal, catalog: ItemCatalog) -> list[str]:
+    """The items not in ``accepted`` (skipped before any catalog lookup)
+    that satisfy the goal."""
     return [
         item_id
         for item_id in items
         if item_id not in accepted
         and (item := catalog.get(item_id)) is not None
-        and item.satisfies_all(agenda.goal.constraints)
+        and item.satisfies_all(goal.constraints)
     ]
 
 
-def _instantiable(intent: str, agenda: SimulatorAgenda, catalog: ItemCatalog) -> bool:
-    if intent == ACCEPT:
-        return bool(_acceptable(agenda.open_items, agenda, catalog))
-    if intent == REJECT:
-        return bool(agenda.open_items)
-    return True
-
-
-def _sample_intent(
-    row: Mapping[str, float],
-    agenda: SimulatorAgenda,
-    catalog: ItemCatalog,
-    rng: random.Random,
-) -> str | None:
+def _sample_intent(row: Mapping[str, float], acceptable, open_items, rng: random.Random) -> str:
+    """Draw from ``row``'s positive intents in name order, leaving out
+    Accept without an acceptable item and Reject without an open one;
+    Disclose when none is left."""
     candidates = [
-        (intent, probability)
-        for intent, probability in sorted(row.items())
-        if probability > 0 and _instantiable(intent, agenda, catalog)
+        (intent, p) for intent, p in sorted(row.items())
+        if p > 0 and (intent != ACCEPT or acceptable) and (intent != REJECT or open_items)
     ]
     if not candidates:
-        return None
-    total = sum(p for _, p in candidates)
-    roll = rng.random() * total
-    cumulative = 0.0
-    for intent, probability in candidates:
-        cumulative += probability
-        if roll < cumulative:
-            return intent
-    return candidates[-1][0]
+        return DISCLOSE
+    intents, weights = zip(*candidates)
+    return rng.choices(intents, weights)[0]
 
 
 def _instantiate(
-    intent: str,
-    agenda: SimulatorAgenda,
-    catalog: ItemCatalog,
-    rng: random.Random,
+    intent: str, goal: UserGoal, fulfilled, answered, acceptable, open_items, rng: random.Random
 ) -> DialogueAct:
-    goal = agenda.goal
     if intent == DISCLOSE:
-        undisclosed = [
-            c for c in goal.constraints if c not in agenda.fulfilled_constraints
-        ]
-        slot, value = undisclosed[0] if undisclosed else rng.choice(goal.constraints)
-        return DialogueAct(DISCLOSE, ((slot, value),))
+        undisclosed = [c for c in goal.constraints if c not in fulfilled]
+        return DialogueAct(DISCLOSE, (undisclosed[0] if undisclosed else rng.choice(goal.constraints),))
     if intent == REFINE:
-        slot, value = rng.choice(goal.constraints)
-        return DialogueAct(REFINE, ((slot, value),))
+        return DialogueAct(REFINE, (rng.choice(goal.constraints),))
     if intent == INQUIRE:
-        unanswered = [r for r in goal.requests if r not in agenda.fulfilled_requests]
-        if unanswered:
-            return DialogueAct(INQUIRE, ((unanswered[0], ""),))
-        return DialogueAct(INQUIRE)
+        unanswered = [r for r in goal.requests if r not in answered]
+        return DialogueAct(INQUIRE, ((unanswered[0], ""),)) if unanswered else DialogueAct(INQUIRE)
     if intent == ACCEPT:
-        acceptable = _acceptable(agenda.open_items, agenda, catalog)
-        if not acceptable:
-            raise SimulationError("cannot accept: no open item satisfies the goal")
         return DialogueAct(ACCEPT, ((ITEM_SLOT, acceptable[0]),))
     if intent == REJECT:
-        return DialogueAct(REJECT, ((ITEM_SLOT, agenda.open_items[0]),))
+        return DialogueAct(REJECT, ((ITEM_SLOT, open_items[0]),))
     return DialogueAct(intent)
 
 
@@ -399,15 +366,17 @@ def abus_next(
     Interprets the incoming system utterance (annotating it first when it
     carries no acts), pushes deterministic goal reactions onto the stack,
     then pops the next planned action or samples one from the interaction
-    model row for the incoming intent. Returns Stop when the goal is
-    fulfilled or a terminal Bye is drawn.
+    model row for the incoming intent. Returns Stop, with the agenda as it
+    was given, when the goal is fulfilled or a terminal Bye is drawn.
     """
     if agenda.goal_fulfilled():
         return agenda, Stop("goal-fulfilled")
 
+    goal = agenda.goal
     stack = list(agenda.stack)
-    fulfilled_constraints = set(agenda.fulfilled_constraints)
-    fulfilled_requests = set(agenda.fulfilled_requests)
+    fulfilled = set(agenda.fulfilled_constraints)
+    answered = set(agenda.fulfilled_requests)
+    accepted = list(agenda.accepted_items)
     open_items = list(agenda.open_items)
     warnings = list(agenda.warnings)
     pending = agenda.pending_request
@@ -416,11 +385,10 @@ def abus_next(
     if incoming is not None:
         acts = incoming.acts or annotator.annotate(incoming)
         system_intent = acts[0].intent if acts else OTHER
-        if pending is not None:
-            # Any system reply to our attribute question counts as an answer.
-            if pending in set(agenda.goal.requests):
-                fulfilled_requests.add(pending)
-            pending = None
+        # Any system reply to our attribute question counts as an answer.
+        if pending in goal.requests:
+            answered.add(pending)
+        pending = None
 
         recommended: list[str] = []
         requested_slots: list[str] = []
@@ -435,74 +403,55 @@ def abus_next(
 
         if recommended:
             open_items = recommended
-            acceptable = _acceptable(recommended, agenda, catalog)
+            acceptable = _acceptable(recommended, accepted, goal, catalog)
             if acceptable:
                 stack.insert(0, DialogueAct(ACCEPT, ((ITEM_SLOT, acceptable[0]),)))
-            elif not set(recommended) & set(agenda.accepted_items):
+            elif not set(recommended) & set(accepted):
                 stack.insert(0, DialogueAct(REJECT, ((ITEM_SLOT, recommended[0]),)))
             # A repeat of an already-accepted item (which satisfied the goal
             # when it was accepted) draws no new decision; the planned agenda
             # (inquiries, further disclosures) continues.
-        constraint_map = dict(agenda.goal.constraints)
+        constraint_map = dict(goal.constraints)
         for slot in requested_slots:
             if slot in constraint_map:
                 stack.insert(0, DialogueAct(DISCLOSE, ((slot, constraint_map[slot]),)))
 
-    interim = replace(
-        agenda,
-        stack=tuple(stack),
-        fulfilled_constraints=frozenset(fulfilled_constraints),
-        fulfilled_requests=frozenset(fulfilled_requests),
-        open_items=tuple(open_items),
-        pending_request=pending,
-    )
-
-    act: DialogueAct | None = None
-    while stack:
-        candidate = stack.pop(0)
-        if _is_stale(candidate, interim):
-            continue
-        act = candidate
-        break
-
-    if act is None:
+    while stack and _is_stale(stack[0], fulfilled, answered):
+        del stack[0]
+    if stack:
+        act = stack.pop(0)
+    else:
         row, fell_back = model.row_for(system_intent)
         if fell_back:
             warnings.append(
                 f"no transition row for system intent {system_intent!r}; "
                 f"using the initial distribution"
             )
-        intent = _sample_intent(row, interim, catalog, rng)
-        if intent is None:
-            intent = DISCLOSE
-        act = _instantiate(intent, interim, catalog, rng)
+        acceptable = _acceptable(open_items, accepted, goal, catalog)
+        intent = _sample_intent(row, acceptable, open_items, rng)
+        act = _instantiate(intent, goal, fulfilled, answered, acceptable, open_items, rng)
+    if act.intent == BYE:
+        return agenda, Stop("bye")
 
-    accepted_items = list(agenda.accepted_items)
     if act.intent == ACCEPT:
         for title in act.slot_values(ITEM_SLOT):
-            if title not in accepted_items:
-                accepted_items.append(title)
+            if title not in accepted:
+                accepted.append(title)
         open_items = []
     elif act.intent == REJECT:
         open_items = []
     elif act.intent in (DISCLOSE, REFINE) and act.slots:
-        if act.slots[0] in set(agenda.goal.constraints):
-            fulfilled_constraints.add(act.slots[0])
+        if act.slots[0] in goal.constraints:
+            fulfilled.add(act.slots[0])
     elif act.intent == INQUIRE and act.slots and act.slots[0][0]:
-        if act.slots[0][0] in set(agenda.goal.requests):
+        if act.slots[0][0] in goal.requests:
             pending = act.slots[0][0]
 
-    updated = replace(
-        interim,
-        stack=tuple(stack),
-        fulfilled_constraints=frozenset(fulfilled_constraints),
-        accepted_items=tuple(accepted_items),
-        open_items=tuple(open_items),
-        pending_request=pending,
-        warnings=tuple(warnings),
+    updated = SimulatorAgenda(
+        stack=tuple(stack), goal=goal, fulfilled_constraints=frozenset(fulfilled),
+        fulfilled_requests=frozenset(answered), accepted_items=tuple(accepted),
+        open_items=tuple(open_items), pending_request=pending, warnings=tuple(warnings),
     )
-    if act.intent == BYE:
-        return updated, Stop("bye")
     return updated, _user_turn(incoming, render_act_text(act), (act,))
 
 
@@ -740,9 +689,6 @@ def run_conversation(
             last_reply = reply.text
         if repeats >= _LOOP_GUARD_REPEATS:
             reason = "loop-guard"
-            break
-        if len(utterances) >= limits.max_utterances:
-            reason = "max-utterances"
             break
         incoming = system_utterance
 

@@ -4,13 +4,15 @@ Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
 accept counting. The record checker walks each decoded dialogue record
 against the corpus format's rules on its own. The catalog references
-scan every item or try every title at every position, and goal sampling
-replays its draws over the plain catalog records. Kept deliberately
-naive so it can serve as an oracle.
+scan every item or try every title at every position, goal sampling
+replays its draws over the plain catalog records, and the agenda
+simulator's intent draw is redone with plain running sums and a bisect.
+Kept deliberately naive so it can serve as an oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import re
@@ -278,6 +280,30 @@ def oracle_sample_goal(records: list[dict], config, seed: int):
         requests = tuple(rng.sample(list(config.request_slots), request_count)) if request_count else ()
         return constraints, requests
     return None
+
+
+def oracle_intent_sums(row: dict, can_accept: bool, can_reject: bool):
+    """The agenda simulator's candidate intents for a sampled turn and their
+    running sums: the row's positive intents in name order, without Accept
+    unless an open item is acceptable and without Reject unless one is open.
+    The sums are added one by one, never compensated."""
+    intents, sums, total = [], [], 0.0
+    for intent in sorted(row):
+        if row[intent] > 0 and (intent != "Accept" or can_accept) and (intent != "Reject" or can_reject):
+            total += row[intent]
+            intents.append(intent)
+            sums.append(total)
+    return intents, sums
+
+
+def oracle_sampled_intent(row: dict, roll: float, can_accept: bool, can_reject: bool) -> str:
+    """The intent a sampled turn draws for one ``random()`` value ``roll``:
+    the first candidate whose running sum exceeds ``roll`` times the last
+    sum (the last candidate if none does), or Disclose without candidates."""
+    intents, sums = oracle_intent_sums(row, can_accept, can_reject)
+    if not intents:
+        return "Disclose"
+    return intents[min(bisect.bisect_right(sums, roll * sums[-1]), len(intents) - 1)]
 
 
 # The default annotation schema's intents, written out here so that a

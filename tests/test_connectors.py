@@ -178,6 +178,29 @@ class TestHttpLlmGateway:
         with pytest.raises(GatewayError, match="no text field"):
             gateway.complete([{"role": "user", "content": "x"}])
 
+    def test_a_number_reply_becomes_a_string(self):
+        for body, text in (({"text": 7}, "7"), ({"response": 2.5}, "2.5"), ({"message": {"content": 7}}, "7")):
+            gateway = HttpLlmGateway(OPTIONS, transport=RecordingTransport([body]))
+            assert gateway.complete([{"role": "user", "content": "x"}]) == text
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (["text"], "gateway reply is not an object"),
+            ("text", "gateway reply is not an object"),
+            ({"text": None}, "gateway reply field 'text' must be a string, not null"),
+            ({"response": ["a"]}, "gateway reply field 'response' must be a string, not an array"),
+            ({"message": {"content": False}}, "gateway reply field 'content' must be a string, not a boolean"),
+        ],
+    )
+    def test_malformed_reply_is_a_permanent_error(self, body, message):
+        transport = RecordingTransport([body, {"text": "never read"}])
+        gateway = HttpLlmGateway(OPTIONS, transport=transport)
+        with pytest.raises(GatewayError, match=f"^{message}$") as excinfo:
+            gateway.complete([{"role": "user", "content": "x"}])
+        assert not excinfo.value.transient
+        assert len(transport.requests) == 1
+
     def test_bearer_token_header(self):
         options = GatewayOptions(
             endpoint="http://llm.local/api/chat", model="m", auth_token="sekrit"
@@ -306,6 +329,32 @@ class TestHttpCrsConnector:
         connector = HttpCrsConnector(self._endpoint(), transport=transport)
         with pytest.raises(ConnectorError, match="not a list"):
             connector.send("s1", "hi")
+
+    def test_numbers_in_a_reply_become_strings(self):
+        transport = RecordingTransport([{"reply": 42, "items": [7, 2.5, "Alpha"]}])
+        reply = HttpCrsConnector(self._endpoint(), transport=transport).send("s1", "hi")
+        assert (reply.text, reply.items) == ("42", ("7", "2.5", "Alpha"))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (["reply"], "reply is not an object"),
+            ("reply", "reply is not an object"),
+            ({"reply": None}, "field 'reply' must be a string, not null"),
+            ({"reply": True}, "field 'reply' must be a string, not a boolean"),
+            ({"reply": {"t": "x"}}, "field 'reply' must be a string, not an object"),
+            ({"reply": "x", "items": [""]}, "an entry of 'items' is empty"),
+            ({"reply": "x", "items": [{"a": 1}]}, "an entry of 'items' must be a string, not an object"),
+            ({"reply": "x", "items": ["A", None]}, "an entry of 'items' must be a string, not null"),
+            ({"reply": "x", "items": [["A"]]}, "an entry of 'items' must be a string, not an array"),
+        ],
+    )
+    def test_malformed_reply_is_a_connector_error(self, body, message):
+        transport = RecordingTransport([body])
+        connector = HttpCrsConnector(self._endpoint(), transport=transport)
+        with pytest.raises(ConnectorError, match=f"^CRS crs-a {message}$") as excinfo:
+            connector.send("s1", "hi")
+        assert excinfo.value.raw_body == json.dumps(body)
 
     def test_per_call_timeout_reaches_requests_post(self, fake_post):
         reply = '{"reply": "ok", "items": []}'

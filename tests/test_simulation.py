@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -11,8 +12,10 @@ from evalkit.connectors import (
     AlwaysRecommendStub,
     CrsEndpoint,
     EchoStub,
+    GatewayOptions,
     GoodbyeStub,
     HttpCrsConnector,
+    HttpLlmGateway,
     MockLlmGateway,
 )
 from evalkit.corpus_io import serialize_corpus
@@ -33,7 +36,7 @@ from evalkit.simulation import (
     RunLimits,
     Stop,
     TRUNCATION_MARKER,
-    _instantiate,
+    _parse_interaction_model,
     abus_next,
     default_interaction_model,
     generate_corpus,
@@ -45,7 +48,7 @@ from evalkit.simulation import (
 )
 
 from helpers import act, utt
-from oracle import oracle_sample_goal
+from oracle import oracle_intent_sums, oracle_sample_goal, oracle_sampled_intent
 
 SCHEMA = simulation_schema()
 
@@ -169,6 +172,22 @@ class TestInteractionModel:
                 initial={"Disclose": 1.5, "Inquire": -0.5},
             )
 
+    @pytest.mark.parametrize(
+        "transitions, initial",
+        [
+            ({}, {"Disclose": float("nan"), "Inquire": 0.5}),
+            ({"Recommend": {"Accept": float("nan")}}, {"Disclose": 1.0}),
+        ],
+        ids=["initial", "transition"],
+    )
+    def test_nan_probability_rejected(self, transitions, initial):
+        with pytest.raises(ValueError, match="negative"):
+            InteractionModel(transitions=transitions, initial=initial)
+
+    def test_nan_in_a_table_file_rejected(self):
+        with pytest.raises(ValueError, match="'__start__' has negative"):
+            _parse_interaction_model("s\tDisclose\tInquire\n__start__\tnan\t0.5\n")
+
     def test_missing_row_falls_back_to_initial(self):
         model = default_interaction_model()
         row, fell_back = model.row_for("Explain")
@@ -291,11 +310,6 @@ class TestAbusNext:
         )
         assert outcome == Stop("goal-fulfilled")
 
-    def test_accept_without_a_matching_open_item_raises(self, movie_catalog):
-        agenda = replace(new_agenda(simple_goal([("year", "1988")])), open_items=("Paper Moon",))
-        with pytest.raises(SimulationError, match="no open item"):
-            _instantiate("Accept", agenda, movie_catalog, random.Random(0))
-
     def test_request_for_goal_slot_triggers_disclosure(self, movie_catalog):
         goal = simple_goal([("genre", "comedy"), ("year", "1988")])
         agenda = new_agenda(goal)
@@ -375,6 +389,46 @@ class TestAbusNext:
             agenda, model, incoming, annotator, rng, catalog=movie_catalog
         )
         assert outcome == Stop("bye")
+
+
+class _FixedRoll(random.Random):
+    """A generator whose ``random()`` always returns ``roll``."""
+
+    def __init__(self, roll):
+        super().__init__(0)
+        self.roll = roll
+
+    def random(self):
+        return self.roll
+
+
+# Not dyadic: each candidate set's running sums end one ulp below the
+# exact total, which the compensated sum() of Python 3.12 and later returns.
+NON_DYADIC_ROW = {
+    "Accept": 0.1, "Bye": 0.3, "Disclose": 0.3, "Inquire": 0.1, "Refine": 0.1, "Reject": 0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "open_items, can_accept, can_reject",
+    [((), False, False), (("Paper Moon",), False, True), (("Midnight Run",), True, True)],
+    ids=["nothing-open", "rejectable", "acceptable"],
+)
+def test_sampled_intents_follow_the_running_sums(movie_catalog, open_items, can_accept, can_reject):
+    model = InteractionModel(transitions={}, initial=NON_DYADIC_ROW)
+    agenda = replace(new_agenda(simple_goal()), stack=(), open_items=open_items)
+    annotator = RuleAnnotator(SCHEMA, catalog=movie_catalog)
+    _, sums = oracle_intent_sums(NON_DYADIC_ROW, can_accept, can_reject)
+    # One roll per seed, and the rolls on either side of each bucket edge.
+    edges = [s / sums[-1] for s in sums[:-1]]
+    near = [math.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    draws = [(random.Random(seed), random.Random(seed).random()) for seed in range(500)]
+    draws += [(_FixedRoll(roll), roll) for roll in edges + near]
+    for rng, roll in draws:
+        expected = oracle_sampled_intent(NON_DYADIC_ROW, roll, can_accept, can_reject)
+        _, outcome = abus_next(agenda, model, None, annotator, rng, movie_catalog)
+        drawn = "Bye" if outcome == Stop("bye") else outcome.acts[0].intent
+        assert drawn == expected
 
 
 class _FixedActs:
@@ -720,6 +774,59 @@ class TestGenerateCorpus:
             "connector-timeout",
         ]
         assert "failures" not in corpus.extra
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            ["reply"],
+            {"reply": None},
+            {"reply": ["hi"]},
+            {"reply": "hi", "items": [""]},
+            {"reply": "hi", "items": [{"a": 1}]},
+            {"reply": "hi", "items": [None]},
+        ],
+        ids=["list-body", "null-reply", "list-reply", "empty-item", "object-item", "null-item"],
+    )
+    def test_bad_crs_reply_is_one_recorded_failure(self, movie_catalog, body):
+        def transport(url, payload, headers):
+            if payload["session_id"] == "abus-crs-x-81":
+                return body
+            return {"reply": "Goodbye!", "end": True}
+
+        endpoint = CrsEndpoint(crs_id="crs-x", endpoint="http://crs.local/chat")
+        corpus = generate_corpus(
+            AgendaSimulator(catalog=movie_catalog),
+            HttpCrsConnector(endpoint, transport=transport),
+            3,
+            catalog=movie_catalog,
+            limits=RunLimits(seed=80),
+        )
+        assert [d.extra["seed"] for d in corpus.dialogues] == [80, 82]
+        [failure] = corpus.extra["failures"]
+        assert failure["seed"] == 81
+        assert failure["error"].startswith("conversation abus-crs-x-81: connector failed: CRS crs-x ")
+
+    @pytest.mark.parametrize(
+        "body",
+        [["text"], {"text": None}, {"response": {"a": 1}}, {"message": {"content": True}}],
+        ids=["list-body", "null-text", "object-response", "bool-content"],
+    )
+    def test_bad_llm_reply_is_one_recorded_failure(self, movie_catalog, body):
+        sessions = []
+
+        def gateway():
+            sessions.append(len(sessions))
+            reply = body if len(sessions) == 2 else {"text": "Hi, a comedy please."}
+            options = GatewayOptions(endpoint="http://llm.local/api/chat", model="m")
+            return HttpLlmGateway(options, transport=lambda url, payload, headers: reply)
+
+        corpus = generate_corpus(
+            LlmSimulator(gateway), GoodbyeStub(), 3, catalog=movie_catalog, limits=RunLimits(seed=90)
+        )
+        assert [d.extra["seed"] for d in corpus.dialogues] == [90, 92]
+        [failure] = corpus.extra["failures"]
+        assert failure["seed"] == 91
+        assert failure["error"].startswith("gateway reply")
 
     def test_all_failures_raise(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)

@@ -47,11 +47,10 @@ _EXPORTS = {
         "simulation_schema",
     ),
     "metrics": (
-        "CostFactor",
         "DialogueFacts",
+        "Factor",
         "MetricReport",
         "RecommendationRound",
-        "RewardFactor",
         "evaluate_system",
         "segment_rounds",
         "utility",

@@ -50,6 +50,9 @@ _FEW_SHOT = (
     "Utterance: Not a fan of horror. Anything lighter?\n"
     "Acts: Reject()"
 )
+# Characters of transcript an LLM prompt keeps, newest first.
+_TRANSCRIPT_BUDGET = 4000
+TRUNCATION_MARKER = "[earlier turns omitted]"
 
 
 def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
@@ -154,10 +157,22 @@ class RuleAnnotator:
         return tuple(acts)
 
 
-def _render_context(context: Sequence[Utterance]) -> str:
-    if not context:
+def render_transcript(turns: Sequence[tuple[str, str]]) -> str:
+    """``SPEAKER: text`` lines for the (speaker, text) ``turns`` of an LLM
+    prompt: the newest that fit in ``_TRANSCRIPT_BUDGET`` characters (always
+    the last), under ``TRUNCATION_MARKER`` when older ones are left out."""
+    if not turns:
         return "(start of conversation)"
-    return "\n".join(f"{u.speaker.value}: {u.text}" for u in context)
+    kept: list[str] = []
+    used = 0
+    for speaker, text in reversed(turns):
+        line = f"{speaker}: {text}"
+        if kept and used + len(line) + 1 > _TRANSCRIPT_BUDGET:
+            kept.append(TRUNCATION_MARKER)
+            break
+        kept.append(line)
+        used += len(line) + 1
+    return "\n".join(reversed(kept))
 
 
 def parse_act_lines(reply: str, schema: IntentSchema, speaker: Speaker) -> tuple[DialogueAct, ...]:
@@ -212,7 +227,7 @@ class LlmAnnotator:
         prompt = self.template.format(
             schema=", ".join(sorted(allowed)),
             examples=_FEW_SHOT,
-            context=_render_context(context),
+            context=render_transcript([(u.speaker.value, u.text) for u in context]),
             utterance=utterance.text,
         )
         messages = [{"role": "user", "content": prompt}]

@@ -19,6 +19,7 @@ import os
 import sys
 
 from .errors import (
+    AnnotationError,
     ConnectorError,
     CorpusFormatError,
     EvalkitError,
@@ -64,8 +65,9 @@ JOBS_HELP = (
 # Every setting a flag or the config file can set, keyed by the flag's dest
 # and the config key: the JSON type the file must give it and that type's
 # name, its default, its lowest allowed value, and the environment variable
-# read after the file (None: no bound, no variable; for the run limits, no
-# default here: cmd_simulate passes RunLimits' own).
+# read after the file (None: no bound, no variable; for the run limits and
+# the CRS timeout, no default here: cmd_simulate passes RunLimits' and
+# CrsEndpoint's own).
 _SETTINGS = {
     "n": (int, "an integer", 200, 1, None),
     "seed": (int, "an integer", 0, None, None),
@@ -208,7 +210,7 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
     return lambda: gateway
 
 
-def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
+def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None, timeout: float):
     from .connectors import CrsEndpoint, HttpCrsConnector, make_stub
 
     if spec.startswith("stub:"):
@@ -218,7 +220,7 @@ def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None):
         return make_stub(name)
     return HttpCrsConnector(
         CrsEndpoint(
-            crs_id=spec, endpoint=spec, auth_token=os.environ.get(ENV_CRS_TOKEN)
+            crs_id=spec, endpoint=spec, timeout=timeout, auth_token=os.environ.get(ENV_CRS_TOKEN)
         )
     )
 
@@ -388,6 +390,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .annotation import RuleAnnotator
+    from .connectors import CrsEndpoint
     from .corpus_io import write_corpus
     from .simulation import (
         AgendaSimulator,
@@ -403,13 +406,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _setting("seed", args, config)
     jobs = _setting("jobs", args, config)
     max_utterances = _setting("max_utterances", args, config, RunLimits.max_utterances)
-    timeout = float(_setting("timeout", args, config, RunLimits.per_call_timeout))
+    timeout = float(_setting("timeout", args, config, CrsEndpoint.timeout))
     if not timeout > 0:  # also rejects NaN
         raise ConfigError(f"timeout must be positive, not {timeout}")
 
     schema = _load_schema(args.schema, simulation=True)
     catalog = _CLI.load_catalog(args.catalog)
-    connector = _build_connector(args.crs, catalog, args.stub_item)
+    connector = _build_connector(args.crs, catalog, args.stub_item, timeout)
 
     if args.simulator == "abus":
         model = load_interaction_model(args.interaction_model) if args.interaction_model else None
@@ -429,11 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         goal_config.check(catalog)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    limits = RunLimits(
-        max_utterances=max_utterances,
-        per_call_timeout=timeout,
-        seed=seed,
-    )
+    limits = RunLimits(max_utterances=max_utterances, seed=seed)
     corpus = generate_corpus(
         simulator,
         connector,
@@ -583,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIGURATION
-    except (ConnectorError, GatewayError, SimulationError) as exc:
+    except (AnnotationError, ConnectorError, GatewayError, SimulationError) as exc:
         print(f"connector error: {exc}", file=sys.stderr)
         return EXIT_CONNECTOR
     except (EvalkitError, ValueError, OSError) as exc:

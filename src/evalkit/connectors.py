@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-from .corpus_io import _text
+from .corpus_io import _fault, _text
 from .errors import (
     ConnectorError,
     ConnectorTimeout,
@@ -241,8 +241,9 @@ class HttpCrsConnector:
 
     def _parse_reply(self, body: Any) -> CrsReply:
         """A reply's text and items by the corpus rule: a string as it is, a
-        number through ``str``. Any other value, an empty item or a body
-        that is not an object is a ``ConnectorError``."""
+        number through ``str``; its end flag a boolean, false when absent or
+        null. Any other value, an empty item or a body that is not an object
+        is a ``ConnectorError``."""
         fields = self.endpoint.response_fields
         try:
             if not isinstance(body, Mapping):
@@ -257,9 +258,12 @@ class HttpCrsConnector:
             if "" in items:
                 raise TypeError(f"{entry} is empty")
             text = _text(body[fields["reply"]], f"field {fields['reply']!r}")
+            end = body.get(fields["end"])
+            if end is not None and type(end) is not bool:
+                raise _fault(f"field {fields['end']!r}", "a boolean", end)
         except TypeError as exc:
             raise ConnectorError(f"CRS {self.crs_id} {exc}", raw_body=json.dumps(body)) from None
-        return CrsReply(text=text, items=items, end=bool(body.get(fields["end"], False)))
+        return CrsReply(text=text, items=items, end=end is True)
 
 
 class AlwaysRecommendStub:

@@ -66,8 +66,9 @@ _SYSTEM = Speaker.SYSTEM
 
 
 @dataclass(frozen=True)
-class RewardFactor:
-    """A named, weighted, per-dialogue reward term read off ``DialogueFacts``."""
+class Factor:
+    """A named, weighted, per-dialogue reward or cost term read off
+    ``DialogueFacts``; its side is its place in ``utility``'s arguments."""
 
     name: str
     weight: float
@@ -75,20 +76,7 @@ class RewardFactor:
 
     def __post_init__(self):
         if self.weight < 0:
-            raise ValueError(f"reward weight for {self.name!r} must be >= 0")
-
-
-@dataclass(frozen=True)
-class CostFactor:
-    """A named, weighted, per-dialogue cost term read off ``DialogueFacts``."""
-
-    name: str
-    weight: float
-    evaluator: Callable[[DialogueFacts], float]
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"cost weight for {self.name!r} must be >= 0")
+            raise ValueError(f"weight for {self.name!r} must be >= 0")
 
 
 @dataclass(frozen=True, init=False)
@@ -249,9 +237,7 @@ def _ratio(reward: float, cost: float, owner: str, name: str) -> float:
     return reward / cost
 
 
-def _utility(
-    facts: DialogueFacts, rewards: Sequence[RewardFactor], costs: Sequence[CostFactor]
-) -> float:
+def _utility(facts: DialogueFacts, rewards: Sequence[Factor], costs: Sequence[Factor]) -> float:
     total_reward = total_cost = 0
     for factor in rewards:
         total_reward += factor.weight * factor.evaluator(facts)
@@ -260,11 +246,7 @@ def _utility(
     return _ratio(total_reward, total_cost, "dialogue", facts.dialogue.dialogue_id)
 
 
-def utility(
-    dialogue: Dialogue,
-    rewards: Sequence[RewardFactor],
-    costs: Sequence[CostFactor],
-) -> float:
+def utility(dialogue: Dialogue, rewards: Sequence[Factor], costs: Sequence[Factor]) -> float:
     """Weighted reward sum over weighted cost sum for one conversation.
 
     Factors are evaluated on the dialogue's ``DialogueFacts``, so the
@@ -275,33 +257,33 @@ def utility(
     return _utility(DialogueFacts.of(dialogue), rewards, costs)
 
 
-def accepted_items_reward(weight: float = 1.0) -> RewardFactor:
-    return RewardFactor("accepted_items", weight, lambda f: float(f.accepted_items))
+def accepted_items_reward(weight: float = 1.0) -> Factor:
+    return Factor("accepted_items", weight, lambda f: float(f.accepted_items))
 
 
-def success_reward(weight: float = 1.0) -> RewardFactor:
+def success_reward(weight: float = 1.0) -> Factor:
     # A user Accept act always credits at least one item.
-    return RewardFactor("success", weight, lambda f: 1.0 if f.accepted_items > 0 else 0.0)
+    return Factor("success", weight, lambda f: 1.0 if f.accepted_items > 0 else 0.0)
 
 
-def accepted_rounds_reward(weight: float = 1.0) -> RewardFactor:
-    return RewardFactor(
+def accepted_rounds_reward(weight: float = 1.0) -> Factor:
+    return Factor(
         "accepted_rounds",
         weight,
         lambda f: float(sum(1 for r in f.rounds if r.outcome == OUTCOME_ACCEPTED)),
     )
 
 
-def dialogue_length_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("dialogue_length", weight, lambda f: float(len(f.dialogue)))
+def dialogue_length_cost(weight: float = 1.0) -> Factor:
+    return Factor("dialogue_length", weight, lambda f: float(len(f.dialogue)))
 
 
-def round_count_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("round_count", weight, lambda f: float(len(f.rounds)))
+def round_count_cost(weight: float = 1.0) -> Factor:
+    return Factor("round_count", weight, lambda f: float(len(f.rounds)))
 
 
-def constant_cost(weight: float = 1.0) -> CostFactor:
-    return CostFactor("constant", weight, lambda f: 1.0)
+def constant_cost(weight: float = 1.0) -> Factor:
+    return Factor("constant", weight, lambda f: 1.0)
 
 
 # The bundled macro reports, in the form and order ``_report_specs`` gives.
@@ -348,9 +330,9 @@ def _recall_factors(ground_truth: Mapping[tuple[str, int], Any], n: int):
         return last[1]
 
     return (
-        RewardFactor("recall_hits", 1.0, lambda f: float(counts(f)[0])),
-        CostFactor("target_items", 1.0, lambda f: float(counts(f)[1])),
-        CostFactor("judged_turns", float(n), lambda f: float(counts(f)[2])),
+        Factor("recall_hits", 1.0, lambda f: float(counts(f)[0])),
+        Factor("target_items", 1.0, lambda f: float(counts(f)[1])),
+        Factor("judged_turns", float(n), lambda f: float(counts(f)[2])),
         dialogue_length_cost(),
     )
 
@@ -361,7 +343,7 @@ def _report_specs(requested: Sequence[str], ground_truth, n: int) -> tuple[list,
     the micro factors. A micro value is the system's summed rewards over its
     summed costs, then over its summed divisors."""
     specs = [spec for spec in _MACRO_SPECS if spec[0] in requested]
-    micro: tuple[RewardFactor | CostFactor, ...] = ()
+    micro: tuple[Factor, ...] = ()
     if "recall" in requested:
         micro = hits, targets, turns, length = _recall_factors(ground_truth, n)
         # The published formula's extra 1/(total utterances) prefactor is

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
-from .annotation import RuleAnnotator, in_order, load_prompt_template
+from .annotation import RuleAnnotator, in_order, load_prompt_template, render_transcript
 from .catalog import ItemCatalog
 from .dialogue import (
     ACCEPT,
@@ -63,8 +63,6 @@ _GOAL_ATTEMPTS = 50
 # The loop guard ends a conversation when a CRS reply repeats the one
 # before it for the third time in a row.
 _LOOP_GUARD_REPEATS = 3
-# Characters of history the LLM simulator's prompts keep, newest first.
-_HISTORY_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,11 @@ class RunLimits:
     """Hard bounds on one simulated conversation."""
 
     max_utterances: int = 20
-    per_call_timeout: float = 30.0
     seed: int = 0
 
     def __post_init__(self):
         if self.max_utterances < 2:
             raise ValueError("max_utterances must be >= 2")
-        if not self.per_call_timeout > 0:
-            raise ValueError("per_call_timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -402,7 +397,7 @@ def abus_next(
                 recommended.append(item)
 
         if recommended:
-            open_items = recommended
+            open_items = [item for item in recommended if item not in accepted]
             acceptable = _acceptable(recommended, accepted, goal, catalog)
             if acceptable:
                 stack.insert(0, DialogueAct(ACCEPT, ((ITEM_SLOT, acceptable[0]),)))
@@ -456,6 +451,10 @@ def abus_next(
 
 
 class SimulatorSession(Protocol):
+    """One conversation of a simulator. ``next`` answers the system turn
+    ``incoming`` (None: open the conversation) with a user turn indexed one
+    past it (0 for the opening turn), or ends the conversation."""
+
     def next(self, incoming: Utterance | None) -> Utterance | Stop | Abort: ...
 
 
@@ -518,26 +517,6 @@ def _render_goal(goal: UserGoal) -> str:
     return f"constraints: {constraints}. information to ask about: {requests}."
 
 
-TRUNCATION_MARKER = "[earlier turns omitted]"
-
-
-def _render_history(history: Sequence[tuple[str, str]]) -> str:
-    if not history:
-        return "(start of conversation)"
-    lines = [f"{speaker}: {text}" for speaker, text in history]
-    kept: list[str] = []
-    used = 0
-    for line in reversed(lines):
-        if kept and used + len(line) + 1 > _HISTORY_BUDGET:
-            break
-        kept.append(line)
-        used += len(line) + 1
-    kept.reverse()
-    if len(kept) < len(lines):
-        kept.insert(0, TRUNCATION_MARKER)
-    return "\n".join(kept)
-
-
 def llmus_next(
     state: ConversationState,
     incoming: Utterance | None,
@@ -559,7 +538,7 @@ def llmus_next(
     heard = replace(state, history=history)
 
     goal_text = _render_goal(state.goal)
-    history_text = _render_history(history)
+    history_text = render_transcript(history)
 
     if incoming is not None:
         decision_prompt = load_prompt_template("simulator_continue").format(
@@ -624,15 +603,15 @@ def run_conversation(
     connector: CrsConnector,
     goal: UserGoal,
     limits: RunLimits,
-    dialogue_id: str | None = None,
 ) -> Dialogue:
     """Run one simulator-vs-CRS conversation.
 
     The simulator opens. The loop ends on simulator Stop/Abort, a CRS end
     signal, the utterance cap, a connector timeout, or the loop guard
-    (too many consecutive identical CRS replies). The returned dialogue
-    carries the goal, the simulator id, acts on simulator turns, and a
-    termination reason; CRS turns are left for the annotation stage.
+    (too many consecutive identical CRS replies). The returned dialogue is
+    named ``<simulator id>-<crs id>-<seed as 8 digits>`` and carries the
+    goal, the simulator id, acts on simulator turns, and a termination
+    reason; CRS turns are left for the annotation stage.
     """
     session = simulator.start_session(goal, limits.seed)
     session_id = f"{simulator.simulator_id}-{connector.crs_id}-{limits.seed}"
@@ -653,15 +632,12 @@ def run_conversation(
             reason = "simulator-abort"
             detail = outcome.reason
             break
-        utterances.append(replace(outcome, index=len(utterances)))
+        utterances.append(outcome)
         if len(utterances) >= limits.max_utterances:
-            reason = "max-utterances"
             break
 
         try:
-            reply = connector.send(
-                session_id, outcome.text, timeout=limits.per_call_timeout
-            )
+            reply = connector.send(session_id, outcome.text)
         except ConnectorTimeout as exc:
             reason = "connector-timeout"
             detail = str(exc)
@@ -702,7 +678,7 @@ def run_conversation(
     if detail:
         extra["termination_detail"] = detail
     return Dialogue(
-        dialogue_id=dialogue_id or session_id,
+        dialogue_id=f"{simulator.simulator_id}-{connector.crs_id}-{limits.seed:08d}",
         crs_id=connector.crs_id,
         utterances=tuple(utterances),
         goal=goal,
@@ -740,15 +716,8 @@ def generate_corpus(
     def run_one(seed: int) -> Dialogue | Exception:
         try:
             goal = sample_goal(catalog, goal_config, seed)
-            run_limits = replace(limits, seed=seed)
-            return run_conversation(
-                simulator,
-                connector,
-                goal,
-                run_limits,
-                dialogue_id=f"{simulator.simulator_id}-{connector.crs_id}-{seed:08d}",
-            )
-        except (SimulationError, ConnectorError, GatewayError) as exc:
+            return run_conversation(simulator, connector, goal, replace(limits, seed=seed))
+        except (SimulationError, GatewayError) as exc:
             return exc
 
     outcomes = list(in_order(run_one, seeds, jobs))

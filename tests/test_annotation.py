@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evalkit.annotation import (
+    TRUNCATION_MARKER,
     LlmAnnotator,
     RuleAnnotator,
     in_order,
@@ -287,6 +288,19 @@ class TestLlmAnnotator:
         assert "earlier words" in prompt
         assert "Recommend" in prompt  # allowed system intents listed
         assert "Have you seen Heat?" in prompt  # few-shot example present
+
+    def test_long_context_keeps_the_newest_turns_under_the_marker(self):
+        # 100 context lines of about 60 characters: past the 4000-character budget.
+        context = tuple(
+            utt(i, "USER" if i % 2 == 0 else "SYSTEM", text=f"turn number {i:03d} " + "x" * 37)
+            for i in range(100)
+        )
+        gateway = MockLlmGateway(replies=["None"])
+        LlmAnnotator(SCHEMA, gateway).annotate(utt(100, "USER", text="current words"), context)
+        prompt = gateway.calls[0][0]["content"]
+        assert f"Conversation so far:\n{TRUNCATION_MARKER}\nSYSTEM: turn number 035 " in prompt
+        kept = [n for n in range(100) if f"turn number {n:03d} " in prompt]
+        assert kept == list(range(35, 100))
 
     def test_examples_render_once_as_utterance_and_acts_lines(self):
         gateway = MockLlmGateway(replies=["None"])

@@ -374,12 +374,21 @@ class TestAnnotate:
         out = tmp_path / "annotated.ndjson"
         out.write_bytes(b"an earlier run\n")
         argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
-        assert main(argv + ["--llm-endpoint", f"mock:{script}"]) == 1
+        assert main(argv + ["--llm-endpoint", f"mock:{script}"]) == 3
         assert "2 utterance(s) failed to annotate: d2[0]" in capsys.readouterr().err
         assert out.read_bytes() == b"an earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "annotated.ndjson", "raw.ndjson", "script.json"
         ]
+
+    def test_dead_gateway_is_a_connector_failure(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        assert main(argv + ["--llm-endpoint", "http://127.0.0.1:9/chat"]) == 3
+        assert "connector error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_format_error_midway_names_the_line_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"
@@ -891,6 +900,28 @@ class TestSimulate:
         assert code == 3
         assert "connector" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("flag, timeout", [([], 30.0), (["--timeout", "7"], 7.0)])
+    def test_timeout_bounds_each_crs_call(self, tmp_path, catalog_file, monkeypatch, flag, timeout):
+        import requests
+
+        class Goodbye:
+            status_code = 200
+
+            def json(self):
+                return {"reply": "Goodbye!", "end": True}
+
+        timeouts = []
+
+        def post(url, **kwargs):
+            timeouts.append(kwargs["timeout"])
+            return Goodbye()
+
+        monkeypatch.setattr(requests, "post", post)
+        argv = ["simulate", "--simulator", "abus", "--crs", "http://crs.local/chat"]
+        argv += ["--catalog", catalog_file, "-n", "2", "--output", str(tmp_path / "x")]
+        assert main(argv + flag) == 0
+        assert timeouts == [timeout, timeout]
+
 
 class TestCompare:
     def test_identical_inputs_give_tau_one_and_zero_diffs(self, tmp_path):
@@ -1201,16 +1232,16 @@ class TestReadmeWalkthrough:
 
 # SHA-256 of every file the README walkthrough leaves, and of its stdout.
 WALKTHROUGH_HASHES = {
-    "annotated.ndjson": "209664bccb19a77492ad848641ce071bb6b4661a4fa5a04cb5d0acf8f2bab19f",
+    "annotated.ndjson": "9e9424062eff03e015bfefc30f7a26a2870974b8ead522a52afa2a8afc9458ac",
     "annotated_echo.ndjson": "a32850e6141349cc56de0d4be1e06ea887f0b53c13e6f825a08d67c8dd483224",
     "catalog.json": "9057522d2c7bb27fddd9b2975ea532ffbf1c59bdf00cab737d9ac7cfd4ef2746",
     "human_rdl.json": "a794b7105a91ca5d62a4e146baffbd8124a1c3420a38bb9b17f726281cf8c5e9",
     "reliability.ndjson": "d9eaaa4f41a7cf7d6505123bd42da7bf9b78aad82a0af354ebe5c51bef5f537a",
-    "report.ndjson": "c00bec2be71eb3b95ec53ff8fb62a7f547d6ed35f77d60a86403aa25651def3f",
+    "report.ndjson": "fa846a328cd01c035466c176ed879b5633daa2183cecf85c99edbf6a7081a9bd",
     "satisfaction.json": "2a491de97f9a4dbb5cc3d4c714f50370ef13cbbada555a009202c6dfcaf3239c",
-    "sim.ndjson": "08fe9c18d286659e6fff99fdc59ad0de616603e76693177157545cec3bd7560e",
+    "sim.ndjson": "062d7029a8692b59960efc3591d6fa67cab92f105d75c912747880252ad9f669",
     "sim_echo.ndjson": "b3640469f738f1221090ebd3e29f41c8455e679888e16a260fb25cf5b7768191",
-    "stdout": "8760cceda4424434d374fbad8c3bf2732dc52602f7770d6904e90cf803ba18e2",
+    "stdout": "6b0412c5704a1261b760a2e7c3ddfc2fa06a7b793077138fb60f4f99c9b5aefd",
 }
 
 

@@ -16,6 +16,7 @@ from evalkit.connectors import (
     MockLlmGateway,
     make_stub,
 )
+from evalkit.dialogue import UserGoal
 from evalkit.errors import (
     ConnectorError,
     ConnectorTimeout,
@@ -23,6 +24,7 @@ from evalkit.errors import (
     GatewayTimeout,
     ScriptExhaustedError,
 )
+from evalkit.simulation import AgendaSimulator, RunLimits, run_conversation
 
 OPTIONS = GatewayOptions(endpoint="http://llm.local/api/chat", model="test-model")
 
@@ -347,6 +349,9 @@ class TestHttpCrsConnector:
             ({"reply": "x", "items": [{"a": 1}]}, "an entry of 'items' must be a string, not an object"),
             ({"reply": "x", "items": ["A", None]}, "an entry of 'items' must be a string, not null"),
             ({"reply": "x", "items": [["A"]]}, "an entry of 'items' must be a string, not an array"),
+            ({"reply": "x", "end": "false"}, "field 'end' must be a boolean, not a string"),
+            ({"reply": "x", "end": [0]}, "field 'end' must be a boolean, not an array"),
+            ({"reply": "x", "end": 0}, "field 'end' must be a boolean, not a number"),
         ],
     )
     def test_malformed_reply_is_a_connector_error(self, body, message):
@@ -364,6 +369,15 @@ class TestHttpCrsConnector:
         connector.send("s1", "hi")
         assert [kwargs["timeout"] for _, kwargs in post.calls] == [2.5, 7.0]
         assert post.calls[0][0] == "http://crs.local/chat"
+
+    def test_endpoint_timeout_bounds_each_conversation_call(self, fake_post, movie_catalog):
+        reply = '{"reply": "ok", "items": []}'
+        post = fake_post(FakeResponse(200, reply), FakeResponse(200, reply))
+        connector = HttpCrsConnector(self._endpoint(timeout=7.0))
+        goal = UserGoal(constraints=(("year", "1988"),))
+        limits = RunLimits(max_utterances=4, seed=1)
+        run_conversation(AgendaSimulator(catalog=movie_catalog), connector, goal, limits)
+        assert [kwargs["timeout"] for _, kwargs in post.calls] == [7.0, 7.0]
 
     def test_status_error_carries_raw_body(self, fake_post):
         fake_post(FakeResponse(500, "upstream exploded"))

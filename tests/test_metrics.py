@@ -12,10 +12,9 @@ from evalkit.corpus_io import iter_corpus, serialize_corpus
 from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
-    CostFactor,
     DialogueFacts,
+    Factor,
     MetricReport,
-    RewardFactor,
     accepted_items_reward,
     accepted_rounds_reward,
     constant_cost,
@@ -367,29 +366,27 @@ class TestRecallAtN:
 class TestUtilityEngine:
     def test_simple_ratio(self):
         d = one_round_accepted()
-        rewards = [RewardFactor("r", 1.0, lambda _: 2.0)]
-        costs = [CostFactor("c", 1.0, lambda _: 4.0)]
+        rewards = [Factor("r", 1.0, lambda _: 2.0)]
+        costs = [Factor("c", 1.0, lambda _: 4.0)]
         assert utility(d, rewards, costs) == 0.5
 
     def test_weighted_combination(self):
         d = one_round_accepted()
         rewards = [
-            RewardFactor("r1", 2.0, lambda _: 1.0),
-            RewardFactor("r2", 1.0, lambda _: 3.0),
+            Factor("r1", 2.0, lambda _: 1.0),
+            Factor("r2", 1.0, lambda _: 3.0),
         ]
-        costs = [CostFactor("c", 1.0, lambda _: 5.0)]
+        costs = [Factor("c", 1.0, lambda _: 5.0)]
         assert utility(d, rewards, costs) == pytest.approx(1.0)
 
     def test_zero_cost_rejected(self):
         d = one_round_accepted()
         with pytest.raises(ValueError, match="cost is zero"):
-            utility(d, [RewardFactor("r", 1.0, lambda _: 1.0)], [])
+            utility(d, [Factor("r", 1.0, lambda _: 1.0)], [])
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            RewardFactor("r", -0.1, lambda _: 1.0)
-        with pytest.raises(ValueError):
-            CostFactor("c", -0.1, lambda _: 1.0)
+        with pytest.raises(ValueError, match="^weight for 'r' must be >= 0$"):
+            Factor("r", -0.1, lambda _: 1.0)
 
     def test_rdl_instantiation_matches_dedicated_op(self):
         specs = [("USER", []) if i % 2 else ("SYSTEM", []) for i in range(10)]
@@ -417,11 +414,11 @@ class TestUtilityEngine:
     def test_positive_reward_over_zero_cost_still_raises(self):
         d = dlg("chat", "sysA", turns(("USER", ["Disclose"]), ("SYSTEM", ["Request"])))
         with pytest.raises(ValueError, match="cost is zero"):
-            utility(d, [RewardFactor("r", 1.0, lambda _: 1.0)], [round_count_cost()])
+            utility(d, [Factor("r", 1.0, lambda _: 1.0)], [round_count_cost()])
 
     def test_custom_factor_reads_the_dialogue(self):
         d = two_rounds()
-        user_turns = RewardFactor(
+        user_turns = Factor(
             "user_turns",
             1.0,
             lambda f: float(sum(u.speaker is Speaker.USER for u in f.dialogue.utterances)),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evalkit.annotation import RuleAnnotator
+from evalkit.annotation import TRUNCATION_MARKER, RuleAnnotator
 from evalkit.catalog import load_catalog
 from evalkit.connectors import (
     AlwaysRecommendStub,
@@ -35,7 +35,6 @@ from evalkit.simulation import (
     LlmSimulator,
     RunLimits,
     Stop,
-    TRUNCATION_MARKER,
     _parse_interaction_model,
     abus_next,
     default_interaction_model,
@@ -288,7 +287,33 @@ class TestAbusNext:
         )
         assert outgoing.acts[0].intent == "Inquire"
         assert updated.accepted_items == ("Midnight Run",)
-        assert updated.open_items == ("Midnight Run", "Paper Moon")
+        assert updated.open_items == ("Paper Moon",)
+
+    @pytest.mark.parametrize(
+        "items, act_",
+        [
+            (["Midnight Run", "Paper Moon"], act("Reject", ("TITLE", "Paper Moon"))),
+            (["Midnight Run"], act("Disclose", ("year", "1988"))),
+        ],
+        ids=["another-open", "none-open"],
+    )
+    def test_an_accepted_item_is_never_rejected(self, movie_catalog, items, act_):
+        # A model that always rejects, and an accepted item recommended again.
+        goal = simple_goal([("year", "1988")], requests=("director",))
+        agenda = replace(
+            new_agenda(goal), stack=(), accepted_items=("Midnight Run",),
+            fulfilled_constraints=frozenset(goal.constraints),
+        )
+        incoming = utt(1, "SYSTEM", text="How about one of these?", items=items)
+        _, outgoing = abus_next(
+            agenda,
+            InteractionModel(transitions={}, initial={"Reject": 1.0}),
+            incoming,
+            self._annotator(movie_catalog),
+            random.Random(0),
+            catalog=movie_catalog,
+        )
+        assert outgoing.acts == (act_,)
 
     def test_fulfilled_goal_stops(self, movie_catalog):
         goal = simple_goal([("year", "1988")])
@@ -784,8 +809,14 @@ class TestGenerateCorpus:
             {"reply": "hi", "items": [""]},
             {"reply": "hi", "items": [{"a": 1}]},
             {"reply": "hi", "items": [None]},
+            {"reply": "hi", "end": "false"},
+            {"reply": "hi", "end": [0]},
+            {"reply": "hi", "end": 1},
         ],
-        ids=["list-body", "null-reply", "list-reply", "empty-item", "object-item", "null-item"],
+        ids=[
+            "list-body", "null-reply", "list-reply", "empty-item", "object-item", "null-item",
+            "string-end", "list-end", "number-end",
+        ],
     )
     def test_bad_crs_reply_is_one_recorded_failure(self, movie_catalog, body):
         def transport(url, payload, headers):
@@ -805,6 +836,33 @@ class TestGenerateCorpus:
         [failure] = corpus.extra["failures"]
         assert failure["seed"] == 81
         assert failure["error"].startswith("conversation abus-crs-x-81: connector failed: CRS crs-x ")
+
+    @pytest.mark.parametrize(
+        "flag, ended",
+        [({}, False), ({"end": None}, False), ({"end": False}, False), ({"end": True}, True)],
+        ids=["absent", "null", "false", "true"],
+    )
+    def test_crs_end_flag(self, movie_catalog, flag, ended):
+        # The first reply carries the flag under test; a second reply ends any
+        # conversation the first did not.
+        replies = []
+
+        def transport(url, payload, headers):
+            replies.append(payload["session_id"])
+            if len(replies) == 1:
+                return {"reply": "Tell me more.", **flag}
+            return {"reply": "Goodbye!", "end": True}
+
+        endpoint = CrsEndpoint(crs_id="crs-x", endpoint="http://crs.local/chat")
+        [dialogue] = generate_corpus(
+            AgendaSimulator(catalog=movie_catalog),
+            HttpCrsConnector(endpoint, transport=transport),
+            1,
+            catalog=movie_catalog,
+            limits=RunLimits(seed=80),
+        ).dialogues
+        assert dialogue.extra["termination_reason"] == "crs-ended"
+        assert len(dialogue) == (2 if ended else 4)
 
     @pytest.mark.parametrize(
         "body",
@@ -884,13 +942,6 @@ class TestGenerateCorpus:
     def test_run_limits_validation(self):
         with pytest.raises(ValueError, match="max_utterances"):
             RunLimits(max_utterances=1)
-        with pytest.raises(ValueError, match="timeout"):
-            RunLimits(per_call_timeout=0)
-
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
-    def test_per_call_timeout_must_be_positive(self, timeout):
-        with pytest.raises(ValueError, match="^per_call_timeout must be positive$"):
-            RunLimits(per_call_timeout=timeout)
 
     def test_scripted_llmus_batch_deterministic(self, movie_catalog):
         script = [

@@ -12,6 +12,7 @@ import functools
 import re
 from collections import deque
 from dataclasses import replace
+from itertools import takewhile
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .dialogue import (
@@ -279,8 +280,10 @@ def iter_annotated(
     on a MockLlmGateway, run inline whatever ``jobs`` says.
     Per-utterance failures are aggregated into one AnnotationBatchError,
     raised after the last dialogue; a dialogue with a failure is not
-    yielded.
+    yielded. After a transient gateway failure has used up its retries, no
+    further utterance starts: the ones in flight finish, then it raises.
     """
+    halted = False
 
     def tasks():
         # One task per utterance to annotate, then (dialogue, None) to close the dialogue.
@@ -289,12 +292,14 @@ def iter_annotated(
             yield dialogue, None
 
     def run_one(task):
+        nonlocal halted
         dialogue, utterance = task
         if utterance is None:
             return task, None
         try:
             return task, annotator.annotate(utterance, dialogue.utterances[: utterance.index])
         except AnnotationError as exc:
+            halted |= isinstance(exc.__cause__, GatewayError) and exc.__cause__.transient
             return task, f"{dialogue.dialogue_id}[{utterance.index}]: {exc}"
 
     failures: list[str] = []
@@ -309,7 +314,8 @@ def iter_annotated(
 
         if isinstance(annotator.gateway, MockLlmGateway):
             jobs = 1
-    for (dialogue, utterance), outcome in in_order(run_one, tasks(), jobs):
+    started = takewhile(lambda task: not halted, tasks())
+    for (dialogue, utterance), outcome in in_order(run_one, started, jobs):
         if isinstance(outcome, str):
             failures.append(outcome)
             done[utterance.index] = None

@@ -14,6 +14,13 @@ _HEAD = re.compile(r".\w*", re.S)
 # The JSON types an attribute value, or an element of an array value, may
 # have; bool is excluded (``type`` is checked, not ``isinstance``).
 _SCALARS = (str, int, float)
+# The C scanner behind ``json.loads``: (value, end) of the JSON value
+# starting at an offset, or StopIteration when none starts there.
+_SCAN = json.JSONDecoder().scan_once
+# An array's opening bracket, and its closing one when the array is empty.
+_OPENING = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*(\][ \t\n\r]*)?")
+# The delimiter after an array element, with the JSON whitespace around it.
+_DELIMITER = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
 
 
 @dataclass(frozen=True)
@@ -52,18 +59,19 @@ class CatalogItem:
 class ItemCatalog:
     """A read-only collection of catalog items keyed by id, in file order.
 
-    Built only by ``load_catalog``. The catalog keeps each item's attribute
-    record and builds a fresh ``CatalogItem`` on every lookup, so loading
-    costs little more than decoding. The title index behind ``find_titles``
+    Built only by ``load_catalog``. It keeps the JSON text and where each
+    record starts in it, so it holds no object per item, and every lookup
+    decodes a fresh ``CatalogItem``. The title index behind ``find_titles``
     is built on first use, once per catalog, since only rule annotation
     needs it.
     """
 
-    def __init__(self, records: dict[str, Mapping], slots: Iterable[str]):
-        if not records:
+    def __init__(self, text: str, offsets: dict[str, int], slots: Iterable[str]):
+        if not offsets:
             raise ValueError("catalog must contain at least one item")
-        self._records = records
-        self._ids = tuple(records)
+        self._text = text
+        self._offsets = offsets
+        self._ids = tuple(offsets)
         self._slots = tuple(sorted(slots))
         self._title_index = None
 
@@ -71,16 +79,19 @@ class ItemCatalog:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[CatalogItem]:
-        return map(CatalogItem, self._records, self._records.values())
+        return map(self._decode, self._offsets.values())
+
+    def _decode(self, offset: int) -> CatalogItem:
+        record = _SCAN(self._text, offset)[0]
+        return CatalogItem(_pop_id(record), record)
 
     def get(self, item_id: str) -> CatalogItem | None:
-        record = self._records.get(item_id)
-        return None if record is None else CatalogItem(item_id, record)
+        offset = self._offsets.get(item_id)
+        return None if offset is None else self._decode(offset)
 
     def item_at(self, position: int) -> CatalogItem:
         """The item at ``position`` in catalog order."""
-        item_id = self._ids[position]
-        return CatalogItem(item_id, self._records[item_id])
+        return self._decode(self._offsets[self._ids[position]])
 
     def slots(self) -> tuple[str, ...]:
         """All attribute names that appear on at least one item, sorted."""
@@ -142,39 +153,72 @@ class ItemCatalog:
         return sorted((position, title) for title, position in found.items())
 
 
+def _pop_id(record: dict) -> str:
+    """Remove a record's name from it and return the name as a string: its
+    ``id``, or its ``title`` when ``id`` is absent, null or ``""``."""
+    item_id = record.pop("id", None)
+    if item_id in (None, ""):
+        item_id = record.pop("title", None)
+    if item_id in (None, ""):
+        raise ValueError("catalog records need an 'id' or 'title' key")
+    if type(item_id) not in (str, int, float):
+        raise ValueError(f"catalog item id {item_id!r} is not a string or number")
+    return str(item_id)
+
+
+def _index(text: str) -> tuple[dict[str, int], set[str]]:
+    """Each record's id -> its start offset in the JSON array ``text``, and the slot names."""
+    opening = _OPENING.match(text)
+    if opening is None:
+        raise ValueError("catalog must be a JSON array of objects")
+    index, more = opening.end(), opening[1] is None
+    offsets: dict[str, int] = {}
+    names: set[str] = set()
+    while more:
+        record, end = _SCAN(text, index)
+        if type(record) is not dict:
+            raise ValueError("catalog records must be JSON objects")
+        item_id = _pop_id(record)
+        if item_id in offsets:
+            raise ValueError(f"duplicate catalog item id {item_id!r}")
+        offsets[item_id] = index
+        names.update(record)
+        if text.startswith(",{", end):  # compact JSON: the next record follows
+            index = end + 1
+            continue
+        delimiter = _DELIMITER.match(text, end)
+        if delimiter is None:
+            raise ValueError("expected ',' or ']' after a catalog record")
+        index, more = delimiter.end(), delimiter[1] == ","
+    if index != len(text):
+        raise ValueError("extra data after the catalog array")
+    return offsets, names
+
+
 def load_catalog(source) -> ItemCatalog:
-    """Load a catalog from a JSON file path or a parsed list of records.
+    """Load a catalog from a JSON file path or a list of records.
 
     The catalog is a JSON array of objects. Each names its item by an
     ``id`` (or ``title``) key holding a string or a number, which becomes a
     string; its further keys are the item's attributes, whose values
-    ``CatalogItem.values`` checks when they are read. Records passed in
-    are copied, never changed. Any other shape raises ValueError.
+    ``CatalogItem.values`` checks when they are read. A list is serialized
+    with ``json.dumps`` and read the same way. Other shapes and values JSON
+    cannot encode raise ValueError; JSON syntax errors outrank bad records.
     """
-    parsed = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    if parsed:
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as handle:
-            source = json.load(handle)
-    if not isinstance(source, (list, tuple)):
-        raise ValueError("catalog must be a JSON array of objects")
-    records: dict[str, dict] = {}
-    names: set[str] = set()
-    for record in source:
-        if not isinstance(record, dict):
-            raise ValueError("catalog records must be JSON objects")
-        if not parsed:
-            # Copied, since the id is popped below; parsed records are ours.
-            record = dict(record)
-        item_id = record.pop("id", None)
-        if item_id in (None, ""):
-            item_id = record.pop("title", None)
-        if item_id in (None, ""):
-            raise ValueError("catalog records need an 'id' or 'title' key")
-        if type(item_id) not in (str, int, float):
-            raise ValueError(f"catalog item id {item_id!r} is not a string or number")
-        item_id = str(item_id)
-        if item_id in records:
-            raise ValueError(f"duplicate catalog item id {item_id!r}")
-        records[item_id] = record
-        names.update(record)
-    return ItemCatalog(records, names)
+            text = handle.read()
+    else:
+        try:
+            text = json.dumps(source, separators=(",", ":"))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"catalog holds a value JSON cannot encode: {exc}") from None
+    try:
+        offsets, names = _index(text)
+    except (ValueError, StopIteration):
+        # The walk stops at the first fault. Decoding the whole text raises
+        # JSON's own message for every syntax fault, so what it lets through
+        # is a record's fault or a top level that is not an array.
+        json.loads(text)
+        raise
+    return ItemCatalog(text, offsets, names)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from .corpus_io import _fault, _text
 from .errors import (

@@ -4,9 +4,10 @@ Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
 accept counting. The record checker walks each decoded dialogue record
 against the corpus format's rules on its own. The catalog references
-scan every item or try every title at every position, goal sampling
-replays its draws over the plain catalog records, and the agenda
-simulator's intent draw is redone with plain running sums and a bisect.
+decode a catalog whole before checking it, scan every item or try every
+title at every position, goal sampling replays its draws over the plain
+catalog records, and the agenda simulator's intent draw is redone with
+plain running sums and a bisect.
 Kept deliberately naive so it can serve as an oracle.
 """
 
@@ -204,6 +205,36 @@ def oracle_slots(items) -> tuple[str, ...]:
     for item in items:
         names.update(item.attributes)
     return tuple(sorted(names))
+
+
+def oracle_load_catalog(text: str):
+    """Catalog loading done the plain way: decode the whole ``text``, then
+    check each record in turn. Returns ``(ids, slots, {id: attributes})``,
+    or ``(exception type, message)`` for the first fault."""
+    try:
+        parsed = json.loads(text)
+        if not isinstance(parsed, list):
+            raise ValueError("catalog must be a JSON array of objects")
+        attributes: dict[str, dict] = {}
+        for record in parsed:
+            if not isinstance(record, dict):
+                raise ValueError("catalog records must be JSON objects")
+            name = record.pop("id", None)
+            if name is None or name == "":
+                name = record.pop("title", None)
+            if name is None or name == "":
+                raise ValueError("catalog records need an 'id' or 'title' key")
+            if isinstance(name, bool) or not isinstance(name, (str, int, float)):
+                raise ValueError(f"catalog item id {name!r} is not a string or number")
+            if str(name) in attributes:
+                raise ValueError(f"duplicate catalog item id {str(name)!r}")
+            attributes[str(name)] = record
+        if not attributes:
+            raise ValueError("catalog must contain at least one item")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    slots = sorted({slot for record in attributes.values() for slot in record})
+    return tuple(attributes), tuple(slots), attributes
 
 
 def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:

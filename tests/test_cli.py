@@ -13,9 +13,11 @@ import pytest
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, iter_annotated
 from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
-from evalkit.connectors import HttpLlmGateway, MockLlmGateway
+from evalkit import connectors
+from evalkit.connectors import LLM_RETRIES, HttpLlmGateway, MockLlmGateway
 from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
+from evalkit.errors import GatewayError
 
 from conftest import MOVIES
 from helpers import act, corpus, dlg, turns, utt
@@ -389,6 +391,30 @@ class TestAnnotate:
         assert main(argv + ["--llm-endpoint", "http://127.0.0.1:9/chat"]) == 3
         assert "connector error: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_a_dead_gateway_starts_no_new_utterance(self, tmp_path, monkeypatch, capsys, jobs):
+        posts = []
+
+        def refused(url, payload, headers, timeout):
+            posts.append(url)
+            raise GatewayError(f"request to {url} failed: refused", transient=True)
+
+        monkeypatch.setattr(connectors, "post_json", refused)
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)  # 18 utterances
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        argv += ["--llm-endpoint", "http://127.0.0.1:9/chat", "--jobs", str(jobs)]
+        assert main(argv) == 3
+        assert "gateway failure: request to http://127.0.0.1:9/chat failed" in capsys.readouterr().err
+        assert not out.exists()
+        # The first utterance to use up its retries stops the batch; only
+        # the up to 4 x jobs utterances already in flight finish.
+        if jobs == 1:
+            assert len(posts) == 1 + LLM_RETRIES
+        else:
+            assert len(posts) <= 4 * jobs * (1 + LLM_RETRIES)
 
     def test_format_error_midway_names_the_line_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"

@@ -23,12 +23,9 @@ _EXPORTS = {
     "annotation": ("LlmAnnotator", "RuleAnnotator", "iter_annotated"),
     "catalog": ("CatalogItem", "ItemCatalog", "load_catalog"),
     "connectors": (
-        "AlwaysRecommendStub",
         "CrsEndpoint",
         "CrsReply",
-        "EchoStub",
         "GatewayOptions",
-        "GoodbyeStub",
         "HttpCrsConnector",
         "HttpLlmGateway",
         "MockLlmGateway",

@@ -27,6 +27,7 @@ from .dialogue import (
     Speaker,
     Utterance,
     _bundled_text,
+    _table_lines,
 )
 from .errors import (
     AnnotationBatchError,
@@ -59,8 +60,9 @@ TRUNCATION_MARKER = "[earlier turns omitted]"
 def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
     """Load an intent→cue-phrase table from the file at ``path``.
 
-    Each line is ``intent<TAB>cue phrase``; blank lines and ``#`` comments
-    are skipped. With no path, the bundled default lexicon is used.
+    Each line is ``intent<TAB>cue phrase``; blank lines and comments, whose
+    first non-blank character is ``#``, are skipped. With no path, the
+    bundled default lexicon is used.
     """
     if path is None:
         text = _bundled_text("rule_lexicon.tsv")
@@ -68,11 +70,8 @@ def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     lexicon: dict[str, list[str]] = {}
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        intent, _, cue = line.partition("\t")
+    for raw_line in _table_lines(text):
+        intent, _, cue = raw_line.strip().partition("\t")
         cue = cue.strip().lower()
         if not intent or not cue:
             raise ValueError(f"bad lexicon line: {raw_line!r}")

@@ -210,14 +210,11 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
     return lambda: gateway
 
 
-def _build_connector(spec: str, catalog: ItemCatalog, stub_item: str | None, timeout: float):
+def _build_connector(spec: str, catalog: ItemCatalog, timeout: float):
     from .connectors import CrsEndpoint, HttpCrsConnector, make_stub
 
     if spec.startswith("stub:"):
-        name = spec[len("stub:"):]
-        if name == "always-recommend":
-            return make_stub(name, item_id=stub_item or catalog.item_at(0).item_id)
-        return make_stub(name)
+        return make_stub(spec[len("stub:"):], item_id=catalog.item_at(0).item_id)
     return HttpCrsConnector(
         CrsEndpoint(
             crs_id=spec, endpoint=spec, timeout=timeout, auth_token=os.environ.get(ENV_CRS_TOKEN)
@@ -412,7 +409,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     schema = _load_schema(args.schema, simulation=True)
     catalog = _CLI.load_catalog(args.catalog)
-    connector = _build_connector(args.crs, catalog, args.stub_item, timeout)
+    connector = _build_connector(args.crs, catalog, timeout)
 
     if args.simulator == "abus":
         model = load_interaction_model(args.interaction_model) if args.interaction_model else None
@@ -531,7 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="generate a synthetic corpus")
     simulate.add_argument("--simulator", choices=("abus", "llm-us"), required=True)
-    simulate.add_argument("--crs", required=True, help="stub:<name> or endpoint URL")
+    simulate.add_argument(
+        "--crs", required=True, help="endpoint URL or stub:{always-recommend,echo,goodbye}"
+    )
     simulate.add_argument("--catalog", required=True)
     simulate.add_argument("-n", type=int, default=None, help="dialogues to generate (default 200)")
     simulate.add_argument("--output", required=True)
@@ -547,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--interaction-model")
     simulate.add_argument("--constraint-slots")
     simulate.add_argument("--request-slots")
-    simulate.add_argument("--stub-item")
     simulate.add_argument("--llm-endpoint")
     simulate.add_argument("--llm-model")
     simulate.add_argument("--schema")

@@ -1,8 +1,9 @@
 """Boundary adapters: LLM chat-completion gateway and CRS endpoint clients.
 
-Live adapters speak a minimal JSON-over-HTTP contract; mock and stub
-counterparts are deterministic and side-effect-free so the whole test
-suite runs without network access. Transports are injectable, which keeps
+Live adapters speak a minimal JSON-over-HTTP contract. The mock gateway
+and the stub CRSs, ``HttpCrsConnector``s whose transport answers in
+process, are deterministic and side-effect-free, so the whole test suite
+runs without network access. Transports are injectable, which keeps
 request-building logic testable against a recording fake.
 """
 
@@ -267,54 +268,21 @@ class HttpCrsConnector:
         return CrsReply(text=text, items=items, end=end is True)
 
 
-class AlwaysRecommendStub:
-    """Stub CRS that recommends the same item with the same sentence forever."""
-
-    def __init__(self, item_id: str = "Midnight Run", crs_id: str | None = None):
-        self.item_id = item_id
-        self.crs_id = crs_id or "stub-always-recommend"
-
-    def send(self, session: str, utterance: str, timeout: float | None = None) -> CrsReply:
-        return CrsReply(
-            text=f"Have you seen {self.item_id}?",
-            items=(self.item_id,),
-            end=False,
-        )
-
-
-class EchoStub:
-    """Stub CRS that parrots the user's text back, recommending nothing."""
-
-    def __init__(self, crs_id: str | None = None):
-        self.crs_id = crs_id or "stub-echo"
-
-    def send(self, session: str, utterance: str, timeout: float | None = None) -> CrsReply:
-        return CrsReply(text=utterance, items=(), end=False)
-
-
-class GoodbyeStub:
-    """Stub CRS that ends the dialogue immediately."""
-
-    def __init__(self, crs_id: str | None = None):
-        self.crs_id = crs_id or "stub-goodbye"
-
-    def send(self, session: str, utterance: str, timeout: float | None = None) -> CrsReply:
-        return CrsReply(text="Goodbye!", items=(), end=True)
-
-
-_STUBS = {
-    "always-recommend": AlwaysRecommendStub,
-    "echo": EchoStub,
-    "goodbye": GoodbyeStub,
+# Reply bodies of the bundled stub CRSs, from the item to recommend and the
+# request payload.
+_STUB_BODIES = {
+    "always-recommend": lambda item, payload: {"reply": f"Have you seen {item}?", "items": [item]},
+    "echo": lambda item, payload: {"reply": payload["text"]},
+    "goodbye": lambda item, payload: {"reply": "Goodbye!", "end": True},
 }
 
 
-def make_stub(name: str, **kwargs) -> CrsConnector:
-    """Build one of the bundled stub CRSs: always-recommend, echo, goodbye."""
-    try:
-        factory = _STUBS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown stub {name!r}; available: {', '.join(sorted(_STUBS))}"
-        ) from None
-    return factory(**kwargs)
+def make_stub(name: str, item_id: str = "Midnight Run") -> HttpCrsConnector:
+    """The ``HttpCrsConnector`` of ``stub:<name>``, whose transport answers in
+    process: always-recommend recommends ``item_id`` in the same sentence
+    forever, echo returns the user's text and goodbye ends the dialogue."""
+    if name not in _STUB_BODIES:
+        raise ValueError(f"unknown stub {name!r}; available: {', '.join(sorted(_STUB_BODIES))}")
+    body = _STUB_BODIES[name]
+    endpoint = CrsEndpoint(crs_id=f"stub-{name}", endpoint=f"stub:{name}")
+    return HttpCrsConnector(endpoint, lambda url, payload, headers: body(item_id, payload))

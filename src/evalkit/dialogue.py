@@ -59,6 +59,12 @@ def _bundled_text(name: str) -> str:
     return resources.files("evalkit").joinpath(f"data/{name}").read_text("utf-8")
 
 
+def _table_lines(text: str) -> list[str]:
+    """The lines of a tab-separated table file that are neither blank nor
+    comments: a comment's first non-blank character is ``#``."""
+    return [line for line in text.splitlines() if line.strip() and line.lstrip()[0] != "#"]
+
+
 def _as_strings(values: Iterable[str], what: str) -> tuple[str, ...]:
     """``values`` as a tuple; a tuple is returned as it is. TypeError names
     ``what`` if a value is not a string."""

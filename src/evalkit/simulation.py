@@ -40,6 +40,7 @@ from .dialogue import (
     UserGoal,
     Utterance,
     _bundled_text,
+    _table_lines,
     simulation_schema,
 )
 from .errors import (
@@ -135,17 +136,15 @@ def load_interaction_model(path) -> InteractionModel:
 
     The header names the user-intent columns; each following row is a
     system intent (or ``__start__`` for the opening distribution) followed
-    by one probability per column. Blank lines and ``#`` comments are
-    skipped.
+    by one probability per column. Blank lines and comments, whose first
+    non-blank character is ``#``, are skipped.
     """
     with open(path, "r", encoding="utf-8") as handle:
         return _parse_interaction_model(handle.read())
 
 
 def _parse_interaction_model(text: str) -> InteractionModel:
-    lines = [
-        line for line in text.splitlines() if line.strip() and not line.startswith("#")
-    ]
+    lines = _table_lines(text)
     if not lines:
         raise ValueError("interaction model file is empty")
     header = lines[0].split("\t")

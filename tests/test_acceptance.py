@@ -24,7 +24,7 @@ from evalkit.analysis import (
 )
 from evalkit.annotation import RuleAnnotator
 from evalkit.cli import main
-from evalkit.connectors import AlwaysRecommendStub, MockLlmGateway
+from evalkit.connectors import MockLlmGateway, make_stub
 from evalkit.corpus_io import serialize_corpus
 from evalkit.dialogue import Corpus, simulation_schema
 from evalkit.metrics import (
@@ -287,7 +287,7 @@ def test_criterion_6_simulation_determinism_and_termination(movie_catalog):
         )
         return generate_corpus(
             simulator,
-            AlwaysRecommendStub(item_id="Midnight Run"),
+            make_stub("always-recommend", item_id="Midnight Run"),
             10,
             catalog=movie_catalog,
             limits=RunLimits(seed=1000),
@@ -297,7 +297,7 @@ def test_criterion_6_simulation_determinism_and_termination(movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         return generate_corpus(
             simulator,
-            AlwaysRecommendStub(item_id="Midnight Run"),
+            make_stub("always-recommend", item_id="Midnight Run"),
             10,
             catalog=movie_catalog,
             limits=RunLimits(seed=2000),
@@ -309,7 +309,7 @@ def test_criterion_6_simulation_determinism_and_termination(movie_catalog):
     # Infinite-repeat stub: every session must fall to the loop guard
     # within the utterance cap.
     simulator = AgendaSimulator(catalog=movie_catalog)
-    repeat_stub = AlwaysRecommendStub(item_id="Not In The Catalog")
+    repeat_stub = make_stub("always-recommend", item_id="Not In The Catalog")
     limits = RunLimits(max_utterances=20)
     from evalkit.dialogue import UserGoal
 

@@ -20,6 +20,7 @@ from evalkit.dialogue import (
     DialogueAct,
     IntentSchema,
     Speaker,
+    _bundled_text,
     default_schema,
     simulation_schema,
 )
@@ -216,6 +217,11 @@ class TestRuleAnnotator:
         assert [a.intent for a in annotator.annotate(utt(0, "USER", text="Sure why not!"))] == [
             "Accept"
         ]
+
+    def test_indented_comment_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("  # note\n" + _bundled_text("rule_lexicon.tsv"), encoding="utf-8")
+        assert load_rule_lexicon(path) == load_rule_lexicon()
 
     def test_lexicon_path_containing_a_tab_is_read_as_a_path(self, tmp_path):
         folder = tmp_path / "d\tt"

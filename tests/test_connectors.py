@@ -6,11 +6,9 @@ import requests
 
 from evalkit import connectors
 from evalkit.connectors import (
-    AlwaysRecommendStub,
     CrsEndpoint,
-    EchoStub,
+    CrsReply,
     GatewayOptions,
-    GoodbyeStub,
     HttpCrsConnector,
     HttpLlmGateway,
     MockLlmGateway,
@@ -251,28 +249,50 @@ class TestGatewayOptions:
 
 
 class TestStubs:
+    @pytest.mark.parametrize("name", ["always-recommend", "echo", "goodbye"])
+    def test_stub_is_an_http_connector(self, name):
+        stub = make_stub(name)
+        assert isinstance(stub, HttpCrsConnector)
+        assert stub.crs_id == f"stub-{name}"
+        assert stub.endpoint == CrsEndpoint(crs_id=f"stub-{name}", endpoint=f"stub:{name}")
+
     def test_always_recommend(self):
-        stub = AlwaysRecommendStub(item_id="Paper Moon")
+        stub = make_stub("always-recommend", item_id="Paper Moon")
         reply = stub.send("s1", "hi")
-        assert "Paper Moon" in reply.text
-        assert reply.items == ("Paper Moon",)
-        assert reply.end is False
+        assert reply == CrsReply(text="Have you seen Paper Moon?", items=("Paper Moon",))
         assert stub.send("s1", "anything else") == reply  # same sentence forever
+        assert stub.send("s2", "and now?", 5.0) == reply
+
+    def test_always_recommend_default_item(self):
+        assert make_stub("always-recommend").send("s1", "hi").items == ("Midnight Run",)
 
     def test_echo(self):
-        reply = EchoStub().send("s1", "hi there")
-        assert reply.text == "hi there"
-        assert reply.items == ()
-        assert reply.end is False
+        stub = make_stub("echo", item_id="Paper Moon")  # echo ignores the item
+        assert stub.send("s1", "hi there") == CrsReply(text="hi there", items=(), end=False)
+        assert stub.send("s1", "") == CrsReply(text="")
 
     def test_goodbye_sets_end_flag(self):
-        reply = GoodbyeStub().send("s1", "hello?")
-        assert reply.end is True
+        reply = make_stub("goodbye").send("s1", "hello?")
+        assert reply == CrsReply(text="Goodbye!", items=(), end=True)
 
-    def test_make_stub_names(self):
-        assert make_stub("echo").crs_id == "stub-echo"
-        assert make_stub("always-recommend", item_id="X").item_id == "X"
-        with pytest.raises(ValueError, match="unknown stub"):
+    def test_stub_request_is_the_live_payload(self):
+        # A stub's transport is sent what a live endpoint would be sent.
+        stub = make_stub("echo")
+        answer, sent = stub._transport, []
+        stub._transport = lambda *request: sent.append(request) or answer(*request)
+        assert stub.send("s7", "hi").text == "hi"
+        assert sent == [("stub:echo", {"text": "hi", "session_id": "s7"}, {})]
+
+    def test_stub_reply_is_checked_as_a_live_one(self):
+        message = "^CRS stub-always-recommend an entry of 'items' is empty$"
+        with pytest.raises(ConnectorError, match=message):
+            make_stub("always-recommend", item_id="").send("s1", "hi")
+
+    def test_unknown_stub_names_the_available_ones(self):
+        with pytest.raises(
+            ValueError,
+            match="^unknown stub 'nope'; available: always-recommend, echo, goodbye$",
+        ):
             make_stub("nope")
 
 

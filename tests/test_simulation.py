@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from evalkit.annotation import TRUNCATION_MARKER, RuleAnnotator
 from evalkit.catalog import load_catalog
 from evalkit.connectors import (
-    AlwaysRecommendStub,
     CrsEndpoint,
-    EchoStub,
     GatewayOptions,
-    GoodbyeStub,
     HttpCrsConnector,
     HttpLlmGateway,
     MockLlmGateway,
+    make_stub,
 )
 from evalkit.corpus_io import serialize_corpus
-from evalkit.dialogue import Speaker, UserGoal, simulation_schema
+from evalkit.dialogue import Speaker, UserGoal, _bundled_text, simulation_schema
 from evalkit.errors import (
     ConnectorError,
     GatewayTimeout,
@@ -208,6 +206,16 @@ class TestInteractionModel:
             transitions={"Request": {"Disclose": 1.0, "Inquire": 0.0}},
             initial={"Disclose": 0.75, "Inquire": 0.25},
         )
+
+    @pytest.mark.parametrize("comment", ["  # note", "\t# note", " #"])
+    def test_indented_comment_lines_are_skipped(self, tmp_path, comment):
+        # A line whose first non-blank character is "#" is a comment here
+        # as in the rule lexicon, above the header or between rows.
+        text = _bundled_text("interaction_model.tsv")
+        header = next(line for line in text.splitlines() if line and line[0] != "#")
+        text = text.replace(header, f"{comment}\n{header}\n{comment}", 1)
+        model = load_interaction_model(self._table(tmp_path, text))
+        assert model == default_interaction_model()
 
     def test_load_reads_a_path_containing_a_tab(self, tmp_path):
         folder = tmp_path / "d\tt"
@@ -619,7 +627,7 @@ class FailOnSeedStub:
     def __init__(self, fail_seed: int):
         self.crs_id = "stub-flaky"
         self._marker = f"-{fail_seed}"
-        self._inner = AlwaysRecommendStub(crs_id="stub-flaky")
+        self._inner = make_stub("always-recommend")
 
     def send(self, session, utterance, timeout=None):
         if session.endswith(self._marker):
@@ -631,7 +639,7 @@ class TestRunConversation:
     def test_goodbye_stub_two_utterances(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         dialogue = run_conversation(
-            simulator, GoodbyeStub(), simple_goal(), RunLimits(seed=5)
+            simulator, make_stub("goodbye"), simple_goal(), RunLimits(seed=5)
         )
         assert len(dialogue) == 2
         assert dialogue.extra["termination_reason"] == "crs-ended"
@@ -643,7 +651,7 @@ class TestRunConversation:
         def run_once():
             simulator = AgendaSimulator(catalog=movie_catalog)
             return run_conversation(
-                simulator, AlwaysRecommendStub(), simple_goal(), RunLimits(seed=9)
+                simulator, make_stub("always-recommend"), simple_goal(), RunLimits(seed=9)
             )
 
         assert run_once() == run_once()
@@ -652,7 +660,7 @@ class TestRunConversation:
         simulator = AgendaSimulator(catalog=movie_catalog)
         # The recommended item is not in the catalog, so the simulator
         # rejects forever while the stub repeats the same sentence.
-        stub = AlwaysRecommendStub(item_id="Unknown Movie")
+        stub = make_stub("always-recommend", item_id="Unknown Movie")
         limits = RunLimits(max_utterances=20, seed=2)
         dialogue = run_conversation(simulator, stub, simple_goal(), limits)
         assert dialogue.extra["termination_reason"] == "loop-guard"
@@ -661,13 +669,13 @@ class TestRunConversation:
     def test_max_utterances_respected(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         limits = RunLimits(max_utterances=6, seed=3)
-        dialogue = run_conversation(simulator, EchoStub(), simple_goal(), limits)
+        dialogue = run_conversation(simulator, make_stub("echo"), simple_goal(), limits)
         assert len(dialogue) <= 6
 
     def test_user_turns_carry_acts_system_turns_do_not(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         dialogue = run_conversation(
-            simulator, AlwaysRecommendStub(), simple_goal(), RunLimits(seed=4)
+            simulator, make_stub("always-recommend"), simple_goal(), RunLimits(seed=4)
         )
         for utterance in dialogue.utterances:
             if utterance.speaker is Speaker.USER:
@@ -683,7 +691,7 @@ class TestRunConversation:
             gateway_factory, annotator=RuleAnnotator(SCHEMA, catalog=movie_catalog)
         )
         dialogue = run_conversation(
-            simulator, EchoStub(), simple_goal(), RunLimits(seed=1)
+            simulator, make_stub("echo"), simple_goal(), RunLimits(seed=1)
         )
         assert dialogue.extra["termination_reason"] == "simulator-abort"
         assert dialogue.extra["termination_detail"] == "stuck"
@@ -704,7 +712,7 @@ class TestRunConversation:
         annotator = simulator.annotator
         for seed in range(8):
             dialogue = run_conversation(
-                simulator, EchoStub(), simple_goal((("genre", "comedy"),), ("plot",)),
+                simulator, make_stub("echo"), simple_goal((("genre", "comedy"),), ("plot",)),
                 RunLimits(seed=seed),
             )
             previous_intent = None
@@ -725,7 +733,7 @@ class TestRunConversation:
         goal = simple_goal((("genre", "comedy"), ("year", "1973")), ("plot",))
         for seed in range(8):
             dialogue = run_conversation(
-                simulator, EchoStub(), goal, RunLimits(seed=seed)
+                simulator, make_stub("echo"), goal, RunLimits(seed=seed)
             )
             for utterance in dialogue.utterances:
                 for act_ in utterance.acts:
@@ -737,7 +745,7 @@ class TestGenerateCorpus:
     def test_single_dialogue(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         corpus = generate_corpus(
-            simulator, GoodbyeStub(), 1, catalog=movie_catalog, limits=RunLimits(seed=50)
+            simulator, make_stub("goodbye"), 1, catalog=movie_catalog, limits=RunLimits(seed=50)
         )
         assert len(corpus) == 1
         assert corpus.dialogues[0].provenance == "simulated"
@@ -765,7 +773,7 @@ class TestGenerateCorpus:
             def send(self, session, utterance, timeout=None):
                 if int(session.rsplit("-", 1)[1]) % 2:
                     raise ConnectorError(f"injected failure in {session}")
-                return AlwaysRecommendStub().send(session, utterance, timeout)
+                return make_stub("always-recommend").send(session, utterance, timeout)
 
         def build(jobs):
             return generate_corpus(
@@ -879,7 +887,11 @@ class TestGenerateCorpus:
             return HttpLlmGateway(options, transport=lambda url, payload, headers: reply)
 
         corpus = generate_corpus(
-            LlmSimulator(gateway), GoodbyeStub(), 3, catalog=movie_catalog, limits=RunLimits(seed=90)
+            LlmSimulator(gateway),
+            make_stub("goodbye"),
+            3,
+            catalog=movie_catalog,
+            limits=RunLimits(seed=90),
         )
         assert [d.extra["seed"] for d in corpus.dialogues] == [90, 92]
         [failure] = corpus.extra["failures"]
@@ -904,7 +916,7 @@ class TestGenerateCorpus:
         simulator = AgendaSimulator(catalog=movie_catalog)
         corpus = generate_corpus(
             simulator,
-            AlwaysRecommendStub(item_id="Midnight Run"),
+            make_stub("always-recommend", item_id="Midnight Run"),
             8,
             catalog=movie_catalog,
             limits=RunLimits(seed=300),
@@ -918,7 +930,7 @@ class TestGenerateCorpus:
             simulator = AgendaSimulator(catalog=movie_catalog)
             return generate_corpus(
                 simulator,
-                AlwaysRecommendStub(),
+                make_stub("always-recommend"),
                 6,
                 catalog=movie_catalog,
                 limits=RunLimits(seed=70),
@@ -931,7 +943,7 @@ class TestGenerateCorpus:
         simulator = AgendaSimulator(catalog=movie_catalog)
         corpus = generate_corpus(
             simulator,
-            GoodbyeStub(),
+            make_stub("goodbye"),
             200,
             catalog=movie_catalog,
             limits=RunLimits(seed=9000),
@@ -958,7 +970,7 @@ class TestGenerateCorpus:
             )
             return generate_corpus(
                 simulator,
-                AlwaysRecommendStub(item_id="Midnight Run"),
+                make_stub("always-recommend", item_id="Midnight Run"),
                 4,
                 catalog=movie_catalog,
                 limits=RunLimits(seed=11),

@@ -325,7 +325,38 @@ def test_bench_tracer_counts_every_simulated_turn(family, movie_catalog):
     tracer = spans.Tracer()
     try:
         spans.install(tracer, MODULES)
-        simulation.generate_corpus(simulator, connectors.GoodbyeStub(), 3, catalog=movie_catalog)
+        stub = connectors.make_stub("goodbye")
+        simulation.generate_corpus(simulator, stub, 3, catalog=movie_catalog)
     finally:
         tracer.restore()
     assert [r[spans.NAME] for r in tracer.spans].count("simulation.turn") == 3
+
+
+# One failing hypothesis test next to one passing plain test.
+FAILING_HYPOTHESIS_PROBE = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_fails_alone(tmp_path):
+    # Under the repository's warning filters a falsifying example is
+    # reported as a failure, and the session runs on to the next test.
+    (tmp_path / "test_probe.py").write_text(FAILING_HYPOTHESIS_PROBE, encoding="utf-8")
+    settings = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(settings), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -31,7 +31,7 @@ _EXPORTS = {
         "MockLlmGateway",
         "make_stub",
     ),
-    "corpus_io": ("iter_corpus", "parse_corpus", "serialize_corpus", "write_corpus"),
+    "corpus_io": ("parse_corpus", "read_corpus", "serialize_corpus", "write_corpus"),
     "dialogue": (
         "Corpus",
         "Dialogue",

@@ -314,10 +314,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    from itertools import chain, islice
-
     from .annotation import LlmAnnotator, RuleAnnotator, iter_annotated, load_rule_lexicon
-    from .corpus_io import dialogue_record, iter_corpus, write_records
+    from .corpus_io import dialogue_record, read_corpus, write_records
 
     config = _load_config_file(args.config)
     jobs = _setting("jobs", args, config)
@@ -336,16 +334,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         "overwrite": args.overwrite,
         "seed": seed,
     }
-    input_header: dict[str, Any] = {}
     with open(args.input, "rb") as handle:
-        dialogues = iter_corpus(handle, schema, input_header)
-        annotated = iter_annotated(dialogues, annotator, args.overwrite, jobs)
-        records = map(dialogue_record, annotated)
-        # Drawing the first record reads the input header.
-        first = list(islice(records, 1))
+        input_header, dialogues = read_corpus(handle, schema)
         version = str(input_header.pop("schema_version", "1"))
         header = {"schema_version": version, **input_header, **_stamp(settings)}
-        count = write_records(args.output, header, chain(first, records))
+        annotated = iter_annotated(dialogues, annotator, args.overwrite, jobs)
+        count = write_records(args.output, header, map(dialogue_record, annotated))
     print(f"annotated {count} dialogue(s) -> {args.output}")
     return EXIT_OK
 

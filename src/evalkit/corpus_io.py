@@ -243,17 +243,14 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
         yield line_number, record
 
 
-def _read_header(
-    records: Iterator[tuple[int, dict[str, Any]]], header: dict[str, Any] | None
-) -> None:
-    """Read the first of ``records``, which must be the schema_version
-    header, into ``header``; a stream without records has no header."""
+def _read_header(records: Iterator[tuple[int, dict[str, Any]]]) -> dict[str, Any]:
+    """The first of ``records``, which must be the schema_version header;
+    ``{}`` for a stream without records."""
     for line_number, record in records:
         if "schema_version" not in record:
             raise CorpusFormatError(line_number, "first record must be a schema_version header")
-        if header is not None:
-            header.update(record)
-        break
+        return record
+    return {}
 
 
 def _parse_body(
@@ -274,27 +271,19 @@ def _parse_body(
         yield dialogue
 
 
-def iter_corpus(
-    raw: bytes | str | BinaryIO,
-    schema: IntentSchema | None = None,
-    header: dict[str, Any] | None = None,
-    seen_ids: set[str] | None = None,
-) -> Iterator[Dialogue]:
-    """Yield a corpus stream's dialogues one at a time.
+def read_corpus(
+    raw: bytes | str | BinaryIO, schema: IntentSchema | None = None
+) -> tuple[dict[str, Any], Iterator[Dialogue]]:
+    """A corpus stream's header record, read now, and its dialogues, read
+    one at a time as the iterator is drawn.
 
     ``raw`` is read through ``iter_records``. Records are validated against
     ``schema`` (default ``default_schema()``); errors carry the record's
-    1-based line number. ``header``, if given, receives the header record's
-    fields once the first record is read; ``seen_ids`` holds ids read from
-    earlier streams, and gains this stream's.
+    1-based line number. A stream without records has the header ``{}``.
     """
     records = iter_records(raw)
-    _read_header(records, header)
-    yield from _parse_body(
-        records,
-        default_schema() if schema is None else schema,
-        set() if seen_ids is None else seen_ids,
-    )
+    header = _read_header(records)
+    return header, _parse_body(records, default_schema() if schema is None else schema, set())
 
 
 def _cpu_count() -> int:
@@ -320,10 +309,11 @@ class CorpusFiles:
     def __iter__(self) -> Iterator[Dialogue]:
         seen_ids: set[str] = set()
         for path in self.paths:
-            self.header.clear()
             with open(path, "rb") as handle:
                 try:
-                    yield from iter_corpus(handle, self.schema, self.header, seen_ids)
+                    records = iter_records(handle)
+                    self.header = _read_header(records)
+                    yield from _parse_body(records, self.schema, seen_ids)
                 except CorpusFormatError as exc:
                     raise CorpusFormatError(exc.line_number, f"{exc.reason} in {path}") from exc
 
@@ -358,10 +348,9 @@ class CorpusFiles:
 
 
 def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:
-    """Collect ``iter_corpus(raw, schema)``; an empty stream gives an empty corpus."""
-    header: dict[str, Any] = {}
-    dialogues = tuple(iter_corpus(raw, schema, header))
-    return Corpus(dialogues, str(header.pop("schema_version", "1")), header)
+    """Collect ``read_corpus(raw, schema)``; an empty stream gives an empty corpus."""
+    header, dialogues = read_corpus(raw, schema)
+    return Corpus(tuple(dialogues), str(header.pop("schema_version", "1")), header)
 
 
 def _act_record(act: DialogueAct) -> dict[str, Any]:

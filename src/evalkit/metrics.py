@@ -463,7 +463,7 @@ def evaluate_system(
     (dialogue_id, utterance index) to that turn's target items, and yields
     its ``standard`` and ``length_normalized`` reports, each recommended
     list truncated to its first ``n`` items. ``dialogues`` (a ``Corpus``,
-    the output of ``iter_corpus``, or any iterable; ids must be unique) is
+    the dialogues of ``read_corpus``, or any iterable; ids must be unique) is
     read once: every metric is scored in that one pass into per-system
     tallies.
     ``CorpusFiles`` are folded through ``CorpusFiles.fold``, in worker

@@ -53,9 +53,8 @@ def line_ranges(paths: Sequence[str], count: int) -> tuple[list[tuple[str, int, 
     bodies = []
     header: dict[str, Any] = {}
     for path in paths:
-        header = {}
         with open(path, "rb") as handle:
-            _read_header(iter_records(handle), header)
+            header = _read_header(iter_records(handle))
             bodies.append((path, handle.tell(), os.fstat(handle.fileno()).st_size))
     step = -(-sum(end - start for _, start, end in bodies) // count)
     ranges = []

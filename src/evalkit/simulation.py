@@ -143,30 +143,36 @@ def load_interaction_model(path) -> InteractionModel:
         return _parse_interaction_model(handle.read())
 
 
+def _check_unique(names: Sequence[str], what: str) -> None:
+    """Raise ValueError naming the first of ``names`` that repeats an earlier one."""
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ValueError(f"{what} {name!r} is repeated")
+
+
 def _parse_interaction_model(text: str) -> InteractionModel:
     lines = _table_lines(text)
     if not lines:
         raise ValueError("interaction model file is empty")
     header = lines[0].split("\t")
     user_intents = [name.strip() for name in header[1:]]
-    transitions: dict[str, dict[str, float]] = {}
-    initial: dict[str, float] | None = None
+    _check_unique(user_intents, "interaction model column")
+    rows: dict[str, dict[str, float]] = {}
     for line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(user_intents) + 1:
             raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} probabilities, "
                              f"expected {len(user_intents)}")
         name = cells[0].strip()
-        row = {
+        if name in rows:
+            raise ValueError(f"interaction model row {name!r} is repeated")
+        rows[name] = {
             intent: float(cell) for intent, cell in zip(user_intents, cells[1:])
         }
-        if name == _START_ROW:
-            initial = row
-        else:
-            transitions[name] = row
+    initial = rows.pop(_START_ROW, None)
     if initial is None:
         raise ValueError(f"interaction model needs a {_START_ROW} row")
-    return InteractionModel(transitions=transitions, initial=initial)
+    return InteractionModel(transitions=rows, initial=initial)
 
 
 def default_interaction_model() -> InteractionModel:
@@ -185,6 +191,8 @@ class GoalConfig:
         object.__setattr__(self, "request_slots", tuple(self.request_slots))
         if not self.constraint_slots:
             raise ValueError("goal config needs at least one constraint slot")
+        _check_unique(self.constraint_slots, "constraint slot")
+        _check_unique(self.request_slots, "request slot")
 
     def check(self, catalog: ItemCatalog) -> None:
         """Raise ValueError naming the first slot that ``catalog`` lacks."""
@@ -262,8 +270,8 @@ def new_agenda(goal: UserGoal) -> SimulatorAgenda:
 
 
 def render_act_text(act: DialogueAct) -> str:
-    """Offline template realization of a user act."""
-    titles = act.slot_values(ITEM_SLOT)
+    """Offline template realization of a user act of ``abus_next``, whose
+    Accept and Reject acts always name an item."""
     if act.intent == DISCLOSE and act.slots:
         slot, value = act.slots[0]
         return f"I'm looking for something with {slot} {value}."
@@ -275,15 +283,9 @@ def render_act_text(act: DialogueAct) -> str:
             return f"What about the {act.slots[0][0]}?"
         return "Tell me more, please."
     if act.intent == ACCEPT:
-        if titles:
-            return f"Great, I'll watch {titles[0]}. Thanks!"
-        return "Great, I'll take it. Thanks!"
+        return f"Great, I'll watch {act.slot_values(ITEM_SLOT)[0]}. Thanks!"
     if act.intent == REJECT:
-        if titles:
-            return f"No, {titles[0]} doesn't work for me. Anything else?"
-        return "No, that doesn't work for me. Anything else?"
-    if act.intent == BYE:
-        return "Thanks, goodbye!"
+        return f"No, {act.slot_values(ITEM_SLOT)[0]} doesn't work for me. Anything else?"
     return "Okay."
 
 

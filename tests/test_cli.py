@@ -842,6 +842,8 @@ class TestSimulate:
             ("--constraint-slots", "nosuch", "slot 'nosuch' is not present in the catalog"),
             ("--request-slots", "genre,nosuch", "slot 'nosuch' is not present in the catalog"),
             ("--constraint-slots", ",", "goal config needs at least one constraint slot"),
+            ("--constraint-slots", "genre,genre", "constraint slot 'genre' is repeated"),
+            ("--request-slots", "year,year,year", "request slot 'year' is repeated"),
         ],
     )
     def test_unusable_slot_flag_is_a_config_error(
@@ -878,6 +880,17 @@ class TestSimulate:
             a.intent for d in generated.dialogues for u in d.utterances for a in u.acts
         }
         assert user_intents == {"Disclose", "Inquire"}
+
+    def test_interaction_model_with_a_repeated_name_is_an_error(
+        self, tmp_path, catalog_file, capsys
+    ):
+        model = tmp_path / "model.tsv"
+        model.write_text("s\tDisclose\tDisclose\n__start__\t0.5\t0.5\n", encoding="utf-8")
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 1
+        assert "interaction model column 'Disclose' is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_stub_is_config_error(self, tmp_path, catalog_file, capsys):
         code = main(

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from evalkit.analysis import load_reference_scores
 from evalkit.corpus_io import (
+    CorpusFiles,
     dialogue_record,
-    iter_corpus,
     iter_records,
     parse_corpus,
+    read_corpus,
     serialize_corpus,
     write_corpus,
     write_records,
@@ -320,28 +321,48 @@ class TestParseCorpus:
         assert parse_corpus(data.decode()) == c
 
 
-class TestIterCorpus:
+class TestReadCorpus:
     def test_yields_each_dialogue_before_reading_further_lines(self):
         handle = io.BytesIO(stream(FIXTURE_RECORD) + b"{not json}\n")
-        dialogues = iter_corpus(handle)
+        _, dialogues = read_corpus(handle)
         assert next(dialogues).dialogue_id == "d1"
         with pytest.raises(CorpusFormatError) as excinfo:
             next(dialogues)
         assert excinfo.value.line_number == 3
 
-    def test_header_fields_reach_the_caller(self):
-        header = {}
-        raw = b'{"schema_version":"2","seed":7}\n'
-        assert list(iter_corpus(raw, header=header)) == []
+    def test_header_is_read_before_any_dialogue(self):
+        handle = io.BytesIO(b'{"schema_version":"2","seed":7}\n{not json}\n')
+        header, dialogues = read_corpus(handle)
         assert header == {"schema_version": "2", "seed": 7}
-
-    def test_ids_seen_in_an_earlier_stream_are_duplicates(self):
-        seen = set()
-        assert len(list(iter_corpus(stream(FIXTURE_RECORD), seen_ids=seen))) == 1
-        assert seen == {"d1"}
-        with pytest.raises(CorpusFormatError, match="duplicate") as excinfo:
-            list(iter_corpus(stream(FIXTURE_RECORD), seen_ids=seen))
+        with pytest.raises(CorpusFormatError) as excinfo:
+            next(dialogues)
         assert excinfo.value.line_number == 2
+
+    @pytest.mark.parametrize("raw", [b"", b"\n  \n"], ids=["empty", "blank-lines"])
+    def test_a_stream_without_records_has_an_empty_header(self, raw):
+        header, dialogues = read_corpus(raw)
+        assert (header, list(dialogues)) == ({}, [])
+
+    def test_a_missing_header_is_reported_when_the_stream_is_opened(self):
+        with pytest.raises(CorpusFormatError, match="schema_version header") as excinfo:
+            read_corpus(b"\n" + json.dumps(FIXTURE_RECORD).encode() + b"\n")
+        assert excinfo.value.line_number == 2
+
+
+class TestCorpusFiles:
+    def test_ids_seen_in_an_earlier_file_are_duplicates(self, tmp_path):
+        first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        first.write_bytes(stream(FIXTURE_RECORD))
+        second.write_bytes(b'{"schema_version":"2"}\n' + json.dumps(FIXTURE_RECORD).encode())
+        files = CorpusFiles([str(first), str(second)])
+        dialogues = iter(files)
+        assert next(dialogues).dialogue_id == "d1"
+        assert files.header == {"schema_version": "1"}
+        with pytest.raises(CorpusFormatError, match="duplicate dialogue_id 'd1' in ") as excinfo:
+            next(dialogues)
+        assert excinfo.value.reason.endswith(str(second))
+        assert excinfo.value.line_number == 2
+        assert files.header == {"schema_version": "2"}
 
 
 class TestIterRecords:

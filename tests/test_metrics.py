@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evalkit import metrics
 from evalkit.analysis import rank_systems
-from evalkit.corpus_io import iter_corpus, serialize_corpus
+from evalkit.corpus_io import read_corpus, serialize_corpus
 from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
@@ -766,7 +766,8 @@ class TestOnePassEngine:
     def test_one_shot_generator_equals_the_corpus(self, case):
         c, truth, n = case
         requested = ["sr", "srrr", "rdl", "recall"]
-        streamed = evaluate_system(iter_corpus(serialize_corpus(c)), requested, truth, n)
+        _, dialogues = read_corpus(serialize_corpus(c))
+        streamed = evaluate_system(dialogues, requested, truth, n)
         whole = evaluate_system(c, requested, truth, n)
         # Records as JSON, so key order and warnings are compared too.
         assert json.dumps([r.to_record() for r in streamed]) == json.dumps(

@@ -229,6 +229,27 @@ class TestInteractionModel:
         with pytest.raises(ValueError, match="__start__"):
             load_interaction_model(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Collapsed into one column, the repeat would read as a row sum of 0.875.
+            (
+                "s\tAccept\tReject\tReject\n__start__\t1\t0\t0\nRecommend\t0.25\t0.125\t0.625\n",
+                "interaction model column 'Reject' is repeated",
+            ),
+            ("s\tBye\n__start__\t1\n__start__\t1\n", "interaction model row '__start__' is repeated"),
+            ("s\tBye\n__start__\t1\nOther\t1\n Other \t1\n", "interaction model row 'Other' is repeated"),
+        ],
+        ids=["column", "start-row", "row"],
+    )
+    def test_load_rejects_a_repeated_name(self, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_interaction_model(self._table(tmp_path, text))
+
+    def test_a_name_may_be_both_a_row_and_a_column(self):
+        model = _parse_interaction_model("s\tOther\n__start__\t1\nOther\t1\n")
+        assert (model.transitions, model.initial) == ({"Other": {"Other": 1.0}}, {"Other": 1.0})
+
     def test_load_rejects_ragged_rows(self, tmp_path):
         path = self._table(tmp_path, "s\tDisclose\tInquire\n__start__\t1.0\n")
         with pytest.raises(ValueError, match="probabilities"):
@@ -346,16 +367,7 @@ class TestAbusNext:
     def test_request_for_goal_slot_triggers_disclosure(self, movie_catalog):
         goal = simple_goal([("genre", "comedy"), ("year", "1988")])
         agenda = new_agenda(goal)
-        incoming = utt(
-            1,
-            "SYSTEM",
-            acts=[("Request")],
-            text="What genre are you looking for?",
-        )
-        # Build the Request act with the slot it asks about.
-        from evalkit.dialogue import DialogueAct
-
-        incoming = utt(1, "SYSTEM", [DialogueAct("Request", (("genre", ""),))])
+        incoming = utt(1, "SYSTEM", [act("Request", ("genre", ""))])
         updated, outgoing = abus_next(
             agenda,
             TWO_ROW_MODEL,
@@ -367,6 +379,18 @@ class TestAbusNext:
         assert outgoing.acts[0].intent == "Disclose"
         assert outgoing.acts[0].slots == (("genre", "comedy"),)
         assert ("genre", "comedy") in updated.fulfilled_constraints
+        # The planned Disclose(genre) is stale now: the next turn skips it.
+        updated, outgoing = abus_next(
+            updated,
+            TWO_ROW_MODEL,
+            utt(3, "SYSTEM", ["Other"]),
+            self._annotator(movie_catalog),
+            random.Random(0),
+            catalog=movie_catalog,
+        )
+        assert outgoing.acts == (act("Disclose", ("year", "1988")),)
+        assert updated.stack == ()
+        assert updated.fulfilled_constraints == set(goal.constraints)
 
     def test_opening_turn_discloses_first_constraint(self, movie_catalog):
         goal = simple_goal([("genre", "comedy"), ("year", "1988")])
@@ -672,6 +696,25 @@ class TestRunConversation:
         dialogue = run_conversation(simulator, make_stub("echo"), simple_goal(), limits)
         assert len(dialogue) <= 6
 
+    def test_the_cap_can_end_a_conversation_on_a_user_turn(self, movie_catalog):
+        sent = []
+        echo = make_stub("echo")
+
+        class CountingEcho:
+            crs_id = echo.crs_id
+
+            def send(self, session, utterance, timeout=None):
+                sent.append(utterance)
+                return echo.send(session, utterance, timeout)
+
+        simulator = AgendaSimulator(catalog=movie_catalog)
+        limits = RunLimits(max_utterances=3, seed=3)
+        dialogue = run_conversation(simulator, CountingEcho(), simple_goal(), limits)
+        speakers = [u.speaker for u in dialogue.utterances]
+        assert speakers == [Speaker.USER, Speaker.SYSTEM, Speaker.USER]
+        assert dialogue.extra["termination_reason"] == "max-utterances"
+        assert len(sent) == 1
+
     def test_user_turns_carry_acts_system_turns_do_not(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         dialogue = run_conversation(
@@ -696,6 +739,13 @@ class TestRunConversation:
         assert dialogue.extra["termination_reason"] == "simulator-abort"
         assert dialogue.extra["termination_detail"] == "stuck"
         assert len(dialogue) == 2
+
+    def test_an_abort_on_the_opening_turn_is_an_error(self, movie_catalog):
+        # Two empty generations abort the opening turn, before any utterance.
+        simulator = LlmSimulator(lambda: MockLlmGateway(replies=["", ""]))
+        message = r"llm-us-stub-echo-4 produced no utterances \(simulator-abort: generation-failure\)"
+        with pytest.raises(SimulationError, match=message):
+            run_conversation(simulator, make_stub("echo"), simple_goal(), RunLimits(seed=4))
 
     def test_connector_error_becomes_simulation_error(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
@@ -897,6 +947,27 @@ class TestGenerateCorpus:
         [failure] = corpus.extra["failures"]
         assert failure["seed"] == 91
         assert failure["error"].startswith("gateway reply")
+
+    def test_an_empty_opening_turn_is_one_recorded_failure(self, movie_catalog):
+        sessions = []
+
+        def gateway():
+            sessions.append(len(sessions))
+            replies = ["", ""] if len(sessions) == 2 else ["Hi, a comedy please."]
+            return MockLlmGateway(replies=replies)
+
+        limits = RunLimits(seed=90)
+        corpus = generate_corpus(
+            LlmSimulator(gateway), make_stub("goodbye"), 3, catalog=movie_catalog, limits=limits
+        )
+        assert [d.extra["seed"] for d in corpus.dialogues] == [90, 92]
+        assert corpus.extra["failures"] == [
+            {
+                "seed": 91,
+                "error": "conversation llm-us-stub-goodbye-91 produced no utterances "
+                "(simulator-abort: generation-failure)",
+            }
+        ]
 
     def test_all_failures_raise(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)

@@ -148,6 +148,23 @@ def test_only_corpus_files_starts_a_process_pool():
     assert _callers(_calls("Process")) == []
 
 
+def test_only_the_corpus_readers_read_a_header():
+    # A stream's header is read once, when the stream is opened, so no
+    # caller has to draw a dialogue to learn it.
+    assert _callers(_calls("_read_header")) == [
+        "corpus_io.read_corpus",
+        "corpus_io.CorpusFiles",
+        "parallel.line_ranges",
+    ]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"islice", "chain"}
+
+
 # Run in a fresh interpreter: which modules an import and offline commands load.
 COLD_RUN = """
 import json, sys

@@ -28,8 +28,8 @@ _EXPORTS = {
         "GatewayOptions",
         "HttpCrsConnector",
         "HttpLlmGateway",
-        "MockLlmGateway",
         "make_stub",
+        "scripted_transport",
     ),
     "corpus_io": ("parse_corpus", "read_corpus", "serialize_corpus", "write_corpus"),
     "dialogue": (

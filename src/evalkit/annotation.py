@@ -38,7 +38,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .catalog import ItemCatalog
-    from .connectors import LlmGateway
+    from .connectors import HttpLlmGateway
 
 # ``Speaker.SYSTEM`` itself costs about 0.12 µs a lookup on 3.10 and 3.11.
 _SYSTEM = Speaker.SYSTEM
@@ -213,7 +213,7 @@ class LlmAnnotator:
     """Few-shot prompting annotator backed by a chat-completion gateway,
     with built-in examples."""
 
-    def __init__(self, schema: IntentSchema, gateway: LlmGateway):
+    def __init__(self, schema: IntentSchema, gateway: HttpLlmGateway):
         self.schema = schema
         self.gateway = gateway
         self.template = load_prompt_template("annotate_acts")
@@ -275,8 +275,8 @@ def iter_annotated(
 
     Existing acts are kept unless ``overwrite`` is set. An LlmAnnotator's
     utterances run on ``jobs`` threads and are regrouped by dialogue, so the
-    output never depends on scheduling. A RuleAnnotator, and an LlmAnnotator
-    on a MockLlmGateway, run inline whatever ``jobs`` says.
+    output never depends on scheduling. A RuleAnnotator runs inline
+    whatever ``jobs`` says.
     Per-utterance failures are aggregated into one AnnotationBatchError,
     raised after the last dialogue; a dialogue with a failure is not
     yielded. After a transient gateway failure has used up its retries, no
@@ -303,16 +303,9 @@ def iter_annotated(
 
     failures: list[str] = []
     done: dict[int, Utterance | None] = {}  # by index; None for a failed utterance
-    # Rule annotation is CPU-bound under the GIL: threads would only add
-    # overhead. A mock hands out its scripted replies in call order: threads
-    # would let scheduling pick which utterance gets which reply.
+    # Rule annotation is CPU-bound under the GIL: threads would only add overhead.
     if isinstance(annotator, RuleAnnotator):
         jobs = 1
-    else:
-        from .connectors import MockLlmGateway  # here: rule annotation needs no connector
-
-        if isinstance(annotator.gateway, MockLlmGateway):
-            jobs = 1
     started = takewhile(lambda task: not halted, tasks())
     for (dialogue, utterance), outcome in in_order(run_one, started, jobs):
         if isinstance(outcome, str):

@@ -58,8 +58,8 @@ JOBS_HELP = (
     "worker threads (default 1), each on one conversation or utterance at a time, "
     "at most 4 x jobs in flight, results in seed or input order; they help only live, "
     "I/O-bound runs, as offline runs are CPU-bound under the GIL; rule-mode annotate "
-    "and llm-mode annotate on a mock: endpoint (its scripted replies go out in call "
-    "order) ignore it and run inline"
+    "ignores it and runs inline, and so does llm-mode annotate on a mock: endpoint, "
+    "whose one script hands out its replies in call order"
 )
 
 # Every setting a flag or the config file can set, keyed by the flag's dest
@@ -180,15 +180,16 @@ def _load_schema(path: str | None, simulation: bool = False) -> IntentSchema:
 
 
 def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], user: str):
-    """A factory returning a fresh gateway per conversation, for ``user``
+    """A factory returning the gateway of each conversation, for ``user``
     (``llm mode`` of annotate, ``llm-us`` of simulate).
 
     The endpoint and model come from flags > config file > environment.
-    ``mock:<path>`` endpoints load a JSON array of scripted replies; each
-    conversation replays the script from the start, which keeps batch
-    generation deterministic.
+    A ``mock:<path>`` endpoint loads a JSON array of scripted replies, and
+    each conversation gets a fresh gateway that replays the script from the
+    start, which keeps batch generation deterministic. A live endpoint has
+    one gateway, shared by every conversation.
     """
-    from .connectors import GatewayOptions, HttpLlmGateway, MockLlmGateway
+    from .connectors import GatewayOptions, HttpLlmGateway, scripted_transport
 
     endpoint = _setting("llm_endpoint", args, config)
     model = _setting("llm_model", args, config)
@@ -197,15 +198,15 @@ def _llm_gateway_factory(args: argparse.Namespace, config: Mapping[str, Any], us
             f"{user} needs an endpoint (flag --llm-endpoint, config key "
             f"llm_endpoint, or {ENV_LLM_ENDPOINT})"
         )
+    options = GatewayOptions(
+        endpoint=endpoint, model=model or "default", auth_token=os.environ.get(ENV_LLM_TOKEN)
+    )
     if endpoint.startswith("mock:"):
         script_path = endpoint[len("mock:"):]
         replies = _read_json(script_path, "mock script", list)
         if not _strings(replies):
             raise ConfigError(f"mock script {script_path} must be a JSON array of strings")
-        return lambda: MockLlmGateway(replies=list(replies))
-    options = GatewayOptions(
-        endpoint=endpoint, model=model or "default", auth_token=os.environ.get(ENV_LLM_TOKEN)
-    )
+        return lambda: HttpLlmGateway(options, scripted_transport(replies))
     gateway = HttpLlmGateway(options)
     return lambda: gateway
 
@@ -278,10 +279,11 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
         if not isinstance(per_turn, dict):
             raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
         for index, items in per_turn.items():
-            if not index.isdecimal():
+            # One spelling per turn: "1", never "01" or a non-ASCII digit.
+            if not (index.isdecimal() and str(int(index)) == index):
                 raise ConfigError(
-                    f"ground truth {path}: index {index!r} of {dialogue_id!r} "
-                    f"is not a non-negative integer"
+                    f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
+                    f"a non-negative integer in ASCII digits without leading zeros"
                 )
             if not _strings(items):
                 raise ConfigError(
@@ -324,6 +326,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if args.mode == "llm":
         gateway = _llm_gateway_factory(args, config, "llm mode")()
         annotator = LlmAnnotator(schema, gateway)
+        # A script hands out its replies in call order: threads would let
+        # scheduling pick which utterance gets which reply.
+        if gateway.options.endpoint.startswith("mock:"):
+            jobs = 1
     else:
         catalog = _CLI.load_catalog(args.catalog) if args.catalog else None
         lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
@@ -381,7 +387,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .annotation import RuleAnnotator
-    from .connectors import CrsEndpoint
+    from .connectors import CrsEndpoint, check_timeout
     from .corpus_io import write_corpus
     from .simulation import (
         AgendaSimulator,
@@ -397,9 +403,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _setting("seed", args, config)
     jobs = _setting("jobs", args, config)
     max_utterances = _setting("max_utterances", args, config, RunLimits.max_utterances)
-    timeout = float(_setting("timeout", args, config, CrsEndpoint.timeout))
-    if not timeout > 0:  # also rejects NaN
-        raise ConfigError(f"timeout must be positive, not {timeout}")
+    timeout = _setting("timeout", args, config, CrsEndpoint.timeout)
+    try:
+        timeout = float(timeout)  # OverflowError for an int too large for a float
+        check_timeout(timeout)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"timeout must be a finite positive number, not {timeout}") from None
 
     schema = _load_schema(args.schema, simulation=True)
     catalog = _CLI.load_catalog(args.catalog)

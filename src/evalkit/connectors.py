@@ -1,16 +1,19 @@
 """Boundary adapters: LLM chat-completion gateway and CRS endpoint clients.
 
-Live adapters speak a minimal JSON-over-HTTP contract. The mock gateway
-and the stub CRSs, ``HttpCrsConnector``s whose transport answers in
-process, are deterministic and side-effect-free, so the whole test suite
-runs without network access. Transports are injectable, which keeps
-request-building logic testable against a recording fake.
+There is one client per kind of endpoint, ``HttpLlmGateway`` and
+``HttpCrsConnector``, and each speaks a minimal JSON-over-HTTP contract
+through a transport. The live transport is ``post_json``. The offline
+ones answer in process: ``scripted_transport`` serves an LLM script, and
+``make_stub`` builds the bundled stub CRSs. Both are deterministic and
+side-effect-free, so the whole test suite runs without network access,
+and an offline run builds and checks every request and reply as a live
+one does.
 """
 
 from __future__ import annotations
 
 import json
-import threading
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,6 +40,13 @@ def bearer_headers(token: str | None) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
+def check_timeout(timeout: float) -> None:
+    """ValueError unless ``timeout`` is a finite positive number of seconds."""
+    # False for NaN, for an infinity and for an int too large for a float.
+    if not 0 < timeout <= sys.float_info.max:
+        raise ValueError("timeout must be a finite positive number")
+
+
 @dataclass(frozen=True)
 class GatewayOptions:
     """Connection settings for a chat-completion endpoint."""
@@ -47,8 +57,7 @@ class GatewayOptions:
     auth_token: str | None = None
 
     def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValueError("timeout must be positive")
+        check_timeout(self.timeout)
 
 
 def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
@@ -101,10 +110,6 @@ def _extract_text(body: Any) -> str:
     raise GatewayError(f"gateway reply has no text field: {json.dumps(body)[:200]}")
 
 
-class LlmGateway(Protocol):
-    def complete(self, messages: Sequence[Message]) -> str: ...
-
-
 class HttpLlmGateway:
     """Chat-completion client for any endpoint speaking the wire contract.
 
@@ -135,31 +140,18 @@ class HttpLlmGateway:
                     raise
 
 
-class MockLlmGateway:
-    """Scripted gateway for offline runs and tests.
+def scripted_transport(replies: Sequence[str]) -> Transport:
+    """The transport of a ``mock:`` endpoint: it answers each call, in call
+    order, with ``{"text": reply}`` for the next of ``replies``, and fails
+    loudly once they run out."""
+    script = iter(list(replies))
 
-    Replies are returned in call order, so callers that need a reply per
-    prompt make their calls in a fixed order; the mock fails loudly when
-    the script is exhausted. Every call's messages are recorded in
-    ``calls`` for prompt assertions.
-    """
+    def transport(url: str, payload: dict, headers: dict) -> dict:
+        for reply in script:
+            return {"text": reply}
+        raise ScriptExhaustedError(f"mock gateway script exhausted after {len(replies)} replies")
 
-    def __init__(self, replies: Sequence[str]):
-        self._replies = list(replies)
-        self._cursor = 0
-        self._lock = threading.Lock()
-        self.calls: list[list[dict]] = []
-
-    def complete(self, messages: Sequence[Message]) -> str:
-        with self._lock:
-            self.calls.append([dict(m) for m in messages])
-            if self._cursor >= len(self._replies):
-                raise ScriptExhaustedError(
-                    f"mock gateway script exhausted after {len(self._replies)} replies"
-                )
-            reply = self._replies[self._cursor]
-            self._cursor += 1
-            return reply
+    return transport
 
 
 @dataclass(frozen=True)
@@ -189,8 +181,7 @@ class CrsEndpoint:
             raise ValueError("crs_id must be non-empty")
         if self.session_mode not in ("body", "header"):
             raise ValueError("session_mode must be 'body' or 'header'")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be positive")
+        check_timeout(self.timeout)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class GatewayTimeout(GatewayError):
 
 
 class ScriptExhaustedError(GatewayError):
-    """A mock gateway ran out of scripted replies."""
+    """A scripted LLM transport ran out of replies."""
 
 
 class ConnectorError(EvalkitError):

@@ -52,7 +52,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .connectors import CrsConnector, LlmGateway
+    from .connectors import CrsConnector, HttpLlmGateway
 
 _START_ROW = "__start__"
 _PROBABILITY_TOLERANCE = 1e-9
@@ -521,7 +521,7 @@ def _render_goal(goal: UserGoal) -> str:
 def llmus_next(
     state: ConversationState,
     incoming: Utterance | None,
-    gateway: LlmGateway,
+    gateway: HttpLlmGateway,
     annotator: RuleAnnotator | None = None,
 ) -> tuple[ConversationState, Utterance | Abort]:
     """Advance the LLM simulator by one turn (at most two gateway calls).
@@ -578,7 +578,7 @@ class LlmSimulator:
 
     def __init__(
         self,
-        gateway_factory: Callable[[], LlmGateway],
+        gateway_factory: Callable[[], HttpLlmGateway],
         annotator: RuleAnnotator | None = None,
     ):
         # One gateway per conversation, so scripted gateways replay per dialogue.

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+from evalkit.connectors import GatewayOptions, HttpLlmGateway, scripted_transport
 from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker, Utterance
 
 ITEMS = ("Alpha", "Beta", "Gamma", "Delta")
 USER_INTENTS = ("Disclose", "Refine", "Inquire", "Accept", "Reject", "Other")
 SYSTEM_INTENTS = ("Recommend", "Explain", "Request", "Respond", "Other")
+LLM_OPTIONS = GatewayOptions(endpoint="http://llm.local/api/chat", model="test-model")
 
 
 def act(intent: str, *slots: tuple[str, str]) -> DialogueAct:
@@ -102,3 +104,31 @@ def random_corpus(rng: random.Random, max_dialogues: int = 4) -> Corpus:
         for i in range(count)
     ]
     return corpus(*dialogues)
+
+
+def llm_gateway(transport) -> HttpLlmGateway:
+    """The one LLM client over ``transport``."""
+    return HttpLlmGateway(LLM_OPTIONS, transport)
+
+
+def scripted(replies) -> HttpLlmGateway:
+    """The gateway a ``mock:`` endpoint with script ``replies`` gives."""
+    return llm_gateway(scripted_transport(replies))
+
+
+class RecordingTransport:
+    """An LLM transport that records each request payload, then answers
+    through ``transport``."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.payloads: list[dict] = []
+
+    def __call__(self, url, payload, headers):
+        self.payloads.append(payload)
+        return self.transport(url, payload, headers)
+
+    @property
+    def calls(self) -> list[list[dict]]:
+        """The messages of each request, in call order."""
+        return [payload["messages"] for payload in self.payloads]

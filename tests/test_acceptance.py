@@ -24,7 +24,7 @@ from evalkit.analysis import (
 )
 from evalkit.annotation import RuleAnnotator
 from evalkit.cli import main
-from evalkit.connectors import MockLlmGateway, make_stub
+from evalkit.connectors import make_stub
 from evalkit.corpus_io import serialize_corpus
 from evalkit.dialogue import Corpus, simulation_schema
 from evalkit.metrics import (
@@ -43,7 +43,7 @@ from evalkit.simulation import (
 )
 
 from conftest import MOVIES
-from helpers import dlg, random_corpus, turns
+from helpers import dlg, random_corpus, scripted, turns
 from oracle import oracle_reports
 
 REF = load_reference_scores()
@@ -282,7 +282,7 @@ def test_criterion_6_simulation_determinism_and_termination(movie_catalog):
 
     def llm_batch():
         simulator = LlmSimulator(
-            lambda: MockLlmGateway(replies=list(script)),
+            lambda: scripted(script),
             annotator=RuleAnnotator(simulation_schema(), catalog=movie_catalog),
         )
         return generate_corpus(

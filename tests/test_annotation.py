@@ -15,7 +15,7 @@ from evalkit.annotation import (
     parse_act_lines,
 )
 from evalkit.catalog import load_catalog
-from evalkit.connectors import MockLlmGateway
+from evalkit.connectors import scripted_transport
 from evalkit.dialogue import (
     DialogueAct,
     IntentSchema,
@@ -30,7 +30,7 @@ from evalkit.errors import (
     GatewayError,
 )
 
-from helpers import act, corpus, dlg, utt
+from helpers import RecordingTransport, act, corpus, dlg, llm_gateway, scripted, utt
 from oracle import oracle_cue_intents
 
 SCHEMA = default_schema()
@@ -72,14 +72,6 @@ def lexicons_and_texts(draw):
     optional = draw(st.frozensets(st.sampled_from(("Inquire", "Bye", "Other"))))
     fragment = st.one_of(st.sampled_from(shared), st.text(CUE_ALPHABET, max_size=3))
     return lexicon, optional, "".join(draw(st.lists(fragment, max_size=6)))
-
-
-class CallbackGateway:
-    """A gateway that answers each call with ``reply(messages)``; unlike
-    MockLlmGateway, it lets LlmAnnotator runs use their worker threads."""
-
-    def __init__(self, reply):
-        self.complete = reply
 
 
 @pytest.fixture(scope="module")
@@ -258,38 +250,38 @@ class TestParseActLines:
 
 class TestLlmAnnotator:
     def test_scripted_reply_parsed(self):
-        gateway = MockLlmGateway(replies=["Recommend(TITLE=Heat)"])
+        gateway = scripted(["Recommend(TITLE=Heat)"])
         annotator = LlmAnnotator(SCHEMA, gateway)
         acts = annotator.annotate(utt(1, "SYSTEM", text="Maybe try Heat?"))
         assert acts == (act("Recommend", ("TITLE", "Heat")),)
 
     def test_retry_then_other_with_warning_flag(self):
-        gateway = MockLlmGateway(replies=["&& broken &&", "still broken (("])
-        annotator = LlmAnnotator(SCHEMA, gateway)
+        sent = RecordingTransport(scripted_transport(["&& broken &&", "still broken (("]))
+        annotator = LlmAnnotator(SCHEMA, llm_gateway(sent))
         acts = annotator.annotate(utt(0, "USER", text="whatever"))
-        assert len(gateway.calls) == 2
+        assert len(sent.calls) == 2
         assert acts[0].intent == "Other"
         assert acts[0].slots == ()
         assert acts[0].extra.get("warning") == "llm-reply-unparseable"
 
     def test_second_attempt_can_succeed(self):
-        gateway = MockLlmGateway(replies=["garbage ((", "Accept()"])
+        gateway = scripted(["garbage ((", "Accept()"])
         annotator = LlmAnnotator(SCHEMA, gateway)
         acts = annotator.annotate(utt(0, "USER", text="ok!"))
         assert [a.intent for a in acts] == ["Accept"]
 
     def test_gateway_failure_propagates_with_utterance_id(self):
-        gateway = MockLlmGateway(replies=[])  # exhausted immediately
+        gateway = scripted([])  # exhausted immediately
         annotator = LlmAnnotator(SCHEMA, gateway)
         with pytest.raises(AnnotationError, match="utterance 3"):
             annotator.annotate(utt(3, "USER", text="hello"))
 
     def test_prompt_carries_schema_context_and_utterance(self):
-        gateway = MockLlmGateway(replies=["None"])
-        annotator = LlmAnnotator(SCHEMA, gateway)
+        sent = RecordingTransport(scripted_transport(["None"]))
+        annotator = LlmAnnotator(SCHEMA, llm_gateway(sent))
         context = (utt(0, "USER", text="earlier words"),)
         annotator.annotate(utt(1, "SYSTEM", text="current words"), context)
-        prompt = gateway.calls[0][0]["content"]
+        prompt = sent.calls[0][0]["content"]
         assert "current words" in prompt
         assert "earlier words" in prompt
         assert "Recommend" in prompt  # allowed system intents listed
@@ -301,16 +293,17 @@ class TestLlmAnnotator:
             utt(i, "USER" if i % 2 == 0 else "SYSTEM", text=f"turn number {i:03d} " + "x" * 37)
             for i in range(100)
         )
-        gateway = MockLlmGateway(replies=["None"])
-        LlmAnnotator(SCHEMA, gateway).annotate(utt(100, "USER", text="current words"), context)
-        prompt = gateway.calls[0][0]["content"]
+        sent = RecordingTransport(scripted_transport(["None"]))
+        annotator = LlmAnnotator(SCHEMA, llm_gateway(sent))
+        annotator.annotate(utt(100, "USER", text="current words"), context)
+        prompt = sent.calls[0][0]["content"]
         assert f"Conversation so far:\n{TRUNCATION_MARKER}\nSYSTEM: turn number 035 " in prompt
         kept = [n for n in range(100) if f"turn number {n:03d} " in prompt]
         assert kept == list(range(35, 100))
 
     def test_examples_render_once_as_utterance_and_acts_lines(self):
-        gateway = MockLlmGateway(replies=["None"])
-        LlmAnnotator(SCHEMA, gateway).annotate(utt(0, "USER", text="hello"))
+        sent = RecordingTransport(scripted_transport(["None"]))
+        LlmAnnotator(SCHEMA, llm_gateway(sent)).annotate(utt(0, "USER", text="hello"))
         assert (
             "Examples:\n"
             "Utterance: Have you seen Heat? It is a classic crime film.\n"
@@ -319,7 +312,7 @@ class TestLlmAnnotator:
             "Acts: Accept()\n"
             "Utterance: Not a fan of horror. Anything lighter?\n"
             "Acts: Reject()\n\n"
-        ) in gateway.calls[0][0]["content"]
+        ) in sent.calls[0][0]["content"]
 
 
 @pytest.mark.parametrize("kind", ["rule", "llm"])
@@ -328,7 +321,7 @@ def test_fallback_is_other_only_where_the_schema_allows_it(kind, speaker):
     def build(schema):
         if kind == "rule":
             return RuleAnnotator(schema)
-        return LlmAnnotator(schema, MockLlmGateway(replies=["garbage((("] * 2))
+        return LlmAnnotator(schema, scripted(["garbage((("] * 2))
 
     unlabelled = utt(0, speaker, text="hmm interesting weather")
     assert build(NO_OTHER).annotate(unlabelled) == ()
@@ -404,8 +397,8 @@ class TestAnnotateCorpus:
         assert rewritten.dialogues[0].utterances[0].acts[0].intent == "Accept"
 
     def test_scripted_llm_corpus(self):
-        gateway = MockLlmGateway(
-            replies=[
+        gateway = scripted(
+            [
                 "Disclose(genre=comedy)",
                 "Recommend(TITLE=Paper Moon)",
                 "Accept(TITLE=Paper Moon)",
@@ -432,7 +425,7 @@ class TestAnnotateCorpus:
         assert annotated.dialogues[0].dialogue_id == "d1"
 
     def test_batch_error_aggregates_failures(self):
-        gateway = MockLlmGateway(replies=["Accept()"])  # exhausted after one
+        gateway = scripted(["Accept()"])  # exhausted after one
         with pytest.raises(AnnotationBatchError) as excinfo:
             annotate_corpus(self._bare_corpus(), LlmAnnotator(SCHEMA, gateway))
         assert len(excinfo.value.failures) == 2
@@ -477,21 +470,20 @@ class TestAnnotateCorpus:
         # if the four utterances of the one dialogue run on four threads.
         barrier = threading.Barrier(4, timeout=10)
 
-        def responder(messages):
+        def responder(url, payload, headers):
             barrier.wait()
-            return "Other()"
+            return {"text": "Other()"}
 
         bare = corpus(dlg("d1", "sysA", [utt(i, "USER", text=f"u{i}") for i in range(4)]))
-        gateway = CallbackGateway(responder)
-        annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, gateway), jobs=4)
+        annotated = annotate_corpus(bare, LlmAnnotator(SCHEMA, llm_gateway(responder)), jobs=4)
         assert [u.acts[0].intent for u in annotated.dialogues[0].utterances] == ["Other"] * 4
 
     def test_partial_failures_same_at_any_jobs(self):
-        def responder(messages):
-            utterance = messages[-1]["content"].rsplit("Utterance: ", 1)[1]
+        def responder(url, payload, headers):
+            utterance = payload["messages"][-1]["content"].rsplit("Utterance: ", 1)[1]
             if utterance.startswith("FAIL"):
                 raise GatewayError("gateway down")
-            return "Other()"
+            return {"text": "Other()"}
 
         # Seven of twenty utterances fail, spread over five dialogues.
         bare = corpus(
@@ -513,7 +505,7 @@ class TestAnnotateCorpus:
         )
         failures = []
         for jobs in (1, 4):
-            annotator = LlmAnnotator(SCHEMA, CallbackGateway(responder))
+            annotator = LlmAnnotator(SCHEMA, llm_gateway(responder))
             with pytest.raises(AnnotationBatchError) as excinfo:
                 annotate_corpus(bare, annotator, jobs=jobs)
             failures.append(excinfo.value.failures)

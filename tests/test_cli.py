@@ -14,13 +14,13 @@ from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, iter_annotated
 from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
 from evalkit import connectors
-from evalkit.connectors import LLM_RETRIES, HttpLlmGateway, MockLlmGateway
+from evalkit.connectors import LLM_RETRIES, HttpLlmGateway
 from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 from evalkit.errors import GatewayError
 
 from conftest import MOVIES
-from helpers import act, corpus, dlg, turns, utt
+from helpers import RecordingTransport, act, corpus, dlg, turns, utt
 
 REF = load_reference_scores()
 
@@ -30,6 +30,21 @@ def catalog_file(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(MOVIES))
     return str(path)
+
+
+@pytest.fixture()
+def scripts(monkeypatch):
+    """The transport of each script the commands build, in build order,
+    recording each request payload."""
+    built = []
+    scripted_transport = connectors.scripted_transport
+
+    def recording(replies):
+        built.append(RecordingTransport(scripted_transport(replies)))
+        return built[-1]
+
+    monkeypatch.setattr(connectors, "scripted_transport", recording)
+    return built
 
 
 def write_scores(path, scores):
@@ -246,6 +261,24 @@ class TestAnnotate:
         named = _llm_gateway_factory(args, {"llm_model": "m-1"}, "llm mode")()
         assert named.options.model == "m-1"
 
+    def test_mock_endpoint_is_a_fresh_http_gateway_per_conversation(
+        self, tmp_path, monkeypatch, scripts
+    ):
+        # A script is one more transport of the live client: the same
+        # request body goes out, and the reply is checked the same way.
+        monkeypatch.delenv("EVALKIT_LLM_MODEL", raising=False)
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["Accept()"]))
+        argv = ["annotate", "--input", "in", "--output", "out", "--mode", "llm"]
+        args = build_parser().parse_args(argv + ["--llm-endpoint", f"mock:{script}"])
+        factory = _llm_gateway_factory(args, {}, "llm mode")
+        gateway = factory()
+        assert isinstance(gateway, HttpLlmGateway) and factory() is not gateway
+        messages = [{"role": "user", "content": "hi"}]
+        assert gateway.complete(messages) == factory().complete(messages) == "Accept()"
+        payload = {"model": "default", "messages": messages, "temperature": 0.0, "stream": False}
+        assert [transport.payloads for transport in scripts] == [[payload], [], [payload]]
+
     def test_llm_mode_with_mock_endpoint(self, tmp_path):
         src = tmp_path / "raw.ndjson"
         write_corpus(corpus(dlg("d1", "sysA", [utt(0, "USER", text="sure!")])), src)
@@ -339,17 +372,23 @@ class TestAnnotate:
         assert main(argv[:-2] + missing) == 1  # rule mode does read them
 
     def test_llm_mock_writes_the_same_bytes_at_any_jobs(self, tmp_path, monkeypatch):
-        # The scripted mock hands out replies in call order. The delay makes
-        # later utterances of a dialogue reach it first whenever threads run
-        # them, so only inline annotation keeps the bytes of --jobs 1.
-        complete = MockLlmGateway.complete
+        # The script hands out replies in call order. The delay makes later
+        # utterances of a dialogue reach it first whenever threads run them,
+        # so only inline annotation keeps the bytes of --jobs 1.
+        scripted_transport = connectors.scripted_transport
 
-        def delayed(self, messages):
-            turn = int(messages[-1]["content"].rsplit("Utterance: turn ", 1)[1].split()[0])
-            time.sleep(0.01 * (4 - turn))
-            return complete(self, messages)
+        def delayed_script(replies):
+            transport = scripted_transport(replies)
 
-        monkeypatch.setattr(MockLlmGateway, "complete", delayed)
+            def delayed(url, payload, headers):
+                content = payload["messages"][-1]["content"]
+                turn = int(content.rsplit("Utterance: turn ", 1)[1].split()[0])
+                time.sleep(0.01 * (4 - turn))
+                return transport(url, payload, headers)
+
+            return delayed
+
+        monkeypatch.setattr(connectors, "scripted_transport", delayed_script)
         src = tmp_path / "raw.ndjson"
         utterances = [utt(i, "USER", text=f"turn {i}") for i in range(4)]
         write_corpus(corpus(dlg("d0", "sysA", utterances), dlg("d1", "sysA", utterances)), src)
@@ -576,6 +615,20 @@ class TestEvaluate:
         argv = ["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]
         assert main(argv + ["--metrics", "recall", "--ground-truth", truth_path]) == 2
         assert truth_path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", ["01", "\u0661", "+1", " 1", "1 "])
+    def test_a_turn_index_has_one_spelling(self, tmp_path, capsys, index):
+        # "01" once silently replaced "1", and the Arabic-Indic digit one read as turn 1.
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth = {"d1": {"1": ["Alpha"], index: ["Beta"]}}
+        truth_path = write_scores(tmp_path / "truth.json", truth)
+        argv = ["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]
+        assert main(argv + ["--metrics", "recall", "--ground-truth", truth_path]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: ground truth {truth_path}: index {index!r} of 'd1' is not "
+            "a non-negative integer in ASCII digits without leading zeros\n"
+        )
 
     def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
@@ -818,9 +871,10 @@ class TestSimulate:
             ("n", "-n", -1, "n must be at least 1, not -1"),
             ("jobs", "--jobs", -3, "jobs must be at least 1, not -3"),
             ("max_utterances", "--max-utterances", 1, "max_utterances must be at least 2, not 1"),
-            ("timeout", "--timeout", 0, "timeout must be positive, not 0.0"),
-            ("timeout", "--timeout", -2.5, "timeout must be positive, not -2.5"),
-            ("timeout", "--timeout", float("nan"), "timeout must be positive, not nan"),
+            ("timeout", "--timeout", 0, "timeout must be a finite positive number, not 0.0"),
+            ("timeout", "--timeout", -2.5, "timeout must be a finite positive number, not -2.5"),
+            ("timeout", "--timeout", float("nan"), "timeout must be a finite positive number, not nan"),
+            ("timeout", "--timeout", float("inf"), "timeout must be a finite positive number, not inf"),
         ],
     )
     def test_out_of_range_setting_is_a_config_error(
@@ -834,6 +888,19 @@ class TestSimulate:
         for source in (["--config", str(config)], [flag, str(value)]):
             assert main(argv + source) == 2
             assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_timeout_too_large_for_a_float_is_a_config_error(
+        self, tmp_path, catalog_file, capsys
+    ):
+        # It once crashed with OverflowError.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"timeout": 10**400}))
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + ["--config", str(config), "--output", str(out)]) == 2
+        message = f"timeout must be a finite positive number, not {10**400}"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ from evalkit.connectors import (
     GatewayOptions,
     HttpCrsConnector,
     HttpLlmGateway,
-    MockLlmGateway,
     make_stub,
+    scripted_transport,
 )
 from evalkit.dialogue import UserGoal
 from evalkit.errors import (
@@ -24,7 +24,11 @@ from evalkit.errors import (
 )
 from evalkit.simulation import AgendaSimulator, RunLimits, run_conversation
 
+import helpers
+
 OPTIONS = GatewayOptions(endpoint="http://llm.local/api/chat", model="test-model")
+# An int too large for a float, as a timeout.
+BIG = pytest.param(10**400, id="10**400")
 
 
 class RecordingTransport:
@@ -112,22 +116,21 @@ class TestPostJson:
             assert excinfo.value.raw_body == expected
 
 
-class TestMockLlmGateway:
+class TestScriptedTransport:
     def test_replies_in_order(self):
-        gateway = MockLlmGateway(replies=["one", "two"])
+        gateway = HttpLlmGateway(OPTIONS, scripted_transport(["one", "two"]))
         assert gateway.complete([{"role": "user", "content": "a"}]) == "one"
         assert gateway.complete([{"role": "user", "content": "b"}]) == "two"
 
-    def test_script_exhaustion_fails_loudly(self):
-        gateway = MockLlmGateway(replies=["only"])
+    def test_an_exhausted_script_fails_at_once_and_for_good(self):
+        sent = helpers.RecordingTransport(scripted_transport(["only"]))
+        gateway = HttpLlmGateway(OPTIONS, sent)
         gateway.complete([{"role": "user", "content": "a"}])
-        with pytest.raises(ScriptExhaustedError):
+        message = "^mock gateway script exhausted after 1 replies$"
+        with pytest.raises(ScriptExhaustedError, match=message) as excinfo:
             gateway.complete([{"role": "user", "content": "b"}])
-
-    def test_calls_are_recorded(self):
-        gateway = MockLlmGateway(replies=["ok"])
-        gateway.complete([{"role": "user", "content": "hi"}])
-        assert gateway.calls == [[{"role": "user", "content": "hi"}]]
+        assert not excinfo.value.transient
+        assert sent.calls == [[{"role": "user", "content": "a"}], [{"role": "user", "content": "b"}]]
 
 
 class TestHttpLlmGateway:
@@ -242,9 +245,10 @@ class TestGatewayOptions:
         assert names == ["endpoint", "model", "timeout", "auth_token"]
         assert (OPTIONS.timeout, OPTIONS.auth_token) == (30.0, None)
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    # No socket can wait an infinite time: settimeout raises OverflowError.
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), BIG])
     def test_non_positive_timeout_rejected(self, timeout):
-        with pytest.raises(ValueError, match="^timeout must be positive$"):
+        with pytest.raises(ValueError, match="^timeout must be a finite positive number$"):
             GatewayOptions(endpoint="http://x", model="m", timeout=timeout)
 
 
@@ -300,9 +304,9 @@ class TestHttpCrsConnector:
     def _endpoint(self, **kwargs):
         return CrsEndpoint(crs_id="crs-a", endpoint="http://crs.local/chat", **kwargs)
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), BIG])
     def test_non_positive_timeout_rejected(self, timeout):
-        with pytest.raises(ValueError, match="^timeout must be positive$"):
+        with pytest.raises(ValueError, match="^timeout must be a finite positive number$"):
             self._endpoint(timeout=timeout)
 
     def test_default_field_mapping(self):

@@ -10,11 +10,9 @@ from evalkit.annotation import TRUNCATION_MARKER, RuleAnnotator
 from evalkit.catalog import load_catalog
 from evalkit.connectors import (
     CrsEndpoint,
-    GatewayOptions,
     HttpCrsConnector,
-    HttpLlmGateway,
-    MockLlmGateway,
     make_stub,
+    scripted_transport,
 )
 from evalkit.corpus_io import serialize_corpus
 from evalkit.dialogue import Speaker, UserGoal, _bundled_text, simulation_schema
@@ -44,7 +42,7 @@ from evalkit.simulation import (
     sample_goal,
 )
 
-from helpers import act, utt
+from helpers import RecordingTransport, act, llm_gateway, scripted, utt
 from oracle import oracle_intent_sums, oracle_sample_goal, oracle_sampled_intent
 
 SCHEMA = simulation_schema()
@@ -506,7 +504,7 @@ def _abus_turn(incoming, catalog):
 
 
 def _llmus_turn(incoming, *acts):
-    gateway = MockLlmGateway(replies=["continue", "my turn"] if incoming else ["my turn"])
+    gateway = scripted(["continue", "my turn"] if incoming else ["my turn"])
     state = ConversationState(goal=simple_goal())
     _, outgoing = llmus_next(state, incoming, gateway, _FixedActs(*acts))
     return outgoing
@@ -551,7 +549,7 @@ def test_user_turn_index_speaker_and_items(movie_catalog, turn, index, intents, 
 
 class TestLlmUsNext:
     def test_returned_history_gains_the_incoming_and_the_generated_turn(self):
-        gateway = MockLlmGateway(replies=["continue", "  Who directed it?  "])
+        gateway = scripted(["continue", "  Who directed it?  "])
         state = ConversationState(goal=simple_goal(), history=(("USER", "Hi"),))
         incoming = utt(1, "SYSTEM", text="Have you seen Midnight Run?")
         updated, outcome = llmus_next(state, incoming, gateway)
@@ -572,19 +570,19 @@ class TestLlmUsNext:
     def test_aborted_turn_keeps_only_the_incoming_turn(self, replies, reason):
         state = ConversationState(goal=simple_goal(), history=(("USER", "Hi"),))
         incoming = utt(1, "SYSTEM", text="hello")
-        updated, outcome = llmus_next(state, incoming, MockLlmGateway(replies=replies))
+        updated, outcome = llmus_next(state, incoming, scripted(replies))
         assert outcome == Abort(reason=reason)
         assert updated.history == (("USER", "Hi"), ("SYSTEM", "hello"))
 
     def test_scripted_abort(self):
-        gateway = MockLlmGateway(replies=["abort: going nowhere"])
+        gateway = scripted(["abort: going nowhere"])
         state = ConversationState(goal=simple_goal())
         incoming = utt(1, "SYSTEM", text="hello")
         _, outcome = llmus_next(state, incoming, gateway)
         assert outcome == Abort(reason="going nowhere")
 
     def test_scripted_continue_and_generation(self):
-        gateway = MockLlmGateway(replies=["continue", "Can you tell me the director?"])
+        gateway = scripted(["continue", "Can you tell me the director?"])
         state = ConversationState(goal=simple_goal())
         incoming = utt(1, "SYSTEM", text="Have you seen Midnight Run?")
         _, outcome = llmus_next(state, incoming, gateway)
@@ -593,20 +591,20 @@ class TestLlmUsNext:
         assert outcome.index == 2
 
     def test_opening_turn_skips_the_decision_call(self):
-        gateway = MockLlmGateway(replies=["Hi, looking for a comedy."])
-        _, outcome = llmus_next(ConversationState(goal=simple_goal()), None, gateway)
+        sent = RecordingTransport(scripted_transport(["Hi, looking for a comedy."]))
+        _, outcome = llmus_next(ConversationState(goal=simple_goal()), None, llm_gateway(sent))
         assert outcome.text == "Hi, looking for a comedy."
-        assert len(gateway.calls) == 1
+        assert len(sent.calls) == 1
 
     def test_empty_generation_retried_once_then_aborts(self):
-        gateway = MockLlmGateway(replies=["continue", "", "   "])
+        sent = RecordingTransport(scripted_transport(["continue", "", "   "]))
         state = ConversationState(goal=simple_goal())
-        _, outcome = llmus_next(state, utt(1, "SYSTEM", text="hi"), gateway)
+        _, outcome = llmus_next(state, utt(1, "SYSTEM", text="hi"), llm_gateway(sent))
         assert outcome == Abort(reason="generation-failure")
-        assert len(gateway.calls) == 3
+        assert len(sent.calls) == 3
 
     def test_empty_generation_retry_can_succeed(self):
-        gateway = MockLlmGateway(replies=["continue", "", "second try works"])
+        gateway = scripted(["continue", "", "second try works"])
         _, outcome = llmus_next(
             ConversationState(goal=simple_goal()), utt(1, "SYSTEM", text="hi"), gateway
         )
@@ -619,12 +617,12 @@ class TestLlmUsNext:
             for i in range(100)
         )
         state = ConversationState(goal=simple_goal(), history=history)
-        gateway = MockLlmGateway(replies=["continue", "next message"])
+        sent = RecordingTransport(scripted_transport(["continue", "next message"]))
         _, outcome = llmus_next(
-            state, utt(100, "SYSTEM", text="latest system words"), gateway
+            state, utt(100, "SYSTEM", text="latest system words"), llm_gateway(sent)
         )
         assert outcome.text == "next message"
-        for call in gateway.calls:
+        for call in sent.calls:
             prompt = call[0]["content"]
             assert TRUNCATION_MARKER in prompt
             assert "latest system words" in prompt
@@ -634,7 +632,7 @@ class TestLlmUsNext:
 
     def test_own_turns_are_annotated_when_annotator_given(self, movie_catalog):
         annotator = RuleAnnotator(SCHEMA, catalog=movie_catalog)
-        gateway = MockLlmGateway(replies=["continue", "Great, I'll watch Midnight Run. Thanks!"])
+        gateway = scripted(["continue", "Great, I'll watch Midnight Run. Thanks!"])
         _, outcome = llmus_next(
             ConversationState(goal=simple_goal()),
             utt(1, "SYSTEM", text="Have you seen Midnight Run?"),
@@ -727,9 +725,7 @@ class TestRunConversation:
                 assert utterance.acts == ()
 
     def test_llmus_abort_recorded(self, movie_catalog):
-        gateway_factory = lambda: MockLlmGateway(
-            replies=["Hi, any comedy?", "abort: stuck"]
-        )
+        gateway_factory = lambda: scripted(["Hi, any comedy?", "abort: stuck"])
         simulator = LlmSimulator(
             gateway_factory, annotator=RuleAnnotator(SCHEMA, catalog=movie_catalog)
         )
@@ -742,7 +738,7 @@ class TestRunConversation:
 
     def test_an_abort_on_the_opening_turn_is_an_error(self, movie_catalog):
         # Two empty generations abort the opening turn, before any utterance.
-        simulator = LlmSimulator(lambda: MockLlmGateway(replies=["", ""]))
+        simulator = LlmSimulator(lambda: scripted(["", ""]))
         message = r"llm-us-stub-echo-4 produced no utterances \(simulator-abort: generation-failure\)"
         with pytest.raises(SimulationError, match=message):
             run_conversation(simulator, make_stub("echo"), simple_goal(), RunLimits(seed=4))
@@ -933,8 +929,7 @@ class TestGenerateCorpus:
         def gateway():
             sessions.append(len(sessions))
             reply = body if len(sessions) == 2 else {"text": "Hi, a comedy please."}
-            options = GatewayOptions(endpoint="http://llm.local/api/chat", model="m")
-            return HttpLlmGateway(options, transport=lambda url, payload, headers: reply)
+            return llm_gateway(lambda url, payload, headers: reply)
 
         corpus = generate_corpus(
             LlmSimulator(gateway),
@@ -954,7 +949,7 @@ class TestGenerateCorpus:
         def gateway():
             sessions.append(len(sessions))
             replies = ["", ""] if len(sessions) == 2 else ["Hi, a comedy please."]
-            return MockLlmGateway(replies=replies)
+            return scripted(replies)
 
         limits = RunLimits(seed=90)
         corpus = generate_corpus(
@@ -1036,7 +1031,7 @@ class TestGenerateCorpus:
 
         def build():
             simulator = LlmSimulator(
-                lambda: MockLlmGateway(replies=list(script)),
+                lambda: scripted(list(script)),
                 annotator=RuleAnnotator(SCHEMA, catalog=movie_catalog),
             )
             return generate_corpus(

@@ -24,7 +24,7 @@ from evalkit import (
 )
 from evalkit.corpus_io import write_corpus
 
-from helpers import corpus, dlg, utt
+from helpers import corpus, dlg, scripted, utt
 
 SOURCES = sorted(Path(evalkit.__file__).parent.glob("*.py"))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -165,6 +165,32 @@ def test_only_the_corpus_readers_read_a_header():
     assert not imported & {"islice", "chain"}
 
 
+def test_only_cli_knows_the_mock_endpoint():
+    # A script is a transport of the one LLM client: only the CLI parses
+    # ``mock:``, and annotation needs no connector at run time.
+    assert sorted(
+        {
+            path.stem
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value == "mock:"
+        }
+    ) == ["cli"]
+    tree = ast.parse(Path(annotation.__file__).read_text(encoding="utf-8"))
+    typing_only = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.If) and getattr(top.test, "id", None) == "TYPE_CHECKING"
+        for node in ast.walk(top)
+    }
+    imports = {
+        id(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "connectors"
+    }
+    assert imports and imports <= typing_only
+
+
 # Run in a fresh interpreter: which modules an import and offline commands load.
 COLD_RUN = """
 import json, sys
@@ -177,14 +203,17 @@ def heavy(also):
     return [m for m in names if m in sys.modules]
 
 loaded = {"import": heavy(data_reader)}
-corpus, annotated, report = sys.argv[1:]
-# ingest and evaluate read no bundled data file; rule annotate reads its lexicon.
-for argv, also in (
-    (["ingest", "--input", corpus], data_reader),
-    (["evaluate", "--input", corpus, "--output", report], data_reader),
-    (["annotate", "--input", corpus, "--output", annotated], []),
+corpus, annotated, report, script = sys.argv[1:]
+mock = ["--mode", "llm", "--overwrite", "--llm-endpoint", "mock:" + script, "--jobs", "4"]
+# ingest and evaluate read no bundled data file; annotate reads its lexicon
+# or its prompt.
+for name, argv, also in (
+    ("ingest", ["ingest", "--input", corpus], data_reader),
+    ("evaluate", ["evaluate", "--input", corpus, "--output", report], data_reader),
+    ("annotate", ["annotate", "--input", corpus, "--output", annotated], []),
+    ("mock annotate", ["annotate", "--input", corpus, "--output", annotated, *mock], []),
 ):
-    loaded[argv[0]] = (evalkit.cli.main(argv), heavy(also))
+    loaded[name] = (evalkit.cli.main(argv), heavy(also))
 print(json.dumps(loaded))
 """
 
@@ -193,20 +222,23 @@ def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
     # Only live HTTP endpoints need requests (about half of a cold
     # ``import evalkit``), only runs on more than one job need
     # concurrent.futures, and only commands that read bundled data need
-    # importlib.resources.
+    # importlib.resources. A mock: endpoint runs llm annotate inline at
+    # any --jobs, as its script answers in call order.
     path = tmp_path / "corpus.ndjson"
     utterances = [
         utt(0, "USER", ["Disclose"], text="a comedy, please"),
         utt(1, "SYSTEM", ["Recommend"], text="Try Up."),
     ]
     write_corpus(corpus(dlg("d1", "sysA", utterances)), path)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["Disclose()", "Recommend()"]))
     source_root = str(Path(evalkit.__file__).resolve().parents[1])
     # -S runs no site hooks, so none can load a module for the commands;
     # this interpreter's import path stands in for the site packages.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, *sys.path])}
     outputs = [str(tmp_path / "annotated.ndjson"), str(tmp_path / "report.ndjson")]
     result = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_RUN, str(path), *outputs],
+        [sys.executable, "-S", "-c", COLD_RUN, str(path), *outputs, str(script)],
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == {
@@ -214,7 +246,12 @@ def test_offline_commands_import_neither_requests_nor_a_thread_pool(tmp_path):
         "ingest": [0, []],
         "evaluate": [0, []],
         "annotate": [0, []],
+        "mock annotate": [0, []],
     }
+    annotated = (tmp_path / "annotated.ndjson").read_text().splitlines()[1]
+    assert [u["acts"][0]["intent"] for u in json.loads(annotated)["utterances"]] == [
+        "Disclose", "Recommend"
+    ]
 
 
 # Run in a fresh interpreter: which evalkit modules an import, ingest and
@@ -336,9 +373,7 @@ def test_bench_tracer_counts_every_simulated_turn(family, movie_catalog):
     if family == "abus":
         simulator = simulation.AgendaSimulator(catalog=movie_catalog)
     else:
-        simulator = simulation.LlmSimulator(
-            lambda: connectors.MockLlmGateway(replies=["Hi, a comedy please."])
-        )
+        simulator = simulation.LlmSimulator(lambda: scripted(["Hi, a comedy please."]))
     tracer = spans.Tracer()
     try:
         spans.install(tracer, MODULES)

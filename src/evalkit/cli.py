@@ -280,7 +280,7 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
             raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
         for index, items in per_turn.items():
             # One spelling per turn: "1", never "01" or a non-ASCII digit.
-            if not (index.isdecimal() and str(int(index)) == index):
+            if not (index.isascii() and index.isdecimal() and (index == "0" or index[0] != "0")):
                 raise ConfigError(
                     f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
                     f"a non-negative integer in ASCII digits without leading zeros"
@@ -352,12 +352,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .corpus_io import CorpusFiles, write_records
-    from .metrics import check_metric_names
+    from .metrics import VALID_METRICS, check_metric_names
 
     try:
         metrics = check_metric_names(_names(args.metrics))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not metrics:
+        raise ConfigError(f"--metrics names no metric; valid names: {', '.join(VALID_METRICS)}")
     if args.n < 1:
         raise ConfigError(f"n must be at least 1, not {args.n}")
     ground_truth = _load_ground_truth(args.ground_truth) if args.ground_truth else None
@@ -489,7 +491,94 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _ingest_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--schema")
+
+
+def _annotate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True)
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--mode", choices=("rule", "llm"), default="rule")
+    parser.add_argument("--overwrite", action="store_true")
+    parser.add_argument("--schema")
+    parser.add_argument("--catalog")
+    parser.add_argument("--lexicon")
+    parser.add_argument("--llm-endpoint")
+    parser.add_argument("--llm-model")
+    parser.add_argument("--config")
+    parser.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    parser.add_argument("--seed", type=int, default=None)
+
+
+def _evaluate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", action="append", required=True)
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--metrics", default="sr,srrr,rdl")
+    parser.add_argument("--ground-truth")
+    parser.add_argument("--n", type=int, default=1)
+    parser.add_argument("--schema")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--simulator", choices=("abus", "llm-us"), required=True)
+    parser.add_argument(
+        "--crs", required=True, help="endpoint URL or stub:{always-recommend,echo,goodbye}"
+    )
+    parser.add_argument("--catalog", required=True)
+    parser.add_argument("-n", type=int, default=None, help="dialogues to generate (default 200)")
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
+    parser.add_argument("--max-utterances", type=int, default=None)
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="seconds each CRS call may take (default 30); LLM calls keep the gateway's 30 s",
+    )
+    parser.add_argument("--interaction-model")
+    parser.add_argument("--constraint-slots")
+    parser.add_argument("--request-slots")
+    parser.add_argument("--llm-endpoint")
+    parser.add_argument("--llm-model")
+    parser.add_argument("--schema")
+    parser.add_argument("--config")
+
+
+def _compare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--candidate",
+        action="append",
+        required=True,
+        help="name=path of a score map or report file (repeatable)",
+    )
+    parser.add_argument("--reference", required=True)
+    parser.add_argument("--satisfaction", required=True)
+    parser.add_argument("--output", required=True)
+    parser.add_argument("--metric", help="metric to pick from report files")
+    parser.add_argument("--reference-name", default="reference")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+# Each command's one definition: its help line in ``evalkit --help``, the
+# function that adds its flags to a parser, and its handler.
+_COMMANDS = {
+    "ingest": ("parse and validate a corpus, print counts", _ingest_arguments, cmd_ingest),
+    "annotate": ("assign dialogue acts to a corpus", _annotate_arguments, cmd_annotate),
+    "evaluate": ("compute metrics, write reports", _evaluate_arguments, cmd_evaluate),
+    "simulate": ("generate a synthetic corpus", _simulate_arguments, cmd_simulate),
+    "compare": (
+        "rank candidates against a reference, write reliability",
+        _compare_arguments,
+        cmd_compare,
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: ``evalkit --help`` and any usage error."""
     parser = argparse.ArgumentParser(
         prog="evalkit",
         description=(
@@ -498,86 +587,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ingest = sub.add_parser("ingest", help="parse and validate a corpus, print counts")
-    ingest.add_argument("--input", required=True)
-    ingest.add_argument("--schema")
-    ingest.set_defaults(func=cmd_ingest)
-
-    annotate = sub.add_parser("annotate", help="assign dialogue acts to a corpus")
-    annotate.add_argument("--input", required=True)
-    annotate.add_argument("--output", required=True)
-    annotate.add_argument("--mode", choices=("rule", "llm"), default="rule")
-    annotate.add_argument("--overwrite", action="store_true")
-    annotate.add_argument("--schema")
-    annotate.add_argument("--catalog")
-    annotate.add_argument("--lexicon")
-    annotate.add_argument("--llm-endpoint")
-    annotate.add_argument("--llm-model")
-    annotate.add_argument("--config")
-    annotate.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    annotate.add_argument("--seed", type=int, default=None)
-    annotate.set_defaults(func=cmd_annotate)
-
-    evaluate = sub.add_parser("evaluate", help="compute metrics, write reports")
-    evaluate.add_argument("--input", action="append", required=True)
-    evaluate.add_argument("--output", required=True)
-    evaluate.add_argument("--metrics", default="sr,srrr,rdl")
-    evaluate.add_argument("--ground-truth")
-    evaluate.add_argument("--n", type=int, default=1)
-    evaluate.add_argument("--schema")
-    evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.set_defaults(func=cmd_evaluate)
-
-    simulate = sub.add_parser("simulate", help="generate a synthetic corpus")
-    simulate.add_argument("--simulator", choices=("abus", "llm-us"), required=True)
-    simulate.add_argument(
-        "--crs", required=True, help="endpoint URL or stub:{always-recommend,echo,goodbye}"
-    )
-    simulate.add_argument("--catalog", required=True)
-    simulate.add_argument("-n", type=int, default=None, help="dialogues to generate (default 200)")
-    simulate.add_argument("--output", required=True)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
-    simulate.add_argument("--max-utterances", type=int, default=None)
-    simulate.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="seconds each CRS call may take (default 30); LLM calls keep the gateway's 30 s",
-    )
-    simulate.add_argument("--interaction-model")
-    simulate.add_argument("--constraint-slots")
-    simulate.add_argument("--request-slots")
-    simulate.add_argument("--llm-endpoint")
-    simulate.add_argument("--llm-model")
-    simulate.add_argument("--schema")
-    simulate.add_argument("--config")
-    simulate.set_defaults(func=cmd_simulate)
-
-    compare = sub.add_parser(
-        "compare", help="rank candidates against a reference, write reliability"
-    )
-    compare.add_argument(
-        "--candidate",
-        action="append",
-        required=True,
-        help="name=path of a score map or report file (repeatable)",
-    )
-    compare.add_argument("--reference", required=True)
-    compare.add_argument("--satisfaction", required=True)
-    compare.add_argument("--output", required=True)
-    compare.add_argument("--metric", help="metric to pick from report files")
-    compare.add_argument("--reference-name", default="reference")
-    compare.add_argument("--seed", type=int, default=0)
-    compare.set_defaults(func=cmd_compare)
-
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        add_arguments(command)
+        command.set_defaults(func=handler)
     return parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, without the other commands' flags: its
+    ``--help`` is that subcommand's of ``build_parser()``, byte for byte,
+    and it raises a usage error unprinted, for ``main`` to re-parse."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse_command(argv: list[str]) -> argparse.Namespace | None:
+    """``argv``'s flags when ``argv[0]`` names a command and its own parser
+    accepts the rest; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    _, add_arguments, handler = _COMMANDS[name]
+    parser = _CommandParser(prog=f"evalkit {name}")
+    add_arguments(parser)
+    parser.set_defaults(command=name, func=handler)
+    try:
+        return parser.parse_args(argv[1:])
+    except argparse.ArgumentError:
+        return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # One command's parser costs about a fifth of all five's. A usage error
+    # is printed by the full parser, with its top-level message and usage.
+    args = _parse_command(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

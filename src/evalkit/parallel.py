@@ -7,6 +7,7 @@ loads none of it.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import current_process
@@ -21,6 +22,9 @@ _worker_task: tuple = ()
 
 def _start_worker(schema: IntentSchema, fold: Callable, args: tuple) -> None:
     global _worker_task
+    # A forked worker inherits the parent's heap: frozen, a full collection
+    # neither walks those objects nor copies their pages on write.
+    gc.freeze()
     _worker_task = (schema, fold, args)
 
 

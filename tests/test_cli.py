@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,8 +13,8 @@ import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, iter_annotated
-from evalkit.cli import _llm_gateway_factory, _stamp, build_parser, main
-from evalkit import connectors
+from evalkit.cli import _llm_gateway_factory, _load_ground_truth, _stamp, build_parser, main
+from evalkit import cli, connectors
 from evalkit.connectors import LLM_RETRIES, HttpLlmGateway
 from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
@@ -537,6 +538,19 @@ class TestEvaluate:
         assert "configuration error: repeated metric 'sr'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("metrics", ["", ",", " , "])
+    def test_no_metric_fails_before_reading_input(self, tmp_path, capsys, metrics):
+        # An empty --metrics once read the whole corpus and wrote a report
+        # with a header alone, which compare rejects.
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(tmp_path / "missing.ndjson"), "--output", str(out)]
+        assert main(argv + ["--metrics", metrics]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --metrics names no metric; "
+            "valid names: sr, srrr, rdl, recall\n"
+        )
+        assert not out.exists()
+
     def test_empty_corpus_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.ndjson"
         path.write_text('{"schema_version":"1"}\n')
@@ -616,7 +630,7 @@ class TestEvaluate:
         assert main(argv + ["--metrics", "recall", "--ground-truth", truth_path]) == 2
         assert truth_path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index", ["01", "\u0661", "+1", " 1", "1 "])
+    @pytest.mark.parametrize("index", ["01", "\u0661", "+1", " 1", "1 ", "00"])
     def test_a_turn_index_has_one_spelling(self, tmp_path, capsys, index):
         # "01" once silently replaced "1", and the Arabic-Indic digit one read as turn 1.
         path = tmp_path / "corpus.ndjson"
@@ -629,6 +643,9 @@ class TestEvaluate:
             f"configuration error: ground truth {truth_path}: index {index!r} of 'd1' is not "
             "a non-negative integer in ASCII digits without leading zeros\n"
         )
+        # Zero and a number ending in zero are spelt by their ASCII digits.
+        truth_path = write_scores(tmp_path / "good.json", {"d1": {"0": ["Alpha"], "10": ["Beta"]}})
+        assert _load_ground_truth(truth_path) == {("d1", 0): ("Alpha",), ("d1", 10): ("Beta",)}
 
     def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
@@ -1107,8 +1124,11 @@ class TestCompare:
         path = tmp_path / "corpus.ndjson"
         write_corpus(small_corpus(), path)
         report = tmp_path / "report.ndjson"
-        argv = ["evaluate", "--input", str(path), "--output", str(report), "--metrics", metrics]
-        assert main(argv) == 0
+        if metrics:
+            argv = ["evaluate", "--input", str(path), "--output", str(report), "--metrics", metrics]
+            assert main(argv) == 0
+        else:  # evaluate refuses an empty --metrics: a header alone
+            report.write_text('{"schema_version":"1"}\n')
         ref = write_scores(tmp_path / "ref.json", {"sysA": 0.4, "sysB": 0.1})
         sat = write_scores(tmp_path / "sat.json", {"sysA": 0.8, "sysB": 0.3})
         argv = ["compare", "--candidate", f"mine={report}", *flags]
@@ -1279,6 +1299,87 @@ class TestCompare:
         record = [json.loads(l) for l in out.read_text().splitlines()][1]
         assert record["per_system_abs_diff"] == {"A": 0.0, "B": 0.0}
         assert capsys.readouterr().out.startswith("self: tau_b=1.000 avg_abs_diff=0.0000")
+
+
+# Each command's required flags, a flag of type int and a flag with choices.
+COMMAND_FLAGS = {
+    "ingest": (["--input", "c"], None, None),
+    "annotate": (["--input", "c", "--output", "o"], "--jobs", "--mode"),
+    "evaluate": (["--input", "c", "--output", "o"], "--n", None),
+    "simulate": (
+        ["--simulator", "abus", "--crs", "stub:echo", "--catalog", "k", "--output", "o"],
+        "-n",
+        "--simulator",
+    ),
+    "compare": (
+        ["--candidate", "c", "--reference", "r", "--satisfaction", "s", "--output", "o"],
+        "--seed",
+        None,
+    ),
+}
+
+
+def argv_that_exit_while_parsing():
+    for name, (required, int_flag, choice_flag) in COMMAND_FLAGS.items():
+        yield [name, "--help"]
+        yield [name, *required[:-2]]  # the last required flag missing
+        yield [name, *required, "--bogus"]
+        if int_flag:
+            yield [name, *required, int_flag, "two"]
+        if choice_flag:
+            yield [name, *required, choice_flag, "bogus"]
+    yield from ([], ["--help"], ["-h", "evaluate"], ["explain"])
+
+
+def exit_while_parsing(parse, argv, capsys) -> tuple[int, str, str]:
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv", argv_that_exit_while_parsing(), ids=" ".join)
+    def test_main_prints_and_exits_as_the_full_parser(self, argv, capsys):
+        full = exit_while_parsing(build_parser().parse_args, argv, capsys)
+        assert exit_while_parsing(main, argv, capsys) == full
+        code, out, err = full  # help on stdout, or a usage error on stderr
+        assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--input", "c", "--schema", "s"],
+            ["evaluate", "--input", "a", "--input", "b", "--output", "o", "--n", "3"],
+            ["simulate", *COMMAND_FLAGS["simulate"][0], "-n", "5", "--timeout", "2.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_parses_as_in_the_full_parser(self, argv, monkeypatch):
+        parsed = []
+        help_text, add_arguments, _ = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(
+            cli._COMMANDS, argv[0], (help_text, add_arguments, lambda args: parsed.append(args))
+        )
+        expected = build_parser().parse_args(argv)
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not fall back to it
+        main(argv)
+        assert parsed == [expected]
+
+    def test_a_command_builds_only_its_own_parser(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *names, **options):
+            added.append(names)
+            return add_argument(container, *names, **options)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        assert main(["ingest", "--input", str(path)]) == 0
+        assert added == [("-h", "--help"), ("--input",), ("--schema",)]
 
 
 def readme_walkthrough():

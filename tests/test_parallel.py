@@ -2,6 +2,7 @@
 which ``ingest`` and ``evaluate`` take on large inputs. Tests force it on
 small files by shrinking the bytes per worker and setting the CPU count."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from evalkit import corpus_io, parallel
 from evalkit.cli import main
 from evalkit.corpus_io import CorpusFiles, dialogue_record, serialize_corpus
+from evalkit.dialogue import default_schema
 
 from helpers import corpus, dlg, turns, utt
 from test_metrics import corpora_with_truth
@@ -297,6 +299,23 @@ def test_a_guardless_main_under_spawn_fails_its_workers_and_reruns_in_process(ru
     assert result.returncode == 0, result.stderr
     assert report.read_bytes() == expected
     assert "bootstrapping phase" in result.stderr
+
+
+def frozen_objects(dialogues) -> int:
+    """A fold that reads its dialogues and returns its process's freeze count."""
+    for _ in dialogues:
+        pass
+    return gc.get_freeze_count()
+
+
+def test_a_worker_freezes_the_heap_it_inherits(tmp_path):
+    path = write_lines(
+        tmp_path / "corpus.ndjson", [HEADER, *dialogue_lines(annotated("d1"), annotated("d2"))]
+    )
+    assert gc.get_freeze_count() == 0
+    counts, _ = parallel.fold_in_workers([path], default_schema(), 2, frozen_objects, ())
+    assert len(counts) == 2 and all(count > 0 for count in counts)
+    assert gc.get_freeze_count() == 0
 
 
 def test_worker_count_follows_input_size_and_cpus(tmp_path, monkeypatch):

@@ -93,13 +93,17 @@ def __getattr__(name: str):
     return value
 
 
-def _stamp(settings: Mapping[str, Any]) -> dict[str, Any]:
-    """The ``seed`` and ``config_hash`` header fields of every output."""
+def _output_header(
+    settings: Mapping[str, Any], carried: Mapping[str, Any] = {}
+) -> dict[str, Any]:
+    """The header record of every output: ``schema_version`` (the carried
+    one, else the output format's own ``"1"``), the ``carried`` input header's
+    fields, then the ``seed`` and ``config_hash`` of the effective ``settings``."""
     import hashlib
 
     canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return {"seed": settings["seed"], "config_hash": config_hash}
+    return {"schema_version": "1", **carried, "seed": settings["seed"], "config_hash": config_hash}
 
 
 def _read_bytes(path: str, what: str) -> bytes:
@@ -285,9 +289,11 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
                     f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
                     f"a non-negative integer in ASCII digits without leading zeros"
                 )
-            if not _strings(items):
+            # No recommended item is "", so an empty target would deflate recall.
+            if not _strings(items) or "" in items:
                 raise ConfigError(
-                    f"ground truth {path}: ({dialogue_id}, {index}) must be an array of item ids"
+                    f"ground truth {path}: ({dialogue_id}, {index}) must be an array "
+                    "of non-empty item ids"
                 )
             mapping[(dialogue_id, int(index))] = tuple(items)
     return mapping
@@ -342,8 +348,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     }
     with open(args.input, "rb") as handle:
         input_header, dialogues = read_corpus(handle, schema)
-        version = str(input_header.pop("schema_version", "1"))
-        header = {"schema_version": version, **input_header, **_stamp(settings)}
+        header = _output_header(settings, input_header)
         annotated = iter_annotated(dialogues, annotator, args.overwrite, jobs)
         count = write_records(args.output, header, map(dialogue_record, annotated))
     print(f"annotated {count} dialogue(s) -> {args.output}")
@@ -375,9 +380,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n": args.n,
         "seed": args.seed,
     }
-    version = str(inputs.header.get("schema_version", "1"))
-    header = {"schema_version": version, **_stamp(settings)}
-    write_records(args.output, header, [r.to_record() for r in reports])
+    write_records(args.output, _output_header(settings), [r.to_record() for r in reports])
     for report in reports:
         for crs_id in sorted(report.per_system):
             print(f"{report.metric}\t{crs_id}\t{report.per_system[crs_id]:.6f}")
@@ -386,11 +389,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from .annotation import RuleAnnotator
     from .connectors import CrsEndpoint, check_timeout
-    from .corpus_io import write_corpus
+    from .corpus_io import dialogue_record, write_records
     from .simulation import (
         AgendaSimulator,
         GoalConfig,
@@ -452,7 +453,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": seed,
         "max_utterances": max_utterances,
     }
-    write_corpus(replace(corpus, extra={**corpus.extra, **_stamp(settings)}), args.output)
+    header = _output_header(settings, corpus.extra)
+    write_records(args.output, header, map(dialogue_record, corpus.dialogues))
     failures = corpus.extra.get("failures", [])
     print(
         f"generated {len(corpus)} dialogue(s), {len(failures)} failure(s) "
@@ -485,8 +487,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"avg_abs_diff={report.average_abs_diff:.4f} "
             f"systems={len(report.systems_compared)}"
         )
-    header = {"schema_version": "1", **_stamp({"command": "compare", "seed": args.seed})}
-    write_records(args.output, header, records)
+    write_records(args.output, _output_header({"command": "compare", "seed": args.seed}), records)
     print(f"wrote {len(records)} reliability report(s) -> {args.output}")
     return EXIT_OK
 

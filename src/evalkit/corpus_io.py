@@ -244,11 +244,15 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
 
 
 def _read_header(records: Iterator[tuple[int, dict[str, Any]]]) -> dict[str, Any]:
-    """The first of ``records``, which must be the schema_version header;
-    ``{}`` for a stream without records."""
+    """The first of ``records``, which must be the schema_version header, its
+    version made a string by the number rule (``_text``); ``{}`` for no records."""
     for line_number, record in records:
         if "schema_version" not in record:
             raise CorpusFormatError(line_number, "first record must be a schema_version header")
+        try:
+            record["schema_version"] = _text(record["schema_version"], "'schema_version'")
+        except TypeError as exc:
+            raise CorpusFormatError(line_number, str(exc)) from exc
         return record
     return {}
 
@@ -297,14 +301,13 @@ def _cpu_count() -> int:
 class CorpusFiles:
     """Corpus files read as one stream of dialogues, ids unique across files.
 
-    Iterating reads the files in turn; ``header`` then holds the last
-    file's header record, and a format error names its file.
+    Iterating reads the files in turn, each after its header; a format
+    error names its file.
     """
 
     def __init__(self, paths: Iterable[str], schema: IntentSchema | None = None):
         self.paths = tuple(paths)
         self.schema = default_schema() if schema is None else schema
-        self.header: dict[str, Any] = {}
 
     def __iter__(self) -> Iterator[Dialogue]:
         seen_ids: set[str] = set()
@@ -312,7 +315,7 @@ class CorpusFiles:
             with open(path, "rb") as handle:
                 try:
                     records = iter_records(handle)
-                    self.header = _read_header(records)
+                    _read_header(records)
                     yield from _parse_body(records, self.schema, seen_ids)
                 except CorpusFormatError as exc:
                     raise CorpusFormatError(exc.line_number, f"{exc.reason} in {path}") from exc
@@ -332,9 +335,8 @@ class CorpusFiles:
         if workers >= 2:
             from .parallel import fold_in_workers  # loaded only for inputs that use workers
 
-            done = fold_in_workers(self.paths, self.schema, workers, fold, args)
-            if done is not None:
-                results, self.header = done
+            results = fold_in_workers(self.paths, self.schema, workers, fold, args)
+            if results is not None:
                 return results
         return [fold(iter(self), *args)]
 
@@ -350,7 +352,7 @@ class CorpusFiles:
 def parse_corpus(raw: bytes | str | BinaryIO, schema: IntentSchema | None = None) -> Corpus:
     """Collect ``read_corpus(raw, schema)``; an empty stream gives an empty corpus."""
     header, dialogues = read_corpus(raw, schema)
-    return Corpus(tuple(dialogues), str(header.pop("schema_version", "1")), header)
+    return Corpus(tuple(dialogues), header.pop("schema_version", "1"), header)
 
 
 def _act_record(act: DialogueAct) -> dict[str, Any]:

@@ -99,7 +99,6 @@ def _slot_fault(pairs: tuple[tuple[str, str], ...]) -> tuple[str, str] | None:
         if not pair[0] or pair in seen:
             return pair
         seen.add(pair)
-    return None
 
 
 @dataclass(frozen=True)
@@ -268,9 +267,6 @@ class Utterance:
         fields["acts"] = acts
         fields["items"] = items
         fields["extra"] = {} if extra is None else extra
-
-    def has_intent(self, label: str) -> bool:
-        return any(act.intent == label for act in self.acts)
 
 
 @dataclass(frozen=True, init=False)

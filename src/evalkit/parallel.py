@@ -50,15 +50,13 @@ def _fold_range(path: str, start: int, end: int) -> tuple[set[str], Any]:
     return seen_ids, result
 
 
-def line_ranges(paths: Sequence[str], count: int) -> tuple[list[tuple[str, int, int]], dict]:
+def line_ranges(paths: Sequence[str], count: int) -> list[tuple[str, int, int]]:
     """About ``count`` ``(path, start, end)`` byte ranges that cover every
-    file's records after its header, each starting a line, and the last
-    file's header."""
+    file's records after its header, each starting a line."""
     bodies = []
-    header: dict[str, Any] = {}
     for path in paths:
         with open(path, "rb") as handle:
-            header = _read_header(iter_records(handle))
+            _read_header(iter_records(handle))
             bodies.append((path, handle.tell(), os.fstat(handle.fileno()).st_size))
     step = -(-sum(end - start for _, start, end in bodies) // count)
     ranges = []
@@ -74,18 +72,18 @@ def line_ranges(paths: Sequence[str], count: int) -> tuple[list[tuple[str, int, 
                 cut = min(cut, end)
                 ranges.append((path, start, cut))
                 start = cut
-    return ranges, header
+    return ranges
 
 
 def fold_in_workers(
     paths: Sequence[str], schema: IntentSchema, workers: int, fold: Callable, args: tuple
-) -> tuple[list[Any], dict] | None:
+) -> list[Any] | None:
     """``fold(dialogues, *args)`` per byte range of ``paths`` on up to
-    ``workers`` processes, in file order, with the last file's header; None
-    if any range faults or two ranges hold one id. In a child process that
-    is still starting up, a failure to start workers is raised."""
+    ``workers`` processes, in file order; None if any range faults or two
+    ranges hold one id. In a child process that is still starting up, a
+    failure to start workers is raised."""
     try:
-        ranges, header = line_ranges(paths, workers)
+        ranges = line_ranges(paths, workers)
         with ProcessPoolExecutor(
             min(workers, len(ranges)), initializer=_start_worker, initargs=(schema, fold, args)
         ) as pool:
@@ -102,4 +100,4 @@ def fold_in_workers(
     ids = [part_ids for part_ids, _ in parts]
     if sum(map(len, ids)) != len(set().union(*ids)):
         return None  # an id in two ranges: the rerun names its second line
-    return [result for _, result in parts], header
+    return [result for _, result in parts]

@@ -255,8 +255,13 @@ class TestLlmAnnotator:
         acts = annotator.annotate(utt(1, "SYSTEM", text="Maybe try Heat?"))
         assert acts == (act("Recommend", ("TITLE", "Heat")),)
 
-    def test_retry_then_other_with_warning_flag(self):
-        sent = RecordingTransport(scripted_transport(["&& broken &&", "still broken (("]))
+    @pytest.mark.parametrize(
+        "replies",
+        [["&& broken &&", "still broken (("], ["Accept(TITLE)", "Accept(TITLE Heat; x=1)"]],
+        ids=["act-line", "slot"],
+    )
+    def test_retry_then_other_with_warning_flag(self, replies):
+        sent = RecordingTransport(scripted_transport(replies))
         annotator = LlmAnnotator(SCHEMA, llm_gateway(sent))
         acts = annotator.annotate(utt(0, "USER", text="whatever"))
         assert len(sent.calls) == 2

@@ -13,7 +13,7 @@ import pytest
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, iter_annotated
-from evalkit.cli import _llm_gateway_factory, _load_ground_truth, _stamp, build_parser, main
+from evalkit.cli import _llm_gateway_factory, _load_ground_truth, build_parser, main
 from evalkit import cli, connectors
 from evalkit.connectors import LLM_RETRIES, HttpLlmGateway
 from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
@@ -456,6 +456,36 @@ class TestAnnotate:
         else:
             assert len(posts) <= 4 * jobs * (1 + LLM_RETRIES)
 
+    @pytest.mark.parametrize(
+        "script, shape",
+        [(["Accept()", 1], "array of strings"), ({"0": "Accept()"}, "array")],
+        ids=["a-number", "an-object"],
+    )
+    def test_a_mock_script_of_other_values_is_a_config_error(
+        self, tmp_path, capsys, script, shape
+    ):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        path = write_scores(tmp_path / "script.json", script)
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--mode", "llm"]
+        assert main(argv + ["--llm-endpoint", f"mock:{path}"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: mock script {path} must be a JSON {shape}\n"
+        )
+        assert not out.exists()
+
+    def test_a_lexicon_line_without_a_cue_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("Accept\tthanks\nReject\t  \n", encoding="utf-8")
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--lexicon", str(lexicon)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: bad lexicon line: 'Reject\\t  '\n"
+        assert not out.exists()
+
     def test_format_error_midway_names_the_line_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"
         write_corpus(bare_corpus(), src)
@@ -490,7 +520,9 @@ class TestAnnotate:
         dialogues = tuple(iter_annotated(source, RuleAnnotator(default_schema())))
         annotated = replace(source, dialogues=dialogues)
         settings = {"command": "annotate", "mode": "rule", "overwrite": False, "seed": 3}
-        extra = {**annotated.extra, **_stamp(settings)}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":")).encode()
+        config_hash = hashlib.sha256(canonical).hexdigest()[:12]
+        extra = {**annotated.extra, "seed": 3, "config_hash": config_hash}
         assert out.read_bytes() == serialize_corpus(replace(annotated, extra=extra))
         assert out.read_bytes().startswith(b'{"schema_version":"2","source":"lab","seed":3,')
 
@@ -647,6 +679,20 @@ class TestEvaluate:
         truth_path = write_scores(tmp_path / "good.json", {"d1": {"0": ["Alpha"], "10": ["Beta"]}})
         assert _load_ground_truth(truth_path) == {("d1", 0): ("Alpha",), ("d1", 10): ("Beta",)}
 
+    def test_an_empty_target_id_is_a_configuration_error(self, tmp_path, capsys):
+        # No turn can recommend "", so such a target read a hit on Alpha as recall 0.5.
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = write_scores(tmp_path / "truth.json", {"d1": {"1": ["Alpha", ""]}})
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(path), "--output", str(out), "--metrics", "recall"]
+        assert main(argv + ["--ground-truth", truth_path]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: ground truth {truth_path}: (d1, 1) must be an array "
+            "of non-empty item ids\n"
+        )
+        assert not out.exists()
+
     def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
         write_corpus(small_corpus(), path)
@@ -667,6 +713,17 @@ class TestEvaluate:
         assert main(argv + ["--metrics", metrics, "--n", str(n)]) == 2
         assert f"configuration error: n must be at least 1, not {n}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_report_carries_its_own_version(self, tmp_path):
+        body = serialize_corpus(small_corpus()).split(b"\n", 1)[1]
+        reports = []
+        for version in ("1", "2"):
+            path = tmp_path / f"corpus{version}.ndjson"
+            path.write_bytes(b'{"schema_version":%s}\n' % version.encode() + body)
+            reports.append(tmp_path / f"report{version}.ndjson")
+            assert main(["evaluate", "--input", str(path), "--output", str(reports[-1])]) == 0
+        assert reports[1].read_bytes().startswith(b'{"schema_version":"1",')
+        assert reports[1].read_bytes() == reports[0].read_bytes()
 
     def test_duplicate_id_across_inputs_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "a.ndjson"
@@ -721,6 +778,25 @@ class TestCorpusFieldTypes:
             argv += ["--output", str(tmp_path / "report.ndjson")]
         assert main(argv) == 1
         assert "line 2: 'crs_id' must be a string, not an array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "annotate", "evaluate"])
+    @pytest.mark.parametrize(
+        "version, kind", [("null", "null"), ("true", "a boolean"), ("{}", "an object")]
+    )
+    def test_a_version_that_is_not_a_string_or_number_is_a_format_error(
+        self, command, version, kind, tmp_path, capsys
+    ):
+        path = tmp_path / "corpus.ndjson"
+        body = serialize_corpus(small_corpus()).split(b"\n", 1)[1]
+        path.write_bytes(b'{"schema_version":%s}\n' % version.encode() + body)
+        out = tmp_path / "out.ndjson"
+        argv = [command, "--input", str(path)]
+        assert main(argv if command == "ingest" else argv + ["--output", str(out)]) == 1
+        detail = f"line 1: 'schema_version' must be a string, not {kind}"
+        # annotate reads one stream, whose file the user has just named.
+        where = "" if command == "annotate" else f" in {path}"
+        assert capsys.readouterr().err == f"error: {detail}{where}\n"
+        assert not out.exists()
 
     def test_a_numeric_text_is_a_format_error_in_annotate(self, tmp_path, capsys):
         record = dialogue_record(small_corpus().dialogues[0])
@@ -974,6 +1050,32 @@ class TestSimulate:
         argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
         assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 1
         assert "interaction model column 'Disclose' is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            (
+                "s\tDisclose\n__start__\t1\nFlyToMoon\t1\n",
+                "interaction model row 'FlyToMoon' is not a system intent",
+            ),
+            (
+                "s\tDisclose\tFlyToMoon\n__start__\t1\t0\nRecommend\t1\t0\n",
+                "interaction model references unknown user intent 'FlyToMoon'",
+            ),
+            ("# only a comment\n\n", "interaction model file is empty"),
+        ],
+        ids=["row", "column", "empty"],
+    )
+    def test_an_interaction_model_outside_the_schema_is_an_error(
+        self, tmp_path, catalog_file, capsys, text, detail
+    ):
+        model = tmp_path / "model.tsv"
+        model.write_text(text, encoding="utf-8")
+        out = tmp_path / "sim.ndjson"
+        argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
+        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
         assert not out.exists()
 
     def test_unknown_stub_is_config_error(self, tmp_path, catalog_file, capsys):
@@ -1290,6 +1392,19 @@ class TestCompare:
         assert capsys.readouterr().err == f"configuration error: {detail}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("score", ["high", [0.5]], ids=["text", "array"])
+    def test_a_score_map_that_is_not_numeric_is_a_config_error(self, tmp_path, capsys, score):
+        ref = write_scores(tmp_path / "ref.json", {"a": 0.3, "b": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"a": 0.9, "b": 0.2})
+        cand = write_scores(tmp_path / "cand.json", {"a": score, "b": 0.5})
+        out = tmp_path / "rel.ndjson"
+        argv = ["compare", "--candidate", f"c={cand}", "--reference", ref, "--satisfaction", sat]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {cand} is not a numeric score map: "
+        )
+        assert not out.exists()
+
     def test_numeric_strings_in_a_score_map_are_read_as_numbers(self, tmp_path, capsys):
         ref = write_scores(tmp_path / "ref.json", {"A": "0.3", "B": " 1e-1 "})
         sat = write_scores(tmp_path / "sat.json", {"A": 0.9, "B": 0.2})
@@ -1299,6 +1414,29 @@ class TestCompare:
         record = [json.loads(l) for l in out.read_text().splitlines()][1]
         assert record["per_system_abs_diff"] == {"A": 0.0, "B": 0.0}
         assert capsys.readouterr().out.startswith("self: tau_b=1.000 avg_abs_diff=0.0000")
+
+
+@pytest.mark.parametrize("data", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf-8"])
+@pytest.mark.parametrize(
+    "what, argv",
+    [
+        ("config file", ["annotate", "--config", "{bad}"]),
+        ("intent schema", ["annotate", "--schema", "{bad}"]),
+        ("ground truth", ["evaluate", "--metrics", "recall", "--ground-truth", "{bad}"]),
+        ("mock script", ["annotate", "--mode", "llm", "--llm-endpoint", "mock:{bad}"]),
+    ],
+    ids=["config", "schema", "ground-truth", "mock-script"],
+)
+def test_a_file_that_is_not_json_is_a_configuration_error(tmp_path, capsys, data, what, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    src = tmp_path / "raw.ndjson"
+    write_corpus(small_corpus(), src)
+    out = tmp_path / "out.ndjson"
+    argv = [arg.format(bad=bad) for arg in argv]
+    assert main(argv + ["--input", str(src), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot read {what} {bad}: ")
+    assert not out.exists()
 
 
 # Each command's required flags, a flag of type int and a flag with choices.

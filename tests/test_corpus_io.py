@@ -348,6 +348,21 @@ class TestReadCorpus:
             read_corpus(b"\n" + json.dumps(FIXTURE_RECORD).encode() + b"\n")
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize("version, text", [(2, "2"), (1.5, "1.5"), ("2", "2")])
+    def test_a_number_version_reads_as_its_string(self, version, text):
+        raw = json.dumps({"schema_version": version, "seed": 7}).encode() + b"\n"
+        header, _ = read_corpus(raw)
+        assert header == {"schema_version": text, "seed": 7}
+        assert parse_corpus(raw).schema_version == text
+
+    @pytest.mark.parametrize(
+        "version, kind", [(None, "null"), (True, "a boolean"), ({}, "an object"), ([], "an array")]
+    )
+    def test_a_version_that_is_not_a_string_or_number_is_a_format_error(self, version, kind):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            read_corpus(json.dumps({"schema_version": version}).encode() + b"\n")
+        assert str(excinfo.value) == f"line 1: 'schema_version' must be a string, not {kind}"
+
 
 class TestCorpusFiles:
     def test_ids_seen_in_an_earlier_file_are_duplicates(self, tmp_path):
@@ -357,12 +372,10 @@ class TestCorpusFiles:
         files = CorpusFiles([str(first), str(second)])
         dialogues = iter(files)
         assert next(dialogues).dialogue_id == "d1"
-        assert files.header == {"schema_version": "1"}
         with pytest.raises(CorpusFormatError, match="duplicate dialogue_id 'd1' in ") as excinfo:
             next(dialogues)
         assert excinfo.value.reason.endswith(str(second))
         assert excinfo.value.line_number == 2
-        assert files.header == {"schema_version": "2"}
 
 
 class TestIterRecords:

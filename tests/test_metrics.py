@@ -352,7 +352,7 @@ class TestRecallAtN:
             for d in c.dialogues:
                 for u in d.utterances:
                     if u.speaker.value == "SYSTEM" and (
-                        u.items or u.has_intent("Recommend")
+                        u.items or any(a.intent == "Recommend" for a in u.acts)
                     ):
                         if rng.random() < 0.8:
                             truth[(d.dialogue_id, u.index)] = {

@@ -163,8 +163,7 @@ def test_ranges_cover_each_body_at_line_starts(tmp_path_factory, count, lines):
         files[path] = ("\n" + HEADER + "\n" + "\n".join(lines[number:])).encode("utf-8")
         with open(path, "wb") as handle:
             handle.write(files[path])
-    ranges, header = parallel.line_ranges(list(files), count)
-    assert header == {"schema_version": "1"}
+    ranges = parallel.line_ranges(list(files), count)
     body_start = len(HEADER) + 2
     for path, data in files.items():
         starts = [start for p, start, _ in ranges if p == path]
@@ -227,6 +226,18 @@ class TestErrorsMatchTheInProcessRun:
         if command == "evaluate":
             argv = evaluate_argv([path], tmp_path / "r.ndjson")
         self.parity(runs, argv, "line 1: first record must be a schema_version header")
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    @pytest.mark.parametrize(
+        "version, kind", [("null", "null"), ("true", "a boolean"), ("{}", "an object")]
+    )
+    def test_a_version_that_is_not_a_string_or_number(self, runs, tmp_path, command, version, kind):
+        lines = dialogue_lines(*(annotated(f"d{i}") for i in range(4)))
+        path = write_lines(tmp_path / "c.ndjson", [f'{{"schema_version":{version}}}', *lines])
+        argv = [command, "--input", path]
+        if command == "evaluate":
+            argv = evaluate_argv([path], tmp_path / "r.ndjson")
+        self.parity(runs, argv, f"line 1: 'schema_version' must be a string, not {kind} in {path}")
 
     def test_an_unannotated_dialogue_before_a_malformed_line(self, runs, tmp_path):
         # The metric error comes first in the stream, so it wins, as it
@@ -313,7 +324,7 @@ def test_a_worker_freezes_the_heap_it_inherits(tmp_path):
         tmp_path / "corpus.ndjson", [HEADER, *dialogue_lines(annotated("d1"), annotated("d2"))]
     )
     assert gc.get_freeze_count() == 0
-    counts, _ = parallel.fold_in_workers([path], default_schema(), 2, frozen_objects, ())
+    counts = parallel.fold_in_workers([path], default_schema(), 2, frozen_objects, ())
     assert len(counts) == 2 and all(count > 0 for count in counts)
     assert gc.get_freeze_count() == 0
 

@@ -964,6 +964,11 @@ class TestGenerateCorpus:
             }
         ]
 
+    def test_no_dialogues_is_a_value_error(self, movie_catalog):
+        simulator = AgendaSimulator(catalog=movie_catalog)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate_corpus(simulator, make_stub("echo"), 0, catalog=movie_catalog)
+
     def test_all_failures_raise(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Any, Mapping
 
 from .dialogue import _bundled_text
@@ -56,10 +57,7 @@ def rank_systems(scores: Mapping[str, float]) -> Ranking:
 
 
 def _tied_pairs(values: list[float]) -> int:
-    counts: dict[float, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
 
 
 def kendall_tau_b(x: Mapping[str, float], y: Mapping[str, float]) -> float:
@@ -78,15 +76,10 @@ def kendall_tau_b(x: Mapping[str, float], y: Mapping[str, float]) -> float:
     xs = [float(x[i]) for i in ids]
     ys = [float(y[i]) for i in ids]
 
-    concordant = 0
-    discordant = 0
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            product = (xs[i] - xs[j]) * (ys[i] - ys[j])
-            if product > 0:
-                concordant += 1
-            elif product < 0:
-                discordant += 1
+    # Positive for a concordant pair, negative for a discordant one.
+    products = [(x1 - x2) * (y1 - y2) for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2)]
+    concordant = sum(1 for p in products if p > 0)
+    discordant = sum(1 for p in products if p < 0)
 
     n0 = len(ids) * (len(ids) - 1) // 2
     tx = _tied_pairs(xs)

@@ -16,6 +16,7 @@ from itertools import takewhile
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .dialogue import (
+    _SYSTEM,
     Dialogue,
     DialogueAct,
     ITEM_SLOT,
@@ -40,8 +41,6 @@ if TYPE_CHECKING:
     from .catalog import ItemCatalog
     from .connectors import HttpLlmGateway
 
-# ``Speaker.SYSTEM`` itself costs about 0.12 µs a lookup on 3.10 and 3.11.
-_SYSTEM = Speaker.SYSTEM
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
 # The built-in few-shot examples of llm-mode annotation, as prompts show them.
 _FEW_SHOT = (
@@ -61,8 +60,8 @@ def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
     """Load an intent→cue-phrase table from the file at ``path``.
 
     Each line is ``intent<TAB>cue phrase``; blank lines and comments, whose
-    first non-blank character is ``#``, are skipped. With no path, the
-    bundled default lexicon is used.
+    first non-blank character is ``#``, are skipped; a ValueError names a
+    bad line's number. With no path, the bundled default lexicon is used.
     """
     if path is None:
         text = _bundled_text("rule_lexicon.tsv")
@@ -70,11 +69,11 @@ def load_rule_lexicon(path=None) -> dict[str, tuple[str, ...]]:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     lexicon: dict[str, list[str]] = {}
-    for raw_line in _table_lines(text):
+    for number, raw_line in _table_lines(text):
         intent, _, cue = raw_line.strip().partition("\t")
         cue = cue.strip().lower()
         if not intent or not cue:
-            raise ValueError(f"bad lexicon line: {raw_line!r}")
+            raise ValueError(f"line {number}: {raw_line!r} is not an intent, a tab and a cue")
         lexicon.setdefault(intent.strip(), []).append(cue)
     return {intent: tuple(cues) for intent, cues in lexicon.items()}
 

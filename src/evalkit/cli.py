@@ -338,7 +338,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             jobs = 1
     else:
         catalog = _CLI.load_catalog(args.catalog) if args.catalog else None
-        lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
+        try:
+            lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"lexicon {args.lexicon}: {exc}") from exc
         annotator = RuleAnnotator(schema, lexicon, catalog)
     settings = {
         "command": "annotate",
@@ -418,8 +421,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     connector = _build_connector(args.crs, catalog, timeout)
 
     if args.simulator == "abus":
-        model = load_interaction_model(args.interaction_model) if args.interaction_model else None
-        simulator = AgendaSimulator(catalog=catalog, schema=schema, model=model)
+        path = args.interaction_model
+        try:
+            model = load_interaction_model(path) if path else None
+            simulator = AgendaSimulator(catalog=catalog, schema=schema, model=model)
+        except (OSError, ValueError, SchemaViolationError) as exc:
+            if not path:
+                raise
+            raise ConfigError(f"interaction model {path}: {exc}") from exc
     else:
         simulator = LlmSimulator(
             _llm_gateway_factory(args, config, "llm-us"),
@@ -466,13 +475,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .corpus_io import write_records
 
-    reference = _read_score_map(args.reference, args.metric)
-    satisfaction = _read_score_map(args.satisfaction, None)
-    records = []
+    candidates = []
     for spec in args.candidate:
         name, _, path = spec.partition("=")
         if not path:
             name, path = os.path.basename(spec), spec
+        if not name:
+            raise ConfigError(f"candidate {spec!r} has an empty name")
+        candidates.append((name, path))
+    reference = _read_score_map(args.reference, args.metric)
+    satisfaction = _read_score_map(args.satisfaction, None)
+    records = []
+    for name, path in candidates:
         candidate = _read_score_map(path, args.metric)
         report = _CLI.reliability_report(
             reference,

@@ -26,6 +26,7 @@ from types import MappingProxyType
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .dialogue import (
+    _USER,
     Corpus,
     Dialogue,
     DialogueAct,
@@ -56,8 +57,6 @@ _UTTERANCE_KEYS = {"index", "speaker", "text", "acts", "items"}
 _ACT_KEYS = {"intent", "slots"}
 _GOAL_KEYS = {"constraints", "requests"}
 _SPEAKERS = {speaker.value: speaker for speaker in Speaker}
-# ``Speaker.USER`` itself costs about 0.12 µs a lookup on 3.10 and 3.11.
-_USER = Speaker.USER
 _slot_pair = itemgetter("slot", "value")
 # The ``extra`` of every parsed object without unknown keys.
 _NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})

@@ -92,6 +92,15 @@ class Abort:
     reason: str
 
 
+def _check_distribution(name: str, row: Mapping[str, float]) -> None:
+    """Raise ValueError naming row ``name`` unless it is a probability distribution."""
+    if any(not p >= 0 for p in row.values()):
+        raise ValueError(f"row {name!r} has negative probabilities")
+    total = sum(row.values())
+    if not abs(total - 1.0) <= _PROBABILITY_TOLERANCE:
+        raise ValueError(f"row {name!r} sums to {total!r}, expected 1")
+
+
 @dataclass(frozen=True)
 class InteractionModel:
     """Markov transition table from system intents to user-intent distributions."""
@@ -101,11 +110,7 @@ class InteractionModel:
 
     def __post_init__(self):
         for name, row in list(self.transitions.items()) + [(_START_ROW, self.initial)]:
-            if any(not p >= 0 for p in row.values()):
-                raise ValueError(f"row {name!r} has negative probabilities")
-            total = sum(row.values())
-            if not abs(total - 1.0) <= _PROBABILITY_TOLERANCE:
-                raise ValueError(f"row {name!r} sums to {total!r}, expected 1")
+            _check_distribution(name, row)
 
     def row_for(self, system_intent: str | None) -> tuple[Mapping[str, float], bool]:
         """Distribution for an incoming intent; falls back to the initial row."""
@@ -137,7 +142,7 @@ def load_interaction_model(path) -> InteractionModel:
     The header names the user-intent columns; each following row is a
     system intent (or ``__start__`` for the opening distribution) followed
     by one probability per column. Blank lines and comments, whose first
-    non-blank character is ``#``, are skipped.
+    non-blank character is ``#``, are skipped; a ValueError names a bad line's number.
     """
     with open(path, "r", encoding="utf-8") as handle:
         return _parse_interaction_model(handle.read())
@@ -154,21 +159,26 @@ def _parse_interaction_model(text: str) -> InteractionModel:
     lines = _table_lines(text)
     if not lines:
         raise ValueError("interaction model file is empty")
-    header = lines[0].split("\t")
-    user_intents = [name.strip() for name in header[1:]]
-    _check_unique(user_intents, "interaction model column")
+    number, header = lines[0]
+    user_intents = [name.strip() for name in header.split("\t")[1:]]
     rows: dict[str, dict[str, float]] = {}
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != len(user_intents) + 1:
-            raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} probabilities, "
-                             f"expected {len(user_intents)}")
-        name = cells[0].strip()
-        if name in rows:
-            raise ValueError(f"interaction model row {name!r} is repeated")
-        rows[name] = {
-            intent: float(cell) for intent, cell in zip(user_intents, cells[1:])
-        }
+    try:
+        _check_unique(user_intents, "interaction model column")
+        for number, line in lines[1:]:
+            cells = line.split("\t")
+            if len(cells) != len(user_intents) + 1:
+                raise ValueError(f"row {cells[0]!r} has {len(cells) - 1} probabilities, "
+                                 f"expected {len(user_intents)}")
+            name = cells[0].strip()
+            if name in rows:
+                raise ValueError(f"interaction model row {name!r} is repeated")
+            rows[name] = {
+                intent: float(cell) for intent, cell in zip(user_intents, cells[1:])
+            }
+            # As the model checks every row, but here a fault names its line.
+            _check_distribution(name, rows[name])
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from exc
     initial = rows.pop(_START_ROW, None)
     if initial is None:
         raise ValueError(f"interaction model needs a {_START_ROW} row")

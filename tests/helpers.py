@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import replace
+from pathlib import Path
 
 from evalkit.connectors import GatewayOptions, HttpLlmGateway, scripted_transport
 from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker, Utterance
@@ -12,6 +14,16 @@ ITEMS = ("Alpha", "Beta", "Gamma", "Delta")
 USER_INTENTS = ("Disclose", "Refine", "Inquire", "Accept", "Reject", "Other")
 SYSTEM_INTENTS = ("Recommend", "Explain", "Request", "Respond", "Other")
 LLM_OPTIONS = GatewayOptions(endpoint="http://llm.local/api/chat", model="test-model")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """The benchmark's module ``bench/<name>.py``, loaded by path: ``bench``
+    is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def act(intent: str, *slots: tuple[str, str]) -> DialogueAct:

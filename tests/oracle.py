@@ -43,39 +43,31 @@ def _titles(act: dict) -> list[str]:
     return [pair["value"] for pair in act.get("slots", []) if pair["slot"] == "TITLE"]
 
 
-def oracle_rounds(utterances: list[dict]) -> list[tuple[int, int, str, list[str]]]:
-    """(start, end, outcome, items) per recommendation round of one
-    dialogue record's utterances.
+def oracle_rounds(utterances: list[dict]) -> list[tuple[int, int, str]]:
+    """(start, end, outcome) per recommendation round of one dialogue
+    record's utterances.
 
     A round opens at a SYSTEM utterance with a Recommend act and closes at
     the first later USER utterance with an Accept or Reject act, the first
     of which decides it; further Recommends extend the open round, and one
     still open at the end is unresolved and ends one past the last
-    utterance. Its items are the TITLE values of its Recommend acts and the
-    items of its recommending utterances, each once, in order of first
-    mention.
+    utterance.
     """
     rounds = []
     start = None
-    mentions: list[str] = []
     for utterance in utterances:
-        acts = utterance.get("acts", [])
-        intents = [act["intent"] for act in acts]
+        intents = [act["intent"] for act in utterance.get("acts", [])]
         if utterance["speaker"] == "SYSTEM" and "Recommend" in intents:
             if start is None:
-                start, mentions = utterance["index"], []
-            for act in acts:
-                if act["intent"] == "Recommend":
-                    mentions += _titles(act)
-            mentions += utterance.get("items", [])
+                start = utterance["index"]
         elif utterance["speaker"] == "USER" and start is not None:
             decisions = [intent for intent in intents if intent in ("Accept", "Reject")]
             if decisions:
                 outcome = "accepted" if decisions[0] == "Accept" else "rejected"
-                rounds.append((start, utterance["index"], outcome, _first_mentions(mentions)))
+                rounds.append((start, utterance["index"], outcome))
                 start = None
     if start is not None:
-        rounds.append((start, len(utterances), "unresolved", _first_mentions(mentions)))
+        rounds.append((start, len(utterances), "unresolved"))
     return rounds
 
 
@@ -96,7 +88,7 @@ def oracle_accepted_items(utterances: list[dict]) -> int:
 
 
 def _dialogue_srrr(utterances: list[dict]) -> float:
-    outcomes = [outcome for _, _, outcome, _ in oracle_rounds(utterances)]
+    outcomes = [outcome for _, _, outcome in oracle_rounds(utterances)]
     if not outcomes:
         return 0.0
     return outcomes.count("accepted") / len(outcomes)

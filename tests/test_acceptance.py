@@ -227,7 +227,7 @@ def test_criterion_5_invariance_suite():
 
     # Uniform positive weight scaling preserves the induced ranking.
     c = None
-    while c is None or len(c.crs_ids()) < 2:
+    while c is None or len(c.by_system()) < 2:
         c = random_corpus(rng)
 
     def utilities(reward_weight, cost_weight):

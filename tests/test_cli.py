@@ -482,9 +482,22 @@ class TestAnnotate:
         lexicon.write_text("Accept\tthanks\nReject\t  \n", encoding="utf-8")
         out = tmp_path / "annotated.ndjson"
         argv = ["annotate", "--input", str(src), "--output", str(out), "--lexicon", str(lexicon)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: bad lexicon line: 'Reject\\t  '\n"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: lexicon {lexicon}: line 2: 'Reject\\t  ' "
+            "is not an intent, a tab and a cue\n"
+        )
         assert not out.exists()
+
+    def test_a_missing_lexicon_is_a_config_error(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        lexicon = tmp_path / "missing.tsv"
+        argv = ["annotate", "--input", str(src), "--output", str(tmp_path / "out")]
+        assert main(argv + ["--lexicon", str(lexicon)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: lexicon {lexicon}: ")
+        assert "No such file or directory" in err
 
     def test_format_error_midway_names_the_line_and_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"
@@ -1048,8 +1061,11 @@ class TestSimulate:
         model.write_text("s\tDisclose\tDisclose\n__start__\t0.5\t0.5\n", encoding="utf-8")
         out = tmp_path / "sim.ndjson"
         argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
-        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 1
-        assert "interaction model column 'Disclose' is repeated" in capsys.readouterr().err
+        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: interaction model {model}: "
+            "line 1: interaction model column 'Disclose' is repeated\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1064,8 +1080,13 @@ class TestSimulate:
                 "interaction model references unknown user intent 'FlyToMoon'",
             ),
             ("# only a comment\n\n", "interaction model file is empty"),
+            (
+                "# rows\ns\tDisclose\n\n__start__\t1\nRecommend\t0.5\n",
+                "line 5: row 'Recommend' sums to 0.5, expected 1",
+            ),
+            ("s\tDisclose\n__start__\tlots\n", "line 2: could not convert string to float: 'lots'"),
         ],
-        ids=["row", "column", "empty"],
+        ids=["row", "column", "empty", "sum", "number"],
     )
     def test_an_interaction_model_outside_the_schema_is_an_error(
         self, tmp_path, catalog_file, capsys, text, detail
@@ -1074,8 +1095,8 @@ class TestSimulate:
         model.write_text(text, encoding="utf-8")
         out = tmp_path / "sim.ndjson"
         argv = ["simulate", "--simulator", "abus", "--crs", "stub:echo", "--catalog", catalog_file]
-        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert main(argv + ["--interaction-model", str(model), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: interaction model {model}: {detail}\n"
         assert not out.exists()
 
     def test_unknown_stub_is_config_error(self, tmp_path, catalog_file, capsys):
@@ -1262,6 +1283,19 @@ class TestCompare:
         record = [json.loads(l) for l in out.read_text().splitlines()][1]
         assert record["candidate"] == "cand.json"
         assert capsys.readouterr().out.startswith("cand.json: tau_b=1.000")
+
+    @pytest.mark.parametrize("spec", ["={}", "{}/"], ids=["before-equals", "directory"])
+    def test_an_empty_candidate_name_is_a_config_error(self, tmp_path, capsys, spec):
+        cand = write_scores(tmp_path / "cand.json", {"A": 0.5, "B": 0.2})
+        spec = spec.format(cand if spec[0] == "=" else tmp_path)
+        # Raised before any file is read: the reference does not exist.
+        argv = ["compare", "--candidate", spec, "--reference", str(tmp_path / "missing.json")]
+        out = tmp_path / "rel.ndjson"
+        assert main(argv + ["--satisfaction", cand, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: candidate {spec!r} has an empty name\n"
+        )
+        assert not out.exists()
 
     def test_reference_fixture_comparison(self, tmp_path):
         ref = write_scores(tmp_path / "rdl.json", REF["human_metrics"]["rdl"])

@@ -165,7 +165,7 @@ class TestIntentSchema:
 USER = Speaker.USER
 GOAL = UserGoal((("genre", "comedy"),), ("year",))
 UTTERANCES = (utt(0, "USER", ["Disclose"]), utt(1, "SYSTEM", ["Recommend"], ["Up"]))
-ROUND = RecommendationRound(1, 2, "accepted", ("Up",))
+ROUND = RecommendationRound(1, 2, "accepted")
 
 # One object per class with a hand-written ``__init__``, each field set,
 # and the same class's required arguments only.
@@ -229,7 +229,6 @@ def test_replace_runs_the_checks_and_normalizes():
         dataclasses.replace(act("Other"), intent="")
     moved = dataclasses.replace(UTTERANCES[1], speaker="USER", items=["Up", "Heat"])
     assert moved.speaker is Speaker.USER and moved.items == ("Up", "Heat")
-    assert dataclasses.replace(ROUND, items=["Heat"]).items == ("Heat",)
     assert hash(dataclasses.replace(ROUND)) == hash(ROUND)
 
 

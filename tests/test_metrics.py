@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from evalkit import metrics
 from evalkit.analysis import rank_systems
 from evalkit.corpus_io import read_corpus, serialize_corpus
-from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker
+from evalkit.dialogue import Corpus, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
     DialogueFacts,
     Factor,
     MetricReport,
+    RecommendationRound,
     accepted_items_reward,
     accepted_rounds_reward,
     constant_cost,
@@ -90,8 +91,6 @@ class TestSegmentRounds:
         rounds = segment_rounds(two_rounds())
         assert [r.outcome for r in rounds] == ["rejected", "accepted"]
         assert [(r.start_index, r.end_index) for r in rounds] == [(0, 3), (4, 5)]
-        assert rounds[0].items == ("Alpha",)
-        assert rounds[1].items == ("Beta",)
 
     def test_round_open_at_dialogue_end_is_unresolved(self):
         rounds = segment_rounds(unresolved_round())
@@ -110,10 +109,7 @@ class TestSegmentRounds:
                 ("USER", ["Accept"]),
             ),
         )
-        rounds = segment_rounds(d)
-        assert len(rounds) == 1
-        assert rounds[0].items == ("Alpha", "Beta")
-        assert rounds[0].outcome == "accepted"
+        assert segment_rounds(d) == [RecommendationRound(0, 3, "accepted")]
 
     def test_accept_without_open_round_is_ignored(self):
         d = dlg("stray", "sysA", turns(("USER", ["Accept"]), ("SYSTEM", ["Respond"])))
@@ -152,7 +148,7 @@ BARE = dlg("bare", "sysA", [utt(0, "USER"), utt(1, "SYSTEM")])
     ids=["utility", "dialogue_rdl", "success_rate", "srrr", "rdl", "evaluate_system"],
 )
 def test_every_act_metric_rejects_an_unannotated_dialogue(score):
-    with pytest.raises(UnannotatedDialogueError, match="bare"):
+    with pytest.raises(UnannotatedDialogueError, match="^dialogue bare carries no act annotations$"):
         score()
 
 
@@ -553,7 +549,7 @@ class TestInvariants:
         rng = random.Random(14)
         c = None
         # Find a random corpus with at least 2 systems.
-        while c is None or len(c.crs_ids()) < 2:
+        while c is None or len(c.by_system()) < 2:
             c = random_corpus(rng)
 
         def system_utilities(reward_weight, cost_weight):
@@ -720,9 +716,7 @@ class TestFoldAgainstOracle:
     def test_rounds_and_accepted_items_equal_the_oracle(self, dialogue):
         utterances = json.loads(serialize_corpus(corpus(dialogue)).splitlines()[1])["utterances"]
         rounds = segment_rounds(dialogue)
-        assert [(r.start_index, r.end_index, r.outcome, list(r.items)) for r in rounds] == (
-            oracle_rounds(utterances)
-        )
+        assert [(r.start_index, r.end_index, r.outcome) for r in rounds] == oracle_rounds(utterances)
         assert DialogueFacts.of(dialogue).accepted_items == oracle_accepted_items(utterances)
 
 
@@ -750,17 +744,21 @@ class TestOnePassEngine:
         assert reports[3:] == evaluate_system(c, ["recall"], truth, n)
 
     def test_annotation_checked_once_per_dialogue(self, monkeypatch):
-        checked = []
-        has_acts = Dialogue.has_acts
+        # The walk checks for acts as it goes, when a requested metric reads them.
+        calls = []
+        walk = metrics._walk
 
-        def counting(dialogue):
-            checked.append(dialogue.dialogue_id)
-            return has_acts(dialogue)
+        def counting(dialogue, require_acts):
+            calls.append((dialogue.dialogue_id, require_acts))
+            return walk(dialogue, require_acts)
 
-        monkeypatch.setattr(Dialogue, "has_acts", counting)
+        monkeypatch.setattr(metrics, "_walk", counting)
         c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
         evaluate_system(c, ["sr", "srrr", "rdl", "recall"], {}, 1)
-        assert checked == ["accepted", "tworounds", "unresolved"]
+        assert calls == [("accepted", True), ("tworounds", True), ("unresolved", True)]
+        calls.clear()
+        evaluate_system(c, ["recall"], {}, 1)
+        assert calls == [("accepted", False), ("tworounds", False), ("unresolved", False)]
 
     @given(corpora_with_truth())
     def test_one_shot_generator_equals_the_corpus(self, case):
@@ -795,9 +793,9 @@ class TestOnePassEngine:
         calls = []
         walk = metrics._walk
 
-        def counting(dialogue):
+        def counting(dialogue, require_acts):
             calls.append(dialogue.dialogue_id)
-            return walk(dialogue)
+            return walk(dialogue, require_acts)
 
         monkeypatch.setattr(metrics, "_walk", counting)
         c = corpus(one_round_accepted(), two_rounds(), unresolved_round())

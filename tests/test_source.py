@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import json
 import os
 import re
@@ -24,10 +23,9 @@ from evalkit import (
 )
 from evalkit.corpus_io import write_corpus
 
-from helpers import corpus, dlg, scripted, utt
+from helpers import BENCH, bench_module, corpus, dlg, scripted, utt
 
 SOURCES = sorted(Path(evalkit.__file__).parent.glob("*.py"))
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_no_assert_statements():
@@ -310,17 +308,10 @@ MODULES = {
 }
 
 
-def _bench_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
-
-
 def test_bench_tracer_patch_points_exist():
     # bench/spans.py wraps evalkit attributes by name for ``--trace 1``;
     # renaming one of them must fail here, not in a traced bench run.
-    spans = _bench_spans()
+    spans = bench_module("spans")
     originals = (cli.serialize_corpus, corpus_io.parse_corpus, cli.evaluate_system)
     tracer = spans.Tracer()
     try:
@@ -333,7 +324,7 @@ def test_bench_tracer_patch_points_exist():
 def test_bench_tracer_sees_every_call_the_commands_make_through_cli(tmp_path):
     # The commands call the patch points through the cli module: a call
     # that bypassed the wrapper would read 0 in a traced bench run.
-    spans = _bench_spans()
+    spans = bench_module("spans")
     catalog_path = tmp_path / "catalog.json"
     catalog_path.write_text(json.dumps([{"id": "Up", "genre": "comedy"}]))
     raw, annotated = tmp_path / "raw.ndjson", tmp_path / "annotated.ndjson"
@@ -369,7 +360,7 @@ def test_bench_tracer_sees_every_call_the_commands_make_through_cli(tmp_path):
 @pytest.mark.parametrize("family", ["abus", "llm-us"])
 def test_bench_tracer_counts_every_simulated_turn(family, movie_catalog):
     # A patch point the simulators no longer call through would read 0.
-    spans = _bench_spans()
+    spans = bench_module("spans")
     if family == "abus":
         simulator = simulation.AgendaSimulator(catalog=movie_catalog)
     else:

@@ -17,10 +17,15 @@ _SCALARS = (str, int, float)
 # The C scanner behind ``json.loads``: (value, end) of the JSON value
 # starting at an offset, or StopIteration when none starts there.
 _SCAN = json.JSONDecoder().scan_once
-# An array's opening bracket, and its closing one when the array is empty.
-_OPENING = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*(\][ \t\n\r]*)?")
-# The delimiter after an array element, with the JSON whitespace around it.
-_DELIMITER = re.compile(r"[ \t\n\r]*([,\]])[ \t\n\r]*")
+# An array's or object's opening bracket, and its closing one when it is empty.
+_OPENING = re.compile(r"[ \t\n\r]*([\[{])[ \t\n\r]*([\]}][ \t\n\r]*)?")
+# The delimiter after an element or member, with the JSON whitespace around it.
+_DELIMITER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*")
+# The colon after a member's name, with the JSON whitespace around it.
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_CLOSING = {"[": "]", "{": "}"}
+# A comma and the start of an object, or of a member's name: compact JSON.
+_COMPACT = (",{", ',"')
 
 
 @dataclass(frozen=True)
@@ -166,32 +171,59 @@ def _pop_id(record: dict) -> str:
     return str(item_id)
 
 
+def json_entries(text: str, opening: str, shape_error: str) -> Iterator[tuple[Any, int, Any]]:
+    """``(name, offset, value)`` per member of the JSON object (``opening``
+    ``"{"``) or element of the JSON array (``"["``) that is all of ``text``,
+    decoded one at a time; an element's name is None, and ``offset`` is
+    where its value starts. A text that does not open with ``opening``
+    raises ValueError(``shape_error``). The walk stops at the first syntax
+    fault with a ValueError of its own: ``json.loads(text)`` raises JSON's.
+    """
+    opening_match = _OPENING.match(text)
+    if opening_match is None or opening_match[1] != opening:
+        raise ValueError(shape_error)
+    closing = _CLOSING[opening]
+    index, empty = opening_match.end(), opening_match[2]
+    if empty is not None and empty[0] != closing:
+        raise ValueError(f"expected {closing!r} at offset {opening_match.start(2)}")
+    more, name = empty is None, None
+    while more:
+        try:
+            if opening == "{":
+                if not text.startswith('"', index):
+                    raise ValueError(f"expected a member name at offset {index}")
+                name, end = _SCAN(text, index)
+                colon = _COLON.match(text, end)
+                if colon is None:
+                    raise ValueError(f"expected ':' at offset {end}")
+                index = colon.end()
+            value, end = _SCAN(text, index)
+        except StopIteration:
+            raise ValueError(f"expected a value at offset {index}") from None
+        yield name, index, value
+        if text.startswith(_COMPACT, end):  # compact JSON: the next entry follows
+            index = end + 1
+            continue
+        delimiter = _DELIMITER.match(text, end)
+        if delimiter is None or delimiter[1] not in (",", closing):
+            raise ValueError(f"expected ',' or {closing!r} at offset {end}")
+        index, more = delimiter.end(), delimiter[1] == ","
+    if index != len(text):
+        raise ValueError(f"extra data at offset {index}")
+
+
 def _index(text: str) -> tuple[dict[str, int], set[str]]:
     """Each record's id -> its start offset in the JSON array ``text``, and the slot names."""
-    opening = _OPENING.match(text)
-    if opening is None:
-        raise ValueError("catalog must be a JSON array of objects")
-    index, more = opening.end(), opening[1] is None
     offsets: dict[str, int] = {}
     names: set[str] = set()
-    while more:
-        record, end = _SCAN(text, index)
+    for _, offset, record in json_entries(text, "[", "catalog must be a JSON array of objects"):
         if type(record) is not dict:
             raise ValueError("catalog records must be JSON objects")
         item_id = _pop_id(record)
         if item_id in offsets:
             raise ValueError(f"duplicate catalog item id {item_id!r}")
-        offsets[item_id] = index
+        offsets[item_id] = offset
         names.update(record)
-        if text.startswith(",{", end):  # compact JSON: the next record follows
-            index = end + 1
-            continue
-        delimiter = _DELIMITER.match(text, end)
-        if delimiter is None:
-            raise ValueError("expected ',' or ']' after a catalog record")
-        index, more = delimiter.end(), delimiter[1] == ","
-    if index != len(text):
-        raise ValueError("extra data after the catalog array")
     return offsets, names
 
 
@@ -215,7 +247,7 @@ def load_catalog(source) -> ItemCatalog:
             raise ValueError(f"catalog holds a value JSON cannot encode: {exc}") from None
     try:
         offsets, names = _index(text)
-    except (ValueError, StopIteration):
+    except ValueError:
         # The walk stops at the first fault. Decoding the whole text raises
         # JSON's own message for every syntax fault, so what it lets through
         # is a record's fault or a top level that is not an array.

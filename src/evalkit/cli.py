@@ -228,44 +228,66 @@ def _build_connector(spec: str, catalog: ItemCatalog, timeout: float):
 
 
 def _read_score_map(path: str, metric: str | None) -> dict[str, float]:
-    """Read per-system scores from a plain map or a metric report file."""
+    """Per-system scores from a plain score map or a metric report file.
+
+    A file whose first record is a header or a metric record is a report.
+    Any other file is a plain map if it decodes whole to an object with
+    neither key, and is read as a report if not. A report is decoded one
+    record at a time, and only its metric names and the chosen metric's
+    ``per_system`` are kept.
+    """
     from .corpus_io import iter_records
     from .metrics import MetricReport
 
-    raw = _read_bytes(path, "score file")
+    names, chosen = [], None
     try:
-        whole = json.loads(raw)
-    except ValueError:
-        whole = None
-    if isinstance(whole, dict) and "metric" not in whole and "schema_version" not in whole:
-        try:
-            scores = {str(k): v if type(v) is bool else float(v) for k, v in whole.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{path} is not a numeric score map: {exc}") from exc
-        return _finite_scores(path, scores)
-
-    # Otherwise treat it as a newline-delimited metric report file.
-    try:
-        reports = [MetricReport.from_record(r) for _, r in iter_records(raw) if "metric" in r]
+        with open(path, "rb") as handle:
+            try:
+                first = next(iter_records(handle), (0, {}))[1]
+            except CorpusFormatError:
+                first = {}
+            handle.seek(0)
+            if "metric" not in first and "schema_version" not in first:
+                try:
+                    whole = json.loads(handle.read())
+                except ValueError:
+                    whole = None
+                if isinstance(whole, dict) and "metric" not in whole and "schema_version" not in whole:
+                    return _plain_scores(path, whole)
+                handle.seek(0)
+            for _, record in iter_records(handle):
+                if "metric" in record:
+                    report = MetricReport.from_record(record)
+                    names.append(report.metric)
+                    if chosen is None and (metric is None or report.metric.lower() == metric.lower()):
+                        chosen = report.per_system
+                    del report  # it holds the record's per-dialogue scores
+                del record  # let it go before the next record is decoded
+    except OSError as exc:
+        raise ConfigError(f"cannot read score file {path}: {exc}") from exc
     except (CorpusFormatError, KeyError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"cannot parse scores from {path}: {detail}") from exc
-    if not reports:
+    if not names:
         raise ConfigError(f"no metric records in report file {path}")
-    if metric is not None:
-        matches = [r for r in reports if r.metric.lower() == metric.lower()]
-        if not matches:
-            names = ", ".join(r.metric for r in reports)
-            raise ConfigError(
-                f"metric {metric!r} not in report file {path} (has: {names})"
-            )
-        return _finite_scores(path, matches[0].per_system)
-    if len(reports) > 1:
-        names = ", ".join(r.metric for r in reports)
+    if metric is None and len(names) > 1:
         raise ConfigError(
-            f"report file {path} holds several metrics ({names}); use --metric"
+            f"report file {path} holds several metrics ({', '.join(names)}); use --metric"
         )
-    return _finite_scores(path, reports[0].per_system)
+    if chosen is None:
+        raise ConfigError(
+            f"metric {metric!r} not in report file {path} (has: {', '.join(names)})"
+        )
+    return _finite_scores(path, chosen)
+
+
+def _plain_scores(path: str, whole: dict) -> dict[str, float]:
+    """A plain score map's scores: each a bool or made a float, and finite."""
+    try:
+        scores = {str(k): v if type(v) is bool else float(v) for k, v in whole.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} is not a numeric score map: {exc}") from exc
+    return _finite_scores(path, scores)
 
 
 def _finite_scores(path: str, scores: Mapping[str, Any]) -> dict[str, float]:
@@ -278,24 +300,55 @@ def _finite_scores(path: str, scores: Mapping[str, Any]) -> dict[str, float]:
 
 
 def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
+    """File ``path``'s ground truth: (dialogue id, turn index) -> target ids.
+
+    Its object is decoded one dialogue entry at a time, and each target id
+    is one string however many turns name it. A fault is a configuration
+    error naming the file. A JSON syntax fault outranks an entry's fault,
+    which outranks a repeated dialogue id: the least one is named.
+    """
+    from .catalog import json_entries
+
+    try:
+        text = _read_bytes(path, "ground truth").decode("utf-8")
+    except ValueError as exc:
+        raise ConfigError(f"cannot read ground truth {path}: {exc}") from exc
     mapping: dict[tuple[str, int], tuple[str, ...]] = {}
-    for dialogue_id, per_turn in _read_json(path, "ground truth").items():
-        if not isinstance(per_turn, dict):
-            raise ConfigError(f"ground truth {path}: {dialogue_id!r} must map to an object")
-        for index, items in per_turn.items():
-            # One spelling per turn: "1", never "01" or a non-ASCII digit.
-            if not (index.isascii() and index.isdecimal() and (index == "0" or index[0] != "0")):
-                raise ConfigError(
-                    f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
-                    f"a non-negative integer in ASCII digits without leading zeros"
-                )
-            # No recommended item is "", so an empty target would deflate recall.
-            if not _strings(items) or "" in items:
-                raise ConfigError(
-                    f"ground truth {path}: ({dialogue_id}, {index}) must be an array "
-                    "of non-empty item ids"
-                )
-            mapping[(dialogue_id, int(index))] = tuple(items)
+    targets: dict[str, str] = {}
+    # A list, sorted once all are read: a set of 20k ids holds 2 MB.
+    dialogue_ids: list[str] = []
+    try:
+        entries = json_entries(text, "{", f"ground truth {path} must be a JSON object")
+        for dialogue_id, _, per_turn in entries:
+            dialogue_ids.append(dialogue_id)
+            if not isinstance(per_turn, dict):
+                raise ValueError(f"ground truth {path}: {dialogue_id!r} must map to an object")
+            for index, items in per_turn.items():
+                # One spelling per turn: "1", never "01" or a non-ASCII digit.
+                if not (index.isascii() and index.isdecimal() and (index == "0" or index[0] != "0")):
+                    raise ValueError(
+                        f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
+                        f"a non-negative integer in ASCII digits without leading zeros"
+                    )
+                # No recommended item is "", so an empty target would deflate recall.
+                if not _strings(items) or "" in items:
+                    raise ValueError(
+                        f"ground truth {path}: ({dialogue_id}, {index}) must be an array "
+                        "of non-empty item ids"
+                    )
+                mapping[(dialogue_id, int(index))] = tuple(map(targets.setdefault, items, items))
+    except ValueError as exc:
+        # Decoding the whole text raises JSON's own message for a syntax
+        # fault anywhere in it, before or after the entry at fault.
+        try:
+            json.loads(text)
+        except ValueError as syntax:
+            raise ConfigError(f"cannot read ground truth {path}: {syntax}") from syntax
+        raise ConfigError(str(exc)) from exc
+    dialogue_ids.sort()
+    for previous, dialogue_id in zip(dialogue_ids, dialogue_ids[1:]):
+        if previous == dialogue_id:
+            raise ConfigError(f"ground truth {path}: repeated dialogue id {dialogue_id!r}")
     return mapping
 
 
@@ -360,7 +413,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .corpus_io import CorpusFiles, write_records
-    from .metrics import VALID_METRICS, check_metric_names
+    from .metrics import VALID_METRICS, MetricReport, check_metric_names
 
     try:
         metrics = check_metric_names(_names(args.metrics))
@@ -377,13 +430,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     inputs = CorpusFiles(args.input, schema)
     reports = _CLI.evaluate_system(inputs, metrics, ground_truth=ground_truth, n=args.n)
+    del ground_truth  # scored: the records' encoding can reuse its memory
     settings = {
         "command": "evaluate",
         "metrics": metrics,
         "n": args.n,
         "seed": args.seed,
     }
-    write_records(args.output, _output_header(settings), [r.to_record() for r in reports])
+    # One record at a time: each holds a copy of its per-dialogue scores.
+    write_records(args.output, _output_header(settings), map(MetricReport.to_record, reports))
     for report in reports:
         for crs_id in sorted(report.per_system):
             print(f"{report.metric}\t{crs_id}\t{report.per_system[crs_id]:.6f}")
@@ -475,18 +530,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .corpus_io import write_records
 
-    candidates = []
+    candidates: dict[str, str] = {}
     for spec in args.candidate:
         name, _, path = spec.partition("=")
         if not path:
             name, path = os.path.basename(spec), spec
         if not name:
             raise ConfigError(f"candidate {spec!r} has an empty name")
-        candidates.append((name, path))
+        if name in candidates:
+            raise ConfigError(f"candidate {spec!r} repeats the name {name!r}")
+        candidates[name] = path
     reference = _read_score_map(args.reference, args.metric)
     satisfaction = _read_score_map(args.satisfaction, None)
     records = []
-    for name, path in candidates:
+    for name, path in candidates.items():
         candidate = _read_score_map(path, args.metric)
         report = _CLI.reliability_report(
             reference,

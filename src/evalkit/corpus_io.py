@@ -240,6 +240,7 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
         if not isinstance(record, dict):
             raise CorpusFormatError(line_number, "record must be a JSON object")
         yield line_number, record
+        del record  # let it go before the next line is decoded
 
 
 def _read_header(records: Iterator[tuple[int, dict[str, Any]]]) -> dict[str, Any]:

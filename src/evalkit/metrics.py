@@ -38,6 +38,7 @@ as one pass.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -339,8 +340,10 @@ def _report_specs(requested: Sequence[str], ground_truth, n: int) -> tuple[list,
 class _SystemTally:
     """One system's running scores, sums and warnings."""
 
-    # (dialogue_id, [score per macro report]) per dialogue, in corpus order.
-    rows: list[tuple[str, list[float]]] = field(default_factory=list)
+    # The dialogue ids in corpus order, and each one's score per macro
+    # report, in turn: one block of doubles to pickle and to merge.
+    ids: list[str] = field(default_factory=list)
+    scores: array = field(default_factory=lambda: array("d"))
     # The weighted sum of each micro factor over the dialogues. Recall's
     # factors count, so the sums of consecutive runs add up exactly.
     sums: list[float] = field(default_factory=list)
@@ -352,7 +355,8 @@ class _SystemTally:
 
     def absorb(self, later: _SystemTally) -> None:
         """Add the tally of dialogues that come after this one's."""
-        self.rows += later.rows
+        self.ids += later.ids
+        self.scores += later.scores
         self.warnings += later.warnings
         self.add(later.sums)
 
@@ -377,8 +381,8 @@ def _tally_systems(
         # Only the macro metrics read acts; recall alone scores items.
         facts = _walk(dialogue, bool(macro))
         if macro:
-            scores = [_utility(facts, rewards, costs) for rewards, costs in macro]
-            tally.rows.append((dialogue_id, scores))
+            tally.ids.append(dialogue_id)
+            tally.scores.extend([_utility(facts, rewards, costs) for rewards, costs in macro])
         if micro:
             tally.add([factor.weight * factor.evaluator(facts) for factor in micro])
             for index, _ in facts.recommendation_turns:
@@ -406,15 +410,18 @@ def _reports(
         raise ValueError("corpus has no dialogues")
     warnings = [note for t in tallies.values() for note in t.warnings]
     reports: defaultdict[str, list[MetricReport]] = defaultdict(list)
-    # Macro reports come first in ``specs``, so a macro report's position
-    # there indexes its score in each row.
+    # Macro reports come first in ``specs``, so a macro report's scores
+    # are every ``width``-th from its position.
+    width = sum(spec[2] == MACRO for spec in specs)
     for position, (request, metric, mode, rewards, costs, divisors) in enumerate(specs):
         if mode == MACRO:
+            columns = {crs_id: t.scores[position::width] for crs_id, t in tallies.items()}
             per_system = {
-                crs_id: math.fsum(scores[position] for _, scores in t.rows) / len(t.rows)
-                for crs_id, t in tallies.items()
+                crs_id: math.fsum(column) / len(column) for crs_id, column in columns.items()
             }
-            per_dialogue = {d: scores[position] for t in tallies.values() for d, scores in t.rows}
+            per_dialogue = {
+                d: score for crs_id, t in tallies.items() for d, score in zip(t.ids, columns[crs_id])
+            }
             reports[request].append(MetricReport(metric, MACRO, per_system, per_dialogue))
             continue
         per_system = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,19 @@ def bench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def traced(call, *args):
+    """``call(*args)``'s result, the peak of the bytes ``tracemalloc`` traced
+    while it ran, and the bytes still traced after it: what the result holds."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
 
 
 def act(intent: str, *slots: tuple[str, str]) -> DialogueAct:

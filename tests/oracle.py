@@ -2,7 +2,8 @@
 
 Works directly on the serialized record stream with no code shared with
 the metric engine: its own JSON walking, its own round scanner, its own
-accept counting. The record checker walks each decoded dialogue record
+accept counting. A ground-truth file is decoded whole before its entries
+are checked. The record checker walks each decoded dialogue record
 against the corpus format's rules on its own. The catalog references
 decode a catalog whole before checking it, scan every item or try every
 title at every position, goal sampling replays its draws over the plain
@@ -182,6 +183,47 @@ def oracle_length_normalized_recall(
         / utterances[crs_id]
         for crs_id in hits
     }
+
+
+class _Members(list):
+    """A decoded JSON object: its (name, value) members in file order."""
+
+
+def oracle_ground_truth(text: str, path: str):
+    """A ``--ground-truth`` file read the plain way: decode the whole
+    ``text``, then convert each dialogue entry in file order. Returns
+    ``{(dialogue id, index): targets}``, or the message of the first fault:
+    JSON's own for a syntax fault anywhere in ``text``."""
+    try:
+        parsed = json.loads(text, object_pairs_hook=_Members)
+    except ValueError as exc:
+        return f"cannot read ground truth {path}: {exc}"
+    if type(parsed) is not _Members:
+        return f"ground truth {path} must be a JSON object"
+    mapping = {}
+    for dialogue_id, per_turn in parsed:
+        if type(per_turn) is not _Members:
+            return f"ground truth {path}: {dialogue_id!r} must map to an object"
+        # A repeated index keeps its last value, as json.loads does.
+        for index, items in dict(per_turn).items():
+            if not re.fullmatch(r"0|[1-9][0-9]*", index):
+                return (
+                    f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
+                    "a non-negative integer in ASCII digits without leading zeros"
+                )
+            if type(items) is not list or not all(type(i) is str and i for i in items):
+                return (
+                    f"ground truth {path}: ({dialogue_id}, {index}) must be an array "
+                    "of non-empty item ids"
+                )
+            mapping[(dialogue_id, int(index))] = tuple(items)
+    # Only a file without a faulty entry is checked for a repeated id,
+    # and the least such id is named.
+    ids = [dialogue_id for dialogue_id, _ in parsed]
+    repeated = sorted(i for i in set(ids) if ids.count(i) > 1)
+    if repeated:
+        return f"ground truth {path}: repeated dialogue id {repeated[0]!r}"
+    return mapping
 
 
 def oracle_get(items, item_id: str):

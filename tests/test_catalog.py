@@ -2,7 +2,6 @@ import copy
 import gc
 import json
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from evalkit.catalog import CatalogItem, load_catalog
 from evalkit.cli import main
 
+from helpers import traced
 from oracle import oracle_find_titles, oracle_get, oracle_load_catalog, oracle_slots
 
 # Few letters, so titles often nest in and overlap one another; case,
@@ -254,12 +254,7 @@ class TestHeldCatalog:
     def test_held_bytes_stay_near_the_file_size(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps(movie_records(20000)), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            catalog = load_catalog(path)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        catalog, _, held = traced(load_catalog, path)
         assert len(catalog) == 20000
         # The file is 3.1 MB. Loaded, it held 5.53 MB on Python 3.11; the
         # bound adds 25 %. A catalog keeping every decoded record held 18.6 MB.

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -10,18 +11,22 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evalkit.analysis import ReliabilityReport, load_reference_scores
 from evalkit.annotation import RuleAnnotator, iter_annotated
 from evalkit.cli import _llm_gateway_factory, _load_ground_truth, build_parser, main
-from evalkit import cli, connectors
+from evalkit import cli, connectors, corpus_io
 from evalkit.connectors import LLM_RETRIES, HttpLlmGateway
 from evalkit.corpus_io import dialogue_record, parse_corpus, serialize_corpus, write_corpus
 from evalkit.dialogue import Corpus, IntentSchema, default_schema, simulation_schema
 from evalkit.errors import GatewayError
+from evalkit.metrics import MetricReport
 
 from conftest import MOVIES
-from helpers import RecordingTransport, act, corpus, dlg, turns, utt
+from helpers import RecordingTransport, act, corpus, dlg, traced, turns, utt
+from oracle import oracle_ground_truth
 
 REF = load_reference_scores()
 
@@ -706,6 +711,21 @@ class TestEvaluate:
         )
         assert not out.exists()
 
+    def test_a_repeated_dialogue_id_is_a_configuration_error(self, tmp_path, capsys):
+        # json.loads kept the last entry: turn 1's target was dropped, and
+        # recall skipped that turn.
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text('{"d1": {"1": ["Alpha"]}, "d1": {"4": ["Beta"]}}')
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(path), "--output", str(out), "--metrics", "recall"]
+        assert main(argv + ["--ground-truth", str(truth_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: ground truth {truth_path}: repeated dialogue id 'd1'\n"
+        )
+        assert not out.exists()
+
     def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
         write_corpus(small_corpus(), path)
@@ -768,6 +788,132 @@ class TestStreaming:
         out = tmp_path / "annotated.ndjson"
         assert main(["annotate", "--input", str(path), "--output", str(out)]) == 0
         assert main(["annotate", "--input", str(out), "--output", str(out), "--jobs", "2"]) == 0
+
+    def test_the_ground_truth_is_held_once_while_it_is_read(self, tmp_path):
+        rng = random.Random(7)
+        titles = [f"Title {number}" for number in range(2000)]
+        truth = {
+            f"h{number:06d}": {
+                str(1 + 3 * turn): rng.sample(titles, rng.randint(1, 2))
+                for turn in range(rng.randint(1, 2))
+            }
+            for number in range(20000)
+        }
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth, separators=(",", ":")))
+        mapping, peak, held = traced(_load_ground_truth, str(path))
+        assert len(mapping) == sum(map(len, truth.values()))
+        # Decoding the whole file first peaked at 1.9 times what the
+        # result holds; one entry at a time, the text and the result remain.
+        assert peak <= 1.5 * held
+
+    def test_compare_reads_a_report_one_record_at_a_time(self, tmp_path):
+        per_dialogue = {f"h{number:06d}": number / 20000 for number in range(20000)}
+        lines = [json.dumps({"schema_version": "1", "seed": 0, "config_hash": "0"})]
+        for metric in ("SR", "SRRR", "RDL", "Other"):
+            record = {"metric": metric, "aggregation": "macro", "per_system": {"A": 0.5}}
+            lines.append(json.dumps({**record, "per_dialogue": per_dialogue, "warnings": []}))
+        report = tmp_path / "report.ndjson"
+        report.write_text("\n".join(lines) + "\n")
+        _, _, one = traced(json.loads, lines[1])
+        scores, peak, _ = traced(cli._read_score_map, str(report), "RDL")
+        assert scores == {"A": 0.5}
+        # Keeping every decoded record peaked at over five times one record.
+        assert peak < 2 * one
+
+    def test_evaluate_writes_each_report_record_before_it_builds_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        events = []
+        to_record, line = MetricReport.to_record, corpus_io._line
+        monkeypatch.setattr(
+            MetricReport, "to_record", lambda report: events.append(report.metric) or to_record(report)
+        )
+        monkeypatch.setattr(corpus_io, "_line", lambda record: events.append("written") or line(record))
+        assert main(["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]) == 0
+        assert events == ["written", "SR", "written", "SRRR", "written", "RDL", "written"]
+
+
+# Ids and targets that probe the entry walk: quotes, backslashes, control
+# characters and non-ASCII text, escaped or not.
+truth_strings = st.text(st.sampled_from('Ab"\\\n\x00é☃:,{}[] '), max_size=4)
+turn_entries = st.dictionaries(
+    st.sampled_from(["0", "1", "4", "10"]), st.lists(truth_strings.filter(bool), max_size=3),
+    max_size=3,
+)
+json_space = st.sampled_from(["", " ", "\n", " \t\r\n "])
+
+
+@st.composite
+def ground_truth_texts(draw):
+    """A ground-truth file in varied layouts, maybe mutated afterwards."""
+    members = list(draw(st.dictionaries(truth_strings, turn_entries, max_size=4)).items())
+    ascii_only = draw(st.booleans())
+
+    def spaced(text: str) -> str:
+        return draw(json_space) + text + draw(json_space)
+
+    def rendered_members(pairs) -> list[str]:
+        return [
+            spaced(json.dumps(name, ensure_ascii=ascii_only)) + ":" + spaced(render(value))
+            for name, value in pairs
+        ]
+
+    def render(value) -> str:
+        if isinstance(value, dict):
+            return "{" + (",".join(rendered_members(value.items())) or draw(json_space)) + "}"
+        if isinstance(value, list):
+            return "[" + (",".join(spaced(render(v)) for v in value) or draw(json_space)) + "]"
+        return json.dumps(value, ensure_ascii=ascii_only)
+
+    mutation = draw(st.sampled_from([
+        "none", "none", "none", "repeated id", "bad entry", "bad index", "bad target",
+        "truncate", "stray", "trailing", "bom", "bad entry then syntax error",
+    ]))
+    bad = {"bad entry": ["x"], "bad index": {"01": ["A"]}, "bad target": {"1": ["A", ""]}}
+    if mutation == "repeated id" and members:
+        members.insert(draw(st.integers(0, len(members))), (members[0][0], {"2": ["B"]}))
+    elif mutation in bad:
+        members.insert(draw(st.integers(0, len(members))), ('"bad"', bad[mutation]))
+    body = rendered_members(members)
+    text = spaced("{" + (",".join(body) or draw(json_space)) + "}")
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif mutation == "stray":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list('x,]}[{": '))) + text[at:]
+    elif mutation == "trailing":
+        text += draw(st.sampled_from(["x", "}", "{}", ",", " 0"]))
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "bad entry then syntax error":
+        text = '{"d0": []' + "".join("," + part for part in body) + ",}"
+    return text
+
+
+class TestGroundTruthAgainstOracle:
+    @settings(max_examples=300)
+    @given(ground_truth_texts())
+    def test_equals_decoding_the_whole_text_first(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle_truth.json"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            outcome = _load_ground_truth(str(path))
+        except cli.ConfigError as exc:
+            outcome = str(exc)
+        assert outcome == oracle_ground_truth(text, str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", " { } ", '{"d1": {}}', '{"d\\"1\\u00e9": {"0": []}}', '\t{\r\n"d1"\n:\t{ "1" : [ "A" ] } }'],
+        ids=["empty", "empty-spaced", "empty-entry", "escaped-id", "spaced"],
+    )
+    def test_edge_layouts_equal_decoding_the_whole_text_first(self, tmp_path, text):
+        path = tmp_path / "truth.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_ground_truth(str(path)) == oracle_ground_truth(text, str(path))
 
 
 def one_dialogue_file(path, **fields) -> str:
@@ -1294,6 +1440,26 @@ class TestCompare:
         assert main(argv + ["--satisfaction", cand, "--output", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"configuration error: candidate {spec!r} has an empty name\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "specs",
+        [["a={cand}", "a={other}"], ["{cand}", "cand.json={other}"]],
+        ids=["given", "from-the-file"],
+    )
+    def test_a_repeated_candidate_name_is_a_config_error(self, tmp_path, capsys, specs):
+        # Both candidates' records were written, each named "a".
+        cand = write_scores(tmp_path / "cand.json", {"A": 0.5, "B": 0.2})
+        specs = [spec.format(cand=cand, other=tmp_path / "other.json") for spec in specs]
+        # Raised before any file is read: the reference does not exist.
+        argv = ["compare", "--candidate", specs[0], "--candidate", specs[1]]
+        argv += ["--reference", str(tmp_path / "missing.json"), "--satisfaction", cand]
+        out = tmp_path / "rel.ndjson"
+        assert main(argv + ["--output", str(out)]) == 2
+        name = specs[1].partition("=")[0]
+        assert capsys.readouterr().err == (
+            f"configuration error: candidate {specs[1]!r} repeats the name {name!r}\n"
         )
         assert not out.exists()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
 from itertools import takewhile
@@ -41,6 +42,9 @@ if TYPE_CHECKING:
     from .catalog import ItemCatalog
     from .connectors import HttpLlmGateway
 
+# A phrase's head: its first character and the word characters after it.
+_HEAD = re.compile(r".\w*", re.S)
+_NON_WORD = re.compile(r"\W")
 _ACT_LINE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*[.;]?\s*$")
 # The built-in few-shot examples of llm-mode annotation, as prompts show them.
 _FEW_SHOT = (
@@ -91,11 +95,11 @@ def _fallback(allowed: frozenset[str], **extra) -> tuple[DialogueAct, ...]:
 
 
 class RuleAnnotator:
-    """Deterministic cue-phrase annotator with a catalog title-matching pass.
+    """Deterministic cue-phrase annotator that also finds catalog titles.
 
-    Cues match whole, as titles do, and compile on the first ``annotate``
-    call. Repeat runs over the same inputs are byte-identical. Not a
-    substitute for model-based annotation quality; it exists as an offline oracle.
+    Cues and titles share one phrase table, and one scan finds both.
+    Repeat runs over the same inputs are byte-identical. Not a substitute
+    for model-based annotation quality; it exists as an offline oracle.
     """
 
     def __init__(
@@ -105,24 +109,66 @@ class RuleAnnotator:
         catalog: ItemCatalog | None = None,
     ):
         self.schema = schema
-        raw = lexicon if lexicon is not None else load_rule_lexicon()
-        self.lexicon = {
-            intent: tuple(cue.lower() for cue in cues) for intent, cues in raw.items()
-        }
         self.catalog = catalog
+        self._cues: dict[str, tuple[str, ...]] = {}  # each lowered cue -> the intents it cues
+        for intent, cues in (lexicon if lexicon is not None else load_rule_lexicon()).items():
+            for cue in map(str.lower, cues):
+                if not cue:
+                    raise ValueError(f"intent {intent!r} has an empty cue")
+                self._cues[cue] = self._cues.get(cue, ()) + (intent,)
 
     @functools.cached_property
-    def _cue_patterns(self) -> dict[Speaker, list[tuple[str, re.Pattern]]]:
-        """Per speaker, (intent, pattern) for each allowed intent with cues
-        (an empty alternation matches anywhere); a match is the leftmost cue."""
-        return {
-            speaker: [
-                (intent, re.compile(r"(?<!\w)(?:" + "|".join(map(re.escape, cues)) + r")(?!\w)"))
-                for intent, cues in self.lexicon.items()
-                if cues and intent in self.schema.intents_for(speaker)
-            ]
-            for speaker in Speaker
-        }
+    def _phrases(self) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
+        """Each lowered title -> the titles that lower to it, and each
+        phrase's head -> its longest phrase's length; built on first use."""
+        by_text: dict[str, tuple[str, ...]] = {}
+        for title in self.catalog.titles() if self.catalog is not None else ():
+            key = title.lower()
+            by_text[key] = by_text.get(key, ()) + (title,)
+        # Each head maps to the length of its longest phrase, which comes last.
+        keys = sorted([*by_text, *self._cues], key=len)
+        return by_text, dict(zip([_HEAD.match(key)[0] for key in keys], map(len, keys)))
+
+    def scan(self, text: str, speaker: Speaker) -> tuple[dict[str, int], list[tuple[int, str]]]:
+        """Each intent of ``speaker`` with a cue in ``text`` -> its leftmost
+        cue's position, and the catalog titles in it as sorted (position,
+        title) pairs; positions index ``text.lower()``. A phrase matches in
+        any case and whole: no word character (``\\w``) may touch it. Cues may
+        overlap anything; titles do not overlap one another: left to right,
+        the longest title at a position wins, reported at its first match."""
+        by_text, heads = self._phrases
+        cues, allowed = self._cues, self.schema.intents_for(speaker)
+        lowered = text.lower()
+        breaks = [match.start() for match in _NON_WORD.finditer(lowered)]
+        # A match starts after a non-word character or at the start of the
+        # text, and ends before one or at the end. It begins with the text's
+        # head at that start, so a start whose head begins no phrase, or that
+        # is the end of the text, is skipped; ends past the head's longest
+        # phrase are not tried.
+        ends = breaks + [len(lowered)]
+        cued: dict[str, int] = {}
+        found: dict[str, int] = {}
+        free = 0  # where the last title found ends
+        starts = [0] + [b + 1 for b in breaks]
+        if starts[-1] == ends[-1]:
+            starts.pop()
+        for start in starts:
+            first = bisect_right(ends, start)
+            longest = heads.get(lowered[start : ends[first]])
+            if longest is None:
+                continue
+            for end in reversed(ends[first : bisect_right(ends, start + longest)]):
+                phrase = lowered[start:end]
+                if start >= free and phrase in by_text:
+                    for title in by_text[phrase]:
+                        found.setdefault(title, start)
+                    free = end
+                intents = cues.get(phrase)
+                if intents:
+                    for intent in intents:
+                        if intent in allowed and intent not in cued:
+                            cued[intent] = start
+        return cued, sorted((position, title) for title, position in found.items())
 
     def annotate(
         self, utterance: Utterance, context: Sequence[Utterance] = ()
@@ -130,16 +176,8 @@ class RuleAnnotator:
         text = utterance.text.strip()
         if not text:
             return ()
-        lowered = text.lower()
         allowed = self.schema.intents_for(utterance.speaker)
-
-        matched: dict[str, int] = {}
-        for intent, pattern in self._cue_patterns[utterance.speaker]:
-            match = pattern.search(lowered)
-            if match:
-                matched[intent] = match.start()
-
-        found = self.catalog.find_titles(text) if self.catalog is not None else []
+        matched, found = self.scan(text, utterance.speaker)
         titles = [title for _, title in found]
         if titles and utterance.speaker is _SYSTEM and RECOMMEND in allowed:
             matched.setdefault(RECOMMEND, found[0][0])

@@ -1,16 +1,12 @@
-"""Item catalog: the attribute store behind goal sampling and title matching."""
+"""Item catalog: the items goal sampling draws from and the titles rule annotation matches."""
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-_NON_WORD = re.compile(r"\W")
-# A title's head: its first character and the word characters after it.
-_HEAD = re.compile(r".\w*", re.S)
 # The JSON types an attribute value, or an element of an array value, may
 # have; bool is excluded (``type`` is checked, not ``isinstance``).
 _SCALARS = (str, int, float)
@@ -66,9 +62,8 @@ class ItemCatalog:
 
     Built only by ``load_catalog``. It keeps the JSON text and where each
     record starts in it, so it holds no object per item, and every lookup
-    decodes a fresh ``CatalogItem``. The title index behind ``find_titles``
-    is built on first use, once per catalog, since only rule annotation
-    needs it.
+    decodes a fresh ``CatalogItem``. It matches no text: rule annotation
+    reads ``titles()`` once per annotator and finds titles itself.
     """
 
     def __init__(self, text: str, offsets: dict[str, int], slots: Iterable[str]):
@@ -78,7 +73,6 @@ class ItemCatalog:
         self._offsets = offsets
         self._ids = tuple(offsets)
         self._slots = tuple(sorted(slots))
-        self._title_index = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -108,55 +102,6 @@ class ItemCatalog:
     def matching(self, constraints) -> tuple[CatalogItem, ...]:
         return tuple(i for i in self if i.satisfies_all(constraints))
 
-    def find_titles(self, text: str) -> list[tuple[int, str]]:
-        """Catalog titles named in ``text``, as (position, title) pairs.
-
-        A title matches case-insensitively and whole: no word character
-        (``\\w``) may touch it on either side. Scanning left to right, the
-        longest title starting at a position wins and matches do not
-        overlap. Each title is reported once, at its first match, and the
-        pairs are ordered by (position, title). Positions index
-        ``text.lower()``; titles that differ only in case match together.
-        The index, built on first use, maps each title's head to its longest
-        title's length: only starts of a head are tried, up to that length.
-        """
-        if self._title_index is None:
-            # Racing threads build equal indexes; either may be kept.
-            by_text: dict[str, tuple[str, ...]] = {}
-            for title in self._ids:
-                key = title.lower()
-                by_text[key] = by_text.get(key, ()) + (title,)
-            # Each head maps to the length of its longest key, which comes last.
-            keys = sorted(by_text, key=len)
-            heads = dict(zip([_HEAD.match(key)[0] for key in keys], map(len, keys)))
-            self._title_index = (by_text, heads)
-        by_text, heads = self._title_index
-        lowered = text.lower()
-        breaks = [match.start() for match in _NON_WORD.finditer(lowered)]
-        # A match starts after a non-word character or at the start of the
-        # text, and ends before one or at the end. It begins with the text's
-        # head at that start, so a start whose head begins no title, or that
-        # is the end of the text, is skipped.
-        ends = breaks + [len(lowered)]
-        found: dict[str, int] = {}
-        free = 0
-        for start in [0] + [b + 1 for b in breaks]:
-            if start < free or start == ends[-1]:
-                continue
-            first = bisect_right(ends, start)
-            longest = heads.get(lowered[start : ends[first]])
-            if longest is None:
-                continue
-            last = bisect_right(ends, start + longest)
-            for end in reversed(ends[first:last]):
-                titles = by_text.get(lowered[start:end])
-                if titles:
-                    for title in titles:
-                        found.setdefault(title, start)
-                    free = end
-                    break
-        return sorted((position, title) for title, position in found.items())
-
 
 def _pop_id(record: dict) -> str:
     """Remove a record's name from it and return the name as a string: its
@@ -171,13 +116,16 @@ def _pop_id(record: dict) -> str:
     return str(item_id)
 
 
-def json_entries(text: str, opening: str, shape_error: str) -> Iterator[tuple[Any, int, Any]]:
+def json_entries(
+    text: str, opening: str, shape_error: str, scan=_SCAN
+) -> Iterator[tuple[Any, int, Any]]:
     """``(name, offset, value)`` per member of the JSON object (``opening``
     ``"{"``) or element of the JSON array (``"["``) that is all of ``text``,
-    decoded one at a time; an element's name is None, and ``offset`` is
-    where its value starts. A text that does not open with ``opening``
-    raises ValueError(``shape_error``). The walk stops at the first syntax
-    fault with a ValueError of its own: ``json.loads(text)`` raises JSON's.
+    decoded one at a time by ``scan``, a ``JSONDecoder``'s ``scan_once``; an
+    element's name is None, and ``offset`` is where its value starts. A
+    text that does not open with ``opening`` raises ValueError(``shape_error``).
+    The walk stops at the first syntax fault with a ValueError of its own:
+    ``json.loads(text)`` raises JSON's.
     """
     opening_match = _OPENING.match(text)
     if opening_match is None or opening_match[1] != opening:
@@ -192,12 +140,12 @@ def json_entries(text: str, opening: str, shape_error: str) -> Iterator[tuple[An
             if opening == "{":
                 if not text.startswith('"', index):
                     raise ValueError(f"expected a member name at offset {index}")
-                name, end = _SCAN(text, index)
+                name, end = scan(text, index)
                 colon = _COLON.match(text, end)
                 if colon is None:
                     raise ValueError(f"expected ':' at offset {end}")
                 index = colon.end()
-            value, end = _SCAN(text, index)
+            value, end = scan(text, index)
         except StopIteration:
             raise ValueError(f"expected a value at offset {index}") from None
         yield name, index, value

@@ -304,8 +304,9 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
 
     Its object is decoded one dialogue entry at a time, and each target id
     is one string however many turns name it. A fault is a configuration
-    error naming the file. A JSON syntax fault outranks an entry's fault,
-    which outranks a repeated dialogue id: the least one is named.
+    error naming the file. A JSON syntax fault outranks an entry's fault (a
+    repeated index last), which outranks a repeated dialogue id: the least
+    one is named.
     """
     from .catalog import json_entries
 
@@ -317,13 +318,16 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
     targets: dict[str, str] = {}
     # A list, sorted once all are read: a set of 20k ids holds 2 MB.
     dialogue_ids: list[str] = []
+    # An object decodes to its (name, value) members in file order, in C;
+    # an array is still a list.
+    scan = json.JSONDecoder(object_pairs_hook=tuple).scan_once
     try:
-        entries = json_entries(text, "{", f"ground truth {path} must be a JSON object")
+        entries = json_entries(text, "{", f"ground truth {path} must be a JSON object", scan)
         for dialogue_id, _, per_turn in entries:
             dialogue_ids.append(dialogue_id)
-            if not isinstance(per_turn, dict):
+            if type(per_turn) is not tuple:
                 raise ValueError(f"ground truth {path}: {dialogue_id!r} must map to an object")
-            for index, items in per_turn.items():
+            for index, items in per_turn:
                 # One spelling per turn: "1", never "01" or a non-ASCII digit.
                 if not (index.isascii() and index.isdecimal() and (index == "0" or index[0] != "0")):
                     raise ValueError(
@@ -337,6 +341,12 @@ def _load_ground_truth(path: str) -> dict[tuple[str, int], tuple[str, ...]]:
                         "of non-empty item ids"
                     )
                 mapping[(dialogue_id, int(index))] = tuple(map(targets.setdefault, items, items))
+            # A repeated index collapses in a dict; most entries name one turn.
+            if len(per_turn) > 1 and len(dict(per_turn)) < len(per_turn):
+                repeated = next(i for n, (i, _) in enumerate(per_turn) if i in dict(per_turn[:n]))
+                raise ValueError(
+                    f"ground truth {path}: index {repeated!r} of {dialogue_id!r} is repeated"
+                )
     except ValueError as exc:
         # Decoding the whole text raises JSON's own message for a syntax
         # fault anywhere in it, before or after the entry at fault.

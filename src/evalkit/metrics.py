@@ -122,6 +122,10 @@ class MetricReport:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "MetricReport":
+        for name, kind in (("metric", str), ("aggregation", str), ("per_system", dict)):
+            if not isinstance(record[name], kind):
+                noun = "a string" if kind is str else "an object"
+                raise ValueError(f"{name!r} must be {noun}, not {record[name]!r}")
         return cls(
             metric=record["metric"],
             aggregation=record["aggregation"],

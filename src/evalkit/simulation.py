@@ -396,16 +396,15 @@ def abus_next(
             answered.add(pending)
         pending = None
 
-        recommended: list[str] = []
+        titles: list[str] = []
         requested_slots: list[str] = []
         for act in acts:
             if act.intent == RECOMMEND:
-                recommended.extend(act.slot_values(ITEM_SLOT))
+                titles.extend(act.slot_values(ITEM_SLOT))
             elif act.intent == REQUEST:
                 requested_slots.extend(name for name, _ in act.slots)
-        for item in incoming.items:
-            if item not in recommended:
-                recommended.append(item)
+        # Recall's rule: a turn recommends its items, else its Recommend titles.
+        recommended = list(incoming.items) or titles
 
         if recommended:
             open_items = [item for item in recommended if item not in accepted]

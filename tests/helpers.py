@@ -16,6 +16,12 @@ USER_INTENTS = ("Disclose", "Refine", "Inquire", "Accept", "Reject", "Other")
 SYSTEM_INTENTS = ("Recommend", "Explain", "Request", "Respond", "Other")
 LLM_OPTIONS = GatewayOptions(endpoint="http://llm.local/api/chat", model="test-model")
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# Few letters, so titles often nest in and overlap one another; case,
+# digits and punctuation probe the word-boundary rule. "İ" lowers to two
+# code points and "_" is a word character, so a phrase's head (its first
+# character and the word characters after it) may change length on
+# lowering or run through an underscore.
+TITLE_ALPHABET = "abAB1 -!'İ_"
 
 
 def bench_module(name: str):

@@ -204,8 +204,7 @@ def oracle_ground_truth(text: str, path: str):
     for dialogue_id, per_turn in parsed:
         if type(per_turn) is not _Members:
             return f"ground truth {path}: {dialogue_id!r} must map to an object"
-        # A repeated index keeps its last value, as json.loads does.
-        for index, items in dict(per_turn).items():
+        for index, items in per_turn:
             if not re.fullmatch(r"0|[1-9][0-9]*", index):
                 return (
                     f"ground truth {path}: index {index!r} of {dialogue_id!r} is not "
@@ -217,6 +216,12 @@ def oracle_ground_truth(text: str, path: str):
                     "of non-empty item ids"
                 )
             mapping[(dialogue_id, int(index))] = tuple(items)
+        # Only an entry whose every index and target is sound is checked
+        # for an index it repeats, and the first repeat is named.
+        indexes = [index for index, _ in per_turn]
+        repeats = [index for n, index in enumerate(indexes) if index in indexes[:n]]
+        if repeats:
+            return f"ground truth {path}: index {repeats[0]!r} of {dialogue_id!r} is repeated"
     # Only a file without a faulty entry is checked for a repeated id,
     # and the least such id is named.
     ids = [dialogue_id for dialogue_id, _ in parsed]
@@ -293,9 +298,9 @@ def oracle_find_titles(text: str, titles) -> list[tuple[int, str]]:
     return sorted((p, t) for t, p in found.items())
 
 
-def oracle_cue_intents(text: str, lexicon, allowed) -> list[str]:
+def oracle_cue_positions(text: str, lexicon, allowed) -> dict[str, int]:
     """The ``allowed`` intents of ``lexicon`` with a cue in ``text.lower()``,
-    ordered by (position of the intent's leftmost cue, intent).
+    each with the position of its leftmost cue.
 
     Each cue is searched for on its own, lowered, with a word-boundary
     regex: no word character may touch it on either side.
@@ -309,7 +314,32 @@ def oracle_cue_intents(text: str, lexicon, allowed) -> list[str]:
             match = re.search(r"(?<!\w)" + re.escape(cue.lower()) + r"(?!\w)", lowered)
             if match and match.start() < first.get(intent, len(lowered) + 1):
                 first[intent] = match.start()
+    return first
+
+
+def oracle_cue_intents(text: str, lexicon, allowed) -> list[str]:
+    """The intents of ``oracle_cue_positions``, ordered by (position, intent)."""
+    first = oracle_cue_positions(text, lexicon, allowed)
     return sorted(first, key=lambda intent: (first[intent], intent))
+
+
+def oracle_rule_acts(text: str, lexicon, titles, allowed, system: bool) -> list[tuple[str, tuple[str, ...]]]:
+    """(intent, titles) per act the rule annotator gives the stripped
+    ``text``: each cued intent, and Recommend at the first title in a
+    system turn, ordered by (position, intent). Recommend, Accept and
+    Reject carry every title found, in first-match order; with no act at
+    all, Other where ``allowed`` has it."""
+    first = oracle_cue_positions(text, lexicon, allowed)
+    found = oracle_find_titles(text, titles)
+    if found and system and "Recommend" in allowed:
+        first.setdefault("Recommend", found[0][0])
+    if not first:
+        return [("Other", ())] if "Other" in allowed else []
+    named = tuple(title for _, title in found)
+    return [
+        (intent, named if intent in ("Recommend", "Accept", "Reject") else ())
+        for intent in sorted(first, key=lambda intent: (first[intent], intent))
+    ]
 
 
 def oracle_sample_goal(records: list[dict], config, seed: int):

@@ -30,8 +30,17 @@ from evalkit.errors import (
     GatewayError,
 )
 
-from helpers import RecordingTransport, act, corpus, dlg, llm_gateway, scripted, utt
-from oracle import oracle_cue_intents
+from helpers import (
+    TITLE_ALPHABET,
+    RecordingTransport,
+    act,
+    corpus,
+    dlg,
+    llm_gateway,
+    scripted,
+    utt,
+)
+from oracle import oracle_cue_intents, oracle_find_titles, oracle_rule_acts
 
 SCHEMA = default_schema()
 
@@ -72,6 +81,54 @@ def lexicons_and_texts(draw):
     optional = draw(st.frozensets(st.sampled_from(("Inquire", "Bye", "Other"))))
     fragment = st.one_of(st.sampled_from(shared), st.text(CUE_ALPHABET, max_size=3))
     return lexicon, optional, "".join(draw(st.lists(fragment, max_size=6)))
+
+
+title_sets = st.lists(
+    st.text(TITLE_ALPHABET, min_size=1, max_size=6), min_size=1, max_size=8, unique=True
+)
+GAPS = st.sampled_from(("", " ", ", ", "x"))
+
+
+@st.composite
+def catalogs_and_texts(draw):
+    chosen = draw(title_sets)
+    fragment = st.one_of(st.sampled_from(chosen), st.text(TITLE_ALPHABET, max_size=4))
+    pieces = draw(st.lists(fragment, max_size=8))
+    separators = draw(st.lists(GAPS, min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(piece + sep for piece, sep in zip(pieces, separators))
+    return chosen, text
+
+
+@st.composite
+def phrase_tables_and_texts(draw):
+    """Titles, a lexicon, the optional intents a schema allows, and a text.
+
+    The titles always include ones that start with punctuation and two
+    that differ only in case. Cues come from the titles (a phrase that is
+    both), from a word inside a title (a cue inside a title's span) and
+    from free text. The text joins titles, cues and free fragments, each
+    in a changed case.
+    """
+    titles = list(dict.fromkeys(["'71", "Airplane!", "Heat", "HEAT", "Heat Wave"] + draw(title_sets)))
+    inner = [word for title in titles for word in title.split()[1:]]  # inside a title's span
+    free = draw(st.lists(st.text(TITLE_ALPHABET, min_size=1, max_size=4), max_size=3))
+    pool = titles + inner + free
+    cues = st.lists(st.sampled_from(pool), max_size=3)
+    lexicon = {intent: tuple(draw(cues)) for intent in CUE_INTENTS}
+    optional = draw(st.frozensets(st.sampled_from(("Inquire", "Bye", "Other"))))
+    case = st.sampled_from((str, str.lower, str.upper, str.swapcase))
+    fragment = st.one_of(
+        st.sampled_from(titles), st.sampled_from(pool), st.text(TITLE_ALPHABET, max_size=3)
+    )
+    pieces = draw(st.lists(st.tuples(fragment, case, GAPS), max_size=8))
+    return titles, lexicon, optional, "".join(change(piece) + gap for piece, change, gap in pieces)
+
+
+def find_titles(titles, text):
+    """The (position, title) pairs a rule annotator over a catalog of
+    ``titles`` finds in ``text``, with no cues."""
+    annotator = RuleAnnotator(SCHEMA, lexicon={}, catalog=load_catalog([{"title": t} for t in titles]))
+    return annotator.scan(text, Speaker.SYSTEM)[1]
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +277,72 @@ class TestRuleAnnotator:
         folder.mkdir()
         (folder / "lex.tsv").write_text("Accept\tdeal\n", encoding="utf-8")
         assert load_rule_lexicon(str(folder / "lex.tsv")) == {"Accept": ("deal",)}
+
+    @settings(max_examples=400)
+    @given(phrase_tables_and_texts(), st.sampled_from(Speaker))
+    def test_acts_match_a_search_per_cue_and_per_title(self, case, speaker):
+        titles, lexicon, optional, text = case
+        schema = IntentSchema(
+            user_intents=frozenset({"Accept", "Reject"}) | optional,
+            system_intents=frozenset({"Recommend"}) | optional,
+        )
+        catalog = load_catalog([{"title": title} for title in titles])
+        acts = RuleAnnotator(schema, lexicon, catalog).annotate(utt(0, speaker.value, text=text))
+        if not text.strip():
+            assert acts == ()
+            return
+        expected = oracle_rule_acts(
+            text.strip(), lexicon, titles, schema.intents_for(speaker), speaker is Speaker.SYSTEM
+        )
+        assert [(a.intent, a.slot_values("TITLE")) for a in acts] == expected
+
+    def test_a_cue_that_is_a_title_and_a_cue_inside_a_title(self):
+        lexicon = {"Recommend": ("heat",), "Respond": ("wave",)}
+        catalog = load_catalog([{"title": "Heat"}, {"title": "Heat Wave"}])
+        acts = RuleAnnotator(NO_OTHER, lexicon, catalog).annotate(utt(1, "SYSTEM", text="HEAT WAVE?"))
+        assert [(a.intent, a.slot_values("TITLE")) for a in acts] == [
+            ("Recommend", ("Heat Wave",)),
+            ("Respond", ()),
+        ]
+
+    @pytest.mark.parametrize("cues", [("",), ("fine", "")])
+    def test_an_empty_cue_raises(self, cues):
+        with pytest.raises(ValueError, match="intent 'Accept' has an empty cue"):
+            RuleAnnotator(SCHEMA, lexicon={"Accept": cues})
+
+
+class TestFindTitles:
+    @settings(max_examples=400)
+    @given(catalogs_and_texts())
+    def test_matches_the_brute_force_search(self, case):
+        chosen, text = case
+        assert find_titles(chosen, text) == oracle_find_titles(text, chosen)
+
+    def test_positions_index_the_lowered_text(self):
+        assert find_titles(("Heat", "Heat Wave", "Jaws"), "JAWS, then heat wave, then Heat.") == [
+            (0, "Jaws"),
+            (11, "Heat Wave"),
+            (27, "Heat"),
+        ]
+
+    def test_titles_sharing_a_head(self):
+        titles = ("Heat", "Heat Wave", "Heat: Reloaded")
+        assert find_titles(titles, "heat: reloaded, then heat wave") == [
+            (0, "Heat: Reloaded"),
+            (21, "Heat Wave"),
+        ]
+
+    def test_a_title_starting_with_a_non_word_character(self):
+        assert find_titles(("'71", "71"), "'71, not x'71") == [(0, "'71"), (11, "71")]
+        assert find_titles(("'71", "71"), "x'71") == [(2, "71")]
+
+    def test_titles_differing_in_case_match_together(self):
+        assert find_titles(("Heat", "HEAT"), "see heat") == [(4, "HEAT"), (4, "Heat")]
+
+    def test_punctuation_at_a_title_edge(self):
+        titles = ("Airplane!", "Up")
+        assert find_titles(titles, "Airplane! or Up.") == [(0, "Airplane!"), (13, "Up")]
+        assert find_titles(titles, "Airplane!x or Upside") == []
 
 
 class TestParseActLines:

@@ -10,33 +10,15 @@ from hypothesis import strategies as st
 from evalkit.catalog import CatalogItem, load_catalog
 from evalkit.cli import main
 
-from helpers import traced
-from oracle import oracle_find_titles, oracle_get, oracle_load_catalog, oracle_slots
+from helpers import TITLE_ALPHABET, traced
+from oracle import oracle_get, oracle_load_catalog, oracle_slots
 
-# Few letters, so titles often nest in and overlap one another; case,
-# digits and punctuation probe the word-boundary rule. "İ" lowers to two
-# code points and "_" is a word character, so a title's head (its first
-# character and the word characters after it) may change length on
-# lowering or run through an underscore.
-TITLE_ALPHABET = "abAB1 -!'İ_"
 SLOT_NAMES = ("genre", "year", "actor", "plot")
 
 titles = st.text(TITLE_ALPHABET, min_size=1, max_size=6)
-title_sets = st.lists(titles, min_size=1, max_size=8, unique=True)
 attributes = st.dictionaries(
     st.sampled_from(SLOT_NAMES), st.text("xy", min_size=1, max_size=2), max_size=3
 )
-
-
-@st.composite
-def catalogs_and_texts(draw):
-    chosen = draw(title_sets)
-    fragment = st.one_of(st.sampled_from(chosen), st.text(TITLE_ALPHABET, max_size=4))
-    pieces = draw(st.lists(fragment, max_size=8))
-    gap = st.sampled_from(("", " ", ", ", "x"))
-    separators = draw(st.lists(gap, min_size=len(pieces), max_size=len(pieces)))
-    text = "".join(piece + sep for piece, sep in zip(pieces, separators))
-    return chosen, text
 
 
 class TestIndex:
@@ -285,42 +267,3 @@ class TestAttributeValues:
         assert main(argv + ["-n", "1", "--output", str(tmp_path / "sim.ndjson")]) == 1
         assert "attribute 'family' is not a string" in capsys.readouterr().err
         assert not (tmp_path / "sim.ndjson").exists()
-
-
-class TestFindTitles:
-    @settings(max_examples=400)
-    @given(catalogs_and_texts())
-    def test_matches_the_brute_force_search(self, case):
-        chosen, text = case
-        catalog = load_catalog([{"title": title} for title in chosen])
-        assert catalog.find_titles(text) == oracle_find_titles(text, chosen)
-
-    def test_positions_index_the_lowered_text(self):
-        catalog = load_catalog([{"title": "Heat"}, {"title": "Heat Wave"}, {"title": "Jaws"}])
-        assert catalog.find_titles("JAWS, then heat wave, then Heat.") == [
-            (0, "Jaws"),
-            (11, "Heat Wave"),
-            (27, "Heat"),
-        ]
-
-    def test_titles_sharing_a_head(self):
-        titles = ("Heat", "Heat Wave", "Heat: Reloaded")
-        catalog = load_catalog([{"title": title} for title in titles])
-        assert catalog.find_titles("heat: reloaded, then heat wave") == [
-            (0, "Heat: Reloaded"),
-            (21, "Heat Wave"),
-        ]
-
-    def test_a_title_starting_with_a_non_word_character(self):
-        catalog = load_catalog([{"title": "'71"}, {"title": "71"}])
-        assert catalog.find_titles("'71, not x'71") == [(0, "'71"), (11, "71")]
-        assert catalog.find_titles("x'71") == [(2, "71")]
-
-    def test_titles_differing_in_case_match_together(self):
-        catalog = load_catalog([{"title": "Heat"}, {"title": "HEAT"}])
-        assert catalog.find_titles("see heat") == [(4, "HEAT"), (4, "Heat")]
-
-    def test_punctuation_at_a_title_edge(self):
-        catalog = load_catalog([{"title": "Airplane!"}, {"title": "Up"}])
-        assert catalog.find_titles("Airplane! or Up.") == [(0, "Airplane!"), (13, "Up")]
-        assert catalog.find_titles("Airplane!x or Upside") == []

@@ -726,6 +726,25 @@ class TestEvaluate:
         )
         assert not out.exists()
 
+    def test_a_repeated_turn_index_is_a_configuration_error(self, tmp_path, capsys):
+        # The entry's object was decoded whole and kept the last value: turn
+        # 1's target Alpha was dropped without a word.
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text('{"d1": {"1": ["Alpha"], "4": ["Beta"], "1": ["Beta"]}}')
+        out = tmp_path / "r"
+        argv = ["evaluate", "--input", str(path), "--output", str(out), "--metrics", "recall"]
+        assert main(argv + ["--ground-truth", str(truth_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: ground truth {truth_path}: index '1' of 'd1' is repeated\n"
+        )
+        assert not out.exists()
+        # A JSON syntax fault after it still outranks it.
+        truth_path.write_text('{"d1": {"1": ["Alpha"], "1": ["Beta"]}, }')
+        with pytest.raises(cli.ConfigError, match=f"cannot read ground truth {truth_path}: Expecting"):
+            _load_ground_truth(str(truth_path))
+
     def test_a_repeated_target_id_counts_once(self, tmp_path, capsys):
         path = tmp_path / "corpus.ndjson"
         write_corpus(small_corpus(), path)
@@ -862,17 +881,24 @@ def ground_truth_texts(draw):
         ]
 
     def render(value) -> str:
-        if isinstance(value, dict):
-            return "{" + (",".join(rendered_members(value.items())) or draw(json_space)) + "}"
+        if isinstance(value, (dict, tuple)):  # a tuple holds an object's members
+            members = value.items() if isinstance(value, dict) else value
+            return "{" + (",".join(rendered_members(members)) or draw(json_space)) + "}"
         if isinstance(value, list):
             return "[" + (",".join(spaced(render(v)) for v in value) or draw(json_space)) + "]"
         return json.dumps(value, ensure_ascii=ascii_only)
 
     mutation = draw(st.sampled_from([
         "none", "none", "none", "repeated id", "bad entry", "bad index", "bad target",
-        "truncate", "stray", "trailing", "bom", "bad entry then syntax error",
+        "repeated index", "truncate", "stray", "trailing", "bom", "bad entry then syntax error",
     ]))
-    bad = {"bad entry": ["x"], "bad index": {"01": ["A"]}, "bad target": {"1": ["A", ""]}}
+    bad = {
+        "bad entry": ["x"], "bad index": {"01": ["A"]}, "bad target": {"1": ["A", ""]},
+        # Members in file order: "4" comes twice, and a bad index may follow.
+        "repeated index": (("4", ["A"]), ("1", ["B"]), ("4", ["C"]), draw(st.sampled_from(
+            [("0", ["D"]), ("01", ["D"])]
+        ))),
+    }
     if mutation == "repeated id" and members:
         members.insert(draw(st.integers(0, len(members))), (members[0][0], {"2": ["B"]}))
     elif mutation in bad:
@@ -1377,6 +1403,34 @@ class TestCompare:
         argv += ["--reference", ref, "--satisfaction", sat, "--output", str(tmp_path / "rel")]
         assert main(argv) == 2
         assert f"cannot parse scores from {report}: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--metric", "RDL"], []], ids=["metric", "no-metric"])
+    @pytest.mark.parametrize(
+        "fields, detail",
+        [
+            ({"metric": 5}, "'metric' must be a string, not 5"),
+            ({"aggregation": ["macro"]}, "'aggregation' must be a string, not ['macro']"),
+            ({"per_system": [["sysA", 0.4]]}, "'per_system' must be an object, not [['sysA', 0.4]]"),
+        ],
+        ids=["metric", "aggregation", "per_system"],
+    )
+    def test_a_report_field_of_the_wrong_type_is_a_config_error(
+        self, tmp_path, capsys, flags, fields, detail
+    ):
+        # A numeric metric raised AttributeError with --metric, and two of
+        # them a TypeError without it.
+        record = {"metric": "RDL", "aggregation": "macro", "per_system": {"sysA": 0.4}, **fields}
+        report = tmp_path / "report.ndjson"
+        lines = [{"schema_version": "1"}, record, record]
+        report.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        ref = write_scores(tmp_path / "ref.json", {"sysA": 0.4, "sysB": 0.1})
+        sat = write_scores(tmp_path / "sat.json", {"sysA": 0.8, "sysB": 0.3})
+        argv = ["compare", "--candidate", f"mine={report}", "--reference", ref]
+        argv += ["--satisfaction", sat, "--output", str(tmp_path / "rel")] + flags
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot parse scores from {report}: {detail}\n"
+        )
 
     @pytest.mark.parametrize(
         "flags, metrics, detail",

@@ -130,7 +130,7 @@ def _read_json(path: str, what: str, kind: type = dict) -> Any:
 
 def _strings(value) -> bool:
     """Whether ``value`` is a JSON array of strings."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
 def _names(flag: str | None, default: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -387,6 +387,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_annotate(args: argparse.Namespace) -> int:
     from .annotation import LlmAnnotator, RuleAnnotator, iter_annotated, load_rule_lexicon
     from .corpus_io import dialogue_record, read_corpus, write_records
+    from .dialogue import simulation_schema
 
     config = _load_config_file(args.config)
     jobs = _setting("jobs", args, config)
@@ -405,6 +406,20 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             lexicon = load_rule_lexicon(args.lexicon) if args.lexicon else None
         except (OSError, ValueError) as exc:
             raise ConfigError(f"lexicon {args.lexicon}: {exc}") from exc
+        if lexicon:
+            # A misspelt intent would never match: a simulation intent, which
+            # a human corpus's schema may lack, is the one other kind allowed.
+            simulation = simulation_schema()
+            known = (
+                schema.user_intents | schema.system_intents
+                | simulation.user_intents | simulation.system_intents
+            )
+            unknown = next((intent for intent in lexicon if intent not in known), None)
+            if unknown is not None:
+                raise ConfigError(
+                    f"lexicon {args.lexicon}: intent {unknown!r} is in neither the intent "
+                    "schema nor the simulation schema"
+                )
         annotator = RuleAnnotator(schema, lexicon, catalog)
     settings = {
         "command": "annotate",

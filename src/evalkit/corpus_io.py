@@ -62,6 +62,10 @@ _slot_pair = itemgetter("slot", "value")
 _NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
 # The value of an absent array field; never changed.
 _ABSENT_ARRAY: list[Any] = []
+# The C scanner under ``json.loads``: one call decodes a record's line.
+_SCAN = json.JSONDecoder().scan_once
+# The whitespace JSON allows after a value; ``str.isspace`` allows more.
+_JSON_SPACE = " \t\n\r"
 _JSON_TYPES = {
     str: "a string", int: "a number", float: "a number", bool: "a boolean",
     list: "an array", dict: "an object", type(None): "null",
@@ -234,9 +238,17 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
         if not line or line.isspace():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(line_number, f"invalid JSON ({exc.msg})") from exc
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        # A line the scanner cannot decode up to JSON whitespace, such as
+        # one with leading whitespace, a BOM or extra data, goes through
+        # json.loads, which decodes it or raises JSON's own message.
+        if end < 0 or line[end:].strip(_JSON_SPACE):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(line_number, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
             raise CorpusFormatError(line_number, "record must be a JSON object")
         yield line_number, record

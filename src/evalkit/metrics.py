@@ -222,12 +222,18 @@ def _ratio(reward: float, cost: float, owner: str, name: str) -> float:
     return reward / cost
 
 
-def _utility(facts: DialogueFacts, rewards: Sequence[Factor], costs: Sequence[Factor]) -> float:
+def _pairs(factors: Sequence[Factor]) -> tuple[tuple[float, Callable], ...]:
+    """Each factor as its (weight, evaluator), so a fold resolves them once."""
+    return tuple((factor.weight, factor.evaluator) for factor in factors)
+
+
+def _utility(facts: DialogueFacts, rewards: Sequence[tuple], costs: Sequence[tuple]) -> float:
+    """``utility`` of ``facts`` over ``_pairs`` of the rewards and costs."""
     total_reward = total_cost = 0
-    for factor in rewards:
-        total_reward += factor.weight * factor.evaluator(facts)
-    for factor in costs:
-        total_cost += factor.weight * factor.evaluator(facts)
+    for weight, evaluator in rewards:
+        total_reward += weight * evaluator(facts)
+    for weight, evaluator in costs:
+        total_cost += weight * evaluator(facts)
     return _ratio(total_reward, total_cost, "dialogue", facts.dialogue.dialogue_id)
 
 
@@ -239,7 +245,7 @@ def utility(dialogue: Dialogue, rewards: Sequence[Factor], costs: Sequence[Facto
     (how SRRR scores a dialogue with no rounds); any other reward over a
     cost that is not positive raises ValueError.
     """
-    return _utility(DialogueFacts.of(dialogue), rewards, costs)
+    return _utility(DialogueFacts.of(dialogue), _pairs(rewards), _pairs(costs))
 
 
 def accepted_items_reward(weight: float = 1.0) -> Factor:
@@ -353,16 +359,12 @@ class _SystemTally:
     sums: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def add(self, values: list[float]) -> None:
-        """Add the micro factor sums of one dialogue or of later ones."""
-        self.sums = [a + b for a, b in zip(self.sums, values)] if self.sums else values
-
     def absorb(self, later: _SystemTally) -> None:
         """Add the tally of dialogues that come after this one's."""
         self.ids += later.ids
         self.scores += later.scores
         self.warnings += later.warnings
-        self.add(later.sums)
+        self.sums = [a + b for a, b in zip(self.sums, later.sums)] if self.sums else later.sums
 
 
 def _tally_systems(
@@ -372,9 +374,14 @@ def _tally_systems(
     n: int,
 ) -> dict[str, _SystemTally]:
     """Fold ``dialogues`` into one tally per system, in first-appearance order."""
-    specs, micro = _report_specs(requested, ground_truth, n)
-    macro = [(rewards, costs) for _, _, mode, rewards, costs, _ in specs if mode == MACRO]
-    tallies: defaultdict[str, _SystemTally] = defaultdict(_SystemTally)
+    specs, factors = _report_specs(requested, ground_truth, n)
+    macro = [
+        (_pairs(rewards), _pairs(costs)) for _, _, mode, rewards, costs, _ in specs if mode == MACRO
+    ]
+    micro = _pairs(factors)
+    tallies: defaultdict[str, _SystemTally] = defaultdict(
+        lambda: _SystemTally(sums=[0.0] * len(micro))
+    )
     seen_ids: set[str] = set()
     for dialogue in dialogues:
         dialogue_id = dialogue.dialogue_id
@@ -386,15 +393,18 @@ def _tally_systems(
         facts = _walk(dialogue, bool(macro))
         if macro:
             tally.ids.append(dialogue_id)
-            tally.scores.extend([_utility(facts, rewards, costs) for rewards, costs in macro])
+            for rewards, costs in macro:
+                tally.scores.append(_utility(facts, rewards, costs))
         if micro:
-            tally.add([factor.weight * factor.evaluator(facts) for factor in micro])
+            sums = tally.sums
+            for position, (weight, evaluator) in enumerate(micro):
+                sums[position] += weight * evaluator(facts)
             for index, _ in facts.recommendation_turns:
                 if (dialogue_id, index) not in ground_truth:
                     tally.warnings.append(
                         f"no ground truth for ({dialogue_id}, {index}); turn skipped"
                     )
-    return tallies
+    return dict(tallies)  # a worker's result must pickle, and the factory does not
 
 
 def _merge_tallies(parts: Sequence[dict[str, _SystemTally]]) -> dict[str, _SystemTally]:

@@ -573,3 +573,24 @@ def oracle_check_stream(stream: bytes) -> tuple[list[dict], int | None]:
         seen.add(dialogue["dialogue_id"])
         checked.append(dialogue)
     return checked, None
+
+
+def oracle_records(stream: bytes) -> tuple[list[tuple[int, object]], tuple[int, str] | None]:
+    """The (line number, record) pairs of an NDJSON stream up to its first
+    bad line, and that line's number and reason (None if every line is good).
+
+    Lines end at "\\n" only. A line that is empty or all whitespace
+    (``str.isspace``) is skipped; any other is decoded whole by
+    ``json.loads`` and must be an object."""
+    records: list[tuple[int, object]] = []
+    for number, line in enumerate(stream.decode("utf-8").split("\n"), start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return records, (number, f"invalid JSON ({exc.msg})")
+        if not isinstance(record, dict):
+            return records, (number, "record must be a JSON object")
+        records.append((number, record))
+    return records, None

@@ -305,6 +305,17 @@ class TestRuleAnnotator:
             ("Respond", ()),
         ]
 
+    def test_a_record_with_an_id_and_a_title_is_named_by_its_id(self):
+        # The item's name is its id; a title beside it is an attribute that
+        # rule annotation never matches (an open question for id-keyed
+        # catalogs such as ReDial's).
+        catalog = load_catalog([{"id": "tt0113277", "title": "Heat"}])
+        assert catalog.titles() == ("tt0113277",)
+        annotator = RuleAnnotator(SCHEMA, lexicon={}, catalog=catalog)
+        assert annotator.annotate(utt(1, "SYSTEM", text="How about Heat?")) == (act("Other"),)
+        acts = annotator.annotate(utt(1, "SYSTEM", text="How about tt0113277?"))
+        assert [(a.intent, a.slot_values("TITLE")) for a in acts] == [("Recommend", ("tt0113277",))]
+
     @pytest.mark.parametrize("cues", [("",), ("fine", "")])
     def test_an_empty_cue_raises(self, cues):
         with pytest.raises(ValueError, match="intent 'Accept' has an empty cue"):

@@ -494,6 +494,31 @@ class TestAnnotate:
         )
         assert not out.exists()
 
+    def test_a_lexicon_intent_no_schema_knows_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("Accept\tthanks\nAcept\tsure thing\n", encoding="utf-8")
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--lexicon", str(lexicon)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: lexicon {lexicon}: intent 'Acept' is in neither "
+            "the intent schema nor the simulation schema\n"
+        )
+        assert not out.exists()
+
+    def test_a_lexicon_may_cue_simulation_intents(self, tmp_path):
+        # The bundled lexicon cues Bye, which only the simulation schema has.
+        src = tmp_path / "raw.ndjson"
+        write_corpus(bare_corpus(), src)
+        lexicon = tmp_path / "lexicon.tsv"
+        bundled = Path(cli.__file__).with_name("data") / "rule_lexicon.tsv"
+        lexicon.write_bytes(bundled.read_bytes())
+        out = tmp_path / "annotated.ndjson"
+        argv = ["annotate", "--input", str(src), "--output", str(out), "--lexicon", str(lexicon)]
+        assert main(argv) == 0
+
     def test_a_missing_lexicon_is_a_config_error(self, tmp_path, capsys):
         src = tmp_path / "raw.ndjson"
         write_corpus(bare_corpus(), src)

@@ -33,7 +33,7 @@ from evalkit.dialogue import (
 from evalkit.errors import CorpusFormatError
 
 from helpers import act, corpus, dlg, random_corpus, utt
-from oracle import oracle_check_stream
+from oracle import oracle_check_stream, oracle_records
 
 HEADER = '{"schema_version":"1"}'
 
@@ -456,6 +456,50 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=2) | st.dictionaries(texts, children, max_size=2),
     max_leaves=3,
 )
+
+
+# What a line holds before, in and after its value. Whitespace JSON allows
+# (space, tab, LF, CR), other characters str.isspace() takes for
+# whitespace, a BOM, and text that makes a second value or extra data.
+line_edges = st.sampled_from(
+    ["", " ", "\t", "\r", " \r", "\x0c", "\x0b", "\x85", "\u2028", "\u2029", "\x1c", "\ufeff"]
+)
+line_bodies = st.one_of(
+    json_values.map(lambda value: json.dumps(value, ensure_ascii=False)),
+    st.dictionaries(texts, json_values, max_size=2).map(
+        lambda record: json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+    ),
+    st.sampled_from([
+        "", "NaN", "Infinity", "-Infinity", '{"x":NaN,"y":[Infinity,-Infinity]}', "{}{}", "{} x",
+        "{oops}", '{"a":1', '{"t":"a\u2028b\x85c"}', '{"t":"\\u2028"}', "[{}]", "null",
+    ]),
+)
+ndjson_lines = st.tuples(line_edges, line_bodies, line_edges, st.sampled_from(["\n", "\r\n", ""])).map(
+    "".join
+)
+
+
+class TestIterRecordsAgainstJsonLoads:
+    @settings(max_examples=300)
+    @given(st.lists(ndjson_lines, max_size=5))
+    def test_each_line_reads_as_json_loads_reads_it(self, lines):
+        raw = "".join(lines).encode("utf-8")
+        expected, fault = oracle_records(raw)
+        read = []
+        try:
+            read.extend(iter_records(raw))
+        except CorpusFormatError as exc:
+            assert (exc.line_number, exc.reason) == fault
+        else:
+            assert fault is None
+        # repr tells NaN, -0.0 and key order apart, as == does not.
+        assert repr(read) == repr(expected)
+
+    @pytest.mark.parametrize("tail", ["\x0c", "\x0b", "\x85", "\u2028"])
+    def test_whitespace_json_does_not_allow_is_extra_data(self, tail):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            list(iter_records(f'{{"a":1}}\n{{"b":2}}{tail}\n'))
+        assert (excinfo.value.line_number, excinfo.value.reason) == (2, "invalid JSON (Extra data)")
 
 
 def extras(known):

@@ -44,6 +44,8 @@ from .errors import CorpusFormatError, SchemaViolationError
 # more than they save.
 _BYTES_PER_WORKER = 4 << 20
 
+# The known keys of each record kind. A parse counts the known keys it
+# finds present; a record holds unknown keys when it has more than that.
 _DIALOGUE_KEYS = {
     "dialogue_id",
     "crs_id",
@@ -60,8 +62,10 @@ _SPEAKERS = {speaker.value: speaker for speaker in Speaker}
 _slot_pair = itemgetter("slot", "value")
 # The ``extra`` of every parsed object without unknown keys.
 _NO_EXTRAS: Mapping[str, Any] = MappingProxyType({})
-# The value of an absent array field; never changed.
+# The value of an absent array field; never changed, and never a parsed value.
 _ABSENT_ARRAY: list[Any] = []
+# The value read for any other absent optional field.
+_ABSENT = object()
 # The C scanner under ``json.loads``: one call decodes a record's line.
 _SCAN = json.JSONDecoder().scan_once
 # The whitespace JSON allows after a value; ``str.isspace`` allows more.
@@ -112,22 +116,28 @@ def _slot_pairs(record: Mapping[str, Any], key: str) -> tuple[tuple[str, str], .
     return tuple(pairs)
 
 
-def _extras(record: Mapping[str, Any], known: set[str]) -> Mapping[str, Any]:
-    """The fields of ``record`` not in ``known``; the parse of acts,
-    utterances and dialogues tests ``record.keys() <= known`` inline first."""
-    if record.keys() <= known:
-        return _NO_EXTRAS
+def _extras(record: Mapping[str, Any], known: set[str]) -> dict[str, Any]:
+    """The fields of ``record`` not in ``known``; a parse calls it only for a
+    record with more keys than the known ones it found present."""
     return {k: v for k, v in record.items() if k not in known}
 
 
-def _parse_goal(record: Mapping[str, Any]) -> UserGoal:
+def _parse_goal(record: Any) -> UserGoal:
+    """The goal of a 'goal' object: built from its values as they are, and
+    only if that fails from ``_slot_pairs`` and ``_texts``, which name the
+    field of a structural fault or apply the number rule."""
     if type(record) is not dict:
         raise _fault("'goal'", "an object", record)
-    return UserGoal(
-        constraints=_slot_pairs(record, "constraints"),
-        requests=_texts(record, "requests"),
-        extra=_extras(record, _GOAL_KEYS),
-    )
+    constraints = record.get("constraints", _ABSENT_ARRAY)
+    requests = record.get("requests", _ABSENT_ARRAY)
+    present = (constraints is not _ABSENT_ARRAY) + (requests is not _ABSENT_ARRAY)
+    extra = _NO_EXTRAS if len(record) == present else _extras(record, _GOAL_KEYS)
+    try:
+        if type(constraints) is not list or type(requests) is not list:
+            raise TypeError
+        return UserGoal(tuple(map(_slot_pair, constraints)), tuple(requests), extra)
+    except (KeyError, TypeError, ValueError):
+        return UserGoal(_slot_pairs(record, "constraints"), _texts(record, "requests"), extra)
 
 
 def _parse_act(record: Any, speaker: Speaker, schema: IntentSchema) -> DialogueAct:
@@ -139,7 +149,9 @@ def _parse_act(record: Any, speaker: Speaker, schema: IntentSchema) -> DialogueA
     intent = record["intent"]
     if type(intent) is list or type(intent) is dict:
         raise _fault("'intent'", "a string", intent)
-    act = DialogueAct(intent, _slot_pairs(record, "slots"), _extras(record, _ACT_KEYS))
+    present = 1 + ("slots" in record)
+    extra = _NO_EXTRAS if len(record) == present else _extras(record, _ACT_KEYS)
+    act = DialogueAct(intent, _slot_pairs(record, "slots"), extra)
     schema.validate_act(act, speaker)
     return act
 
@@ -175,10 +187,11 @@ def _parse_utterance(record: Any, schema: IntentSchema) -> Utterance:
             if type(slots) is not list:
                 raise TypeError
             intent = entry["intent"]
+            present = 1 if slots is _ABSENT_ARRAY else 2
             act = DialogueAct(
                 intent,
                 tuple(map(_slot_pair, slots)),
-                _NO_EXTRAS if entry.keys() <= _ACT_KEYS else _extras(entry, _ACT_KEYS),
+                _NO_EXTRAS if len(entry) == present else _extras(entry, _ACT_KEYS),
             )
             if intent not in intents:
                 schema.validate_act(act, speaker)
@@ -188,13 +201,17 @@ def _parse_utterance(record: Any, schema: IntentSchema) -> Utterance:
             # every check, raising the fault or applying the number rule.
             act = _parse_act(entry, speaker, schema)
         built.append(act)
-    text = record.get("text", "")
-    if type(text) is not str:
-        raise _fault("'text'", "a string", text)
+    text = record.get("text", _ABSENT)
     items = record.get("items", _ABSENT_ARRAY)
+    # index and speaker were read above, so present.
+    present = 5 - (acts is _ABSENT_ARRAY) - (text is _ABSENT) - (items is _ABSENT_ARRAY)
+    if type(text) is not str:
+        if text is not _ABSENT:
+            raise _fault("'text'", "a string", text)
+        text = ""
     if type(items) is not list:
         raise _fault("'items'", "an array", items)
-    extra = _NO_EXTRAS if record.keys() <= _UTTERANCE_KEYS else _extras(record, _UTTERANCE_KEYS)
+    extra = _NO_EXTRAS if len(record) == present else _extras(record, _UTTERANCE_KEYS)
     try:
         return Utterance(index, speaker, text, built, items, extra)
     except TypeError:
@@ -202,24 +219,38 @@ def _parse_utterance(record: Any, schema: IntentSchema) -> Utterance:
 
 
 def _parse_dialogue(record: Mapping[str, Any], schema: IntentSchema) -> Dialogue:
-    goal = record.get("goal")
-    goal = None if goal is None else _parse_goal(goal)
-    utterances = tuple([_parse_utterance(u, schema) for u in _array(record, "utterances")])
-    simulator_id = record.get("simulator_id")
+    goal = record.get("goal", _ABSENT)
+    utterances = record.get("utterances", _ABSENT_ARRAY)
+    satisfaction = record.get("satisfaction", _ABSENT)
+    provenance = record.get("provenance", _ABSENT)
+    simulator_id = record.get("simulator_id", _ABSENT)
+    # dialogue_id and crs_id are required, so present once the build is reached.
+    present = 7 - (
+        (goal is _ABSENT) + (utterances is _ABSENT_ARRAY) + (satisfaction is _ABSENT)
+        + (provenance is _ABSENT) + (simulator_id is _ABSENT)
+    )
+    goal = None if goal is _ABSENT or goal is None else _parse_goal(goal)
+    if type(utterances) is not list:
+        raise _fault("'utterances'", "an array", utterances)
+    utterances = tuple([_parse_utterance(u, schema) for u in utterances])
     return Dialogue(
         _text(record["dialogue_id"], "'dialogue_id'"),
         _text(record["crs_id"], "'crs_id'"),
         utterances,
-        record.get("satisfaction"),
+        None if satisfaction is _ABSENT else satisfaction,
         goal,
-        record.get("provenance", PROVENANCE_HUMAN),
-        None if simulator_id is None else _text(simulator_id, "'simulator_id'"),
-        _NO_EXTRAS if record.keys() <= _DIALOGUE_KEYS else _extras(record, _DIALOGUE_KEYS),
+        PROVENANCE_HUMAN if provenance is _ABSENT else provenance,
+        (
+            None if simulator_id is _ABSENT or simulator_id is None
+            else _text(simulator_id, "'simulator_id'")
+        ),
+        _NO_EXTRAS if len(record) == present else _extras(record, _DIALOGUE_KEYS),
     )
 
 
 def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield ``(line_number, record)`` per non-blank line of an NDJSON stream.
+    """Yield ``(line_number, record)`` per non-blank line of an NDJSON stream:
+    a line is blank when it holds nothing but JSON whitespace.
 
     ``raw`` may be bytes, text, or a binary file (or any iterable of its
     lines), read a line at a time. Records end at ``"\n"`` only, so U+2028,
@@ -235,7 +266,9 @@ def iter_records(raw: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(line_number, f"invalid UTF-8 at byte {exc.start}") from exc
-        if not line or line.isspace():
+        # A blank line is empty after stripping JSON whitespace; any other
+        # space that ``str.isspace`` takes is invalid JSON, as after a record.
+        if not line or (line.isspace() and not line.strip(_JSON_SPACE)):
             continue
         try:
             record, end = _SCAN(line, 0)

@@ -5,12 +5,18 @@ to share across threads. The four built per parsed record (``Dialogue``,
 ``Utterance``, ``DialogueAct``, ``UserGoal``) have a hand-written
 ``__init__`` that checks and normalizes its arguments once and stores
 the results straight into the instance ``__dict__``; assignment still
-raises ``FrozenInstanceError``. Sequences are stored as tuples, and item
-ids, slot names and values and request names must be strings (the
-corpus parser turns JSON numbers into strings first). Unknown fields
-from external records are carried in ``extra`` mappings so they survive
-a round-trip. An omitted ``extra`` is a new empty dict; a parsed object
-without unknown fields shares one read-only empty ``extra`` mapping.
+raises ``FrozenInstanceError``. ``DialogueAct`` and ``UserGoal`` check
+the usual shape inline, a tuple of distinct (name, value) string tuples
+with non-empty names (and for a goal, a tuple of non-empty request
+strings), and store it as it is, as ``Utterance`` does for its items;
+any other shape takes the general checks (``_as_slot_pairs``,
+``_as_strings``, ``_slot_fault``), which give each fault its message.
+Sequences are stored as tuples, and item ids, slot names and values and
+request names must be strings (the corpus parser turns JSON numbers
+into strings first). Unknown fields from external records are carried
+in ``extra`` mappings so they survive a round-trip. An omitted ``extra``
+is a new empty dict; a parsed object without unknown fields shares one
+read-only empty ``extra`` mapping.
 """
 
 from __future__ import annotations
@@ -289,18 +295,39 @@ class UserGoal:
         requests: Iterable[str] = (),
         extra: Mapping[str, Any] | None = None,
     ):
-        constraints = _as_slot_pairs(constraints)
-        requests = _as_strings(requests, "request attribute names")
-        if not constraints:
-            raise ValueError("a goal needs at least one constraint")
-        fault = _slot_fault(constraints)
-        if fault is not None:
-            name, value = fault
-            if not name:
-                raise ValueError("constraint slot names must be non-empty")
-            raise ValueError(f"duplicate constraint ({name}={value})")
-        if "" in requests:
-            raise ValueError("request attribute names must be non-empty")
+        # The usual shape, a non-empty tuple of distinct (name, value) string
+        # tuples with non-empty names and a tuple of non-empty strings, is
+        # checked inline, as in DialogueAct; any other shape takes the
+        # general checks, which give each fault its message.
+        general = type(constraints) is not tuple or not constraints or type(requests) is not tuple
+        if not general:
+            for pair in constraints:
+                if not (
+                    type(pair) is tuple and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str and pair[0]
+                ):
+                    general = True
+                    break
+            else:
+                for request in requests:
+                    if type(request) is not str or not request:
+                        general = True
+                        break
+                else:
+                    general = len(constraints) > 1 and len(set(constraints)) != len(constraints)
+        if general:
+            constraints = _as_slot_pairs(constraints)
+            requests = _as_strings(requests, "request attribute names")
+            if not constraints:
+                raise ValueError("a goal needs at least one constraint")
+            fault = _slot_fault(constraints)
+            if fault is not None:
+                name, value = fault
+                if not name:
+                    raise ValueError("constraint slot names must be non-empty")
+                raise ValueError(f"duplicate constraint ({name}={value})")
+            if "" in requests:
+                raise ValueError("request attribute names must be non-empty")
         fields = self.__dict__
         fields["constraints"] = constraints
         fields["requests"] = requests

@@ -300,50 +300,61 @@ def check_metric_names(metrics: Sequence[str]) -> list[str]:
     return requested
 
 
+_MISSING = object()  # a ground-truth lookup's default: the turn has no entry
+
+
 def _recall_factors(ground_truth: Mapping[tuple[str, int], Any], n: int):
     """Recall@n's hits reward; its costs, the target items and ``n`` per judged
-    turn (a recommendation turn with ground truth); and the utterance count."""
-    # The facts counted last, and their hits, target items and judged turns:
-    # the fold reads the three factors off one dialogue's facts in a row.
+    turn (a recommendation turn with ground truth); the utterance count; and
+    the indexes of the recommendation turns without a ground-truth entry,
+    which the fold reads after the factors."""
+    # The facts counted last, and their hits, target items, judged turns and
+    # skipped turns: the fold reads them off one dialogue's facts in a row.
     last: list[Any] = [None, None]
 
-    def counts(facts: DialogueFacts) -> tuple[int, int, int]:
+    def counts(facts: DialogueFacts) -> tuple[int, int, int, list[int]]:
         if last[0] is not facts:
-            dialogue_id, hits, targets, turns = facts.dialogue.dialogue_id, 0, 0, 0
+            dialogue_id, hits, targets, turns, skipped = facts.dialogue.dialogue_id, 0, 0, 0, []
             for index, items in facts.recommendation_turns:
-                truth = ground_truth.get((dialogue_id, index))
-                if truth is not None:
+                truth = ground_truth.get((dialogue_id, index), _MISSING)
+                if truth is _MISSING:
+                    skipped.append(index)
+                elif truth is not None:
                     truth = set(truth)
                     hits += len(truth.intersection(items[:n]))
                     targets += len(truth)
                     turns += 1
-            last[:] = facts, (hits, targets, turns)
+            last[:] = facts, (hits, targets, turns, skipped)
         return last[1]
 
-    return (
+    factors = (
         Factor("recall_hits", 1.0, lambda f: float(counts(f)[0])),
         Factor("target_items", 1.0, lambda f: float(counts(f)[1])),
         Factor("judged_turns", float(n), lambda f: float(counts(f)[2])),
         dialogue_length_cost(),
     )
+    return factors, lambda f: counts(f)[3]
 
 
-def _report_specs(requested: Sequence[str], ground_truth, n: int) -> tuple[list, tuple]:
+def _report_specs(requested: Sequence[str], ground_truth, n: int) -> tuple[list, tuple, Any]:
     """The requested reports as (request, report name, aggregation, rewards,
-    costs, divisors), the macro metrics first, then recall's variants; and
-    the micro factors. A micro value is the system's summed rewards over its
+    costs, divisors), the macro metrics first, then recall's variants; the
+    micro factors; and recall's skipped turns of one dialogue's facts (None
+    without recall). A micro value is the system's summed rewards over its
     summed costs, then over its summed divisors."""
     specs = [spec for spec in _MACRO_SPECS if spec[0] in requested]
     micro: tuple[Factor, ...] = ()
+    skipped = None
     if "recall" in requested:
-        micro = hits, targets, turns, length = _recall_factors(ground_truth, n)
+        micro, skipped = _recall_factors(ground_truth, n)
+        hits, targets, turns, length = micro
         # The published formula's extra 1/(total utterances) prefactor is
         # kept verbatim as length_normalized, never merged with standard.
         specs += [
             ("recall", f"Recall@{n}[standard]", MICRO, (hits,), (targets,), ()),
             ("recall", f"Recall@{n}[length_normalized]", MICRO, (hits,), (turns,), (length,)),
         ]
-    return specs, micro
+    return specs, micro, skipped
 
 
 @dataclass
@@ -374,7 +385,7 @@ def _tally_systems(
     n: int,
 ) -> dict[str, _SystemTally]:
     """Fold ``dialogues`` into one tally per system, in first-appearance order."""
-    specs, factors = _report_specs(requested, ground_truth, n)
+    specs, factors, skipped = _report_specs(requested, ground_truth, n)
     macro = [
         (_pairs(rewards), _pairs(costs)) for _, _, mode, rewards, costs, _ in specs if mode == MACRO
     ]
@@ -399,11 +410,8 @@ def _tally_systems(
             sums = tally.sums
             for position, (weight, evaluator) in enumerate(micro):
                 sums[position] += weight * evaluator(facts)
-            for index, _ in facts.recommendation_turns:
-                if (dialogue_id, index) not in ground_truth:
-                    tally.warnings.append(
-                        f"no ground truth for ({dialogue_id}, {index}); turn skipped"
-                    )
+            for index in skipped(facts):
+                tally.warnings.append(f"no ground truth for ({dialogue_id}, {index}); turn skipped")
     return dict(tallies)  # a worker's result must pickle, and the factory does not
 
 
@@ -483,4 +491,5 @@ def evaluate_system(
         parts = dialogues.fold(_tally_systems, *args)
     else:
         parts = [_tally_systems(dialogues, *args)]
-    return _reports(_merge_tallies(parts), *_report_specs(*args), requested)
+    specs, micro, _ = _report_specs(*args)
+    return _reports(_merge_tallies(parts), specs, micro, requested)

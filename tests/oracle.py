@@ -8,7 +8,10 @@ against the corpus format's rules on its own. The catalog references
 decode a catalog whole before checking it, scan every item or try every
 title at every position, goal sampling replays its draws over the plain
 catalog records, and the agenda simulator's intent draw is redone with
-plain running sums and a bisect.
+plain running sums and a bisect. The parse references build goal,
+utterance and act records the field-by-field way alone: the corpus
+reader's conversion helpers on every field, then the constructors'
+general checks.
 Kept deliberately naive so it can serve as an oracle.
 """
 
@@ -18,6 +21,9 @@ import bisect
 import json
 import random
 import re
+
+from evalkit import corpus_io
+from evalkit.dialogue import DialogueAct, Speaker, UserGoal, Utterance
 
 
 def _records(stream: bytes) -> list[dict]:
@@ -579,12 +585,12 @@ def oracle_records(stream: bytes) -> tuple[list[tuple[int, object]], tuple[int, 
     """The (line number, record) pairs of an NDJSON stream up to its first
     bad line, and that line's number and reason (None if every line is good).
 
-    Lines end at "\\n" only. A line that is empty or all whitespace
-    (``str.isspace``) is skipped; any other is decoded whole by
+    Lines end at "\\n" only. A line that is empty after stripping JSON
+    whitespace (space, tab, CR) is skipped; any other is decoded whole by
     ``json.loads`` and must be an object."""
     records: list[tuple[int, object]] = []
     for number, line in enumerate(stream.decode("utf-8").split("\n"), start=1):
-        if not line or line.isspace():
+        if not line.strip(" \t\r"):
             continue
         try:
             record = json.loads(line)
@@ -594,3 +600,49 @@ def oracle_records(stream: bytes) -> tuple[list[tuple[int, object]], tuple[int, 
             return records, (number, "record must be a JSON object")
         records.append((number, record))
     return records, None
+
+
+def _unknown_fields(record: dict, known: tuple[str, ...]) -> dict:
+    return {key: value for key, value in record.items() if key not in known}
+
+
+def reference_goal(record) -> UserGoal:
+    """A 'goal' value built field by field: ``_slot_pairs`` and ``_texts`` on
+    its fields, and lists, so ``UserGoal`` takes its general checks."""
+    if type(record) is not dict:
+        raise corpus_io._fault("'goal'", "an object", record)
+    return UserGoal(
+        list(corpus_io._slot_pairs(record, "constraints")),
+        list(corpus_io._texts(record, "requests")),
+        _unknown_fields(record, ("constraints", "requests")),
+    )
+
+
+def _reference_act(record, speaker: Speaker, schema) -> DialogueAct:
+    if type(record) is not dict:
+        raise corpus_io._fault("an entry of 'acts'", "an object", record)
+    intent = record["intent"]
+    if type(intent) is list or type(intent) is dict:
+        raise corpus_io._fault("'intent'", "a string", intent)
+    slots = list(corpus_io._slot_pairs(record, "slots"))
+    act = DialogueAct(intent, slots, _unknown_fields(record, ("intent", "slots")))
+    schema.validate_act(act, speaker)
+    return act
+
+
+def reference_utterance(record, schema) -> Utterance:
+    """An entry of 'utterances' built field by field, in the order the
+    parser reads them: index, speaker, each act, text, items."""
+    if type(record) is not dict:
+        raise corpus_io._fault("an entry of 'utterances'", "an object", record)
+    index = record["index"]
+    if type(index) is not int:
+        raise corpus_io._fault("'index'", "an integer", index)
+    speaker = Speaker(record["speaker"])
+    acts = [_reference_act(act, speaker, schema) for act in corpus_io._array(record, "acts")]
+    text = record.get("text", "")
+    if type(text) is not str:
+        raise corpus_io._fault("'text'", "a string", text)
+    items = list(corpus_io._texts(record, "items"))
+    known = ("index", "speaker", "text", "acts", "items")
+    return Utterance(index, speaker, text, acts, items, _unknown_fields(record, known))

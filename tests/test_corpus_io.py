@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from evalkit.analysis import load_reference_scores
 from evalkit.corpus_io import (
     CorpusFiles,
+    _parse_goal,
+    _parse_utterance,
     dialogue_record,
     iter_records,
     parse_corpus,
@@ -33,7 +35,7 @@ from evalkit.dialogue import (
 from evalkit.errors import CorpusFormatError
 
 from helpers import act, corpus, dlg, random_corpus, utt
-from oracle import oracle_check_stream, oracle_records
+from oracle import oracle_check_stream, oracle_records, reference_goal, reference_utterance
 
 HEADER = '{"schema_version":"1"}'
 
@@ -380,8 +382,14 @@ class TestCorpusFiles:
 
 class TestIterRecords:
     def test_yields_line_numbers_and_skips_blank_lines(self):
-        raw = b'{"a":1}\n\n  \n{"b":2}\n'
-        assert list(iter_records(raw)) == [(1, {"a": 1}), (4, {"b": 2})]
+        raw = b'{"a":1}\n\n  \n\t\r\n{"b":2}\n'
+        assert list(iter_records(raw)) == [(1, {"a": 1}), (5, {"b": 2})]
+
+    @pytest.mark.parametrize("space", ["\x0c", "\x0b", "\x85", "\u2028", " \x1c\t"])
+    def test_a_line_of_whitespace_json_does_not_allow_is_invalid_json(self, space):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            list(iter_records(f'{{"a":1}}\n{space}\n{{"b":2}}\n'))
+        assert (excinfo.value.line_number, excinfo.value.reason) == (2, "invalid JSON (Expecting value)")
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -659,6 +667,113 @@ class TestParserAgainstTheOracleChecker:
         expected, bad_line = oracle_check_stream(data)
         assert bad_line is None and len(expected) == 2
         assert [dialogue_record(d) for d in parse_corpus(data)] == expected
+
+
+# Field values for goal, utterance and act records. Clean ones build:
+# strings, and numbers, which the number rule turns into strings. Faulty
+# ones do not where a string is wanted: the empty string, booleans, null
+# and containers. The pools are small, so constraints and slots repeat.
+CLEAN_VALUES = ["genre", "comedy", "TITLE", "Up", 7, 2.5, -0.0]
+FAULTY_VALUES = ["", True, False, None, ["Up"], {"slot": "x"}]
+ABSENT = object()
+
+
+def with_fields(fields: dict, unknown: dict) -> dict:
+    """A record of the ``fields`` that are not ``ABSENT``, then ``unknown``."""
+    return {**{key: value for key, value in fields.items() if value is not ABSENT}, **unknown}
+
+
+def parse_records(faulty: bool):
+    """Goal records and utterance records (with act records in them): with
+    ``faulty``, any field may hold a faulty value, an array field any value,
+    an array entry any value, and a slot object may lack its slot or value."""
+    values = st.sampled_from(CLEAN_VALUES + FAULTY_VALUES if faulty else CLEAN_VALUES)
+    pairs = st.fixed_dictionaries({"slot": values, "value": values})
+    entries = pairs
+    if faulty:
+        without_value = pairs.map(lambda pair: {"slot": pair["slot"]})
+        without_slot = pairs.map(lambda pair: {"value": pair["value"]})
+        entries = pairs | without_value | without_slot | values
+
+    def arrays(entry):
+        # An absent field reads as an empty array.
+        field = st.just(ABSENT) | st.lists(entry, max_size=3)
+        return field | values if faulty else field
+
+    goals = st.builds(
+        lambda constraints, requests, unknown: with_fields(
+            {"constraints": constraints, "requests": requests}, unknown
+        ),
+        # A goal needs a constraint.
+        arrays(entries) if faulty else st.lists(entries, min_size=1, max_size=3),
+        arrays(values),
+        extras({"constraints", "requests"}),
+    )
+    intents = st.sampled_from(["Recommend", "Accept", "Other", "Other"])
+    acts = st.builds(
+        lambda intent, slots, unknown: with_fields({"intent": intent, "slots": slots}, unknown),
+        intents | values | st.just(ABSENT) if faulty else intents,
+        arrays(entries),
+        extras({"intent", "slots"}),
+    )
+    utterances = st.builds(
+        lambda index, speaker, text, acts, items, unknown: with_fields(
+            {"index": index, "speaker": speaker, "text": text, "acts": acts, "items": items}, unknown
+        ),
+        st.sampled_from([0, 1, -1, True, 1.0, "0", ABSENT] if faulty else [0, 1]),
+        st.sampled_from(["USER", "SYSTEM"] + (["ROBOT", None, ["USER"], ABSENT] if faulty else [])),
+        st.sampled_from(["", "hi", 5, None, ABSENT] if faulty else ["", "hi", ABSENT]),
+        arrays(acts | values if faulty else acts),
+        arrays(values),
+        extras({"index", "speaker", "text", "acts", "items"}),
+    )
+    if faulty:
+        return goals | values, utterances | values
+    return goals, utterances
+
+
+clean_goals, clean_utterances = parse_records(faulty=False)
+faulty_goals, faulty_utterances = parse_records(faulty=True)
+
+
+def built(build, record, *args):
+    """What ``build(record, *args)`` gives: the object, or the error's class
+    and message."""
+    try:
+        return build(record, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def unknown_keys_kept_apart(parsed, expected) -> bool:
+    """A parsed object holds a plain dict of its unknown keys, and shares
+    the read-only empty ``extra`` when it has none."""
+    return (type(parsed.extra) is dict) == bool(expected.extra)
+
+
+class TestParseAgainstTheFieldByFieldBuild:
+    """The parser builds each record from its values as read and goes back
+    field by field only when that fails: the object or error it gives must
+    be the one the field-by-field build gives."""
+
+    @settings(max_examples=400)
+    @given(clean_goals | faulty_goals)
+    def test_goal_records(self, record):
+        parsed, expected = built(_parse_goal, record), built(reference_goal, record)
+        assert parsed == expected
+        if isinstance(expected, UserGoal):
+            assert unknown_keys_kept_apart(parsed, expected)
+
+    @settings(max_examples=400)
+    @given(clean_utterances | faulty_utterances)
+    def test_utterance_and_act_records(self, record):
+        schema = default_schema()
+        parsed = built(_parse_utterance, record, schema)
+        expected = built(reference_utterance, record, schema)
+        assert parsed == expected
+        if isinstance(expected, Utterance):
+            assert unknown_keys_kept_apart(parsed, expected)
+            assert all(map(unknown_keys_kept_apart, parsed.acts, expected.acts))
 
 
 class TestSerializeCorpus:

@@ -784,6 +784,29 @@ class TestOnePassEngine:
             for key in ("b1, 0", "b2, 0", "a1, 0", "a1, 4")
         )
 
+    def test_ground_truth_is_looked_up_once_per_recommendation_turn(self):
+        # The skipped-turn warnings come from recall's own lookups.
+        lookups = []
+
+        class Counting(dict):
+            def get(self, key, *default):
+                lookups.append(key)
+                return super().get(key, *default)
+
+            def __contains__(self, key):
+                lookups.append(key)
+                return super().__contains__(key)
+
+        b1 = replace(one_round_accepted(), dialogue_id="b1")
+        a1 = replace(two_rounds(), dialogue_id="a1")
+        truth = Counting({("a1", 4): ("Beta",)})
+        (standard, _) = evaluate_system([b1, a1], ["recall"], truth, 1)
+        assert lookups == [("b1", 0), ("a1", 0), ("a1", 4)]
+        assert standard.warnings == (
+            "no ground truth for (b1, 0); turn skipped",
+            "no ground truth for (a1, 0); turn skipped",
+        )
+
     def test_duplicate_dialogue_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate dialogue_id 'accepted'"):
             evaluate_system([one_round_accepted(), one_round_accepted()], ["recall"], {})

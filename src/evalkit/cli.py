@@ -448,14 +448,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--metrics names no metric; valid names: {', '.join(VALID_METRICS)}")
     if args.n < 1:
         raise ConfigError(f"n must be at least 1, not {args.n}")
-    ground_truth = _load_ground_truth(args.ground_truth) if args.ground_truth else None
-    if "recall" in metrics and ground_truth is None:
+    # Held in a list and popped into the call, so that once the fold returns
+    # nothing here reaches it and the reports reuse its memory.
+    truth = [_load_ground_truth(args.ground_truth) if args.ground_truth else None]
+    if "recall" in metrics and truth[0] is None:
         raise ConfigError("metric recall needs --ground-truth")
     schema = _load_schema(args.schema)
 
     inputs = CorpusFiles(args.input, schema)
-    reports = _CLI.evaluate_system(inputs, metrics, ground_truth=ground_truth, n=args.n)
-    del ground_truth  # scored: the records' encoding can reuse its memory
+    reports = _CLI.evaluate_system(inputs, metrics, ground_truth=truth.pop(), n=args.n)
     settings = {
         "command": "evaluate",
         "metrics": metrics,

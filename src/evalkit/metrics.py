@@ -94,6 +94,17 @@ class RecommendationRound:
         fields["outcome"] = outcome
 
 
+# A report record's fields: name, JSON type, that type in messages, and
+# whether the field is required.
+_RECORD_FIELDS = (
+    ("metric", str, "a string", True),
+    ("aggregation", str, "a string", True),
+    ("per_system", dict, "an object", True),
+    ("per_dialogue", dict, "an object", False),
+    ("warnings", list, "an array of strings", False),
+)
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Per-system values for one metric under one aggregation mode."""
@@ -122,10 +133,14 @@ class MetricReport:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "MetricReport":
-        for name, kind in (("metric", str), ("aggregation", str), ("per_system", dict)):
-            if not isinstance(record[name], kind):
-                noun = "a string" if kind is str else "an object"
-                raise ValueError(f"{name!r} must be {noun}, not {record[name]!r}")
+        for name, kind, noun, required in _RECORD_FIELDS:
+            if not required and name not in record:
+                continue
+            value = record[name]
+            if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(note, str) for note in value)
+            ):
+                raise ValueError(f"{name!r} must be {noun}, not {value!r}")
         return cls(
             metric=record["metric"],
             aggregation=record["aggregation"],
@@ -341,7 +356,9 @@ def _report_specs(requested: Sequence[str], ground_truth, n: int) -> tuple[list,
     costs, divisors), the macro metrics first, then recall's variants; the
     micro factors; and recall's skipped turns of one dialogue's facts (None
     without recall). A micro value is the system's summed rewards over its
-    summed costs, then over its summed divisors."""
+    summed costs, then over its summed divisors. Recall's factors read
+    ``ground_truth`` only when called, so specs that are only named and
+    indexed may pass None."""
     specs = [spec for spec in _MACRO_SPECS if spec[0] in requested]
     micro: tuple[Factor, ...] = ()
     skipped = None
@@ -441,8 +458,12 @@ def _reports(
             per_system = {
                 crs_id: math.fsum(column) / len(column) for crs_id, column in columns.items()
             }
+            # Scores are ratios of small counts: equal ones share one float.
+            shared: dict[float, float] = {}
             per_dialogue = {
-                d: score for crs_id, t in tallies.items() for d, score in zip(t.ids, columns[crs_id])
+                d: shared.setdefault(score, score)
+                for crs_id, t in tallies.items()
+                for d, score in zip(t.ids, columns[crs_id])
             }
             reports[request].append(MetricReport(metric, MACRO, per_system, per_dialogue))
             continue
@@ -471,7 +492,9 @@ def evaluate_system(
     Requesting ``recall`` requires ``ground_truth``, which maps
     (dialogue_id, utterance index) to that turn's target items, and yields
     its ``standard`` and ``length_normalized`` reports, each recommended
-    list truncated to its first ``n`` items. ``dialogues`` (a ``Corpus``,
+    list truncated to its first ``n`` items. The mapping is read only
+    during the fold, and neither kept nor changed: once the fold returns,
+    only a caller's own reference keeps it alive. ``dialogues`` (a ``Corpus``,
     the dialogues of ``read_corpus``, or any iterable; ids must be unique) is
     read once: every metric is scored in that one pass into per-system
     tallies.
@@ -486,10 +509,12 @@ def evaluate_system(
             raise ValueError("recall requires ground-truth target items")
         if n <= 0:
             raise ValueError("n must be a positive integer")
-    args = (requested, ground_truth, n)
     if isinstance(dialogues, CorpusFiles):
-        parts = dialogues.fold(_tally_systems, *args)
+        parts = dialogues.fold(_tally_systems, requested, ground_truth, n)
     else:
-        parts = [_tally_systems(dialogues, *args)]
-    specs, micro, _ = _report_specs(*args)
+        parts = [_tally_systems(dialogues, requested, ground_truth, n)]
+    # Scored: unless the caller keeps the mapping, the reports reuse its memory.
+    del ground_truth
+    # The reports only name and index recall's factors, so these read no truth.
+    specs, micro, _ = _report_specs(requested, None, n)
     return _reports(_merge_tallies(parts), specs, micro, requested)

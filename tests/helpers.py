@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from evalkit import metrics
 from evalkit.connectors import GatewayOptions, HttpLlmGateway, scripted_transport
 from evalkit.dialogue import Corpus, Dialogue, DialogueAct, Speaker, Utterance
 
@@ -44,6 +49,39 @@ def traced(call, *args):
     finally:
         tracemalloc.stop()
     return result, peak - before, held - before
+
+
+# Python 3.10 keeps a call's arguments on the caller's stack until the call
+# returns, so there a mapping handed to ``evaluate_system`` lives as long.
+needs_handed_over_arguments = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="Python 3.10 holds a call's arguments until the call returns",
+)
+
+
+class Truth(dict):
+    """A ground-truth mapping that a weakref can follow."""
+
+
+class TruthProbe:
+    """Hands out ``Truth`` copies of ground-truth mappings and records, each
+    time ``metrics._reports`` runs, whether all of them are already freed."""
+
+    def __init__(self, monkeypatch):
+        self.refs: list[weakref.ref] = []
+        self.freed_at_reports: list[bool] = []
+        reports = metrics._reports
+
+        def spy(*args):
+            self.freed_at_reports.append(all(ref() is None for ref in self.refs))
+            return reports(*args)
+
+        monkeypatch.setattr(metrics, "_reports", spy)
+
+    def truth(self, mapping) -> Truth:
+        truth = Truth(mapping)
+        self.refs.append(weakref.ref(truth))
+        return truth
 
 
 def act(intent: str, *slots: tuple[str, str]) -> DialogueAct:

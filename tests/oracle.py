@@ -27,7 +27,8 @@ from evalkit.dialogue import DialogueAct, Speaker, UserGoal, Utterance
 
 
 def _records(stream: bytes) -> list[dict]:
-    lines = [line for line in stream.decode("utf-8").splitlines() if line.strip()]
+    """The dialogue records of a stream whose lines end at "\\n" only."""
+    lines = [line for line in stream.decode("utf-8").split("\n") if line.strip()]
     parsed = [json.loads(line) for line in lines]
     return [record for record in parsed if "dialogue_id" in record]
 

@@ -25,7 +25,17 @@ from evalkit.errors import GatewayError
 from evalkit.metrics import MetricReport
 
 from conftest import MOVIES
-from helpers import RecordingTransport, act, corpus, dlg, traced, turns, utt
+from helpers import (
+    RecordingTransport,
+    TruthProbe,
+    act,
+    corpus,
+    dlg,
+    needs_handed_over_arguments,
+    traced,
+    turns,
+    utt,
+)
 from oracle import oracle_ground_truth
 
 REF = load_reference_scores()
@@ -851,6 +861,20 @@ class TestStreaming:
         # result holds; one entry at a time, the text and the result remain.
         assert peak <= 1.5 * held
 
+    @needs_handed_over_arguments
+    def test_evaluate_frees_the_ground_truth_before_it_builds_the_reports(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "corpus.ndjson"
+        write_corpus(small_corpus(), path)
+        truth_path = write_scores(tmp_path / "truth.json", {"d1": {"1": ["Alpha"]}})
+        probe = TruthProbe(monkeypatch)
+        load = _load_ground_truth
+        monkeypatch.setattr(cli, "_load_ground_truth", lambda path: probe.truth(load(path)))
+        argv = ["evaluate", "--input", str(path), "--output", str(tmp_path / "r")]
+        assert main(argv + ["--metrics", "sr,recall", "--ground-truth", truth_path]) == 0
+        assert probe.freed_at_reports == [True]
+
     def test_compare_reads_a_report_one_record_at_a_time(self, tmp_path):
         per_dialogue = {f"h{number:06d}": number / 20000 for number in range(20000)}
         lines = [json.dumps({"schema_version": "1", "seed": 0, "config_hash": "0"})]
@@ -1436,8 +1460,11 @@ class TestCompare:
             ({"metric": 5}, "'metric' must be a string, not 5"),
             ({"aggregation": ["macro"]}, "'aggregation' must be a string, not ['macro']"),
             ({"per_system": [["sysA", 0.4]]}, "'per_system' must be an object, not [['sysA', 0.4]]"),
+            ({"per_dialogue": [["d1", 1]]}, "'per_dialogue' must be an object, not [['d1', 1]]"),
+            ({"warnings": "abc"}, "'warnings' must be an array of strings, not 'abc'"),
+            ({"warnings": ["a", 1]}, "'warnings' must be an array of strings, not ['a', 1]"),
         ],
-        ids=["metric", "aggregation", "per_system"],
+        ids=["metric", "aggregation", "per_system", "per_dialogue", "warnings", "warning"],
     )
     def test_a_report_field_of_the_wrong_type_is_a_config_error(
         self, tmp_path, capsys, flags, fields, detail

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evalkit import metrics
 from evalkit.analysis import rank_systems
-from evalkit.corpus_io import read_corpus, serialize_corpus
+from evalkit.corpus_io import CorpusFiles, read_corpus, serialize_corpus
 from evalkit.dialogue import Corpus, DialogueAct, Speaker
 from evalkit.errors import UnannotatedDialogueError
 from evalkit.metrics import (
@@ -31,9 +31,11 @@ from helpers import (
     ITEMS,
     SYSTEM_INTENTS,
     USER_INTENTS,
+    TruthProbe,
     act,
     corpus,
     dlg,
+    needs_handed_over_arguments,
     random_corpus,
     turns,
     utt,
@@ -662,12 +664,14 @@ def annotated_utterances(draw):
 @st.composite
 def corpora_with_truth(draw):
     """A small annotated corpus, recall ground truth for some of its system
-    turns, and N."""
+    turns, and N. Dialogue ids may hold line separators that are not line
+    ends in a corpus stream: U+2028, U+2029 and U+0085."""
     dialogues = []
     for number in range(draw(st.integers(1, 6))):
         utterances = draw(annotated_utterances())
         crs_id = draw(st.sampled_from(("sysA", "sysB", "sysC")))
-        dialogues.append(dlg(f"d{number}", crs_id, utterances))
+        mark = draw(st.sampled_from(("", "\u2028", "\u2029", "\x85")))
+        dialogues.append(dlg(f"d{mark}{number}", crs_id, utterances))
     keys = [
         (d.dialogue_id, u.index)
         for d in dialogues
@@ -824,3 +828,57 @@ class TestOnePassEngine:
         c = corpus(one_round_accepted(), two_rounds(), unresolved_round())
         evaluate_system(c, ["sr", "srrr", "rdl", "recall"], {}, 2)
         assert calls == [d.dialogue_id for d in c.dialogues]
+
+
+def repeated_dialogues() -> list:
+    """Nine dialogues over two systems, three of each shape, and recall
+    ground truth for some of their recommendation turns."""
+    shapes = (one_round_accepted(), two_rounds(), unresolved_round())
+    return [
+        replace(shape, dialogue_id=f"{shape.dialogue_id}{copy}", crs_id=f"sys{copy % 2}")
+        for copy in range(3)
+        for shape in shapes
+    ]
+
+
+REPEATED_TRUTH = {("accepted0", 0): ("Alpha",), ("tworounds1", 4): ("Beta", "Gamma")}
+
+
+class TestEachValueHeldOnce:
+    """``evaluate_system`` holds the ground truth only while it folds, and
+    a macro report holds one float per distinct score."""
+
+    @needs_handed_over_arguments
+    def test_the_truth_is_freed_before_the_reports_of_a_list(self, monkeypatch):
+        probe = TruthProbe(monkeypatch)
+        handed = [probe.truth(REPEATED_TRUTH)]
+        reports = evaluate_system(repeated_dialogues(), ["sr", "recall"], handed.pop(), 2)
+        assert probe.freed_at_reports == [True]
+        assert reports == evaluate_system(repeated_dialogues(), ["sr", "recall"], REPEATED_TRUTH, 2)
+
+    @needs_handed_over_arguments
+    def test_the_truth_is_freed_before_the_reports_of_files_folded_here(
+        self, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(serialize_corpus(corpus(*repeated_dialogues())))
+        probe = TruthProbe(monkeypatch)
+        handed = [probe.truth(REPEATED_TRUTH)]
+        reports = evaluate_system(CorpusFiles([str(path)]), ["recall"], handed.pop(), 1)
+        assert probe.freed_at_reports == [True]
+        assert reports == evaluate_system(repeated_dialogues(), ["recall"], REPEATED_TRUTH, 1)
+
+    def test_a_caller_that_keeps_the_truth_finds_it_unchanged(self):
+        truth = dict(REPEATED_TRUTH)
+        first = evaluate_system(repeated_dialogues(), ["recall"], truth, 1)
+        assert truth == REPEATED_TRUTH
+        # A second call with the same mapping scores the same.
+        assert evaluate_system(repeated_dialogues(), ["recall"], truth, 1) == first
+
+    def test_equal_scores_share_one_float(self):
+        reports = evaluate_system(repeated_dialogues(), ["sr", "srrr", "rdl"])
+        for report in reports:
+            scores = list(report.per_dialogue.values())
+            assert len(scores) == 9
+            assert len({id(score) for score in scores}) == len(set(scores)) < 9
+            assert list(report.to_record()["per_dialogue"].values()) == scores

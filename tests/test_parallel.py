@@ -18,8 +18,9 @@ from evalkit import corpus_io, parallel
 from evalkit.cli import main
 from evalkit.corpus_io import CorpusFiles, dialogue_record, serialize_corpus
 from evalkit.dialogue import default_schema
+from evalkit.metrics import evaluate_system
 
-from helpers import corpus, dlg, turns, utt
+from helpers import TruthProbe, corpus, dlg, needs_handed_over_arguments, turns, utt
 from test_metrics import corpora_with_truth
 
 
@@ -275,6 +276,23 @@ def test_spawned_workers_give_the_in_process_bytes(runs, tmp_path, recall):
     finally:
         multiprocessing.set_start_method(method, force=True)
     assert runs.in_workers == [True]
+
+
+@needs_handed_over_arguments
+def test_the_ground_truth_is_freed_when_the_workers_return(runs, tmp_path, monkeypatch):
+    # The pool's initializer arguments carry it to the workers; nothing in
+    # this process may keep it once they have all returned.
+    dialogues = [annotated(f"d{i}", crs_id=f"sys{i % 3}") for i in range(9)]
+    path = write_lines(tmp_path / "c.ndjson", [HEADER, *dialogue_lines(*dialogues)])
+    truth = {(f"d{i}", 1): ("Alpha",) for i in range(0, 9, 2)}
+    expected = evaluate_system(dialogues, ["sr", "recall"], truth, 1)
+    probe = TruthProbe(monkeypatch)
+    handed = [probe.truth(truth)]
+    runs.force(2)
+    reports = evaluate_system(CorpusFiles([path]), ["sr", "recall"], handed.pop(), 1)
+    assert runs.in_workers == [True]
+    assert probe.freed_at_reports == [True]
+    assert reports == expected
 
 
 # A program that runs a command at module top level, without a

@@ -678,6 +678,25 @@ class TestRunConversation:
 
         assert run_once() == run_once()
 
+    def test_the_seed_alone_decides_an_agenda_transcript(self, movie_catalog):
+        # Against a CRS that echoes, the user's own draws shape the talk
+        # (always-recommend gives one transcript at every seed): each seed
+        # gives the same transcript twice, and the seeds give several.
+        def transcripts():
+            return [
+                run_conversation(
+                    AgendaSimulator(catalog=movie_catalog),
+                    make_stub("echo"),
+                    simple_goal(),
+                    RunLimits(seed=seed),
+                )
+                for seed in range(6)
+            ]
+
+        first = transcripts()
+        assert transcripts() == first
+        assert len({tuple(u.text for u in d.utterances) for d in first}) > 1
+
     def test_loop_guard_fires_on_repeating_crs(self, movie_catalog):
         simulator = AgendaSimulator(catalog=movie_catalog)
         # The recommended item is not in the catalog, so the simulator

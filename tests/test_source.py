@@ -24,6 +24,7 @@ from evalkit import (
 from evalkit.corpus_io import write_corpus
 
 from helpers import BENCH, bench_module, corpus, dlg, scripted, utt
+from mutants import MUTANTS
 
 SOURCES = sorted(Path(evalkit.__file__).parent.glob("*.py"))
 
@@ -403,3 +404,23 @@ def test_a_failing_hypothesis_test_fails_alone(tmp_path):
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[mutant.name for mutant in MUTANTS])
+def test_each_mutant_edits_code_that_is_there_once(mutant):
+    # ``python tests/mutants.py`` runs the mutants; this keeps its table in
+    # step with the code, without a subprocess.
+    source = (Path(evalkit.__file__).parent / mutant.path).read_text(encoding="utf-8")
+    assert source.count(mutant.old) == 1
+    assert mutant.new != mutant.old
+    root = Path(__file__).resolve().parents[1]
+    for node in mutant.kills:
+        path, *names = node.split("::")
+        test_source = (root / path).read_text(encoding="utf-8")
+        for name in names:
+            assert re.search(rf"^\s*(class|def) {re.escape(name)}\b", test_source, re.M), node
+
+
+def test_mutant_names_are_unique():
+    names = [mutant.name for mutant in MUTANTS]
+    assert len(names) == len(set(names))
